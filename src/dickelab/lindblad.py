@@ -13,24 +13,27 @@ dimension D:
 
 * ``dense-nullspace``  (D <= 24): full SVD of the dense superoperator;
   the null vector and the spectral gap come out together.
-* ``sparse-direct``    (D <= 400): minimum-residual solve of the
-  trace-augmented system [L; w t] x = [0; w] through the normal
-  equations, with a sparse LU and two refinement sweeps. The Dicke
-  Liouvillian is narrow-banded, so fill-in stays small.
+* ``sparse-direct``    (D <= 401): one sparse LU of the square system M,
+  the superoperator with its first row (the equation for rho_00) replaced
+  by the scaled trace row, then one refinement sweep. Trace preservation
+  makes the diagonal-entry rows sum to zero, so the replaced row carries
+  no information, and M is nonsingular exactly when the steady state is
+  unique. The same factor gives the uniqueness probe by inverse
+  iteration. The Dicke Liouvillian is narrow-banded, so fill-in stays
+  small.
 * ``long-time-integration`` (fallback): window-doubled propagation of a
   maximally mixed state until the residual settles. Explicit stepping,
   so it is the slow path; it exists for dimensions where factorization
   memory blows up and as an independent cross-check.
 
-An ``iterative`` method (LSMR on the augmented system) can be requested
-explicitly.
+An ``iterative`` method (LSMR on the trace-augmented system) can be
+requested explicitly.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +45,19 @@ from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 from .operators import OperatorMatrix
 
 DENSE_NULLSPACE_LIMIT = 24
-SPARSE_DIRECT_LIMIT = 400
+SPARSE_DIRECT_LIMIT = 401
 
-# NonUnique when the probe's second singular value drops below this times
-# the superoperator scale.
-UNIQUENESS_RTOL = 1e-6
+# inverse-iteration stopping rule of the uniqueness probe
+PROBE_RTOL = 1e-2
+PROBE_MAX_STEPS = 10
+
+
+def uniqueness_threshold(order: int) -> float:
+    """Round-off level of the relative uniqueness probe for a superoperator
+    of the given order (D^2). A second stationary direction leaves only
+    factorization round-off, of order eps * order, in the probe; a unique
+    state keeps it far above that."""
+    return 10.0 * np.finfo(float).eps * order
 
 
 def vectorize(mat: np.ndarray) -> np.ndarray:
@@ -283,7 +294,7 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    if opts.check_unique and uniq is not None and uniq <= UNIQUENESS_RTOL:
+    if opts.check_unique and uniq is not None and uniq <= uniqueness_threshold(L.dim ** 2):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
@@ -325,47 +336,48 @@ def _augmented_system(L: Liouvillian):
     return A, b, scale
 
 
+def _square_system(L: Liouvillian):
+    """The superoperator with row 0 replaced by the trace row times the
+    scale, and the matching right-hand side scale * e_0."""
+    scale = max(L.scale, 1e-300)
+    M = sp.vstack([_trace_row(L.dim) * scale, L.superoperator[1:]], format="csc")
+    b = np.zeros(M.shape[0], dtype=np.complex128)
+    b[0] = scale
+    return M, b, scale
+
+
 def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
-    A, b, scale = _augmented_system(L)
-    Ah = A.conj().T.tocsr()
-    normal = (Ah @ A).tocsc()
+    M, b, scale = _square_system(L)
     try:
-        lu = spla.splu(normal)
+        lu = spla.splu(M)
     except RuntimeError as exc:  # exactly singular factor
         raise NonUniqueSteadyState(
-            f"trace-augmented normal matrix is singular ({exc})"
+            f"trace-row system is singular ({exc})"
         ) from exc
-    x = lu.solve(Ah @ b)
-    refinements = 2
-    for _ in range(refinements):
-        r = b - A @ x
-        x = x + lu.solve(Ah @ r)
+    x = lu.solve(b)
+    x = x + lu.solve(b - M @ x)  # one refinement sweep
 
     uniq = None
     if opts.check_unique:
-        uniq = _uniqueness_probe(A, normal, lu, scale)
-    return x, refinements, uniq
+        uniq = _uniqueness_probe(lu, M.shape[0], scale)
+    return x, 1, uniq
 
 
-def _uniqueness_probe(A, normal, lu, scale):
-    """Smallest singular value of the trace-augmented system, via one
-    shift-invert eigenpair of the normal matrix. A unique steady state
-    keeps it at the order of the scale; a second stationary direction
-    drives it to zero."""
-    n = normal.shape[0]
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
-    v0 = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals = spla.eigsh(
-                normal, k=1, sigma=0, which="LM", OPinv=opinv, v0=v0,
-                return_eigenvectors=False, maxiter=200, tol=1e-8,
-            )
-    except Exception:
-        return None
-    lam = float(max(vals[0], 0.0))
-    return math.sqrt(lam) / scale
+def _uniqueness_probe(lu, n: int, scale: float) -> float:
+    """Smallest singular value of the trace-row system over its scale, by
+    inverse iteration on M^H M with the factor of M. A unique steady state
+    keeps it far above round-off; a second stationary direction drives it
+    to zero."""
+    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
+    sigma = math.inf
+    for _ in range(PROBE_MAX_STEPS):
+        w = lu.solve(lu.solve(v, trans="H"))
+        norm = float(np.linalg.norm(w))
+        previous, sigma = sigma, 1.0 / math.sqrt(norm)
+        v = w / norm
+        if abs(sigma - previous) <= PROBE_RTOL * sigma:
+            break
+    return sigma / scale
 
 
 def _solve_lsmr(L: Liouvillian, opts: SteadyStateOptions):

@@ -453,6 +453,10 @@ def _numeric_state(e: EffectiveParams, payload):
 
 
 def _analytic_or_none(e, func):
+    """The closed form, or None where it does not apply: above threshold,
+    or off resonance (delta != 0)."""
+    if e.delta != 0.0:
+        return None
     try:
         return func(e)
     except AboveThresholdError:
@@ -566,13 +570,9 @@ def _row_moments(e, payload):
     except ValueError:
         row["hp_occupation_numeric"] = None
         row["hp_anomalous_numeric"] = None
-    try:
-        sol = hp_moments(bloch_angles(e), e)
-        row["hp_occupation_analytic"] = sol.occupation
-        row["hp_anomalous_analytic"] = sol.anomalous_magnitude
-    except AboveThresholdError:
-        row["hp_occupation_analytic"] = None
-        row["hp_anomalous_analytic"] = None
+    sol = _analytic_or_none(e, lambda q: hp_moments(bloch_angles(q), q))
+    row["hp_occupation_analytic"] = None if sol is None else sol.occupation
+    row["hp_anomalous_analytic"] = None if sol is None else sol.anomalous_magnitude
     return row
 
 

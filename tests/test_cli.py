@@ -138,6 +138,24 @@ def test_exit_code_solver_failure_partial_results(tmp_path):
     assert rows[0]["jz_over_halfN_numeric"] == ""
 
 
+def test_detuned_sweep_leaves_analytic_cells_empty(tmp_path):
+    # the closed forms assume delta = 0; the numeric solve does not
+    payload = {
+        "mode": "sweep-jz",
+        "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}},
+        "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0]},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out.csv"
+    assert main(["sweep-jz", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert rows[0]["error"] == ""
+    assert -1.0 < float(rows[0]["jz_over_halfN_numeric"]) < 0.0
+    assert rows[0]["jz_over_halfN_analytic"] == ""
+    assert rows[0]["jz_over_halfN_residual"] == ""
+
+
 def test_exit_code_above_threshold_spectrum(tmp_path):
     payload = {
         "mode": "spectrum",

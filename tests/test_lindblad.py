@@ -13,17 +13,20 @@ from dickelab.errors import NoConvergence, NonUniqueSteadyState, SolverError
 from dickelab.lindblad import (
     DensityMatrix,
     SteadyStateOptions,
+    _solve_sparse_direct,
     build_liouvillian,
     expect,
     steady_state,
     time_evolve,
     trace_distance,
     two_time_correlator,
+    uniqueness_threshold,
     unvectorize,
     vectorize,
 )
+from dickelab.models import build_cavity_model
 from dickelab.operators import OperatorMatrix, SpinRep, build_spin_operators
-from dickelab.parameters import EffectiveParams
+from dickelab.parameters import CavityParams, EffectiveParams
 
 
 def dicke_liouvillian(n_atoms, ratio, delta_over_gamma=0.0, gamma=1.0):
@@ -102,7 +105,9 @@ def test_method_auto_selection_table():
     assert opts.resolve_method(24) == "dense-nullspace"
     assert opts.resolve_method(25) == "sparse-direct"
     assert opts.resolve_method(400) == "sparse-direct"
-    assert opts.resolve_method(401) == "long-time-integration"
+    # D = 401 is the Dicke atom cap N = 400
+    assert opts.resolve_method(401) == "sparse-direct"
+    assert opts.resolve_method(402) == "long-time-integration"
     assert SteadyStateOptions(method="iterative").resolve_method(8) == "iterative"
 
 
@@ -164,6 +169,39 @@ def test_non_unique_detection():
         steady_state(L)
     with pytest.raises((NonUniqueSteadyState, SolverError)):
         steady_state(L, SteadyStateOptions(method="sparse-direct"))
+
+
+def test_uniqueness_probe_matches_smallest_singular_value():
+    # the probe is sigma_min of the superoperator with row 0 replaced by
+    # the scaled trace row, over the scale
+    L, _, _ = dicke_liouvillian(30, 0.8, 0.5)
+    _, report = steady_state(L, SteadyStateOptions(method="sparse-direct"))
+    M = L.superoperator.toarray()
+    M[0] = 0.0
+    M[0, :: L.dim + 1] = L.scale
+    sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
+    assert report.uniqueness_ratio == pytest.approx(sigma_min / L.scale, rel=1e-2)
+    assert report.uniqueness_ratio > uniqueness_threshold(L.dim ** 2)
+
+
+def test_uniqueness_probe_flags_decoupled_cavity():
+    # g = 0 freezes the atoms: every atomic state is stationary
+    model = build_cavity_model(CavityParams(g=0.0, kappa=2.0, delta_c=0.5, Omega_L=0.3, N=2),
+                               cutoff=8)
+    L = model.liouvillian
+    _, _, uniq = _solve_sparse_direct(L, SteadyStateOptions())
+    assert uniq < uniqueness_threshold(L.dim ** 2)
+
+
+def test_small_probe_ratio_of_unique_state_is_accepted():
+    # N = 200, Delta/gamma = 3: a unique state whose probe ratio (~5e-7)
+    # sits far above round-off but below any fixed 1e-6 cut
+    L, ops, _ = dicke_liouvillian(200, 0.85, 3.0)
+    rho, report = steady_state(L)
+    assert report.method == "sparse-direct"
+    assert report.uniqueness_ratio > uniqueness_threshold(L.dim ** 2)
+    jz = expect(rho, ops["J_z"]).real / 100.0
+    assert abs(jz + np.sqrt(1 - 0.85 ** 2)) < 1.0 / 200
 
 
 def test_time_evolve_frozen_generator():
