@@ -25,9 +25,6 @@ dimension D:
   maximally mixed state until the residual settles. Explicit stepping,
   so it is the slow path; it exists for dimensions where factorization
   memory blows up and as an independent cross-check.
-
-An ``iterative`` method (LSMR on the trace-augmented system) can be
-requested explicitly.
 """
 
 from __future__ import annotations
@@ -44,8 +41,15 @@ from scipy.integrate import solve_ivp
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 from .operators import OperatorMatrix
 
+ROUTES = ("dense-nullspace", "sparse-direct", "long-time-integration")
 DENSE_NULLSPACE_LIMIT = 24
 SPARSE_DIRECT_LIMIT = 401
+
+# eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
+PSD_FLOOR = -1e-8
+# long-time-integration controls
+INTEGRATION_MAX_WINDOWS = 12
+INTEGRATION_RTOL = 1e-10
 
 # inverse-iteration stopping rule of the uniqueness probe
 PROBE_RTOL = 1e-2
@@ -93,14 +97,6 @@ class Liouvillian:
 
 def _inf_norm(s: sp.csr_array) -> float:
     return float(abs(s).sum(axis=1).max())
-
-
-def _as_sparse(op) -> sp.csr_array:
-    if isinstance(op, OperatorMatrix):
-        return op.to_sparse()
-    if sp.issparse(op):
-        return sp.csr_array(op)
-    return sp.csr_array(np.asarray(op, dtype=np.complex128))
 
 
 def build_liouvillian(H, collapse) -> Liouvillian:
@@ -177,7 +173,7 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(herm)[0])
 
     @classmethod
-    def from_raw(cls, mat, *, psd_floor=-1e-8) -> "DensityMatrix":
+    def from_raw(cls, mat, *, psd_floor=PSD_FLOOR) -> "DensityMatrix":
         """Build from a raw solver vector: hermitize, normalize the trace,
         and floor eigenvalues in (psd_floor, 0). Larger PSD violations are
         a solver failure, not rounding noise to be masked."""
@@ -232,16 +228,13 @@ class SteadyStateOptions:
     """Knobs for :func:`steady_state`.
 
     ``tol`` is an absolute residual bound; None means 1e-10 times the
-    superoperator scale. ``method`` overrides the size-based selection.
+    superoperator scale. ``method`` (one of ``ROUTES``) overrides the
+    size-based selection.
     """
 
     tol: float | None = None
     method: str | None = None
     check_unique: bool = True
-    psd_floor: float = -1e-8
-    # long-time-integration controls
-    max_windows: int = 12
-    rtol: float = 1e-10
 
     def resolve_method(self, dim: int) -> str:
         if self.method is not None:
@@ -287,10 +280,8 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
         raw, iterations, uniq = _solve_dense(L, opts)
     elif method == "sparse-direct":
         raw, iterations, uniq = _solve_sparse_direct(L, opts)
-    elif method == "iterative":
-        raw, iterations, uniq = _solve_lsmr(L, opts)
     elif method == "long-time-integration":
-        raw, iterations, uniq = _solve_integration(L, opts, tol)
+        raw, iterations, uniq = _solve_integration(L, tol)
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
@@ -298,7 +289,7 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
-    rho = DensityMatrix.from_raw(unvectorize(raw, L.dim), psd_floor=opts.psd_floor)
+    rho = DensityMatrix.from_raw(unvectorize(raw, L.dim))
     residual = L.residual(rho.matrix)
     wall = time.perf_counter() - t0
 
@@ -325,15 +316,6 @@ def _solve_dense(L: Liouvillian, opts: SteadyStateOptions):
     if opts.check_unique and len(svals) >= 2:
         uniq = float(svals[-2] / max(svals[0], 1e-300))
     return null_vec, 0, uniq
-
-
-def _augmented_system(L: Liouvillian):
-    scale = max(L.scale, 1e-300)
-    trow = _trace_row(L.dim) * scale
-    A = sp.vstack([L.superoperator, trow], format="csr")
-    b = np.zeros(L.dim * L.dim + 1, dtype=np.complex128)
-    b[-1] = scale
-    return A, b, scale
 
 
 def _square_system(L: Liouvillian):
@@ -380,16 +362,7 @@ def _uniqueness_probe(lu, n: int, scale: float) -> float:
     return sigma / scale
 
 
-def _solve_lsmr(L: Liouvillian, opts: SteadyStateOptions):
-    A, b, scale = _augmented_system(L)
-    result = spla.lsmr(A, b, atol=1e-14, btol=1e-14, maxiter=20 * A.shape[1])
-    x, istop, itn = result[0], result[1], result[2]
-    if istop not in (0, 1, 2):
-        raise NoConvergence(f"LSMR stopped with flag {istop} after {itn} iterations")
-    return x, int(itn), None
-
-
-def _solve_integration(L: Liouvillian, opts: SteadyStateOptions, tol: float):
+def _solve_integration(L: Liouvillian, tol: float):
     dim = L.dim
     S = L.superoperator
     scale = max(L.scale, 1e-300)
@@ -400,10 +373,10 @@ def _solve_integration(L: Liouvillian, opts: SteadyStateOptions, tol: float):
 
     window = 25.0 * dim / scale
     iterations = 0
-    for _ in range(opts.max_windows):
+    for _ in range(INTEGRATION_MAX_WINDOWS):
         sol = solve_ivp(
             rhs, (0.0, window), y, method="DOP853",
-            rtol=opts.rtol, atol=1e-14, dense_output=False,
+            rtol=INTEGRATION_RTOL, atol=1e-14, dense_output=False,
         )
         if not sol.success:
             raise NoConvergence(f"integrator failed: {sol.message}")
@@ -413,7 +386,7 @@ def _solve_integration(L: Liouvillian, opts: SteadyStateOptions, tol: float):
             return y, iterations, None
         window *= 2.0
     raise NoConvergence(
-        f"long-time integration did not settle within {opts.max_windows} windows"
+        f"long-time integration did not settle within {INTEGRATION_MAX_WINDOWS} windows"
     )
 
 

@@ -1,10 +1,13 @@
 """Parameter sweeps, figure-data reproduction, and tabular output.
 
-A run resolves its configuration into a flat list of grid points, computes
-one row (or row block) per point, and writes CSV and optionally JSON.
-Rows are computed independently, so grids parallelize across worker
-processes; results are gathered in grid order, which makes parallel and
-serial runs emit identical bytes.
+Every mode is one entry of the ``MODES`` registry: its result columns and
+the function that computes the rows of one grid point. A run resolves its
+configuration once, in the calling process, into frozen ``GridPoint``
+records (run settings plus the effective and, where given, cavity
+parameters of the point); bad parameter combinations are rejected there,
+before any solve. Rows are computed independently, so grids parallelize
+across worker processes; results are gathered in grid order, which makes
+parallel and serial runs emit identical bytes.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -21,6 +24,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,7 +36,7 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import SteadyStateOptions, expect, steady_state
+from .lindblad import ROUTES, SteadyStateOptions, expect, steady_state
 from .models import build_dicke_model, validate_elimination
 from .observables import (
     dipole_fluctuation_moments,
@@ -52,19 +56,6 @@ from .parameters import (
     map_cavity_to_effective,
     mean_field_steady_state,
 )
-
-MODES = (
-    "sweep-jz",
-    "sweep-squeezing",
-    "spectrum",
-    "validate-elimination",
-    "mean-field",
-    "moments",
-    "g2",
-)
-
-# modes that never touch the numerical solver
-ANALYTIC_ONLY_MODES = ("mean-field",)
 
 
 def _as_complex(value, name: str) -> complex:
@@ -123,7 +114,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
         if self.level not in ("effective", "cavity"):
             raise ConfigError("params.level must be 'effective' or 'cavity'")
         if self.level == "effective":
@@ -142,6 +133,16 @@ class RunConfig:
             raise ConfigError("drive grid must be non-empty")
         if self.mode == "validate-elimination" and self.level != "cavity":
             raise ConfigError("validate-elimination needs cavity-level parameters")
+        delta = self.delta if self.level == "effective" else self.cavity.delta
+        if MODES[self.mode].resonant and delta != 0.0:
+            raise ConfigError(
+                f"{self.mode} rows use the resonant closed forms; they need "
+                f"delta = 0, got delta = {delta}"
+            )
+        if self.solver_method is not None and self.solver_method not in ROUTES:
+            raise ConfigError(
+                f"unknown solver.method {self.solver_method!r}; expected one of {ROUTES}"
+            )
         if self.n_tau < 16:
             raise ConfigError("n_tau must be at least 16")
 
@@ -328,128 +329,83 @@ def _json_cell(value):
 # --------------------------------------------------------------------------
 
 
-def _solver_options(payload) -> SteadyStateOptions:
-    return SteadyStateOptions(tol=payload.get("tol"), method=payload.get("method"))
+@dataclass(frozen=True)
+class GridPoint:
+    """One grid point: the run settings and the resolved parameters.
+    ``cavity`` is set for cavity-level runs only."""
+
+    config: RunConfig
+    effective: EffectiveParams
+    cavity: CavityParams | None = None
 
 
-def _grid_payloads(cfg: RunConfig) -> list:
-    """Flatten the configured grids into per-point payload dicts."""
-    payloads = []
-    base = {
-        "mode": cfg.mode,
-        "tol": cfg.solver_tol,
-        "method": cfg.solver_method,
-        "timestamp": cfg.timestamp,
-        "drive_absolute": cfg.drive_absolute,
-        "tau_max_gamma": cfg.tau_max_gamma,
-        "n_tau": cfg.n_tau,
-        "kappa_embed_over_gamma": cfg.kappa_embed_over_gamma,
-        "fock_cutoff": cfg.fock_cutoff,
-        "min_adiabaticity": cfg.min_adiabaticity,
-    }
-    if cfg.level == "effective":
-        for n in cfg.n_values:
-            for d_over_g in cfg.delta_over_gamma_values:
-                for drive in cfg.drive_values:
-                    if drive is None:
-                        raise ConfigError("effective-level runs need drive values")
-                    payloads.append(
-                        base
-                        | {
-                            "level": "effective",
-                            "gamma": cfg.gamma,
-                            "Delta": d_over_g * cfg.gamma,
-                            "delta": cfg.delta,
-                            "N": int(n),
-                            "drive": float(drive),
-                            "drive_phase": cfg.drive_phase,
-                        }
-                    )
-    else:
-        p = cfg.cavity
-        for drive in cfg.drive_values:
-            payloads.append(
-                base
-                | {
-                    "level": "cavity",
-                    "g": [p.g.real, p.g.imag],
-                    "kappa": p.kappa,
-                    "delta_c": p.delta_c,
-                    "Omega_L": [p.Omega_L.real, p.Omega_L.imag],
-                    "N": p.N,
-                    "delta": p.delta,
-                    "drive": drive,
-                    "drive_phase": cfg.drive_phase,
-                }
-            )
-    return payloads
-
-
-def _payload_params(payload):
-    """EffectiveParams (and CavityParams when available) for one payload."""
-    if payload["level"] == "effective":
-        e0 = EffectiveParams(
-            gamma=payload["gamma"],
-            Delta=payload["Delta"],
-            Omega=0.0,
-            N=payload["N"],
-            delta=payload["delta"],
-        )
-        drive = payload["drive"]
-        phase = payload.get("drive_phase", 0.0)
-        if payload["drive_absolute"]:
-            omega = drive * complex(math.cos(phase), math.sin(phase))
-            e = EffectiveParams(e0.gamma, e0.Delta, omega, e0.N, e0.delta)
+def _grid_points(cfg: RunConfig) -> list:
+    """The configured grids as GridPoints, in output order. A parameter
+    combination the models reject is a ConfigError, raised before any
+    solve."""
+    points = []
+    try:
+        if cfg.level == "effective":
+            for n in cfg.n_values:
+                for d_over_g in cfg.delta_over_gamma_values:
+                    e0 = EffectiveParams(cfg.gamma, d_over_g * cfg.gamma, 0.0, int(n), cfg.delta)
+                    for drive in cfg.drive_values:
+                        if drive is None:
+                            raise ConfigError("effective-level runs need drive values")
+                        if cfg.drive_absolute:
+                            phase = cfg.drive_phase
+                            omega = float(drive) * complex(math.cos(phase), math.sin(phase))
+                            e = EffectiveParams(e0.gamma, e0.Delta, omega, e0.N, e0.delta)
+                        else:
+                            e = e0.with_drive_ratio(float(drive), cfg.drive_phase)
+                        points.append(GridPoint(cfg, e))
         else:
-            e = e0.with_drive_ratio(drive, phase)
-        return e, None
-    p = CavityParams(
-        g=complex(*payload["g"]),
-        kappa=payload["kappa"],
-        delta_c=payload["delta_c"],
-        Omega_L=complex(*payload["Omega_L"]),
-        N=payload["N"],
-        delta=payload["delta"],
-    )
-    e = map_cavity_to_effective(p)
-    drive = payload.get("drive")
-    if drive is not None:
-        oc = critical_drive(e)
-        target = drive * oc if not payload["drive_absolute"] else drive
-        scaled = cavity_params_for_effective(
-            EffectiveParams(e.gamma, e.Delta, target, e.N, e.delta), p.kappa
-        )
-        p = scaled
-        e = map_cavity_to_effective(p)
-    return e, p
+            for drive in cfg.drive_values:
+                p = cfg.cavity
+                e = map_cavity_to_effective(p)
+                if drive is not None:  # rescale Omega_L to hit the requested drive
+                    target = drive if cfg.drive_absolute else drive * critical_drive(e)
+                    p = cavity_params_for_effective(
+                        EffectiveParams(e.gamma, e.Delta, target, e.N, e.delta), p.kappa
+                    )
+                    e = map_cavity_to_effective(p)
+                points.append(GridPoint(cfg, e, p))
+    except ValueError as exc:
+        raise ConfigError(f"bad parameters: {exc}") from exc
+    return points
 
 
-def _coordinate_cells(e: EffectiveParams, payload) -> dict:
-    oc = critical_drive(e)
+def _coordinate_cells(point: GridPoint) -> dict:
+    e = point.effective
     cells = {
         "N": e.N,
         "Delta_over_gamma": e.Delta / e.gamma,
     }
-    if payload["drive_absolute"]:
+    if point.config.drive_absolute:
         cells["Omega_abs"] = abs(e.Omega)
     else:
-        cells["Omega_over_Omega_c"] = abs(e.Omega) / oc
+        cells["Omega_over_Omega_c"] = abs(e.Omega) / critical_drive(e)
     return cells
 
 
-def _drive_column(payload) -> str:
-    return "Omega_abs" if payload["drive_absolute"] else "Omega_over_Omega_c"
-
-
 # --------------------------------------------------------------------------
-# per-mode row computation (run in worker processes)
+# per-mode rows (run in worker processes)
 # --------------------------------------------------------------------------
 
+_SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
-def _numeric_state(e: EffectiveParams, payload):
-    model = build_dicke_model(e)
-    rho, report = steady_state(model.liouvillian, _solver_options(payload))
+
+def _numeric_state(point: GridPoint):
+    cfg = point.config
+    model = build_dicke_model(point.effective)
+    rho, report = steady_state(
+        model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method)
+    )
     return model, rho, report
+
+
+def _solver_cells(report) -> dict:
+    return {"solver_residual": report.residual, "solver_method": report.method}
 
 
 def _analytic_or_none(e, func):
@@ -463,30 +419,198 @@ def _analytic_or_none(e, func):
         return None
 
 
-def compute_point(payload: dict) -> list:
+def _rows_sweep_jz(point: GridPoint) -> list:
+    e = point.effective
+    model, rho, report = _numeric_state(point)
+    half_n = e.N / 2
+    jz = expect(rho, model.ops["J_z"]).real / half_n
+    analytic = _analytic_or_none(e, lambda q: mean_field_steady_state(q)[0] / half_n)
+    return [{
+        "jz_over_halfN_numeric": jz,
+        "jz_over_halfN_analytic": analytic,
+        "jz_over_halfN_residual": None if analytic is None else jz - analytic,
+        **_solver_cells(report),
+    }]
+
+
+def _rows_sweep_squeezing(point: GridPoint) -> list:
+    e = point.effective
+    model, rho, report = _numeric_state(point)
+    xi2 = spin_squeezing_numeric(rho, model.rep, model.ops)
+    analytic = _analytic_or_none(e, lambda q: bloch_angles(q).cos_theta)
+    return [{
+        "xi2_numeric": xi2,
+        "xi2_analytic": analytic,
+        "xi2_residual": None if analytic is None else xi2 - analytic,
+        **_solver_cells(report),
+    }]
+
+
+def _rows_mean_field(point: GridPoint) -> list:
+    e = point.effective
+    half_n = e.N / 2
+    try:
+        jz, jm = mean_field_steady_state(e)
+        angles = bloch_angles(e)
+    except AboveThresholdError:
+        return [{}]
+    return [{
+        "jz_over_halfN_analytic": jz / half_n,
+        "jminus_re": jm.real,
+        "jminus_im": jm.imag,
+        "theta": angles.theta,
+        "phi": angles.phi,
+    }]
+
+
+def _rows_moments(point: GridPoint) -> list:
+    e = point.effective
+    model, rho, report = _numeric_state(point)
+    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
+    row = {
+        "jminus_re": mom.jminus_mean.real,
+        "jminus_im": mom.jminus_mean.imag,
+        "jpjm": mom.jpjm,
+        "var_jm": mom.var_jm,
+        "anom_jm_re": mom.anom_jm.real,
+        "anom_jm_im": mom.anom_jm.imag,
+        "coherence_ratio": mom.coherence_ratio,
+        **_solver_cells(report),
+    }
+    try:
+        occ_num, anom_num = hp_moments_numeric(rho, model.rep, model.ops)
+        row["hp_occupation_numeric"] = occ_num
+        row["hp_anomalous_numeric"] = anom_num
+    except ValueError:
+        row["hp_occupation_numeric"] = None
+        row["hp_anomalous_numeric"] = None
+    sol = _analytic_or_none(e, lambda q: hp_moments(bloch_angles(q), q))
+    row["hp_occupation_analytic"] = None if sol is None else sol.occupation
+    row["hp_anomalous_analytic"] = None if sol is None else sol.anomalous_magnitude
+    return [row]
+
+
+def _rows_g2(point: GridPoint) -> list:
+    model, rho, report = _numeric_state(point)
+    return [{"g2_numeric": g2_zero(rho, model.rep, model.ops), **_solver_cells(report)}]
+
+
+def _rows_spectrum(point: GridPoint) -> list:
+    e, p, cfg = point.effective, point.cavity, point.config
+    angles = bloch_angles(e)  # raises above threshold -> exit 4 at CLI level
+    if p is None:
+        p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
+    model, rho, report = _numeric_state(point)
+    jm = expect(rho, model.ops["J_minus"])
+    fc = field_composition(p, jm, angles)
+    tau_max = cfg.tau_max_gamma
+    if tau_max is not None:
+        tau_max = tau_max / e.gamma
+    spec = output_spectrum(model, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
+    shared = {
+        "coherent_weight": spec.coherent_weight,
+        "incoherent_weight": spec.incoherent_weight,
+        "coherence_ratio": spec.coherence_ratio,
+        "correlator_decayed": spec.correlator_decayed,
+        **_solver_cells(report),
+    }
+    return [
+        {"omega_over_gamma": w / e.gamma, "incoherent_spectrum": s, **shared}
+        for w, s in zip(spec.omega, spec.incoherent_spectrum)
+    ]
+
+
+def _rows_elimination(point: GridPoint) -> list:
+    cfg = point.config
+    report = validate_elimination(
+        point.cavity,
+        cfg.fock_cutoff,
+        min_adiabaticity=cfg.min_adiabaticity,
+        solve_opts=SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method),
+    )
+    rows = []
+    for name in ("Jz", "Jminus", "JpJm"):
+        full = complex(report.full[name])
+        eff = complex(report.effective[name])
+        rows.append(
+            {
+                "observable": name,
+                "full_re": full.real,
+                "full_im": full.imag,
+                "effective_re": eff.real,
+                "effective_im": eff.imag,
+                "deviation_abs": report.deviation_abs[name],
+                "deviation_rel": report.deviation_rel[name],
+                "fock_cutoff": report.fock_cutoff,
+                "adiabaticity_ratio": report.adiabaticity_ratio,
+                "cutoff_converged": report.cutoff_converged,
+                "passed": report.passed,
+            }
+        )
+    return rows
+
+
+# --------------------------------------------------------------------------
+# mode registry and drivers
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A sweep mode: the columns it writes between the grid coordinates and
+    the wall-time/error pair, and the function giving the rows of one grid
+    point. ``resonant`` marks modes whose every row needs the delta = 0
+    closed forms."""
+
+    columns: tuple
+    rows: Callable[[GridPoint], list]
+    resonant: bool = False
+
+
+MODES = {
+    "sweep-jz": Mode(
+        ("jz_over_halfN_numeric", "jz_over_halfN_analytic", "jz_over_halfN_residual",
+         *_SOLVER_COLUMNS),
+        _rows_sweep_jz,
+    ),
+    "sweep-squeezing": Mode(
+        ("xi2_numeric", "xi2_analytic", "xi2_residual", *_SOLVER_COLUMNS),
+        _rows_sweep_squeezing,
+    ),
+    "spectrum": Mode(
+        ("omega_over_gamma", "incoherent_spectrum", "coherent_weight", "incoherent_weight",
+         "coherence_ratio", "correlator_decayed", *_SOLVER_COLUMNS),
+        _rows_spectrum,
+        resonant=True,
+    ),
+    "validate-elimination": Mode(
+        ("observable", "full_re", "full_im", "effective_re", "effective_im",
+         "deviation_abs", "deviation_rel", "fock_cutoff", "adiabaticity_ratio",
+         "cutoff_converged", "passed"),
+        _rows_elimination,
+    ),
+    "mean-field": Mode(
+        ("jz_over_halfN_analytic", "jminus_re", "jminus_im", "theta", "phi"),
+        _rows_mean_field,
+        resonant=True,
+    ),
+    "moments": Mode(
+        ("jminus_re", "jminus_im", "jpjm", "var_jm", "anom_jm_re", "anom_jm_im",
+         "coherence_ratio", "hp_occupation_numeric", "hp_anomalous_numeric",
+         "hp_occupation_analytic", "hp_anomalous_analytic", *_SOLVER_COLUMNS),
+        _rows_moments,
+    ),
+    "g2": Mode(("g2_numeric", *_SOLVER_COLUMNS), _rows_g2),
+}
+
+
+def compute_point(point: GridPoint) -> list:
     """Rows for one grid point. Solver failures become a row with the
     failure marker column set instead of killing the whole sweep."""
     t0 = time.perf_counter()
-    e, p = _payload_params(payload)
-    mode = payload["mode"]
-    coords = _coordinate_cells(e, payload)
+    coords = _coordinate_cells(point)
     try:
-        if mode == "sweep-jz":
-            rows = [_row_sweep_jz(e, payload)]
-        elif mode == "sweep-squeezing":
-            rows = [_row_sweep_squeezing(e, payload)]
-        elif mode == "mean-field":
-            rows = [_row_mean_field(e)]
-        elif mode == "moments":
-            rows = [_row_moments(e, payload)]
-        elif mode == "g2":
-            rows = [_row_g2(e, payload)]
-        elif mode == "spectrum":
-            rows = _rows_spectrum(e, p, payload)
-        elif mode == "validate-elimination":
-            rows = _rows_elimination(p, payload)
-        else:  # pragma: no cover - guarded by RunConfig
-            raise ConfigError(f"unhandled mode {mode}")
+        rows = MODES[point.config.mode].rows(point)
         error = None
     except AboveThresholdError:
         # analytic-dependent modes cannot degrade gracefully; let the
@@ -501,261 +625,51 @@ def compute_point(payload: dict) -> list:
         merged = dict(coords)
         merged.update(row)
         merged["error"] = error
-        merged["wall_time_s"] = wall / len(rows) if payload["timestamp"] else None
+        merged["wall_time_s"] = wall / len(rows) if point.config.timestamp else None
         out.append(merged)
     return out
-
-
-def _row_sweep_jz(e, payload):
-    model, rho, report = _numeric_state(e, payload)
-    half_n = e.N / 2
-    jz = expect(rho, model.ops["J_z"]).real / half_n
-    analytic = _analytic_or_none(e, lambda q: mean_field_steady_state(q)[0] / half_n)
-    return {
-        "jz_over_halfN_numeric": jz,
-        "jz_over_halfN_analytic": analytic,
-        "jz_over_halfN_residual": None if analytic is None else jz - analytic,
-        "solver_residual": report.residual,
-        "solver_method": report.method,
-    }
-
-
-def _row_sweep_squeezing(e, payload):
-    model, rho, report = _numeric_state(e, payload)
-    xi2 = spin_squeezing_numeric(rho, model.rep, model.ops)
-    analytic = _analytic_or_none(e, lambda q: bloch_angles(q).cos_theta)
-    return {
-        "xi2_numeric": xi2,
-        "xi2_analytic": analytic,
-        "xi2_residual": None if analytic is None else xi2 - analytic,
-        "solver_residual": report.residual,
-        "solver_method": report.method,
-    }
-
-
-def _row_mean_field(e):
-    half_n = e.N / 2
-    try:
-        jz, jm = mean_field_steady_state(e)
-        angles = bloch_angles(e)
-    except AboveThresholdError:
-        return {}
-    return {
-        "jz_over_halfN_analytic": jz / half_n,
-        "jminus_re": jm.real,
-        "jminus_im": jm.imag,
-        "theta": angles.theta,
-        "phi": angles.phi,
-    }
-
-
-def _row_moments(e, payload):
-    model, rho, report = _numeric_state(e, payload)
-    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
-    row = {
-        "jminus_re": mom.jminus_mean.real,
-        "jminus_im": mom.jminus_mean.imag,
-        "jpjm": mom.jpjm,
-        "var_jm": mom.var_jm,
-        "anom_jm_re": mom.anom_jm.real,
-        "anom_jm_im": mom.anom_jm.imag,
-        "coherence_ratio": mom.coherence_ratio,
-        "solver_residual": report.residual,
-        "solver_method": report.method,
-    }
-    try:
-        occ_num, anom_num = hp_moments_numeric(rho, model.rep, model.ops)
-        row["hp_occupation_numeric"] = occ_num
-        row["hp_anomalous_numeric"] = anom_num
-    except ValueError:
-        row["hp_occupation_numeric"] = None
-        row["hp_anomalous_numeric"] = None
-    sol = _analytic_or_none(e, lambda q: hp_moments(bloch_angles(q), q))
-    row["hp_occupation_analytic"] = None if sol is None else sol.occupation
-    row["hp_anomalous_analytic"] = None if sol is None else sol.anomalous_magnitude
-    return row
-
-
-def _row_g2(e, payload):
-    model, rho, report = _numeric_state(e, payload)
-    return {
-        "g2_numeric": g2_zero(rho, model.rep, model.ops),
-        "solver_residual": report.residual,
-        "solver_method": report.method,
-    }
-
-
-def _rows_spectrum(e, p, payload):
-    angles = bloch_angles(e)  # raises above threshold -> exit 4 at CLI level
-    if p is None:
-        p = cavity_params_for_effective(e, payload["kappa_embed_over_gamma"] * e.gamma)
-    model, rho, report = _numeric_state(e, payload)
-    jm = expect(rho, model.ops["J_minus"])
-    fc = field_composition(p, jm, angles)
-    tau_max = payload["tau_max_gamma"]
-    if tau_max is not None:
-        tau_max = tau_max / e.gamma
-    spec = output_spectrum(
-        model, fc, tau_max=tau_max, n_tau=payload["n_tau"], rho_ss=rho
-    )
-    rows = []
-    for w, s in zip(spec.omega, spec.incoherent_spectrum):
-        rows.append(
-            {
-                "omega_over_gamma": w / e.gamma,
-                "incoherent_spectrum": s,
-                "coherent_weight": spec.coherent_weight,
-                "incoherent_weight": spec.incoherent_weight,
-                "coherence_ratio": spec.coherence_ratio,
-                "correlator_decayed": spec.correlator_decayed,
-                "solver_residual": report.residual,
-                "solver_method": report.method,
-            }
-        )
-    return rows
-
-
-def _rows_elimination(p, payload):
-    report = validate_elimination(
-        p,
-        payload["fock_cutoff"],
-        min_adiabaticity=payload["min_adiabaticity"],
-        solve_opts=_solver_options(payload),
-    )
-    rows = []
-    for name in ("Jz", "Jminus", "JpJm"):
-        full = report.full[name]
-        eff = report.effective[name]
-        rows.append(
-            {
-                "observable": name,
-                "full_re": complex(full).real,
-                "full_im": complex(full).imag,
-                "effective_re": complex(eff).real,
-                "effective_im": complex(eff).imag,
-                "deviation_abs": report.deviation_abs[name],
-                "deviation_rel": report.deviation_rel[name],
-                "fock_cutoff": report.fock_cutoff,
-                "adiabaticity_ratio": report.adiabaticity_ratio,
-                "cutoff_converged": report.cutoff_converged,
-                "passed": report.passed,
-            }
-        )
-    return rows
-
-
-# --------------------------------------------------------------------------
-# drivers
-# --------------------------------------------------------------------------
-
-_MODE_COLUMNS = {
-    "sweep-jz": [
-        "jz_over_halfN_numeric",
-        "jz_over_halfN_analytic",
-        "jz_over_halfN_residual",
-        "solver_residual",
-        "solver_method",
-    ],
-    "sweep-squeezing": [
-        "xi2_numeric",
-        "xi2_analytic",
-        "xi2_residual",
-        "solver_residual",
-        "solver_method",
-    ],
-    "mean-field": [
-        "jz_over_halfN_analytic",
-        "jminus_re",
-        "jminus_im",
-        "theta",
-        "phi",
-    ],
-    "moments": [
-        "jminus_re",
-        "jminus_im",
-        "jpjm",
-        "var_jm",
-        "anom_jm_re",
-        "anom_jm_im",
-        "coherence_ratio",
-        "hp_occupation_numeric",
-        "hp_anomalous_numeric",
-        "hp_occupation_analytic",
-        "hp_anomalous_analytic",
-        "solver_residual",
-        "solver_method",
-    ],
-    "g2": ["g2_numeric", "solver_residual", "solver_method"],
-    "spectrum": [
-        "omega_over_gamma",
-        "incoherent_spectrum",
-        "coherent_weight",
-        "incoherent_weight",
-        "coherence_ratio",
-        "correlator_decayed",
-        "solver_residual",
-        "solver_method",
-    ],
-    "validate-elimination": [
-        "observable",
-        "full_re",
-        "full_im",
-        "effective_re",
-        "effective_im",
-        "deviation_abs",
-        "deviation_rel",
-        "fock_cutoff",
-        "adiabaticity_ratio",
-        "cutoff_converged",
-        "passed",
-    ],
-}
 
 
 def run(cfg: RunConfig) -> SweepResult:
     """Execute the configured sweep and return the tabular result.
 
-    Raises AboveThresholdError when an analytic-dependent mode cannot
-    produce a single row; per-point solver failures are recorded in the
-    failure marker column instead.
+    Raises AboveThresholdError when no row has a value in any mode column
+    and none carries an error (every point of an analytic-only mode lies
+    above the critical drive); per-point solver failures are recorded in
+    the failure marker column instead.
     """
-    payloads = _grid_payloads(cfg)
+    points = _grid_points(cfg)
     threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
 
-    if threads <= 1 or len(payloads) == 1:
-        blocks = [compute_point(pl) for pl in payloads]
+    if threads <= 1 or len(points) == 1:
+        blocks = [compute_point(pt) for pt in points]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(compute_point, payloads))
+            blocks = list(pool.map(compute_point, points))
 
     rows = [row for block in blocks for row in block]
     n_failures = sum(1 for row in rows if row.get("error"))
 
+    mode_columns = MODES[cfg.mode].columns
     drive_col = "Omega_abs" if cfg.drive_absolute else "Omega_over_Omega_c"
-    columns = ["N", "Delta_over_gamma", drive_col]
-    columns += _MODE_COLUMNS[cfg.mode]
-    columns += ["wall_time_s", "error"]
+    columns = ["N", "Delta_over_gamma", drive_col, *mode_columns, "wall_time_s", "error"]
 
     meta = {
         "mode": cfg.mode,
         "units": "rates in units of gamma; drive "
         + ("absolute" if cfg.drive_absolute else "in units of Omega_c"),
-        "n_points": len(payloads),
+        "n_points": len(points),
     }
     if cfg.timestamp:
         meta["generated"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    if cfg.mode in ANALYTIC_ONLY_MODES:
-        produced = sum(
-            1
-            for row in rows
-            if any(row.get(c) is not None for c in _MODE_COLUMNS[cfg.mode])
+    if n_failures == 0 and not any(
+        row.get(c) is not None for row in rows for c in mode_columns
+    ):
+        raise AboveThresholdError(
+            float("nan"),
+            "no grid point lies below the critical drive; nothing to report",
         )
-        if produced == 0:
-            raise AboveThresholdError(
-                float("nan"),
-                "no grid point lies below the critical drive; nothing to report",
-            )
 
     return SweepResult(
         mode=cfg.mode, columns=columns, rows=rows, meta=meta, n_failures=n_failures

@@ -2,12 +2,20 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
 from dickelab.cli import main
 from dickelab.errors import ConfigError
-from dickelab.sweep import RunConfig, run
+from dickelab.sweep import MODES, RunConfig, run
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+# the grid coordinates lead every header, the wall-time/error pair ends it
+COORDS = ["N", "Delta_over_gamma", "Omega_over_Omega_c"]
+TAIL = ["wall_time_s", "error"]
+SOLVER = ["solver_residual", "solver_method"]
 
 
 def read_csv(path):
@@ -33,6 +41,8 @@ def test_mean_field_mode(tmp_path):
     out = tmp_path / "mf.csv"
     assert main(["mean-field", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
     rows = read_csv(out)
+    assert list(rows[0]) == COORDS + [
+        "jz_over_halfN_analytic", "jminus_re", "jminus_im", "theta", "phi"] + TAIL
     assert len(rows) == 3
     assert float(rows[0]["jz_over_halfN_analytic"]) == -1.0
     assert float(rows[1]["jz_over_halfN_analytic"]) == pytest.approx(-0.8, rel=1e-12)
@@ -122,6 +132,41 @@ def test_exit_code_config_error(tmp_path):
     assert main(["mean-field", "--config", wrong_mode, "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # the mean-field and spectrum rows rest on the delta = 0 closed forms
+        {"mode": "mean-field",
+         "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}},
+         "sweep": {"drive": {"values": [0.5]}}},
+        {"mode": "spectrum",
+         "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "spectrum": {"n_tau": 32}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 10}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"method": "sparse"}},
+        # g = 0 maps to gamma = 0
+        {"mode": "sweep-jz",
+         "params": {"cavity": {"g": 0, "kappa": 1.0, "Omega_L": 0.1, "N": 2}}},
+    ],
+    ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero"],
+)
+def test_bad_config_rejected_before_solve(tmp_path, payload):
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out.csv"
+    assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_shipped_configs_parse():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert RunConfig.from_file(str(path)).mode in MODES
+
+
 def test_exit_code_solver_failure_partial_results(tmp_path):
     payload = {
         "mode": "sweep-jz",
@@ -149,6 +194,9 @@ def test_detuned_sweep_leaves_analytic_cells_empty(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["sweep-jz", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
     rows = read_csv(out)
+    assert list(rows[0]) == COORDS + [
+        "jz_over_halfN_numeric", "jz_over_halfN_analytic", "jz_over_halfN_residual",
+    ] + SOLVER + TAIL
     assert len(rows) == 1
     assert rows[0]["error"] == ""
     assert -1.0 < float(rows[0]["jz_over_halfN_numeric"]) < 0.0
@@ -178,6 +226,10 @@ def test_spectrum_mode_rows(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
     rows = read_csv(out)
+    assert list(rows[0]) == COORDS + [
+        "omega_over_gamma", "incoherent_spectrum", "coherent_weight", "incoherent_weight",
+        "coherence_ratio", "correlator_decayed",
+    ] + SOLVER + TAIL
     assert len(rows) == 129  # 2*n_tau + 1 frequency bins
     assert {float(r["coherence_ratio"]) for r in rows}  # constant, parseable
     assert rows[0]["correlator_decayed"] in ("true", "false")
@@ -200,6 +252,11 @@ def test_validate_elimination_mode(tmp_path):
     assert main(["validate-elimination", "--config", cfg, "--out", str(out),
                  "--no-timestamp"]) == 0
     rows = read_csv(out)
+    assert list(rows[0]) == COORDS + [
+        "observable", "full_re", "full_im", "effective_re", "effective_im",
+        "deviation_abs", "deviation_rel", "fock_cutoff", "adiabaticity_ratio",
+        "cutoff_converged", "passed",
+    ] + TAIL
     assert [r["observable"] for r in rows] == ["Jz", "Jminus", "JpJm"]
     assert all(r["passed"] == "true" for r in rows)
     jz = next(r for r in rows if r["observable"] == "Jz")
@@ -252,6 +309,7 @@ def test_g2_mode(tmp_path):
     out = tmp_path / "g2.csv"
     assert main(["g2", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
     rows = read_csv(out)
+    assert list(rows[0]) == COORDS + ["g2_numeric"] + SOLVER + TAIL
     assert len(rows) == 1
     assert float(rows[0]["g2_numeric"]) == pytest.approx(1.0, abs=1e-3)
 
@@ -271,6 +329,11 @@ def test_drive_phase_rotates_dipole(tmp_path):
         out = tmp_path / f"{tag}.csv"
         assert main(["moments", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
         rows[tag] = read_csv(out)[0]
+    assert list(rows["a"]) == COORDS + [
+        "jminus_re", "jminus_im", "jpjm", "var_jm", "anom_jm_re", "anom_jm_im",
+        "coherence_ratio", "hp_occupation_numeric", "hp_anomalous_numeric",
+        "hp_occupation_analytic", "hp_anomalous_analytic",
+    ] + SOLVER + TAIL
     jm_a = complex(float(rows["a"]["jminus_re"]), float(rows["a"]["jminus_im"]))
     jm_b = complex(float(rows["b"]["jminus_re"]), float(rows["b"]["jminus_im"]))
     assert abs(jm_b) == pytest.approx(abs(jm_a), rel=1e-9)
@@ -317,6 +380,7 @@ def test_reproduce_figures_smoke(tmp_path):
         timestamp=False,
     )
     result = run(cfg)
+    assert result.columns == COORDS + ["xi2_numeric", "xi2_analytic", "xi2_residual"] + SOLVER + TAIL
     assert result.n_failures == 0
     assert len(result.rows) == 2
     xi2 = [row["xi2_numeric"] for row in result.rows]
