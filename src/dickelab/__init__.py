@@ -51,7 +51,6 @@ from .observables import (
 )
 from .operators import (
     FockRep,
-    OperatorMatrix,
     SpinRep,
     build_fock_operators,
     build_spin_operators,

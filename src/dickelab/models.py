@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionCapError, NoConvergence
 from .lindblad import (
@@ -30,7 +31,6 @@ from .lindblad import (
 )
 from .operators import (
     FockRep,
-    OperatorMatrix,
     SpinRep,
     build_fock_operators,
     build_spin_operators,
@@ -123,8 +123,8 @@ def build_cavity_model(p: CavityParams, cutoff: FockRep | int | None = None,
 
     sops = build_spin_operators(spin)
     bops = build_fock_operators(fock)
-    eye_s = OperatorMatrix.identity(spin.dim, basis="dicke")
-    eye_f = OperatorMatrix.identity(fock.dim, basis="fock")
+    eye_s = sp.eye_array(spin.dim, dtype=np.complex128, format="csr")
+    eye_f = sp.eye_array(fock.dim, dtype=np.complex128, format="csr")
 
     lift = {
         "J_minus": tensor(sops["J_minus"], eye_f),

@@ -144,6 +144,19 @@ def _resolve_ops(rep: SpinRep, ops):
     return ops if ops is not None else build_spin_operators(rep)
 
 
+def _transverse_axes(ops, means: np.ndarray) -> list:
+    """Spin components along the two transverse axes of the frame whose
+    -z' axis is the mean spin ``means`` = (<J_x>, <J_y>, <J_z>), as
+    (operator, mean) pairs. The axes are columns 0 and 1 of the rotation,
+    expressed in the original frame."""
+    rot = rotation_matrix(angles_from_mean_spin(*means)).matrix
+    return [
+        (rot[0, col] * ops["J_x"] + rot[1, col] * ops["J_y"] + rot[2, col] * ops["J_z"],
+         float(rot[:, col] @ means))
+        for col in (0, 1)
+    ]
+
+
 def spin_squeezing_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> float:
     """Squeezing parameter N min-transverse-variance / |<J>|^2 from a state.
 
@@ -160,18 +173,7 @@ def spin_squeezing_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> float:
             "mean spin vector vanishes; squeezing direction undefined "
             "(near- or above-threshold state)"
         )
-    angles = angles_from_mean_spin(jx, jy, jz)
-    rot = rotation_matrix(angles).matrix
-    # columns 0,1 are the transverse axes expressed in the original frame
-    cart = [ops["J_x"], ops["J_y"], ops["J_z"]]
-    means = np.array([jx, jy, jz])
-
-    def transverse(col):
-        op = rot[0, col] * cart[0] + rot[1, col] * cart[1] + rot[2, col] * cart[2]
-        return op, float(rot[:, col] @ means)
-
-    op1, m1 = transverse(0)
-    op2, m2 = transverse(1)
+    (op1, m1), (op2, m2) = _transverse_axes(ops, np.array([jx, jy, jz]))
     v1 = expect(rho, op1 @ op1).real - m1 * m1
     v2 = expect(rho, op2 @ op2).real - m2 * m2
     cross = 0.5 * expect(rho, op1 @ op2 + op2 @ op1).real - m1 * m2
@@ -220,15 +222,7 @@ def hp_moments_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> tuple[floa
     <a^dag a> ~ <J'_+ J'_->/N and |<a^2>| ~ |<J'_- J'_->|/N.
     """
     ops = _resolve_ops(rep, ops)
-    jx, jy, jz = _spin_expectations(rho, ops)
-    angles = angles_from_mean_spin(jx, jy, jz)
-    rot = rotation_matrix(angles).matrix
-    cart = [ops["J_x"], ops["J_y"], ops["J_z"]]
-
-    def axis_op(col):
-        return rot[0, col] * cart[0] + rot[1, col] * cart[1] + rot[2, col] * cart[2]
-
-    jxp, jyp = axis_op(0), axis_op(1)
+    (jxp, _), (jyp, _) = _transverse_axes(ops, np.array(_spin_expectations(rho, ops)))
     jm_rot = jxp - 1j * jyp
     jp_rot = jxp + 1j * jyp
     n = rep.n_atoms

@@ -8,8 +8,9 @@ Conventions used throughout the package:
 * Product spaces order the spin index slow and the Fock index fast,
   i.e. ``tensor(A_spin, B_fock)`` is the Kronecker product kron(A, B).
 
-Matrices switch to compressed sparse storage above ``DENSE_DIM_LIMIT``;
-small operators are kept dense because dense algebra is faster there.
+Every operator is a complex ``scipy.sparse.csr_array``. J_+- and c, c^dag
+have one off-diagonal, J_x and J_y two and J_z only the main one, so each
+is built from its diagonals in O(D).
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionCapError
-
-# Largest dimension stored dense; larger operators go to CSR.
-DENSE_DIM_LIMIT = 64
 
 # Guard for runaway Kronecker products.
 DEFAULT_TENSOR_CAP = 20_000
@@ -77,119 +75,13 @@ class FockRep:
         return self.cutoff + 1
 
 
-class OperatorMatrix:
-    """Square complex matrix with a basis tag, dense or CSR storage.
-
-    Thin algebra wrapper: +, -, scalar *, @ and ``dag`` delegate to
-    numpy/scipy and propagate sparsity (any sparse operand keeps the
-    result sparse).
-    """
-
-    __slots__ = ("matrix", "basis")
-
-    def __init__(self, matrix, basis: str = "dicke"):
-        if sp.issparse(matrix):
-            mat = sp.csr_array(matrix, dtype=np.complex128)
-        else:
-            mat = np.asarray(matrix, dtype=np.complex128)
-            if mat.ndim != 2:
-                raise ValueError("operator must be a 2D matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {mat.shape}")
-        self.matrix = mat
-        self.basis = basis
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim: int, basis: str = "dicke") -> "OperatorMatrix":
-        if dim > DENSE_DIM_LIMIT:
-            return cls(sp.identity(dim, dtype=np.complex128, format="csr"), basis)
-        return cls(np.eye(dim, dtype=np.complex128), basis)
-
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
-    def to_dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
-
-    def to_sparse(self) -> sp.csr_array:
-        if self.is_sparse:
-            return self.matrix
-        return sp.csr_array(self.matrix)
-
-    def trace(self) -> complex:
-        return complex(self.matrix.trace())
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        if self.is_sparse:
-            return float(sp.linalg.norm(self.matrix))
-        return float(np.linalg.norm(self.matrix))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        d = self - self.dag()
-        return d.norm() <= tol * max(1.0, self.norm())
-
-    # -- algebra -------------------------------------------------------------
-
-    def dag(self) -> "OperatorMatrix":
-        if self.is_sparse:
-            return OperatorMatrix(self.matrix.conj().T.tocsr(), self.basis)
-        return OperatorMatrix(self.matrix.conj().T, self.basis)
-
-    def _coerce(self, other, target_sparse):
-        mat = other.matrix if isinstance(other, OperatorMatrix) else other
-        if target_sparse and not sp.issparse(mat):
-            return sp.csr_array(mat)
-        return mat
-
-    def __add__(self, other):
-        sparse = self.is_sparse or (isinstance(other, OperatorMatrix) and other.is_sparse)
-        a = self._coerce(self, sparse)
-        b = self._coerce(other, sparse)
-        return OperatorMatrix(a + b, self.basis)
-
-    def __sub__(self, other):
-        sparse = self.is_sparse or (isinstance(other, OperatorMatrix) and other.is_sparse)
-        a = self._coerce(self, sparse)
-        b = self._coerce(other, sparse)
-        return OperatorMatrix(a - b, self.basis)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.matrix * complex(scalar), self.basis)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OperatorMatrix(-self.matrix, self.basis)
-
-    def __matmul__(self, other):
-        mat = other.matrix if isinstance(other, OperatorMatrix) else other
-        out = self.matrix @ mat
-        return OperatorMatrix(out, self.basis)
-
-    def __repr__(self):
-        kind = "sparse" if self.is_sparse else "dense"
-        return f"OperatorMatrix(dim={self.dim}, basis={self.basis!r}, {kind})"
+def _banded(dim: int, diagonals, offsets) -> sp.csr_array:
+    """Complex CSR matrix from its diagonals, built in O(dim)."""
+    return sp.diags_array(diagonals, offsets=offsets, shape=(dim, dim),
+                          format="csr", dtype=np.complex128)
 
 
-def _storage(mat: np.ndarray, basis: str) -> OperatorMatrix:
-    if mat.shape[0] > DENSE_DIM_LIMIT:
-        return OperatorMatrix(sp.csr_array(mat), basis)
-    return OperatorMatrix(mat, basis)
-
-
-def build_spin_operators(rep: SpinRep) -> dict[str, OperatorMatrix]:
+def build_spin_operators(rep: SpinRep) -> dict[str, sp.csr_array]:
     """Collective-spin matrices J_-, J_+, J_x, J_y, J_z on the Dicke basis.
 
     Lowering matrix elements <j,m-1| J_- |j,m> = sqrt(j(j+1) - m(m-1)),
@@ -198,55 +90,39 @@ def build_spin_operators(rep: SpinRep) -> dict[str, OperatorMatrix]:
     j = rep.j
     dim = rep.dim
     m = rep.m_values
-
-    j_minus = np.zeros((dim, dim), dtype=np.complex128)
     # column index i holds m = -j + i; lowering sends it to row i-1
     amp = np.sqrt(j * (j + 1) - m[1:] * (m[1:] - 1))
-    j_minus[np.arange(dim - 1), np.arange(1, dim)] = amp
-
-    j_plus = j_minus.conj().T
-    j_x = 0.5 * (j_plus + j_minus)
-    j_y = -0.5j * (j_plus - j_minus)
-    j_z = np.diag(m.astype(np.complex128))
-
     return {
-        "J_minus": _storage(j_minus, "dicke"),
-        "J_plus": _storage(j_plus, "dicke"),
-        "J_x": _storage(j_x, "dicke"),
-        "J_y": _storage(j_y, "dicke"),
-        "J_z": _storage(j_z, "dicke"),
+        "J_minus": _banded(dim, [amp], [1]),
+        "J_plus": _banded(dim, [amp], [-1]),
+        "J_x": _banded(dim, [0.5 * amp, 0.5 * amp], [1, -1]),
+        "J_y": _banded(dim, [0.5j * amp, -0.5j * amp], [1, -1]),
+        "J_z": _banded(dim, [m], [0]),
     }
 
 
-def build_fock_operators(rep: FockRep) -> dict[str, OperatorMatrix]:
+def build_fock_operators(rep: FockRep) -> dict[str, sp.csr_array]:
     """Boson lowering/raising matrices with <n-1| c |n> = sqrt(n).
 
     The commutator [c, c^dag] equals the identity except the last
     diagonal entry, the usual truncation artifact.
     """
-    dim = rep.dim
-    c = np.zeros((dim, dim), dtype=np.complex128)
-    n = np.arange(1, dim)
-    c[n - 1, n] = np.sqrt(n)
+    amp = np.sqrt(np.arange(1, rep.dim))
     return {
-        "c": _storage(c, "fock"),
-        "c_dagger": _storage(c.conj().T, "fock"),
+        "c": _banded(rep.dim, [amp], [1]),
+        "c_dagger": _banded(rep.dim, [amp], [-1]),
     }
 
 
-def tensor(a: OperatorMatrix, b: OperatorMatrix, cap: int = DEFAULT_TENSOR_CAP) -> OperatorMatrix:
+def tensor(a, b, cap: int = DEFAULT_TENSOR_CAP) -> sp.csr_array:
     """Kronecker product with the first factor's index slow.
 
     Row/column index of the result is ``i_a * dim_b + i_b``, matching the
     spin-slow / Fock-fast ordering of the atom+cavity space.
     """
-    total = a.dim * b.dim
+    total = a.shape[0] * b.shape[0]
     if total > cap:
         raise DimensionCapError(
-            f"tensor product dimension {a.dim}*{b.dim} = {total} exceeds cap {cap}"
+            f"tensor product dimension {a.shape[0]}*{b.shape[0]} = {total} exceeds cap {cap}"
         )
-    if a.is_sparse or b.is_sparse or total > DENSE_DIM_LIMIT:
-        out = sp.kron(a.to_sparse(), b.to_sparse(), format="csr")
-    else:
-        out = np.kron(a.to_dense(), b.to_dense())
-    return OperatorMatrix(out, "product")
+    return sp.kron(a, b, format="csr")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import (
     brute_force_steady_state,
@@ -25,7 +26,7 @@ from dickelab.lindblad import (
     vectorize,
 )
 from dickelab.models import build_cavity_model
-from dickelab.operators import OperatorMatrix, SpinRep, build_spin_operators
+from dickelab.operators import SpinRep, build_spin_operators
 from dickelab.parameters import CavityParams, EffectiveParams
 
 
@@ -59,7 +60,7 @@ def test_superoperator_matches_brute_force():
              rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             for _ in range(n_collapse)
         ]
-        L = build_liouvillian(OperatorMatrix(H), [(r, OperatorMatrix(C)) for r, C in collapse])
+        L = build_liouvillian(H, collapse)
         np.testing.assert_allclose(
             L.superoperator.toarray(),
             brute_force_superoperator(H, collapse),
@@ -67,12 +68,28 @@ def test_superoperator_matches_brute_force():
         )
 
 
+def test_liouvillian_input_forms_and_checks():
+    # dense and sparse inputs give one generator; malformed input is refused
+    ops = dense_spin_ops(2)
+    H = dicke_hamiltonian(ops, 0.5, 0.3)
+    dense = build_liouvillian(H, [(1.0, ops["jm"])]).superoperator
+    sparse = build_liouvillian(sp.csr_array(H), [(1.0, sp.csr_array(ops["jm"]))]).superoperator
+    assert abs(dense - sparse).max() == 0.0
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros((2, 3)), [])  # not square
+    with pytest.raises(ValueError):
+        build_liouvillian(np.zeros(3), [])  # not 2D
+    with pytest.raises(ValueError):
+        build_liouvillian(H, [(1.0, np.zeros((2, 2)))])  # dimension mismatch
+    with pytest.raises(ValueError):
+        build_liouvillian(H, [(-0.1, ops["jm"])])  # negative rate
+
+
 def test_collective_decay_clebsch_factor():
     # acting on the doubly excited projector the decay feeds m=0 at 2*gamma
     gamma = 0.7
     ops = dense_spin_ops(2)
-    L = build_liouvillian(OperatorMatrix(np.zeros((3, 3))),
-                          [(gamma, OperatorMatrix(ops["jm"]))])
+    L = build_liouvillian(np.zeros((3, 3)), [(gamma, ops["jm"])])
     E_top = np.zeros((3, 3), dtype=complex)
     E_top[2, 2] = 1.0
     out = L.apply(E_top)
@@ -101,8 +118,10 @@ def test_trace_and_hermiticity_preservation():
 
 def test_method_auto_selection_table():
     opts = SteadyStateOptions()
-    assert opts.resolve_method(8) == "dense-nullspace"
-    assert opts.resolve_method(24) == "dense-nullspace"
+    # dense SVD only on request: the sparse LU is faster from D = 11 up
+    assert opts.resolve_method(1) == "sparse-direct"
+    assert opts.resolve_method(8) == "sparse-direct"
+    assert opts.resolve_method(24) == "sparse-direct"
     assert opts.resolve_method(25) == "sparse-direct"
     assert opts.resolve_method(400) == "sparse-direct"
     # D = 401 is the Dicke atom cap N = 400
@@ -114,13 +133,12 @@ def test_method_auto_selection_table():
 
 def test_single_atom_decay_steady_state():
     ops = dense_spin_ops(1)
-    L = build_liouvillian(OperatorMatrix(np.zeros((2, 2))),
-                          [(1.0, OperatorMatrix(ops["jm"]))])
+    L = build_liouvillian(np.zeros((2, 2)), [(1.0, ops["jm"])])
     rho, report = steady_state(L)
     expected = np.zeros((2, 2))
     expected[0, 0] = 1.0
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
-    assert report.method == "dense-nullspace"
+    assert report.method == "sparse-direct"
 
 
 def test_steady_state_matches_dense_oracle_n4():
@@ -157,7 +175,7 @@ def test_non_unique_detection():
     # two dark states: |0> and |2> with decay only 1 -> 0
     C = np.zeros((3, 3), dtype=complex)
     C[0, 1] = 1.0
-    L = build_liouvillian(OperatorMatrix(np.zeros((3, 3))), [(1.0, OperatorMatrix(C))])
+    L = build_liouvillian(np.zeros((3, 3)), [(1.0, C)])
     with pytest.raises(NonUniqueSteadyState):
         steady_state(L)
     with pytest.raises((NonUniqueSteadyState, SolverError)):
@@ -198,7 +216,7 @@ def test_small_probe_ratio_of_unique_state_is_accepted():
 
 
 def test_time_evolve_frozen_generator():
-    L = build_liouvillian(OperatorMatrix(np.zeros((3, 3))), [])
+    L = build_liouvillian(np.zeros((3, 3)), [])
     rho0 = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
     out = time_evolve(L, rho0, [0.5, 1.0, 7.0])
     for state in out:
@@ -208,8 +226,7 @@ def test_time_evolve_frozen_generator():
 def test_time_evolve_single_atom_decay():
     ops = dense_spin_ops(1)
     gamma = 1.0
-    L = build_liouvillian(OperatorMatrix(np.zeros((2, 2))),
-                          [(gamma, OperatorMatrix(ops["jm"]))])
+    L = build_liouvillian(np.zeros((2, 2)), [(gamma, ops["jm"])])
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     times = [0.5, 1.0, 2.0]
     for t, state in zip(times, time_evolve(L, rho0, times)):
@@ -233,16 +250,17 @@ def test_expect_basics():
     ground[0, 0] = 1.0
     rho = DensityMatrix(ground)
     assert expect(rho, ops["J_z"]).real == pytest.approx(-5.0, abs=1e-14)
-    assert expect(rho, OperatorMatrix.identity(11)) == pytest.approx(1.0, abs=1e-14)
+    eye = sp.eye_array(11, dtype=complex, format="csr")
+    assert expect(rho, eye) == pytest.approx(1.0, abs=1e-14)
     assert abs(expect(rho, ops["J_plus"] @ ops["J_minus"])) < 1e-14
     with pytest.raises(ValueError):
-        expect(rho, OperatorMatrix.identity(5))
+        expect(rho, sp.eye_array(5, format="csr"))
 
 
 def test_correlator_identity_is_constant():
     L, _, _ = dicke_liouvillian(4, 0.5)
     rho, _ = steady_state(L)
-    eye = OperatorMatrix.identity(5)
+    eye = sp.eye_array(5, dtype=complex, format="csr")
     taus = np.linspace(0.0, 2.0, 9)
     vals = two_time_correlator(L, rho, eye, eye, taus)
     np.testing.assert_allclose(vals, np.ones_like(vals), atol=1e-9)
@@ -252,12 +270,10 @@ def test_correlator_single_atom_decay_envelope():
     # regression propagation of the excited-state coherence decays at gamma/2
     ops = dense_spin_ops(1)
     gamma = 0.8
-    L = build_liouvillian(OperatorMatrix(np.zeros((2, 2))),
-                          [(gamma, OperatorMatrix(ops["jm"]))])
+    L = build_liouvillian(np.zeros((2, 2)), [(gamma, ops["jm"])])
     rho_e = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     taus = np.linspace(0.0, 3.0, 13)
-    vals = two_time_correlator(L, rho_e, OperatorMatrix(ops["jp"]),
-                               OperatorMatrix(ops["jm"]), taus)
+    vals = two_time_correlator(L, rho_e, ops["jp"], ops["jm"], taus)
     np.testing.assert_allclose(vals, np.exp(-0.5 * gamma * taus), atol=1e-9)
 
 
@@ -312,4 +328,4 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.5, 0.25])
     with pytest.raises(ValueError):
-        two_time_correlator(L, rho, OperatorMatrix.identity(3), ops["J_minus"], [0.0])
+        two_time_correlator(L, rho, sp.eye_array(3, format="csr"), ops["J_minus"], [0.0])
