@@ -9,7 +9,9 @@ Fortran order, so vec(A X B) = (B^T kron A) vec(X). Under that convention
                                     - 1/2 (C_k^dag C_k)^T kron I ) ] vec(rho)
 
 Steady states are found by one of three routes. Automatic selection by
-Hilbert dimension D uses the last two:
+Hilbert dimension D uses the last two. (The resonant Dicke model also has
+an exact steady state, ``models.resonant_steady_state``; it is not a route
+here, and the sweeps use it for delta = 0 unless a route is forced.)
 
 * ``dense-nullspace`` (on request only): full SVD of the dense
   superoperator; the null vector and the spectral gap come out together.
@@ -38,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 
@@ -321,6 +321,8 @@ def _square_system(L: Liouvillian):
 
 
 def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
+    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+
     M, b, scale = _square_system(L)
     try:
         lu = spla.splu(M)
@@ -357,6 +359,8 @@ def _uniqueness_probe(lu, n: int, scale: float) -> float:
 def _propagate(S: sp.csr_array, y0: np.ndarray, t_end: float, what: str, **kwargs):
     """DOP853 solution of dy/dt = S y from 0 to t_end, one column per
     output time. A failed integration raises NoConvergence naming ``what``."""
+    from scipy.integrate import solve_ivp  # deferred: most runs never integrate
+
     sol = solve_ivp(lambda t, v: S @ v, (0.0, t_end), y0, method="DOP853", **kwargs)
     if not sol.success:
         raise NoConvergence(f"{what} failed: {sol.message}")

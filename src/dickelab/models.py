@@ -1,6 +1,6 @@
 """Concrete open-system models: the effective driven-Dicke master equation
-and the full atom+cavity model it is derived from, plus the cross-check
-between the two.
+and the full atom+cavity model it is derived from, the exact steady state
+of the resonant Dicke model, and the cross-check between the two models.
 
 Both Hamiltonians are written in the frame rotating at the laser
 frequency, where they are time independent:
@@ -15,6 +15,7 @@ frequency, where they are time independent:
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -23,8 +24,10 @@ import scipy.sparse as sp
 
 from .errors import DimensionCapError, NoConvergence
 from .lindblad import (
+    DensityMatrix,
     Liouvillian,
     SteadyStateOptions,
+    SteadyStateSolveReport,
     build_liouvillian,
     expect,
     steady_state,
@@ -95,6 +98,77 @@ def build_dicke_model(e: EffectiveParams, atom_cap: int = DICKE_ATOM_CAP) -> Dic
         H = H - e.delta * ops["J_z"]
     liouv = build_liouvillian(H, [(e.gamma, ops["J_minus"])])
     return DickeModel(effective=e, rep=rep, ops=ops, liouvillian=liouv)
+
+
+def resonant_steady_state(model: DickeModel, tol: float | None = None):
+    """Exact steady state of the Dicke model at delta = 0, with a solve
+    report. Same checks as :func:`steady_state` except the probe.
+
+    For a resonant drive the stationary state is
+
+        rho ~ [(J_- - beta)^dag (J_- - beta)]^{-1} = X X^dag,
+        X = (J_- - beta)^{-1},   beta = -Omega / (Delta + i gamma/2)
+
+    (Puri & Lawande, Phys. Lett. A 72, 200 (1979); Carmichael, J. Phys. B
+    13, 3551 (1980)), below and above the critical drive. J_- is strictly
+    upper triangular, so X[i, c] = -u_c / (beta u_i) for c >= i, with
+    u_c = a_0 ... a_{c-1} beta^(-c) and a the ladder amplitudes, and
+
+        rho[i, k] ~ T(max(i, k)) / (u_i conj(u_k)),   T(k) = sum_{c >= k} |u_c|^2.
+
+    |u| spans hundreds of decades at weak drive, so the magnitudes are
+    built in logs. Omega = 0 gives the ground state |j, -j>.
+
+    Uniqueness follows without a probe. For beta != 0, J_- is nilpotent,
+    so J_- - beta is invertible and rho is full rank (faithful). J_+ and
+    J_- act irreducibly on the spin-j block, so the commutant of
+    {H, J_-, J_+} holds only multiples of the identity. Frigerio's theorem
+    (Commun. Math. Phys. 63, 269 (1978)) then makes the faithful
+    stationary state the only one. For Omega = 0, d<J_z>/dt =
+    -gamma <J_+ J_-> forces every stationary state onto ker J_-, which is
+    the ground state alone.
+
+    The candidate passes through ``DensityMatrix.from_raw`` (Hermiticity,
+    trace, PSD floor), and its Liouvillian residual must stay within
+    ``tol`` (None: 1e-10 times the superoperator scale) or NoConvergence
+    is raised. Raises ValueError for delta != 0, where the form fails.
+    """
+    e = model.effective
+    if e.delta != 0.0:
+        raise ValueError(f"the closed-form steady state needs delta = 0, got {e.delta}")
+    L = model.liouvillian
+    if tol is None:
+        tol = 1e-10 * max(L.scale, 1.0)
+
+    t0 = time.perf_counter()
+    dim = model.rep.dim
+    beta = -e.Omega / (e.Delta + 0.5j * e.gamma)
+    raw = np.zeros((dim, dim), dtype=np.complex128)
+    if beta == 0:
+        raw[0, 0] = 1.0
+    else:
+        amp = model.ops["J_minus"].diagonal(1).real
+        log_u = np.concatenate(([0.0], np.cumsum(np.log(amp))))
+        log_u -= np.arange(dim) * math.log(abs(beta))
+        log_t = np.logaddexp.accumulate(2.0 * log_u[::-1])[::-1]
+        # fill the upper triangle (i <= k, so max(i, k) = k), scaled by the
+        # largest diagonal entry, and mirror it
+        i, k = np.triu_indices(dim)
+        log_mag = log_t[k] - log_u[i] - log_u[k] - np.max(log_t - 2.0 * log_u)
+        upper = np.exp(log_mag + 1j * np.angle(beta) * (i - k))
+        raw[k, i] = upper.conj()
+        raw[i, k] = upper
+    rho = DensityMatrix.from_raw(raw)
+    residual = L.residual(rho.matrix)
+    wall = time.perf_counter() - t0
+    if residual > tol:
+        raise NoConvergence(
+            f"steady-state residual {residual:.3e} above tolerance {tol:.3e} "
+            "(method closed-form)"
+        )
+    return rho, SteadyStateSolveReport(
+        method="closed-form", residual=residual, iterations=0, wall_time=wall
+    )
 
 
 def default_fock_cutoff(p: CavityParams) -> int:

@@ -6,8 +6,14 @@ configuration once, in the calling process, into frozen ``GridPoint``
 records (run settings plus the effective and, where given, cavity
 parameters of the point); bad parameter combinations are rejected there,
 before any solve. Rows are computed independently, so grids parallelize
-across worker processes; results are gathered in grid order, which makes
-parallel and serial runs emit identical bytes.
+across worker processes, each held to one BLAS thread so that the workers
+do not oversubscribe the cores; results are gathered in grid order, which
+makes parallel and serial runs emit identical bytes.
+
+The steady state of a numeric row comes from the closed form
+(``models.resonant_steady_state``) when the drive is resonant (delta = 0)
+and no solver route is forced; otherwise from ``lindblad.steady_state``.
+Elimination checks and cavity models always use the latter.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -20,6 +26,9 @@ byte-level reproducibility.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
+import importlib
 import json
 import math
 import os
@@ -37,7 +46,7 @@ from .errors import (
     SolverError,
 )
 from .lindblad import ROUTES, SteadyStateOptions, expect, steady_state
-from .models import build_dicke_model, validate_elimination
+from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
     dipole_fluctuation_moments,
     field_composition,
@@ -143,8 +152,16 @@ class RunConfig:
             raise ConfigError(
                 f"unknown solver.method {self.solver_method!r}; expected one of {ROUTES}"
             )
+        if any(d is not None and d < 0 for d in self.drive_values):
+            raise ConfigError("drive values must be non-negative; set the drive phase instead")
         if self.n_tau < 16:
             raise ConfigError("n_tau must be at least 16")
+        if self.tau_max_gamma is not None and self.tau_max_gamma <= 0:
+            raise ConfigError("spectrum.tau_max_gamma must be positive")
+        if self.kappa_embed_over_gamma <= 0:
+            raise ConfigError("spectrum.kappa_embed_over_gamma must be positive")
+        if self.fock_cutoff is not None and self.fock_cutoff < 1:
+            raise ConfigError("elimination.fock_cutoff must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict, mode: str | None = None) -> "RunConfig":
@@ -396,11 +413,16 @@ _SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
 
 def _numeric_state(point: GridPoint):
+    """Dicke model and steady state of a point: the closed form at
+    delta = 0 unless a solver route is forced, the numeric solve otherwise."""
     cfg = point.config
     model = build_dicke_model(point.effective)
-    rho, report = steady_state(
-        model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method)
-    )
+    if cfg.solver_method is None and point.effective.delta == 0.0:
+        rho, report = resonant_steady_state(model, cfg.solver_tol)
+    else:
+        rho, report = steady_state(
+            model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method)
+        )
     return model, rho, report
 
 
@@ -630,6 +652,47 @@ def compute_point(point: GridPoint) -> list:
     return out
 
 
+# OpenBLAS copies bundled with the numpy and scipy wheels, with the suffix
+# of each copy's thread-count symbols
+_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
+
+
+def _openblas_libraries() -> dict:
+    """package -> (ctypes handle, symbol suffix) for each bundled OpenBLAS
+    copy that is found. Opening a copy that is already loaded returns the
+    loaded one."""
+    libs = {}
+    for package, suffix in _OPENBLAS:
+        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                libs[package] = (lib, suffix)
+    return libs
+
+
+def blas_thread_counts() -> dict:
+    """Thread count of each bundled OpenBLAS copy in this process."""
+    return {
+        package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
+        for package, (lib, suffix) in _openblas_libraries().items()
+    }
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker. A copy that is not
+    found is left alone."""
+    for lib, suffix in _openblas_libraries().values():
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def run(cfg: RunConfig) -> SweepResult:
     """Execute the configured sweep and return the tabular result.
 
@@ -644,7 +707,7 @@ def run(cfg: RunConfig) -> SweepResult:
     if threads <= 1 or len(points) == 1:
         blocks = [compute_point(pt) for pt in points]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _worker_pool(threads) as pool:
             blocks = list(pool.map(compute_point, points))
 
     rows = [row for block in blocks for row in block]

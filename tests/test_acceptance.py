@@ -28,7 +28,7 @@ from dickelab.lindblad import (
     trace_distance,
     two_time_correlator,
 )
-from dickelab.models import build_dicke_model, validate_elimination
+from dickelab.models import build_dicke_model, resonant_steady_state, validate_elimination
 from dickelab.observables import (
     field_composition,
     field_squeezing_analytic,
@@ -300,16 +300,17 @@ def test_criterion_8_engine_properties(tmp_path):
     assert drift_tr <= 1e-9
     assert drift_h <= 1e-9
 
-    # three solver routes agree
+    # the three solver routes and the resonant closed form agree
     worst_td = 0.0
     for n, ratio in ((12, 0.55), (20, 0.5)):
-        L = build_dicke_model(eff(n, ratio, 0.25)).liouvillian
+        model = build_dicke_model(eff(n, ratio, 0.25))
         states = [
-            steady_state(L, SteadyStateOptions(method=m))[0]
+            steady_state(model.liouvillian, SteadyStateOptions(method=m))[0]
             for m in ("dense-nullspace", "sparse-direct", "long-time-integration")
         ]
-        for i in range(3):
-            for k in range(i + 1, 3):
+        states.append(resonant_steady_state(model)[0])
+        for i in range(len(states)):
+            for k in range(i + 1, len(states)):
                 worst_td = max(worst_td, trace_distance(states[i], states[k]))
     assert worst_td <= 1e-7
 
@@ -338,7 +339,7 @@ def test_criterion_8_engine_properties(tmp_path):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
     report(8, "engine properties",
-           f"solver agreement {worst_td:.1e} <= 1e-7, trace drift {drift_tr:.1e}, "
+           f"route and closed-form agreement {worst_td:.1e} <= 1e-7, trace drift {drift_tr:.1e}, "
            f"herm drift {drift_h:.1e}, regression boundary {bound_dev:.1e}, "
            "serial == parallel bytes")
 

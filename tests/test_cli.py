@@ -8,7 +8,7 @@ import pytest
 
 from dickelab.cli import main
 from dickelab.errors import ConfigError
-from dickelab.sweep import MODES, RunConfig, run
+from dickelab.sweep import MODES, RunConfig, _worker_pool, blas_thread_counts, run
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -67,6 +67,14 @@ def test_determinism_and_parallel_serial_equality(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]  # identical config, identical bytes
     assert outs[0] == outs[2]  # parallel equals serial row for row
+
+
+def test_pool_workers_run_one_blas_thread():
+    parent = blas_thread_counts()
+    assert set(parent) == {"numpy", "scipy"}
+    with _worker_pool(2) as pool:
+        assert pool.submit(blas_thread_counts).result() == {"numpy": 1, "scipy": 1}
+    assert blas_thread_counts() == parent  # the calling process is left alone
 
 
 def test_timestamp_header_and_wall_time(tmp_path):
@@ -150,8 +158,26 @@ def test_exit_code_config_error(tmp_path):
         # g = 0 maps to gamma = 0
         {"mode": "sweep-jz",
          "params": {"cavity": {"g": 0, "kappa": 1.0, "Omega_L": 0.1, "N": 2}}},
+        # out-of-range run knobs
+        {"mode": "spectrum",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "spectrum": {"n_tau": 32, "tau_max_gamma": 0.0}},
+        {"mode": "spectrum",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "spectrum": {"n_tau": 32, "kappa_embed_over_gamma": -1.0}},
+        {"mode": "validate-elimination",
+         "params": {"cavity": {"g": 0.1, "kappa": 2.0, "Omega_L": 0.1, "N": 2}},
+         "elimination": {"fock_cutoff": 0}},
+        # a negative drive is not a phase of pi in disguise
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [-0.5, 0.5]}}},
     ],
-    ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero"],
+    ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero",
+         "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
+         "negative-drive"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -181,6 +207,30 @@ def test_exit_code_solver_failure_partial_results(tmp_path):
     assert len(rows) == 1
     assert "NoConvergence" in rows[0]["error"]
     assert rows[0]["jz_over_halfN_numeric"] == ""
+
+
+def test_solver_method_column_names_the_route(tmp_path):
+    # resonant rows take the closed form; a detuned row or a forced route
+    # goes through the numeric solve
+    base = {
+        "mode": "sweep-jz",
+        "params": {"effective": {"gamma": 1.0, "N": 10}},
+        "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0, 1.0]},
+    }
+    cases = {
+        "resonant": (base, "closed-form"),
+        "detuned": ({**base, "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}}},
+                    "sparse-direct"),
+        "forced": ({**base, "solver": {"method": "sparse-direct"}}, "sparse-direct"),
+    }
+    for name, (payload, route) in cases.items():
+        cfg = write_cfg(tmp_path / f"{name}.json", payload)
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep-jz", "--config", cfg, "--out", str(out), "--no-timestamp",
+                     "--threads", "1"]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2
+        assert [r["solver_method"] for r in rows] == [route, route], name
 
 
 def test_detuned_sweep_leaves_analytic_cells_empty(tmp_path):

@@ -4,13 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
-from dickelab.errors import DimensionCapError, NonUniqueSteadyState
-from dickelab.lindblad import DensityMatrix, expect, steady_state, time_evolve
+from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
+from dickelab.lindblad import (
+    DensityMatrix,
+    SteadyStateOptions,
+    expect,
+    steady_state,
+    time_evolve,
+    trace_distance,
+)
 from dickelab.models import (
     build_cavity_model,
     build_dicke_model,
     default_fock_cutoff,
     fock_cutoff_converged,
+    resonant_steady_state,
     validate_elimination,
 )
 from dickelab.observables import spin_squeezing_numeric
@@ -199,3 +207,43 @@ def test_elimination_warns_when_not_adiabatic():
     p = elimination_cavity(2, adiabaticity=2.0, drive_ratio=0.5)
     with pytest.warns(UserWarning, match="adiabaticity"):
         validate_elimination(p)
+
+
+# the LU costs about 1 s per point at N = 200 and 5 s at N = 400, so the
+# full grid runs up to N = 50; N = 200 takes each drive once and N = 400
+# the hardest point (largest shift, near threshold, rotated phase)
+_CLOSED_FORM_GRID = (
+    [(n, d, r, ph) for n in (1, 2, 50) for d in (0.0, 1.0, 3.0)
+     for r in (0.0, 0.01, 0.5, 0.95, 1.5) for ph in (0.0, 0.3)]
+    + [(200, 0.0, 0.0, 0.0), (200, 1.0, 0.01, 0.3), (200, 3.0, 0.5, 0.0),
+       (200, 0.0, 0.95, 0.3), (200, 1.0, 1.5, 0.0), (400, 3.0, 0.95, 0.3)]
+)
+
+
+def test_resonant_closed_form_matches_sparse_lu():
+    worst = 0.0
+    for n, d, ratio, phase in _CLOSED_FORM_GRID:
+        model = build_dicke_model(effective(n, ratio, d, phase))
+        rho, report = resonant_steady_state(model)
+        assert report.method == "closed-form"
+        assert report.iterations == 0 and report.uniqueness_ratio is None
+        assert report.residual <= 1e-10 * max(model.liouvillian.scale, 1.0)
+        ref, _ = steady_state(model.liouvillian, SteadyStateOptions(method="sparse-direct"))
+        worst = max(worst, trace_distance(rho, ref))
+    assert worst <= 1e-10
+
+
+def test_resonant_closed_form_checks():
+    model = build_dicke_model(effective(6, 0.3))
+    # an undrivable tolerance fails like the numeric routes do
+    with pytest.raises(NoConvergence):
+        resonant_steady_state(model, 1e-30)
+    _, report = resonant_steady_state(model, 1e-6)
+    assert report.residual <= 1e-6
+    # undriven: the collective ground state |j, -j>
+    ground, _ = resonant_steady_state(build_dicke_model(effective(6, 0.0)))
+    assert ground.matrix[0, 0] == 1.0 and np.count_nonzero(ground.matrix) == 1
+    # off resonance the closed form does not hold
+    detuned = EffectiveParams(1.0, 0.0, 0.0, 6, delta=0.3).with_drive_ratio(0.3)
+    with pytest.raises(ValueError, match="delta = 0"):
+        resonant_steady_state(build_dicke_model(detuned))
