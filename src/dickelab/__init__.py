@@ -31,6 +31,7 @@ from .models import (
     build_dicke_model,
     default_fock_cutoff,
     fock_cutoff_converged,
+    mean_field_amplitude,
     resonant_steady_state,
     validate_elimination,
 )

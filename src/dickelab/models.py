@@ -10,6 +10,18 @@ frequency, where they are time independent:
 * Cavity:  H = -delta J_z - delta_c c^dag c
                + [ c^dag (conj(g) J_- + Omega_L) + h.c. ],
            one collapse channel c at rate kappa.
+
+The cavity model is solved in the frame displaced by the mean field,
+c = alpha + d (Mollow, Phys. Rev. A 12, 1919 (1975)). The displacement is
+unitary, so only the Fock truncation of d approximates:
+
+    H' = H(c -> d + alpha) + (i kappa/2)(conj(alpha) d - alpha d^dag),
+
+one collapse channel d at rate kappa. With the mean-field amplitude
+alpha = (Omega_L + conj(g) <J_->)/(delta_c + i kappa/2), d is driven only
+by the dipole fluctuation conj(g)(J_- - <J_->) and stays near vacuum, with
+<d^dag d> ~ |g|^2 var(J_-)/(delta_c^2 + kappa^2/4). The Fock cutoff counts
+quanta of d; alpha = 0 is the lab frame.
 """
 
 from __future__ import annotations
@@ -68,10 +80,12 @@ class CavityModel:
 class EliminationReport:
     """Full-model vs eliminated-model steady-state comparison.
 
-    ``full`` and ``effective`` hold <J_z>, <J_->, <J_+J_-> per model;
-    ``deviation_abs``/``deviation_rel`` the per-observable distances. The
-    J_z deviation is measured relative to N/2, the others relative to the
-    effective-model magnitude.
+    ``full`` and ``effective`` hold <J_z>, <J_->, <J_+J_-> per model
+    (keys ``Jz``, ``Jminus``, ``JpJm``), and ``full`` also the field <c>
+    and the photon number (``c``, ``photons``); ``deviation_abs``/
+    ``deviation_rel`` the per-observable distances. The J_z deviation is
+    measured relative to N/2, the others relative to the effective-model
+    magnitude. ``fock_cutoff`` is the reported truncation of d = c - alpha.
     """
 
     full: dict
@@ -171,22 +185,38 @@ def resonant_steady_state(model: DickeModel, tol: float | None = None):
     )
 
 
-def default_fock_cutoff(p: CavityParams) -> int:
-    """Photon truncation from the empty-cavity amplitude estimate.
+def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
+    """Stationary intracavity amplitude for a dipole <J_-> = ``jminus``:
+    alpha = (Omega_L + conj(g) <J_->)/(delta_c + i kappa/2)."""
+    return complex((p.Omega_L + np.conj(p.g) * jminus) / (p.delta_c + 0.5j * p.kappa))
 
-    Below threshold the intracavity field is nearly coherent and small
-    (the collective dipole cancels most of the drive), so the atom-free
-    amplitude is a conservative bound.
+
+def default_fock_cutoff(p: CavityParams, moments: dict) -> int:
+    """Truncation of d = c - alpha from the eliminated model's moments.
+
+    A cavity that follows the atoms adiabatically holds
+    <d^dag d> ~ |g|^2 var(J_-)/(delta_c^2 + kappa^2/4) quanta of d, with
+    var(J_-) = <J_+J_-> - |<J_->|^2 taken from ``moments`` (keys
+    ``Jminus``, ``JpJm``). The Fock populations of a near-vacuum d fall
+    off like powers of that occupation, so three quanta cover it below
+    1/4, and each further quarter quantum adds one.
     """
-    amp = abs(p.Omega_L) / math.hypot(p.delta_c, p.kappa / 2)
-    return int(math.ceil(4.0 * (amp**2 + 1.0))) + 6
+    var = max(moments["JpJm"] - abs(moments["Jminus"]) ** 2, 0.0)
+    occupation = abs(p.g) ** 2 * var / (p.delta_c**2 + (p.kappa / 2) ** 2)
+    return 3 + int(4.0 * occupation)
 
 
-def build_cavity_model(p: CavityParams, cutoff: FockRep | int | None = None,
+def build_cavity_model(p: CavityParams, cutoff: FockRep | int, alpha: complex = 0.0,
                        product_cap: int = CAVITY_PRODUCT_CAP) -> CavityModel:
-    """Atom+cavity Liouvillian on the spin (slow) x Fock (fast) space."""
-    if cutoff is None:
-        cutoff = default_fock_cutoff(p)
+    """Atom+cavity Liouvillian on the spin (slow) x Fock (fast) space, in
+    the frame displaced by ``alpha``: the Fock space holds the quanta of
+    d = c - alpha, and alpha = 0 is the lab frame.
+
+    ``ops`` holds the lifted spin operators, ``d`` and ``d_dagger``, and
+    the lab field in this frame, ``c`` = d + alpha and ``c_dagger``, with
+    ``photon_number`` = c^dag c. So <c> = alpha + <d> and
+    <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>.
+    """
     fock = cutoff if isinstance(cutoff, FockRep) else FockRep(cutoff=int(cutoff))
     spin = SpinRep.for_atoms(p.N)
     total = spin.dim * fock.dim
@@ -206,22 +236,30 @@ def build_cavity_model(p: CavityParams, cutoff: FockRep | int | None = None,
         "J_x": tensor(sops["J_x"], eye_f),
         "J_y": tensor(sops["J_y"], eye_f),
         "J_z": tensor(sops["J_z"], eye_f),
-        "c": tensor(eye_s, bops["c"]),
-        "c_dagger": tensor(eye_s, bops["c_dagger"]),
+        "d": tensor(eye_s, bops["c"]),
+        "d_dagger": tensor(eye_s, bops["c_dagger"]),
     }
-    n_phot = lift["c_dagger"] @ lift["c"]
-    lift["photon_number"] = n_phot
+    d, d_dag = lift["d"], lift["d_dagger"]
+    shift = alpha * sp.eye_array(total, dtype=np.complex128, format="csr")
+    lift["c"] = d + shift
+    lift["c_dagger"] = d_dag + shift.conj()
+    lift["photon_number"] = lift["c_dagger"] @ lift["c"]
 
+    # the c-number drive left on d after the displacement, and the
+    # coherent drive the mean field puts on the atoms
+    drive = p.Omega_L - (p.delta_c + 0.5j * p.kappa) * alpha
     H = (
-        -p.delta_c * n_phot
-        + np.conj(p.g) * (lift["c_dagger"] @ lift["J_minus"])
-        + p.g * (lift["J_plus"] @ lift["c"])
-        + p.Omega_L * lift["c_dagger"]
-        + np.conj(p.Omega_L) * lift["c"]
+        -p.delta_c * (d_dag @ d)
+        + np.conj(p.g) * (d_dag @ lift["J_minus"])
+        + p.g * (lift["J_plus"] @ d)
+        + drive * d_dag
+        + np.conj(drive) * d
+        + np.conj(p.g * alpha) * lift["J_minus"]
+        + p.g * alpha * lift["J_plus"]
     )
     if p.delta != 0.0:
         H = H - p.delta * lift["J_z"]
-    liouv = build_liouvillian(H, [(p.kappa, lift["c"])])
+    liouv = build_liouvillian(H, [(p.kappa, d)])
     return CavityModel(cavity=p, spin_rep=spin, fock_rep=fock, ops=lift, liouvillian=liouv)
 
 
@@ -234,20 +272,31 @@ def _atomic_observables(rho, ops) -> dict:
     }
 
 
-def _cavity_side_observables(p: CavityParams, cutoff, solve_opts) -> dict:
-    model = build_cavity_model(p, cutoff)
+def _eliminated_observables(p: CavityParams, solve_opts) -> dict:
+    """<J_z>, <J_->, <J_+J_-> of the eliminated Dicke model of ``p``."""
+    dicke = build_dicke_model(map_cavity_to_effective(p))
+    rho, _ = steady_state(dicke.liouvillian, solve_opts)
+    return _atomic_observables(rho, dicke.ops)
+
+
+def _cavity_side_observables(p: CavityParams, cutoff, alpha, solve_opts) -> dict:
+    model = build_cavity_model(p, cutoff, alpha)
     rho, _ = steady_state(model.liouvillian, solve_opts)
     obs = _atomic_observables(rho, model.ops)
+    obs["c"] = expect(rho, model.ops["c"])
     obs["photons"] = expect(rho, model.ops["photon_number"]).real
     return obs
 
 
 def fock_cutoff_converged(p: CavityParams, cutoff: int, *, rtol: float = 1e-3,
                           solve_opts: SteadyStateOptions | None = None) -> bool:
-    """Whether growing the photon truncation by five leaves the steady
-    observables (inversion and photon number) within ``rtol``."""
-    lo = _cavity_side_observables(p, cutoff, solve_opts)
-    hi = _cavity_side_observables(p, cutoff + 5, solve_opts)
+    """Whether growing the truncation of d = c - alpha by five leaves the
+    steady observables (inversion and photon number) within ``rtol``.
+    alpha is the mean-field amplitude of the eliminated model's <J_->,
+    as in :func:`validate_elimination`."""
+    alpha = mean_field_amplitude(p, _eliminated_observables(p, solve_opts)["Jminus"])
+    lo = _cavity_side_observables(p, cutoff, alpha, solve_opts)
+    hi = _cavity_side_observables(p, cutoff + 5, alpha, solve_opts)
     scale_jz = max(abs(hi["Jz"]), p.N / 2 * 1e-3)
     scale_ph = max(abs(hi["photons"]), 1e-6)
     return (
@@ -271,6 +320,12 @@ def validate_elimination(
     collective dynamics; the ratio kappa/(sqrt(N)|g|) is reported and a
     value below ``min_adiabaticity`` only warns, since mapping the
     breakdown is itself useful.
+
+    The cavity model is solved in the frame displaced by the mean-field
+    amplitude of the eliminated model's <J_->, and ``cutoff`` (None: from
+    :func:`default_fock_cutoff`) counts quanta of d = c - alpha. It is
+    accepted when the deviations barely move as the cutoff grows by five;
+    the larger cutoff's observables are reported.
     """
     ratio = p.adiabaticity_ratio
     if ratio < min_adiabaticity:
@@ -279,14 +334,11 @@ def validate_elimination(
             "the eliminated model is not expected to be accurate",
             stacklevel=2,
         )
+    eff = _eliminated_observables(p, solve_opts)
+    alpha = mean_field_amplitude(p, eff["Jminus"])
     base_cutoff = (cutoff.cutoff if isinstance(cutoff, FockRep) else cutoff)
     if base_cutoff is None:
-        base_cutoff = default_fock_cutoff(p)
-
-    e = map_cavity_to_effective(p)
-    dicke = build_dicke_model(e)
-    rho_eff, _ = steady_state(dicke.liouvillian, solve_opts)
-    eff = _atomic_observables(rho_eff, dicke.ops)
+        base_cutoff = default_fock_cutoff(p, eff)
 
     halfN = p.N / 2
 
@@ -303,9 +355,9 @@ def validate_elimination(
         }
         return dev_abs, dev_rel
 
-    full_lo = _cavity_side_observables(p, base_cutoff, solve_opts)
+    full_lo = _cavity_side_observables(p, base_cutoff, alpha, solve_opts)
     dev_lo, _ = deviations(full_lo)
-    full_hi = _cavity_side_observables(p, base_cutoff + 5, solve_opts)
+    full_hi = _cavity_side_observables(p, base_cutoff + 5, alpha, solve_opts)
     dev_hi, dev_rel_hi = deviations(full_hi)
 
     # changes far below the pass scale never count as non-convergence

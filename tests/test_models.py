@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
     DensityMatrix,
     SteadyStateOptions,
+    build_liouvillian,
     expect,
     steady_state,
     time_evolve,
@@ -18,14 +20,23 @@ from dickelab.models import (
     build_dicke_model,
     default_fock_cutoff,
     fock_cutoff_converged,
+    mean_field_amplitude,
     resonant_steady_state,
     validate_elimination,
 )
 from dickelab.observables import spin_squeezing_numeric
+from dickelab.operators import (
+    FockRep,
+    SpinRep,
+    build_fock_operators,
+    build_spin_operators,
+    tensor,
+)
 from dickelab.parameters import (
     CavityParams,
     EffectiveParams,
     cavity_params_for_effective,
+    map_cavity_to_effective,
 )
 
 
@@ -167,11 +178,25 @@ def test_cavity_product_cap():
         build_cavity_model(p, cutoff=30)
 
 
+def _eliminated_moments(p):
+    model = build_dicke_model(map_cavity_to_effective(p))
+    rho, _ = steady_state(model.liouvillian)
+    return {"Jminus": expect(rho, model.ops["J_minus"]),
+            "JpJm": expect(rho, model.ops["J_plus"] @ model.ops["J_minus"]).real}
+
+
 def test_default_fock_cutoff_scales_with_drive():
-    weak = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.01, N=2)
-    strong = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=2.0, N=2)
-    assert default_fock_cutoff(weak) >= 10
-    assert default_fock_cutoff(strong) > default_fock_cutoff(weak)
+    # |g|^2/(delta_c^2 + kappa^2/4) = 1, so d's occupation is var(J_-):
+    # three quanta below a quarter, one more per further quarter
+    p = CavityParams(g=0.5, kappa=1.0, delta_c=0.0, Omega_L=0.01, N=2)
+    assert default_fock_cutoff(p, {"Jminus": 0.0, "JpJm": 0.0}) == 3
+    assert default_fock_cutoff(p, {"Jminus": 1.0, "JpJm": 1.24}) == 3
+    assert default_fock_cutoff(p, {"Jminus": 1.0j, "JpJm": 2.5}) == 9
+    # the eliminated model's fluctuation grows with the drive
+    # (var(J_-) = 4.8e-11 and 1.196)
+    strong = CavityParams(g=0.5, kappa=1.0, delta_c=0.0, Omega_L=2.0, N=2)
+    assert default_fock_cutoff(p, _eliminated_moments(p)) == 3
+    assert default_fock_cutoff(strong, _eliminated_moments(strong)) == 7
 
 
 def test_fock_cutoff_convergence_helper():
@@ -187,9 +212,94 @@ def test_elimination_adiabatic_regime_passes():
     assert report.cutoff_converged
     assert report.passed
     assert report.deviation_rel["Jz"] <= 0.05
-    # deviation frozen from the first full-model run (cutoff 11+5)
+    # deviation frozen from the first full-model run (lab frame, cutoff
+    # 11+5); the displaced frame needs three quanta of d (3+5)
     assert report.deviation_rel["Jz"] == pytest.approx(5.4727e-05, abs=1e-8)
-    assert report.fock_cutoff == 16
+    assert report.fock_cutoff == 8
+
+
+def _lab_frame_liouvillian(p, cutoff):
+    """The atom+cavity Liouvillian as written before the displaced frame."""
+    spin, fock = SpinRep.for_atoms(p.N), FockRep(cutoff=cutoff)
+    sops, bops = build_spin_operators(spin), build_fock_operators(fock)
+    eye_s = scipy.sparse.eye_array(spin.dim, dtype=np.complex128, format="csr")
+    eye_f = scipy.sparse.eye_array(fock.dim, dtype=np.complex128, format="csr")
+    jm, jp = tensor(sops["J_minus"], eye_f), tensor(sops["J_plus"], eye_f)
+    c, cd = tensor(eye_s, bops["c"]), tensor(eye_s, bops["c_dagger"])
+    H = (-p.delta_c * (cd @ c) + np.conj(p.g) * (cd @ jm) + p.g * (jp @ c)
+         + p.Omega_L * cd + np.conj(p.Omega_L) * c)
+    if p.delta != 0.0:
+        H = H - p.delta * tensor(sops["J_z"], eye_f)
+    return build_liouvillian(H, [(p.kappa, c)])
+
+
+def test_zero_displacement_is_the_lab_frame():
+    for p in (CavityParams(g=0.05 + 0.02j, kappa=1.0, delta_c=0.3, Omega_L=0.1 - 0.04j,
+                           N=3, delta=0.2),
+              CavityParams(g=0.1, kappa=2.0, delta_c=0.0, Omega_L=-0.07j, N=4)):
+        new = build_cavity_model(p, 6).liouvillian
+        old = _lab_frame_liouvillian(p, 6)
+        assert new.scale == old.scale
+        assert np.array_equal(new.superoperator.toarray(), old.superoperator.toarray())
+
+
+def _frame_case(n, delta_over_gamma, drive, gamma):
+    # delta_c = -kappa Delta/gamma; complex g and an atomic detuning
+    e = EffectiveParams(gamma=gamma, Delta=delta_over_gamma * gamma, Omega=0.0, N=n,
+                        delta=0.01).with_drive_ratio(drive, 0.3)
+    return cavity_params_for_effective(e, kappa=1.0, g_phase=0.4)
+
+
+def _cavity_moments(model):
+    rho, _ = steady_state(model.liouvillian)
+    ops = model.ops
+    return {"Jz": expect(rho, ops["J_z"]).real, "Jminus": expect(rho, ops["J_minus"]),
+            "JpJm": expect(rho, ops["J_plus"] @ ops["J_minus"]).real,
+            "c": expect(rho, ops["c"]), "photons": expect(rho, ops["photon_number"]).real}
+
+
+@pytest.mark.parametrize("n, delta_over_gamma, drive, gamma", [
+    (2, 0.0, 0.5, 0.04), (2, 1.0, 0.7, 0.04),    # delta_c = 0 and -1
+    (4, 0.0, 1.5, 0.01), (4, -0.5, 0.8, 0.04),   # above threshold; delta_c = 0.5
+])
+def test_displaced_frame_matches_lab_frame(n, delta_over_gamma, drive, gamma):
+    # the displacement is unitary: at a cutoff generous for both frames,
+    # the eliminated model's amplitude reproduces every lab observable
+    p = _frame_case(n, delta_over_gamma, drive, gamma)
+    alpha = mean_field_amplitude(p, _eliminated_moments(p)["Jminus"])
+    assert abs(alpha) > 1e-2
+    lab = _cavity_moments(build_cavity_model(p, 10))
+    shifted = _cavity_moments(build_cavity_model(p, 10, alpha))
+    assert abs(shifted["Jz"] - lab["Jz"]) <= 1e-9 * n / 2
+    for key in ("Jminus", "JpJm", "c", "photons"):
+        assert abs(shifted[key] - lab[key]) <= 1e-9 * abs(lab[key]), key
+    # the stationary field equation is exact, so the lab <c> is the
+    # amplitude of the lab <J_->
+    assert mean_field_amplitude(p, lab["Jminus"]) == pytest.approx(lab["c"], rel=1e-9)
+
+
+# full-model observables of the parent lab-frame path (cutoff 11 + 5 = 16,
+# the cutoff-16 solve alone, ``elimination_cavity(n, ratio, drive)``),
+# computed once before the displaced frame and frozen here
+_LAB_CUTOFF_16 = {
+    (4, 10.0, 0.3): {"Jz": -1.907032926835521, "Jminus": 0.5999297456943856j,
+                     "JpJm": 0.3599578807603881, "photons": 4.215258349273644e-07,
+                     "c": -7.025430561486946e-06},
+    (4, 10.0, 0.7): {"Jz": -1.419077707649586, "Jminus": 1.3404312053034557j,
+                     "JpJm": 1.8766696150533506, "photons": 0.0008339631257560343,
+                     "c": -0.005956879469654121},
+    (8, 20.0, 0.9): {"Jz": -1.8144087220464629, "Jminus": 3.2472719051879j,
+                     "JpJm": 11.690231693782524, "photons": 0.0015872764266638372,
+                     "c": -0.012470821387832506},
+}
+
+
+@pytest.mark.parametrize("case", list(_LAB_CUTOFF_16), ids=lambda c: "N%d-r%g-d%g" % c)
+def test_elimination_matches_frozen_lab_frame(case):
+    report = validate_elimination(elimination_cavity(*case))
+    assert report.fock_cutoff == 8
+    for key, ref in _LAB_CUTOFF_16[case].items():
+        assert abs(report.full[key] - ref) <= 1e-6 * abs(ref), key
 
 
 def test_elimination_deviation_decreases_with_adiabaticity():
