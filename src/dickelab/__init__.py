@@ -30,7 +30,6 @@ from .models import (
     build_cavity_model,
     build_dicke_model,
     default_fock_cutoff,
-    fock_cutoff_converged,
     mean_field_amplitude,
     resonant_steady_state,
     validate_elimination,
@@ -62,7 +61,6 @@ from .parameters import (
     BlochAngles,
     CavityParams,
     EffectiveParams,
-    RotationMatrix,
     angles_from_mean_spin,
     bloch_angles,
     cavity_params_for_effective,

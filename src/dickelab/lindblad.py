@@ -8,28 +8,31 @@ Fortran order, so vec(A X B) = (B^T kron A) vec(X). Under that convention
                                     - 1/2 I kron C_k^dag C_k
                                     - 1/2 (C_k^dag C_k)^T kron I ) ] vec(rho)
 
-Steady states are found by one of three routes. Automatic selection by
-Hilbert dimension D uses the last two. (The resonant Dicke model also has
-an exact steady state, ``models.resonant_steady_state``; it is not a route
-here, and the sweeps use it for delta = 0 unless a route is forced.)
+Steady states are found by one of three routes. Every solve that names no
+route takes ``sparse-direct``, at every dimension; the model caps
+(``models.DICKE_ATOM_CAP``, ``models.CAVITY_PRODUCT_CAP``) are the only
+size limit. The other two run only on request, as cross-checks. (The
+resonant Dicke model also has an exact steady state,
+``models.resonant_steady_state``; it is not a route here, and the sweeps
+use it for delta = 0 unless a route is forced.)
 
-* ``dense-nullspace`` (on request only): full SVD of the dense
-  superoperator; the null vector and the spectral gap come out together.
-  It serves as the independent reference for the other two. It is not
-  selected automatically because the sparse LU is faster from D = 11 up
-  and below that differs by under half a millisecond.
-* ``sparse-direct`` (D <= 401): one sparse LU of the square system M,
-  the superoperator with its first row (the equation for rho_00) replaced
-  by the scaled trace row, then one refinement sweep. Trace preservation
+* ``sparse-direct``: one sparse LU of the square system M, the
+  superoperator with its first row (the equation for rho_00) replaced by
+  the scaled trace row, then one refinement sweep. Trace preservation
   makes the diagonal-entry rows sum to zero, so the replaced row carries
   no information, and M is nonsingular exactly when the steady state is
   unique. The same factor gives the uniqueness probe by inverse
   iteration. The Dicke Liouvillian is narrow-banded, so fill-in stays
   small.
-* ``long-time-integration`` (D > 401): window-doubled propagation of a
-  maximally mixed state until the residual settles. Explicit stepping,
-  so it is the slow path; it exists for dimensions where factorization
-  memory blows up and as an independent cross-check.
+* ``dense-nullspace``: full SVD of the dense superoperator; the null
+  vector and the spectral gap come out together. It is the independent
+  reference for the other two.
+* ``long-time-integration``: window-doubled propagation of a maximally
+  mixed state until the residual settles. Explicit stepping, so it is
+  the slow path.
+
+Every candidate, from a route or from the closed form, passes the same
+gate, :func:`accept_steady_state`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import scipy.sparse as sp
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 
 ROUTES = ("dense-nullspace", "sparse-direct", "long-time-integration")
-SPARSE_DIRECT_LIMIT = 401
 
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
@@ -139,40 +141,40 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, herm_atol=1e-12, trace_atol=1e-12,
-                 psd_floor=-1e-8, validate=True):
+    def __init__(self, matrix, *, validate=True):
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         self.matrix = mat
         if validate:
-            self.validate(herm_atol=herm_atol, trace_atol=trace_atol,
-                          psd_floor=psd_floor)
+            self.validate()
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, *, herm_atol=1e-12, trace_atol=1e-12, psd_floor=-1e-8):
+    def validate(self, atol=1e-12):
+        """Hermiticity and unit trace within ``atol``, no eigenvalue below
+        ``PSD_FLOOR``; ValueError otherwise."""
         scale = max(1.0, float(np.abs(self.matrix).max()))
         herm_dev = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm_dev > herm_atol * scale:
+        if herm_dev > atol * scale:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         trace_dev = abs(self.matrix.trace() - 1.0)
-        if trace_dev > trace_atol:
+        if trace_dev > atol:
             raise ValueError(f"trace differs from 1 by {trace_dev:.3e}")
         min_eig = self.min_eigenvalue()
-        if min_eig < psd_floor:
-            raise ValueError(f"minimum eigenvalue {min_eig:.3e} below floor {psd_floor:.1e}")
+        if min_eig < PSD_FLOOR:
+            raise ValueError(f"minimum eigenvalue {min_eig:.3e} below floor {PSD_FLOOR:.1e}")
 
     def min_eigenvalue(self) -> float:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
         return float(np.linalg.eigvalsh(herm)[0])
 
     @classmethod
-    def from_raw(cls, mat, *, psd_floor=PSD_FLOOR) -> "DensityMatrix":
+    def from_raw(cls, mat) -> "DensityMatrix":
         """Build from a raw solver vector: hermitize, normalize the trace,
-        and floor eigenvalues in (psd_floor, 0). Larger PSD violations are
+        and floor eigenvalues in (PSD_FLOOR, 0). Larger PSD violations are
         a solver failure, not rounding noise to be masked."""
         mat = np.asarray(mat, dtype=np.complex128)
         herm = 0.5 * (mat + mat.conj().T)
@@ -182,10 +184,10 @@ class DensityMatrix:
         herm = herm / tr
         evals, evecs = np.linalg.eigh(herm)
         min_eig = float(evals[0])
-        if min_eig < psd_floor:
+        if min_eig < PSD_FLOOR:
             raise SolverError(
                 f"steady-state candidate has eigenvalue {min_eig:.3e} below "
-                f"the PSD floor {psd_floor:.1e}"
+                f"the PSD floor {PSD_FLOOR:.1e}"
             )
         if min_eig < 0.0:
             evals = np.clip(evals, 0.0, None)
@@ -221,9 +223,9 @@ def trace_distance(rho, sigma) -> float:
 class SteadyStateOptions:
     """Knobs for :func:`steady_state`.
 
-    ``tol`` is an absolute residual bound; None means 1e-10 times the
-    superoperator scale. ``method`` (one of ``ROUTES``) overrides the
-    size-based selection.
+    ``tol`` is an absolute residual bound; None means the default of
+    :func:`residual_tolerance`. ``method`` (one of ``ROUTES``) forces a
+    route; None means ``sparse-direct``.
     """
 
     tol: float | None = None
@@ -231,11 +233,10 @@ class SteadyStateOptions:
     check_unique: bool = True
 
     def resolve_method(self, dim: int) -> str:
-        if self.method is not None:
-            return self.method
-        if dim <= SPARSE_DIRECT_LIMIT:
-            return "sparse-direct"
-        return "long-time-integration"
+        """The route of a solve. The route does not depend on the Hilbert
+        dimension; ``dim`` is kept only because the benchmark's tracer calls
+        ``resolve_method(L.dim)``."""
+        return self.method or "sparse-direct"
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,38 @@ class SteadyStateSolveReport:
     iterations: int
     wall_time: float
     uniqueness_ratio: float | None = None
+
+
+def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
+    """``tol``, or by default 1e-10 times the superoperator scale (and at
+    least 1e-10)."""
+    return tol if tol is not None else 1e-10 * max(L.scale, 1.0)
+
+
+def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
+                        tol: float | None, iterations: int,
+                        uniqueness_ratio: float | None):
+    """The acceptance gate of every steady-state candidate: the D x D
+    ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
+    PSD floor), and its residual must stay within
+    :func:`residual_tolerance` or NoConvergence is raised. Returns
+    ``(DensityMatrix, SteadyStateSolveReport)``, timed from ``t0``."""
+    tol = residual_tolerance(L, tol)
+    rho = DensityMatrix.from_raw(raw)
+    residual = L.residual(rho.matrix)
+    wall = time.perf_counter() - t0
+    if residual > tol:
+        raise NoConvergence(
+            f"steady-state residual {residual:.3e} above tolerance {tol:.3e} "
+            f"(method {method})"
+        )
+    return rho, SteadyStateSolveReport(
+        method=method,
+        residual=residual,
+        iterations=iterations,
+        wall_time=wall,
+        uniqueness_ratio=uniqueness_ratio,
+    )
 
 
 def _trace_row(dim: int) -> sp.csr_array:
@@ -264,8 +297,6 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     if opts is None:
         opts = SteadyStateOptions()
     method = opts.resolve_method(L.dim)
-    scale = L.scale
-    tol = opts.tol if opts.tol is not None else 1e-10 * max(scale, 1.0)
 
     t0 = time.perf_counter()
     if method == "dense-nullspace":
@@ -273,7 +304,7 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     elif method == "sparse-direct":
         raw, iterations, uniq = _solve_sparse_direct(L, opts)
     elif method == "long-time-integration":
-        raw, iterations, uniq = _solve_integration(L, tol)
+        raw, iterations, uniq = _solve_integration(L, residual_tolerance(L, opts.tol))
     else:
         raise ValueError(f"unknown steady-state method {method!r}")
 
@@ -281,23 +312,8 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
-    rho = DensityMatrix.from_raw(unvectorize(raw, L.dim))
-    residual = L.residual(rho.matrix)
-    wall = time.perf_counter() - t0
-
-    if residual > tol:
-        raise NoConvergence(
-            f"steady-state residual {residual:.3e} above tolerance {tol:.3e} "
-            f"(method {method})"
-        )
-    report = SteadyStateSolveReport(
-        method=method,
-        residual=residual,
-        iterations=iterations,
-        wall_time=wall,
-        uniqueness_ratio=uniq,
-    )
-    return rho, report
+    return accept_steady_state(L, unvectorize(raw, L.dim), method, t0, opts.tol,
+                               iterations, uniq)
 
 
 def _solve_dense(L: Liouvillian, opts: SteadyStateOptions):
@@ -376,7 +392,7 @@ def _solve_integration(L: Liouvillian, tol: float):
     window = 25.0 * dim / scale
     iterations = 0
     for _ in range(INTEGRATION_MAX_WINDOWS):
-        y = _propagate(S, y, window, "integrator",
+        y = _propagate(S, y, window, "integrator", t_eval=[window],
                        rtol=INTEGRATION_RTOL, atol=1e-14)[:, -1]
         iterations += 1
         if float(np.linalg.norm(S @ y)) <= 0.5 * tol * abs(np.sum(y[:: dim + 1]).real):
@@ -387,38 +403,35 @@ def _solve_integration(L: Liouvillian, tol: float):
     )
 
 
-def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid, *,
-                rtol=1e-12, atol=None):
+def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
     """Propagate rho0 along t_grid with an adaptive high-order RK scheme.
 
     Returns one DensityMatrix per grid point (the grid must be ascending
     and non-negative; t=0 returns the initial state). States are checked,
     not repaired: trace and Hermiticity drift stay visible to the caller,
-    which is why the default tolerances are tight.
+    which is why the tolerances are tight.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be strictly increasing and non-negative")
     S = L.superoperator
     y0 = vectorize(rho0.matrix)
-    if atol is None:
-        atol = 1e-14 * max(1.0, float(np.abs(y0).max()))
+    atol = 1e-14 * max(1.0, float(np.abs(y0).max()))
 
     t_end = float(t_grid[-1])
     if t_end == 0.0:
         return [DensityMatrix(rho0.matrix, validate=False)]
-    ys = _propagate(S, y0, t_end, "time evolution", t_eval=t_grid, rtol=rtol, atol=atol)
+    ys = _propagate(S, y0, t_end, "time evolution", t_eval=t_grid, rtol=1e-12, atol=atol)
     states = []
     for k in range(ys.shape[1]):
         mat = unvectorize(ys[:, k], L.dim)
         dm = DensityMatrix(mat, validate=False)
-        dm.validate(herm_atol=1e-9, trace_atol=1e-9, psd_floor=-1e-8)
+        dm.validate(atol=1e-9)
         states.append(dm)
     return states
 
 
-def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
-                        rtol=1e-10, atol=None):
+def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
     """Steady-state correlator <A(0) B(tau)> by quantum regression.
 
     Propagates rho_ss A under L and traces against B at each lag. The
@@ -435,8 +448,7 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
 
     X0 = rho_ss.matrix @ A_mat
     y0 = vectorize(X0)
-    if atol is None:
-        atol = 1e-13 * max(1.0, float(np.abs(y0).max()))
+    atol = 1e-13 * max(1.0, float(np.abs(y0).max()))
     S = L.superoperator
 
     # value at a lag: trace(B X) with X the propagated operator
@@ -451,7 +463,7 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
         start = 1
     if start < tau_grid.size:
         ys = _propagate(S, y0, float(tau_grid[-1]), "correlator propagation",
-                        t_eval=tau_grid[start:], rtol=rtol, atol=atol)
+                        t_eval=tau_grid[start:], rtol=1e-10, atol=atol)
         for k in range(ys.shape[1]):
             values[start + k] = overlap(ys[:, k])
     return values

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AboveThresholdError
-from .lindblad import DensityMatrix, SteadyStateOptions, expect, steady_state, two_time_correlator
+from .lindblad import DensityMatrix, expect, steady_state, two_time_correlator
 from .operators import SpinRep, build_spin_operators
 from .parameters import (
     CRITICAL_RATIO_GUARD,
@@ -149,7 +149,7 @@ def _transverse_axes(ops, means: np.ndarray) -> list:
     -z' axis is the mean spin ``means`` = (<J_x>, <J_y>, <J_z>), as
     (operator, mean) pairs. The axes are columns 0 and 1 of the rotation,
     expressed in the original frame."""
-    rot = rotation_matrix(angles_from_mean_spin(*means)).matrix
+    rot = rotation_matrix(angles_from_mean_spin(*means))
     return [
         (rot[0, col] * ops["J_x"] + rot[1, col] * ops["J_y"] + rot[2, col] * ops["J_z"],
          float(rot[:, col] @ means))
@@ -313,8 +313,6 @@ def output_spectrum(
     n_tau: int = 512,
     *,
     rho_ss: DensityMatrix | None = None,
-    solve_opts: SteadyStateOptions | None = None,
-    n_omega: int | None = None,
 ) -> SpectrumResult:
     """Spectrum of the radiated light from the dipole correlator.
 
@@ -328,7 +326,7 @@ def output_spectrum(
     """
     e = model.effective
     if rho_ss is None:
-        rho_ss, _ = steady_state(model.liouvillian, solve_opts)
+        rho_ss, _ = steady_state(model.liouvillian)
     ops = model.ops
 
     moments = dipole_fluctuation_moments(rho_ss, model.rep, ops)
@@ -350,9 +348,7 @@ def output_spectrum(
         )
 
     dtau = tau[1] - tau[0]
-    if n_omega is None:
-        n_omega = 2 * n_tau + 1
-    omega = np.linspace(-np.pi / dtau, np.pi / dtau, n_omega)
+    omega = np.linspace(-np.pi / dtau, np.pi / dtau, 2 * n_tau + 1)
     # one-sided correlator extended by C(-tau) = conj(C(tau)):
     # S(w) = dtau * ( C(0) + 2 Re sum_{k>=1} C(tau_k) e^{i w tau_k} )
     phases = np.exp(1j * np.outer(omega, tau[1:]))

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .errors import DimensionCapError
 
 # Guard for runaway Kronecker products.
-DEFAULT_TENSOR_CAP = 20_000
+TENSOR_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -114,15 +114,15 @@ def build_fock_operators(rep: FockRep) -> dict[str, sp.csr_array]:
     }
 
 
-def tensor(a, b, cap: int = DEFAULT_TENSOR_CAP) -> sp.csr_array:
+def tensor(a, b) -> sp.csr_array:
     """Kronecker product with the first factor's index slow.
 
     Row/column index of the result is ``i_a * dim_b + i_b``, matching the
     spin-slow / Fock-fast ordering of the atom+cavity space.
     """
     total = a.shape[0] * b.shape[0]
-    if total > cap:
+    if total > TENSOR_CAP:
         raise DimensionCapError(
-            f"tensor product dimension {a.shape[0]}*{b.shape[0]} = {total} exceeds cap {cap}"
+            f"tensor product dimension {a.shape[0]}*{b.shape[0]} = {total} exceeds cap {TENSOR_CAP}"
         )
     return sp.kron(a, b, format="csr")

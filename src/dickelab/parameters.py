@@ -105,23 +105,6 @@ class BlochAngles:
         return math.sin(self.theta)
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Proper rotation taking rotated-frame vectors to the original frame.
-
-    Columns are the rotated axes expressed in the original basis; the
-    inverse (= transpose) maps the mean spin direction onto -z'.
-    """
-
-    matrix: np.ndarray
-
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ np.asarray(vec)
-
-    def inverse_apply(self, vec) -> np.ndarray:
-        return self.matrix.T @ np.asarray(vec)
-
-
 def map_cavity_to_effective(p: CavityParams) -> EffectiveParams:
     """Adiabatic-elimination mapping of cavity inputs to Dicke parameters.
 
@@ -221,18 +204,19 @@ def mean_spin_vector(e: EffectiveParams) -> np.ndarray:
     )
 
 
-def rotation_matrix(a: BlochAngles) -> RotationMatrix:
-    """Rotation whose inverse takes the mean spin vector to the south pole."""
+def rotation_matrix(a: BlochAngles) -> np.ndarray:
+    """Proper 3x3 rotation taking rotated-frame vectors to the original
+    frame. Its columns are the rotated axes in the original basis; its
+    transpose (the inverse) takes the mean spin vector to the south pole."""
     ct, st = a.cos_theta, a.sin_theta
     cp, sp_ = math.cos(a.phi), math.sin(a.phi)
-    mat = np.array(
+    return np.array(
         [
             [ct * cp, -sp_, st * cp],
             [ct * sp_, cp, st * sp_],
             [-st, 0.0, ct],
         ]
     )
-    return RotationMatrix(matrix=mat)
 
 
 def angles_from_mean_spin(jx: float, jy: float, jz: float) -> BlochAngles:

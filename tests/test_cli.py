@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -312,6 +313,31 @@ def test_validate_elimination_mode(tmp_path):
     jz = next(r for r in rows if r["observable"] == "Jz")
     assert float(jz["deviation_rel"]) <= 0.05
     assert float(jz["adiabaticity_ratio"]) == pytest.approx(20.0, rel=1e-9)
+
+
+def test_elimination_over_the_cap_fails_before_any_cavity_solve(tmp_path):
+    # N = 12 at Fock cutoff 8: the lower model (13 * 9 = 117) fits the cap
+    # of 144 but takes about 15 s to solve; the cutoff + 5 model
+    # (13 * 14 = 182) does not, so the point must fail before either solve
+    n, kappa, adiab = 12, 1.0, 20.0
+    g = kappa / (adiab * math.sqrt(n))
+    omega = 0.9 * (n / 4) * (4 * g * g / kappa)
+    payload = {
+        "mode": "validate-elimination",
+        "params": {"cavity": {"g": g, "kappa": kappa, "delta_c": 0.0,
+                               "Omega_L": [0.0, -omega * kappa / (2 * g)], "N": n}},
+        "elimination": {"fock_cutoff": 8},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "elim.csv"
+    t0 = time.perf_counter()
+    assert main(["validate-elimination", "--config", cfg, "--out", str(out),
+                 "--no-timestamp"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert "DimensionCapError" in rows[0]["error"]
+    assert "13*14 = 182 exceeds cap 144" in rows[0]["error"]
 
 
 def test_cavity_level_drive_scaling(tmp_path):

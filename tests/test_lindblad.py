@@ -124,9 +124,9 @@ def test_method_auto_selection_table():
     assert opts.resolve_method(24) == "sparse-direct"
     assert opts.resolve_method(25) == "sparse-direct"
     assert opts.resolve_method(400) == "sparse-direct"
-    # D = 401 is the Dicke atom cap N = 400
+    # no size branch: the model caps are the only size limit
     assert opts.resolve_method(401) == "sparse-direct"
-    assert opts.resolve_method(402) == "long-time-integration"
+    assert opts.resolve_method(402) == "sparse-direct"
     forced = SteadyStateOptions(method="long-time-integration")
     assert forced.resolve_method(8) == "long-time-integration"
 

@@ -16,10 +16,11 @@ from dickelab.lindblad import (
     trace_distance,
 )
 from dickelab.models import (
+    CAVITY_PRODUCT_CAP,
     build_cavity_model,
     build_dicke_model,
+    cavity_dimension,
     default_fock_cutoff,
-    fock_cutoff_converged,
     mean_field_amplitude,
     resonant_steady_state,
     validate_elimination,
@@ -178,6 +179,19 @@ def test_cavity_product_cap():
         build_cavity_model(p, cutoff=30)
 
 
+def test_cavity_product_cap_boundary():
+    # (N + 1)(cutoff + 1) = 12 * 12 is the cap; 5 * 29 = 145 is one above it
+    assert CAVITY_PRODUCT_CAP == 144
+    at_cap = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.0, N=11)
+    assert cavity_dimension(at_cap, 11) == 144
+    assert build_cavity_model(at_cap, 11).liouvillian.dim == 144
+    above = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.0, N=4)
+    with pytest.raises(DimensionCapError, match="145 exceeds cap 144"):
+        cavity_dimension(above, 28)
+    with pytest.raises(DimensionCapError):
+        build_cavity_model(above, 28)
+
+
 def _eliminated_moments(p):
     model = build_dicke_model(map_cavity_to_effective(p))
     rho, _ = steady_state(model.liouvillian)
@@ -199,10 +213,11 @@ def test_default_fock_cutoff_scales_with_drive():
     assert default_fock_cutoff(strong, _eliminated_moments(strong)) == 7
 
 
-def test_fock_cutoff_convergence_helper():
-    p = elimination_cavity(2, adiabaticity=20.0, drive_ratio=0.5)
-    assert fock_cutoff_converged(p, 8)
-    assert not fock_cutoff_converged(p, 1)
+def test_elimination_rejects_unconverged_cutoff():
+    # one quantum of d is too few: the deviations move when the cutoff
+    # grows by five
+    with pytest.raises(NoConvergence, match="Fock cutoff 1 not converged"):
+        validate_elimination(elimination_cavity(2, 20.0, 0.5), cutoff=1)
 
 
 def test_elimination_adiabatic_regime_passes():

@@ -127,6 +127,8 @@ def test_tensor_mixed_product_and_trace():
 
 
 def test_tensor_cap():
-    big = sp.eye_array(200, dtype=complex, format="csr")
+    # 150 * 150 = 22,500 is over the cap of 20,000; the guard raises
+    # before any product is formed
+    big = sp.eye_array(150, dtype=complex, format="csr")
     with pytest.raises(DimensionCapError):
-        tensor(big, big, cap=10_000)
+        tensor(big, big)
