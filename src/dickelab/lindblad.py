@@ -8,30 +8,18 @@ Fortran order, so vec(A X B) = (B^T kron A) vec(X). Under that convention
                                     - 1/2 I kron C_k^dag C_k
                                     - 1/2 (C_k^dag C_k)^T kron I ) ] vec(rho)
 
-Steady states are found by one of three routes. Every solve that names no
-route takes ``sparse-direct``, at every dimension; the model caps
+Steady states come from one sparse LU of the square system M, the
+superoperator with its first row (the equation for rho_00) replaced by the
+scaled trace row, then one refinement sweep. Trace preservation makes the
+diagonal-entry rows sum to zero, so the replaced row carries no
+information, and M is nonsingular exactly when the steady state is unique.
+The same factor gives the uniqueness probe by inverse iteration. The Dicke
+Liouvillian is narrow-banded, so fill-in stays small. The model caps
 (``models.DICKE_ATOM_CAP``, ``models.CAVITY_PRODUCT_CAP``) are the only
-size limit. The other two run only on request, as cross-checks. (The
-resonant Dicke model also has an exact steady state,
-``models.resonant_steady_state``; it is not a route here, and the sweeps
-use it for delta = 0 unless a route is forced.)
+size limit. (The resonant Dicke model also has an exact steady state,
+``models.resonant_steady_state``, which the sweeps use for delta = 0.)
 
-* ``sparse-direct``: one sparse LU of the square system M, the
-  superoperator with its first row (the equation for rho_00) replaced by
-  the scaled trace row, then one refinement sweep. Trace preservation
-  makes the diagonal-entry rows sum to zero, so the replaced row carries
-  no information, and M is nonsingular exactly when the steady state is
-  unique. The same factor gives the uniqueness probe by inverse
-  iteration. The Dicke Liouvillian is narrow-banded, so fill-in stays
-  small.
-* ``dense-nullspace``: full SVD of the dense superoperator; the null
-  vector and the spectral gap come out together. It is the independent
-  reference for the other two.
-* ``long-time-integration``: window-doubled propagation of a maximally
-  mixed state until the residual settles. Explicit stepping, so it is
-  the slow path.
-
-Every candidate, from a route or from the closed form, passes the same
+Every candidate, from the LU or from the closed form, passes the same
 gate, :func:`accept_steady_state`.
 """
 
@@ -46,13 +34,8 @@ import scipy.sparse as sp
 
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 
-ROUTES = ("dense-nullspace", "sparse-direct", "long-time-integration")
-
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
-# long-time-integration controls
-INTEGRATION_MAX_WINDOWS = 12
-INTEGRATION_RTOL = 1e-10
 
 # inverse-iteration stopping rule of the uniqueness probe
 PROBE_RTOL = 1e-2
@@ -224,19 +207,17 @@ class SteadyStateOptions:
     """Knobs for :func:`steady_state`.
 
     ``tol`` is an absolute residual bound; None means the default of
-    :func:`residual_tolerance`. ``method`` (one of ``ROUTES``) forces a
-    route; None means ``sparse-direct``.
+    :func:`residual_tolerance`. ``check_unique`` runs the uniqueness probe.
     """
 
     tol: float | None = None
-    method: str | None = None
     check_unique: bool = True
 
     def resolve_method(self, dim: int) -> str:
-        """The route of a solve. The route does not depend on the Hilbert
-        dimension; ``dim`` is kept only because the benchmark's tracer calls
+        """The route of a solve, always ``sparse-direct``. Kept, with its
+        unused ``dim``, because the benchmark's tracer calls
         ``resolve_method(L.dim)``."""
-        return self.method or "sparse-direct"
+        return "sparse-direct"
 
 
 @dataclass(frozen=True)
@@ -290,40 +271,21 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     """Stationary density matrix of L, with a solve report.
 
     Returns ``(DensityMatrix, SteadyStateSolveReport)``. Raises
-    NonUniqueSteadyState when the null-space probe finds a second
+    NonUniqueSteadyState when the uniqueness probe finds a second
     near-stationary direction, NoConvergence when the residual target
     cannot be met.
     """
     if opts is None:
         opts = SteadyStateOptions()
-    method = opts.resolve_method(L.dim)
 
     t0 = time.perf_counter()
-    if method == "dense-nullspace":
-        raw, iterations, uniq = _solve_dense(L, opts)
-    elif method == "sparse-direct":
-        raw, iterations, uniq = _solve_sparse_direct(L, opts)
-    elif method == "long-time-integration":
-        raw, iterations, uniq = _solve_integration(L, residual_tolerance(L, opts.tol))
-    else:
-        raise ValueError(f"unknown steady-state method {method!r}")
-
-    if opts.check_unique and uniq is not None and uniq <= uniqueness_threshold(L.dim ** 2):
+    raw, iterations, uniq = _solve_sparse_direct(L, opts)
+    if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
-    return accept_steady_state(L, unvectorize(raw, L.dim), method, t0, opts.tol,
+    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol,
                                iterations, uniq)
-
-
-def _solve_dense(L: Liouvillian, opts: SteadyStateOptions):
-    dense = L.superoperator.toarray()
-    _, svals, vh = np.linalg.svd(dense)
-    null_vec = vh[-1].conj()
-    uniq = None
-    if opts.check_unique and len(svals) >= 2:
-        uniq = float(svals[-2] / max(svals[0], 1e-300))
-    return null_vec, 0, uniq
 
 
 def _square_system(L: Liouvillian):
@@ -381,26 +343,6 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, t_end: float, what: str, **kwarg
     if not sol.success:
         raise NoConvergence(f"{what} failed: {sol.message}")
     return sol.y
-
-
-def _solve_integration(L: Liouvillian, tol: float):
-    dim = L.dim
-    S = L.superoperator
-    scale = max(L.scale, 1e-300)
-    y = vectorize(np.eye(dim, dtype=np.complex128) / dim)
-
-    window = 25.0 * dim / scale
-    iterations = 0
-    for _ in range(INTEGRATION_MAX_WINDOWS):
-        y = _propagate(S, y, window, "integrator", t_eval=[window],
-                       rtol=INTEGRATION_RTOL, atol=1e-14)[:, -1]
-        iterations += 1
-        if float(np.linalg.norm(S @ y)) <= 0.5 * tol * abs(np.sum(y[:: dim + 1]).real):
-            return y, iterations, None
-        window *= 2.0
-    raise NoConvergence(
-        f"long-time integration did not settle within {INTEGRATION_MAX_WINDOWS} windows"
-    )
 
 
 def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):

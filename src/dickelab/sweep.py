@@ -11,8 +11,8 @@ do not oversubscribe the cores; results are gathered in grid order, which
 makes parallel and serial runs emit identical bytes.
 
 The steady state of a numeric row comes from the closed form
-(``models.resonant_steady_state``) when the drive is resonant (delta = 0)
-and no solver route is forced; otherwise from ``lindblad.steady_state``.
+(``models.resonant_steady_state``) when the drive is resonant (delta = 0),
+otherwise from ``lindblad.steady_state``.
 Elimination checks and cavity models always use the latter.
 
 Column conventions: rates are reported in units of gamma, drives in units
@@ -45,7 +45,7 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import ROUTES, SteadyStateOptions, expect, steady_state
+from .lindblad import SteadyStateOptions, expect, steady_state
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
     dipole_fluctuation_moments,
@@ -67,28 +67,78 @@ from .parameters import (
 )
 
 
-def _as_complex(value, name: str) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ConfigError(f"{name}: complex values are [re, im] pairs")
+# the default of a config key that must be given
+_REQUIRED = object()
+
+
+def _block(value, where: str, keys) -> dict:
+    """A config block: an object whose keys all lie in ``keys``. An absent
+    (None) block is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}; expected one of {tuple(keys)}")
+    return value
+
+
+def _read(block: dict, key: str, convert, where: str, default=None):
+    """``convert(block[key])``, or ``default`` when the key is absent or
+    null (``_REQUIRED`` makes that an error). A value that does not convert
+    is a ConfigError naming the key."""
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} needs {key}")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key}: bad value {value!r} ({exc})") from exc
+
+
+def _list_of(convert):
+    """Converter of one value or a list of values to a list."""
+    def to_list(value):
+        return [convert(x) for x in (value if isinstance(value, (list, tuple)) else [value])]
+    return to_list
+
+
+def _as_complex(value) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     if isinstance(value, (int, float)):
         return complex(value)
-    raise ConfigError(f"{name}: expected number or [re, im] pair, got {value!r}")
+    raise ValueError("expected a number or an [re, im] pair")
 
 
 def _drive_list(spec) -> list[float]:
     if isinstance(spec, dict):
-        try:
-            start, stop, num = float(spec["start"]), float(spec["stop"]), int(spec["num"])
-        except KeyError as exc:
-            raise ConfigError(f"drive grid needs start/stop/num, missing {exc}") from exc
+        where = "sweep.drive.values"
+        grid = _block(spec, where, ("start", "stop", "num"))
+        start = _read(grid, "start", float, where, _REQUIRED)
+        stop = _read(grid, "stop", float, where, _REQUIRED)
+        num = _read(grid, "num", int, where, _REQUIRED)
         if num < 1:
             raise ConfigError("drive grid needs num >= 1")
         return [float(x) for x in np.linspace(start, stop, num)]
     if isinstance(spec, (list, tuple)) and spec:
         return [float(x) for x in spec]
     raise ConfigError("drive values must be a non-empty list or {start, stop, num}")
+
+
+# the scalar options of each run-knob block: (key, RunConfig field, conversion)
+_OPTIONS = {
+    "solver": (("tol", "solver_tol", float), ("threads", "threads", int)),
+    "output": (("path", "out_path", str), ("json_mirror", "json_mirror", bool),
+               ("timestamp", "timestamp", bool)),
+    "spectrum": (("tau_max_gamma", "tau_max_gamma", float), ("n_tau", "n_tau", int),
+                 ("kappa_embed_over_gamma", "kappa_embed_over_gamma", float)),
+    "elimination": (("fock_cutoff", "fock_cutoff", int),
+                    ("min_adiabaticity", "min_adiabaticity", float)),
+}
 
 
 @dataclass
@@ -108,7 +158,6 @@ class RunConfig:
     n_values: list = field(default_factory=list)
     delta_over_gamma_values: list = field(default_factory=lambda: [0.0])
     solver_tol: float | None = None
-    solver_method: str | None = None
     threads: int | None = None
     out_path: str | None = None
     json_mirror: bool = False
@@ -148,10 +197,6 @@ class RunConfig:
                 f"{self.mode} rows use the resonant closed forms; they need "
                 f"delta = 0, got delta = {delta}"
             )
-        if self.solver_method is not None and self.solver_method not in ROUTES:
-            raise ConfigError(
-                f"unknown solver.method {self.solver_method!r}; expected one of {ROUTES}"
-            )
         if any(d is not None and d < 0 for d in self.drive_values):
             raise ConfigError("drive values must be non-negative; set the drive phase instead")
         if self.n_tau < 16:
@@ -165,9 +210,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, mode: str | None = None) -> "RunConfig":
+        """Parse a config object. Every block must be an object holding only
+        the keys read here; an unknown key or a value that does not convert
+        is a ConfigError, and null means the default."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg_mode = raw.get("mode", mode)
+        _block(raw, "config", ("mode", "params", "sweep", *_OPTIONS))
+        cfg_mode = _read(raw, "mode", str, "config", mode)
         if cfg_mode is None:
             raise ConfigError("mode missing from config and command line")
         if mode is not None and cfg_mode != mode:
@@ -175,48 +224,43 @@ class RunConfig:
                 f"config mode {cfg_mode!r} conflicts with requested mode {mode!r}"
             )
 
-        params = raw.get("params")
-        if not isinstance(params, dict):
-            raise ConfigError("config needs a params block")
-        levels = [k for k in ("effective", "cavity") if k in params]
-        if len(levels) != 1:
+        params = _block(raw.get("params"), "params", ("effective", "cavity"))
+        if len(params) != 1:
             raise ConfigError(
                 "supply exactly one parameter level: params.effective or params.cavity"
             )
-        level = levels[0]
-        block = params[level]
-        if not isinstance(block, dict):
-            raise ConfigError(f"params.{level} must be an object")
+        [(level, block)] = params.items()
+        where = f"params.{level}"
 
         kwargs: dict = {"mode": cfg_mode, "level": level}
-        sweep = raw.get("sweep", {})
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep block must be an object")
+        sweep = _block(raw.get("sweep"), "sweep", ("N", "Delta_over_gamma", "drive"))
 
         if level == "effective":
-            kwargs["gamma"] = float(block.get("gamma", 1.0))
-            kwargs["delta"] = float(block.get("delta", 0.0))
-            n_vals = sweep.get("N", block.get("N"))
+            block = _block(block, where, ("gamma", "delta", "N", "Delta_over_gamma"))
+            kwargs["gamma"] = _read(block, "gamma", float, where, 1.0)
+            kwargs["delta"] = _read(block, "delta", float, where, 0.0)
+            n_vals = _read(sweep, "N", _list_of(int), "sweep")
+            if n_vals is None:
+                n_vals = _read(block, "N", _list_of(int), where)
             if n_vals is None:
                 raise ConfigError("effective-level config needs N (in params or sweep)")
-            if not isinstance(n_vals, (list, tuple)):
-                n_vals = [n_vals]
-            kwargs["n_values"] = [int(n) for n in n_vals]
-            d_vals = sweep.get("Delta_over_gamma", block.get("Delta_over_gamma", [0.0]))
-            if not isinstance(d_vals, (list, tuple)):
-                d_vals = [d_vals]
-            kwargs["delta_over_gamma_values"] = [float(d) for d in d_vals]
+            kwargs["n_values"] = n_vals
+            d_vals = _read(sweep, "Delta_over_gamma", _list_of(float), "sweep")
+            if d_vals is None:
+                d_vals = _read(block, "Delta_over_gamma", _list_of(float), where, [0.0])
+            kwargs["delta_over_gamma_values"] = d_vals
         else:
+            block = _block(block, where, ("g", "kappa", "delta_c", "Omega_L", "N", "delta"))
             try:
                 kwargs["cavity"] = CavityParams(
-                    g=_as_complex(block["g"], "g"),
-                    kappa=float(block["kappa"]),
-                    delta_c=float(block.get("delta_c", 0.0)),
-                    Omega_L=_as_complex(block.get("Omega_L", 0.0), "Omega_L"),
-                    N=int(block["N"]),
-                    delta=float(block.get("delta", 0.0)),
+                    g=_read(block, "g", _as_complex, where, _REQUIRED),
+                    kappa=_read(block, "kappa", float, where, _REQUIRED),
+                    delta_c=_read(block, "delta_c", float, where, 0.0),
+                    Omega_L=_read(block, "Omega_L", _as_complex, where, 0.0),
+                    N=_read(block, "N", int, where, _REQUIRED),
+                    delta=_read(block, "delta", float, where, 0.0),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad cavity parameter block: {exc}") from exc
             if "N" in sweep or "Delta_over_gamma" in sweep:
                 raise ConfigError(
@@ -225,51 +269,25 @@ class RunConfig:
                 )
 
         if "drive" in sweep:
-            drive = sweep["drive"]
-            if not isinstance(drive, dict) or "values" not in drive:
-                raise ConfigError("sweep.drive needs a 'values' entry")
-            kwargs["drive_values"] = _drive_list(drive["values"])
-            units = drive.get("units", "critical")
+            drive = _block(sweep["drive"], "sweep.drive", ("values", "units", "phase"))
+            kwargs["drive_values"] = _read(drive, "values", _drive_list, "sweep.drive",
+                                           _REQUIRED)
+            units = _read(drive, "units", str, "sweep.drive", "critical")
             if units not in ("critical", "absolute"):
                 raise ConfigError("drive units must be 'critical' or 'absolute'")
             kwargs["drive_absolute"] = units == "absolute"
-            kwargs["drive_phase"] = float(drive.get("phase", 0.0))
+            kwargs["drive_phase"] = _read(drive, "phase", float, "sweep.drive", 0.0)
         elif level == "cavity":
             kwargs["drive_values"] = [None]  # use Omega_L as given
         else:
             raise ConfigError("effective-level runs need a sweep.drive block")
 
-        solver = raw.get("solver", {})
-        if solver:
-            if "tol" in solver:
-                kwargs["solver_tol"] = float(solver["tol"])
-            if solver.get("method") is not None:
-                kwargs["solver_method"] = str(solver["method"])
-            if "threads" in solver:
-                kwargs["threads"] = int(solver["threads"])
-
-        output = raw.get("output", {})
-        if output:
-            if "path" in output:
-                kwargs["out_path"] = str(output["path"])
-            kwargs["json_mirror"] = bool(output.get("json_mirror", False))
-            kwargs["timestamp"] = bool(output.get("timestamp", True))
-
-        spectrum = raw.get("spectrum", {})
-        if spectrum:
-            if "tau_max_gamma" in spectrum:
-                kwargs["tau_max_gamma"] = float(spectrum["tau_max_gamma"])
-            if "n_tau" in spectrum:
-                kwargs["n_tau"] = int(spectrum["n_tau"])
-            if "kappa_embed_over_gamma" in spectrum:
-                kwargs["kappa_embed_over_gamma"] = float(spectrum["kappa_embed_over_gamma"])
-
-        elim = raw.get("elimination", {})
-        if elim:
-            if "fock_cutoff" in elim:
-                kwargs["fock_cutoff"] = int(elim["fock_cutoff"])
-            if "min_adiabaticity" in elim:
-                kwargs["min_adiabaticity"] = float(elim["min_adiabaticity"])
+        for name, options in _OPTIONS.items():
+            knobs = _block(raw.get(name), name, [key for key, _, _ in options])
+            for key, attr, convert in options:
+                value = _read(knobs, key, convert, name)
+                if value is not None:
+                    kwargs[attr] = value
 
         return cls(**kwargs)
 
@@ -414,15 +432,13 @@ _SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
 def _numeric_state(point: GridPoint):
     """Dicke model and steady state of a point: the closed form at
-    delta = 0 unless a solver route is forced, the numeric solve otherwise."""
+    delta = 0, the sparse LU otherwise."""
     cfg = point.config
     model = build_dicke_model(point.effective)
-    if cfg.solver_method is None and point.effective.delta == 0.0:
+    if point.effective.delta == 0.0:
         rho, report = resonant_steady_state(model, cfg.solver_tol)
     else:
-        rho, report = steady_state(
-            model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method)
-        )
+        rho, report = steady_state(model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol))
     return model, rho, report
 
 
@@ -548,7 +564,7 @@ def _rows_elimination(point: GridPoint) -> list:
         point.cavity,
         cfg.fock_cutoff,
         min_adiabaticity=cfg.min_adiabaticity,
-        solve_opts=SteadyStateOptions(tol=cfg.solver_tol, method=cfg.solver_method),
+        solve_opts=SteadyStateOptions(tol=cfg.solver_tol),
     )
     rows = []
     for name in ("Jz", "Jminus", "JpJm"):

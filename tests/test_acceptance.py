@@ -18,10 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm
 
+from oracles import brute_force_steady_state, dense_spin_ops, dicke_hamiltonian
+
 from dickelab.cli import main as cli_main
 from dickelab.lindblad import (
     DensityMatrix,
-    SteadyStateOptions,
     expect,
     steady_state,
     time_evolve,
@@ -300,15 +301,19 @@ def test_criterion_8_engine_properties(tmp_path):
     assert drift_tr <= 1e-9
     assert drift_h <= 1e-9
 
-    # the three solver routes and the resonant closed form agree
+    # the sparse LU, the resonant closed form and the dense null space of
+    # the independently built generator agree
     worst_td = 0.0
     for n, ratio in ((12, 0.55), (20, 0.5)):
-        model = build_dicke_model(eff(n, ratio, 0.25))
+        e = eff(n, ratio, 0.25)
+        model = build_dicke_model(e)
+        ops = dense_spin_ops(n)
         states = [
-            steady_state(model.liouvillian, SteadyStateOptions(method=m))[0]
-            for m in ("dense-nullspace", "sparse-direct", "long-time-integration")
+            steady_state(model.liouvillian)[0],
+            resonant_steady_state(model)[0],
+            brute_force_steady_state(dicke_hamiltonian(ops, e.Delta, e.Omega),
+                                     [(e.gamma, ops["jm"])]),
         ]
-        states.append(resonant_steady_state(model)[0])
         for i in range(len(states)):
             for k in range(i + 1, len(states)):
                 worst_td = max(worst_td, trace_distance(states[i], states[k]))
@@ -339,7 +344,8 @@ def test_criterion_8_engine_properties(tmp_path):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
     report(8, "engine properties",
-           f"route and closed-form agreement {worst_td:.1e} <= 1e-7, trace drift {drift_tr:.1e}, "
+           f"LU, closed-form and dense-oracle agreement {worst_td:.1e} <= 1e-7, "
+           f"trace drift {drift_tr:.1e}, "
            f"herm drift {drift_h:.1e}, regression boundary {bound_dev:.1e}, "
            "serial == parallel bytes")
 

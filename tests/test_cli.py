@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import time
 
 import pytest
@@ -175,10 +176,32 @@ def test_exit_code_config_error(tmp_path):
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [-0.5, 0.5]}}},
+        # a misspelt key would otherwise run at its default (here Delta = 0)
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}, "Delta_over_gama": [1.0]}},
+        # values that do not convert, and a block that is not an object
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": "abc", "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"threads": "two"}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": [1]},
+        # the solver route follows from the input; it cannot be named
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"method": "sparse-direct"}},
     ],
     ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero",
          "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
-         "negative-drive"],
+         "negative-drive", "unknown-key", "non-numeric-value", "non-integer-threads",
+         "block-not-object", "solver-method-retired"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -192,6 +215,15 @@ def test_shipped_configs_parse():
     assert paths
     for path in paths:
         assert RunConfig.from_file(str(path)).mode in MODES
+
+
+def test_readme_config_example_parses():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = RunConfig.from_dict(json.loads(blocks[0]))
+    assert cfg.mode == "sweep-jz"
+    assert cfg.solver_tol is None and cfg.threads == 2
 
 
 def test_exit_code_solver_failure_partial_results(tmp_path):
@@ -211,8 +243,8 @@ def test_exit_code_solver_failure_partial_results(tmp_path):
 
 
 def test_solver_method_column_names_the_route(tmp_path):
-    # resonant rows take the closed form; a detuned row or a forced route
-    # goes through the numeric solve
+    # resonant rows take the closed form; a detuned row goes through the
+    # numeric solve
     base = {
         "mode": "sweep-jz",
         "params": {"effective": {"gamma": 1.0, "N": 10}},
@@ -222,7 +254,6 @@ def test_solver_method_column_names_the_route(tmp_path):
         "resonant": (base, "closed-form"),
         "detuned": ({**base, "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}}},
                     "sparse-direct"),
-        "forced": ({**base, "solver": {"method": "sparse-direct"}}, "sparse-direct"),
     }
     for name, (payload, route) in cases.items():
         cfg = write_cfg(tmp_path / f"{name}.json", payload)

@@ -8,7 +8,6 @@ import scipy.sparse
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
     DensityMatrix,
-    SteadyStateOptions,
     build_liouvillian,
     expect,
     steady_state,
@@ -353,7 +352,7 @@ def test_resonant_closed_form_matches_sparse_lu():
         assert report.method == "closed-form"
         assert report.iterations == 0 and report.uniqueness_ratio is None
         assert report.residual <= 1e-10 * max(model.liouvillian.scale, 1.0)
-        ref, _ = steady_state(model.liouvillian, SteadyStateOptions(method="sparse-direct"))
+        ref, _ = steady_state(model.liouvillian)
         worst = max(worst, trace_distance(rho, ref))
     assert worst <= 1e-10
 
