@@ -14,6 +14,7 @@ from .errors import (
 from .lindblad import (
     DensityMatrix,
     Liouvillian,
+    PropagationReport,
     SteadyStateOptions,
     SteadyStateSolveReport,
     build_liouvillian,

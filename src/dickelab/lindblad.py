@@ -21,12 +21,36 @@ size limit. (The resonant Dicke model also has an exact steady state,
 
 Every candidate, from the LU or from the closed form, passes the same
 gate, :func:`accept_steady_state`.
+
+Time evolution and the regression correlator share one propagator, the
+shift-invert (rational) Krylov approximation of exp(t L) of van den
+Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438 (2006)). I - h L is
+factored once by sparse LU (COLAMD ordering), with the shift h the last
+grid time over KRYLOV_SHIFT_STEPS (4 steps of the default 512-point lag
+grid). Arnoldi on (I - h L)^{-1}, with full reorthogonalization, builds
+an orthonormal basis V_m and a Hessenberg H_m; the projected generator is
+A_m = (I - H_m^{-1}) / h, and exp(t L) y ~ |y| V_m exp(t A_m) e_1. On the
+grid, exp(dt A_m) comes from ``scipy.linalg.expm`` once per run of equal
+steps and is applied by repeated products; A_m is not diagonalized to
+propagate, since its eigenvectors are ill-conditioned. The fast
+collective modes (rates of order N^2 gamma) are damped by the inverse, so
+they set no step size. Every few vectors
+the values on the whole grid are recomputed; the basis stops growing when
+they change by no more than the caller's stop rule, or when it spans an
+invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
+vectors raise NoConvergence.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import importlib
+import logging
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +58,31 @@ import scipy.sparse as sp
 
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 
+logger = logging.getLogger(__name__)
+
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
 
 # inverse-iteration stopping rule of the uniqueness probe
 PROBE_RTOL = 1e-2
 PROBE_MAX_STEPS = 10
+
+# shift-invert Krylov propagation: the shift is the last grid time over
+# KRYLOV_SHIFT_STEPS; a basis that needs more than KRYLOV_MAX_DIM vectors
+# is a NoConvergence. The stop rule is checked every KRYLOV_CHECK_EVERY
+# vectors, or every eighth of the basis once that is more. Its tolerances
+# are relative changes between checks: of the connected correlator on its
+# lag grid, and of the evolved state. A subspace whose next Arnoldi
+# vector is below BREAKDOWN_RTOL of its solve is invariant.
+KRYLOV_SHIFT_STEPS = 128
+KRYLOV_MAX_DIM = 300
+KRYLOV_CHECK_EVERY = 4
+CORRELATOR_RTOL = 1e-10
+EVOLVE_RTOL = 1e-12
+BREAKDOWN_RTOL = 1e-12
+# decay rates of a projected generator below this share of its norm are
+# its stationary mode
+RATE_FLOOR = 1e-8
 
 
 def uniqueness_threshold(order: int) -> float:
@@ -334,78 +377,243 @@ def _uniqueness_probe(lu, n: int, scale: float) -> float:
     return sigma / scale
 
 
-def _propagate(S: sp.csr_array, y0: np.ndarray, t_end: float, what: str, **kwargs):
-    """DOP853 solution of dy/dt = S y from 0 to t_end, one column per
-    output time. A failed integration raises NoConvergence naming ``what``."""
-    from scipy.integrate import solve_ivp  # deferred: most runs never integrate
+# OpenBLAS copies bundled with the numpy and scipy wheels, with the suffix
+# of each copy's thread-count symbols
+_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
 
-    sol = solve_ivp(lambda t, v: S @ v, (0.0, t_end), y0, method="DOP853", **kwargs)
-    if not sol.success:
-        raise NoConvergence(f"{what} failed: {sol.message}")
-    return sol.y
+
+def openblas_libraries() -> dict:
+    """package -> (ctypes handle, symbol suffix) for each bundled OpenBLAS
+    copy that is found. Opening a copy that is already loaded returns the
+    loaded one."""
+    libs = {}
+    for package, suffix in _OPENBLAS:
+        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                libs[package] = (lib, suffix)
+    return libs
+
+
+@contextmanager
+def _single_blas_thread():
+    """One thread in each bundled OpenBLAS copy for the duration, then the
+    previous counts. The dense work of a Krylov propagation is on m x m
+    matrices (m ~ 100), where a second thread costs more than it gives:
+    measured on 2 cores, expm of an 80 x 80 matrix took 94 ms with two
+    threads and 2.8 ms with one."""
+    libs = list(openblas_libraries().values())
+    previous = [getattr(lib, f"scipy_openblas_get_num_threads{suffix}")()
+                for lib, suffix in libs]
+    for lib, suffix in libs:
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+    try:
+        yield
+    finally:
+        for (lib, suffix), count in zip(libs, previous):
+            getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
+
+
+def _ascending_grid(grid, name: str) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if np.any(np.diff(grid) <= 0) or grid[0] < 0:
+        raise ValueError(f"{name} must be strictly increasing and non-negative")
+    return grid
+
+
+@dataclass(frozen=True)
+class PropagationReport:
+    """What one Krylov propagation did: the basis size, the nonzeros of
+    L + U of the shifted factor, the last change seen by the stop rule,
+    and the slowest nonzero decay rate of the projected generator (None
+    when no mode of the basis decays)."""
+
+    krylov_dim: int
+    lu_nnz: int
+    change: float
+    slowest_rate: float | None
+
+
+def _grid_coefficients(A: np.ndarray, t_grid: np.ndarray, beta: float) -> np.ndarray:
+    """beta exp(t A) e_1 at each t of the ascending grid, one column per
+    point. A run of equal grid steps costs one expm of the step E and
+    about 2 log2(run) products: the block of columns E y, ..., E^s y is
+    extended by E^s times itself."""
+    from scipy.linalg import expm
+
+    y = np.zeros(A.shape[0], dtype=np.complex128)
+    y[0] = beta
+    steps = np.diff(t_grid, prepend=0.0)
+    same = 8 * np.finfo(float).eps * t_grid[-1]
+    blocks, k = [], 0
+    while k < steps.size:
+        run = 1
+        while k + run < steps.size and abs(steps[k + run] - steps[k]) <= same:
+            run += 1
+        if steps[k] == 0.0:  # a first grid point at t = 0
+            block = y[:, None]
+        else:
+            power = expm(steps[k] * A)
+            block = (power @ y)[:, None]
+            while block.shape[1] < run:
+                block = np.hstack([block, power @ block])
+                power = power @ power
+            block = block[:, :run]
+        blocks.append(block)
+        y = block[:, -1]
+        k += run
+    return np.hstack(blocks)
+
+
+def _slowest_rate(A: np.ndarray) -> float | None:
+    lam = np.linalg.eigvals(A)
+    rates = -lam.real
+    decaying = rates[rates > RATE_FLOOR * max(float(np.abs(lam).max()), 1e-300)]
+    return float(decaying.min()) if decaying.size else None
+
+
+@_single_blas_thread()
+def _propagate(S: sp.csr_array, y0: np.ndarray, t_grid: np.ndarray, observe, tolerance,
+               what: str):
+    """exp(t S) y0 on an ascending grid by shift-invert Krylov.
+
+    ``observe`` is a (p, n) array of functionals, or None to observe the
+    coordinates of the state in the orthonormal basis (whose changes are
+    those of the state). The basis grows until the observed values on the
+    whole grid change by at most ``tolerance(values)`` from one check to
+    the next, or until it spans an invariant subspace; past KRYLOV_MAX_DIM
+    vectors NoConvergence names ``what``. The dense work runs on one BLAS
+    thread. Returns
+    ``(values, V, report)``: values (p or m, K), and the basis V as m
+    rows of length n, so that the states are ``values.T @ V`` when
+    ``observe`` is None.
+    """
+    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+
+    t_end = float(t_grid[-1])
+    beta = float(np.linalg.norm(y0))
+    if t_end == 0.0 or beta == 0.0:
+        # the grid is [0], or the start is zero and stays so
+        V = y0[None, :]
+        coeffs = np.ones((1, t_grid.size), dtype=np.complex128)
+        values = coeffs if observe is None else (observe @ y0)[:, None] * coeffs
+        return values, V, PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0,
+                                            slowest_rate=None)
+
+    n = y0.size
+    h = t_end / KRYLOV_SHIFT_STEPS
+    lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc())
+    lu_nnz = int(lu.L.nnz + lu.U.nnz)
+
+    V = np.empty((KRYLOV_MAX_DIM + 1, n), dtype=np.complex128)
+    H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM), dtype=np.complex128)
+    seen = None if observe is None else np.empty((observe.shape[0], KRYLOV_MAX_DIM),
+                                                  dtype=np.complex128)
+    V[0] = y0 / beta
+    values, previous, change, limit = None, None, math.inf, math.nan
+    check = KRYLOV_CHECK_EVERY
+    for m in range(1, KRYLOV_MAX_DIM + 1):
+        j = m - 1
+        if seen is not None:
+            seen[:, j] = observe @ V[j]
+        w = lu.solve(V[j])
+        size = float(np.linalg.norm(w))
+        for _ in range(2):  # classical Gram-Schmidt, repeated once
+            c = np.conj(V[:m] @ np.conj(w))
+            w -= c @ V[:m]
+            H[:m, j] += c
+        H[m, j] = np.linalg.norm(w)
+        invariant = H[m, j].real <= BREAKDOWN_RTOL * size
+
+        if invariant or m == check or m == KRYLOV_MAX_DIM:
+            check = m + max(KRYLOV_CHECK_EVERY, m // 8)
+            A = (np.eye(m) - np.linalg.inv(H[:m, :m])) / h
+            previous = values
+            coeffs = _grid_coefficients(A, t_grid, beta)
+            values = coeffs if seen is None else seen[:, :m] @ coeffs
+            limit = tolerance(values)
+            if previous is not None:
+                diff = values.copy()
+                diff[:previous.shape[0]] -= previous
+                change = float(np.linalg.norm(diff, axis=0).max())
+            if invariant or change <= limit:
+                break
+        V[m] = w / H[m, j]
+    else:
+        raise NoConvergence(
+            f"{what} did not converge within {KRYLOV_MAX_DIM} Krylov vectors: "
+            f"last change {change:.3e} above {limit:.3e}"
+        )
+
+    report = PropagationReport(krylov_dim=m, lu_nnz=lu_nnz,
+                               change=0.0 if previous is None else change,
+                               slowest_rate=_slowest_rate(A))
+    logger.debug("%s: Krylov dimension %d, L+U nonzeros %d, last change %.3e "
+                 "(tolerance %.3e), slowest decay rate %s", what, report.krylov_dim,
+                 report.lu_nnz, report.change, limit, report.slowest_rate)
+    return values, V[:m], report
 
 
 def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
-    """Propagate rho0 along t_grid with an adaptive high-order RK scheme.
+    """Propagate rho0 along t_grid.
 
     Returns one DensityMatrix per grid point (the grid must be ascending
-    and non-negative; t=0 returns the initial state). States are checked,
-    not repaired: trace and Hermiticity drift stay visible to the caller,
-    which is why the tolerances are tight.
+    and non-negative; t=0 returns the initial state). The propagator is
+    the shift-invert Krylov one of :func:`_propagate`; the basis grows
+    until no state on the grid changes by more than EVOLVE_RTOL times
+    |rho0| (Frobenius) from one check to the next. States are
+    checked, not repaired: trace and Hermiticity drift stay visible to the
+    caller, which is why the stop rule is tight.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be strictly increasing and non-negative")
-    S = L.superoperator
+    t_grid = _ascending_grid(t_grid, "t_grid")
     y0 = vectorize(rho0.matrix)
-    atol = 1e-14 * max(1.0, float(np.abs(y0).max()))
-
-    t_end = float(t_grid[-1])
-    if t_end == 0.0:
-        return [DensityMatrix(rho0.matrix, validate=False)]
-    ys = _propagate(S, y0, t_end, "time evolution", t_eval=t_grid, rtol=1e-12, atol=atol)
+    limit = EVOLVE_RTOL * float(np.linalg.norm(y0))
+    coeffs, V, _ = _propagate(L.superoperator, y0, t_grid, None, lambda _: limit,
+                              "time evolution")
     states = []
-    for k in range(ys.shape[1]):
-        mat = unvectorize(ys[:, k], L.dim)
-        dm = DensityMatrix(mat, validate=False)
+    for y in coeffs.T @ V:
+        dm = DensityMatrix(unvectorize(y, L.dim), validate=False)
         dm.validate(atol=1e-9)
         states.append(dm)
     return states
 
 
-def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
+def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
+                        full_output: bool = False):
     """Steady-state correlator <A(0) B(tau)> by quantum regression.
 
-    Propagates rho_ss A under L and traces against B at each lag. The
-    tau=0 value equals the one-time expectation of A B.
+    Propagates the connected operator rho_ss A - <A> rho_ss under L and
+    traces against B at each lag, then adds back <A><B>. The connected
+    start has no component on the stationary mode (exp(L tau) rho_ss =
+    rho_ss and the trace is conserved), so the Krylov basis of
+    :func:`_propagate` spans only decaying modes. The basis grows until
+    the connected values on the lag grid change by at most
+    max(CORRELATOR_RTOL max|C|, eps D |<A B>|) from one check to the next.
+    The second term is the round-off of the connected start itself: a
+    start below it is noise, and the propagation stops after a few
+    vectors instead of resolving that noise.
+    The tau=0 value equals the one-time expectation of A B. With
+    ``full_output`` the return is ``(values, PropagationReport)``.
     """
-    tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    if np.any(np.diff(tau_grid) <= 0) or tau_grid[0] < 0:
-        raise ValueError("tau_grid must be strictly increasing and non-negative")
-
+    tau_grid = _ascending_grid(tau_grid, "tau_grid")
     A_mat = A.toarray() if sp.issparse(A) else np.asarray(A)
     B_mat = B.toarray() if sp.issparse(B) else np.asarray(B)
     if A_mat.shape[0] != L.dim or B_mat.shape[0] != L.dim:
         raise ValueError("operator dimension does not match the Liouvillian")
 
-    X0 = rho_ss.matrix @ A_mat
-    y0 = vectorize(X0)
-    atol = 1e-13 * max(1.0, float(np.abs(y0).max()))
-    S = L.superoperator
-
-    # value at a lag: trace(B X) with X the propagated operator
-    def overlap(v):
-        X = unvectorize(v, L.dim)
-        return complex(np.einsum("ij,ji->", B_mat, X))
-
-    values = np.empty(tau_grid.size, dtype=np.complex128)
-    start = 0
-    if tau_grid[0] == 0.0:
-        values[0] = overlap(y0)
-        start = 1
-    if start < tau_grid.size:
-        ys = _propagate(S, y0, float(tau_grid[-1]), "correlator propagation",
-                        t_eval=tau_grid[start:], rtol=1e-10, atol=atol)
-        for k in range(ys.shape[1]):
-            values[start + k] = overlap(ys[:, k])
-    return values
+    rho = rho_ss.matrix
+    X0 = rho @ A_mat
+    mean_a = X0.trace()
+    mean_b = np.einsum("ij,ji->", B_mat, rho)
+    floor = np.finfo(float).eps * L.dim * abs(np.einsum("ij,ji->", B_mat, X0))
+    observe = vectorize(B_mat.T)[None, :]  # trace(B X) = vec(B^T) . vec(X)
+    connected, _, report = _propagate(
+        L.superoperator, vectorize(X0 - mean_a * rho), tau_grid, observe,
+        lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
+        "correlator propagation")
+    values = connected[0] + mean_a * mean_b
+    return (values, report) if full_output else values

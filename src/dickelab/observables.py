@@ -335,15 +335,23 @@ def output_spectrum(
         tau_max = 10.0 / rate
     tau = np.linspace(0.0, tau_max, n_tau)
 
-    raw = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"], ops["J_minus"], tau)
+    raw, report = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"],
+                                      ops["J_minus"], tau, full_output=True)
     corr = raw - abs(moments.jminus_mean) ** 2
 
     decayed = abs(corr[-1]) <= 1e-3 * max(abs(corr[0]), 1e-300)
     if not decayed:
+        horizon = ""
+        if report.slowest_rate is not None:
+            horizon = (
+                f"; the slowest decay rate of the projected generator is "
+                f"{report.slowest_rate:.3g}, so tau_max ~ "
+                f"{math.log(1000.0) / report.slowest_rate:.3g} would reach 1e-3"
+            )
         warnings.warn(
             f"dipole correlator only decayed to {abs(corr[-1]):.3e} of "
             f"{abs(corr[0]):.3e} at tau_max = {tau_max:.3g}; spectrum is "
-            "under-resolved",
+            f"under-resolved{horizon}",
             stacklevel=2,
         )
 

@@ -26,9 +26,6 @@ byte-level reproducibility.
 from __future__ import annotations
 
 import csv
-import ctypes
-import glob
-import importlib
 import json
 import math
 import os
@@ -45,7 +42,7 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import SteadyStateOptions, expect, steady_state
+from .lindblad import SteadyStateOptions, expect, openblas_libraries, steady_state
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
     dipole_fluctuation_moments,
@@ -106,6 +103,22 @@ def _list_of(convert):
     return to_list
 
 
+def _as_int(value) -> int:
+    """A JSON number with an integral value; ``int()`` would truncate 2.7."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("expected an integer")
+    if not float(value).is_integer():
+        raise ValueError("expected an integer, not a fraction")
+    return int(value)
+
+
+def _as_flag(value) -> bool:
+    """A JSON boolean; ``bool()`` would turn the string "false" on."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
@@ -120,7 +133,7 @@ def _drive_list(spec) -> list[float]:
         grid = _block(spec, where, ("start", "stop", "num"))
         start = _read(grid, "start", float, where, _REQUIRED)
         stop = _read(grid, "stop", float, where, _REQUIRED)
-        num = _read(grid, "num", int, where, _REQUIRED)
+        num = _read(grid, "num", _as_int, where, _REQUIRED)
         if num < 1:
             raise ConfigError("drive grid needs num >= 1")
         return [float(x) for x in np.linspace(start, stop, num)]
@@ -131,12 +144,12 @@ def _drive_list(spec) -> list[float]:
 
 # the scalar options of each run-knob block: (key, RunConfig field, conversion)
 _OPTIONS = {
-    "solver": (("tol", "solver_tol", float), ("threads", "threads", int)),
-    "output": (("path", "out_path", str), ("json_mirror", "json_mirror", bool),
-               ("timestamp", "timestamp", bool)),
-    "spectrum": (("tau_max_gamma", "tau_max_gamma", float), ("n_tau", "n_tau", int),
+    "solver": (("tol", "solver_tol", float), ("threads", "threads", _as_int)),
+    "output": (("path", "out_path", str), ("json_mirror", "json_mirror", _as_flag),
+               ("timestamp", "timestamp", _as_flag)),
+    "spectrum": (("tau_max_gamma", "tau_max_gamma", float), ("n_tau", "n_tau", _as_int),
                  ("kappa_embed_over_gamma", "kappa_embed_over_gamma", float)),
-    "elimination": (("fock_cutoff", "fock_cutoff", int),
+    "elimination": (("fock_cutoff", "fock_cutoff", _as_int),
                     ("min_adiabaticity", "min_adiabaticity", float)),
 }
 
@@ -239,9 +252,9 @@ class RunConfig:
             block = _block(block, where, ("gamma", "delta", "N", "Delta_over_gamma"))
             kwargs["gamma"] = _read(block, "gamma", float, where, 1.0)
             kwargs["delta"] = _read(block, "delta", float, where, 0.0)
-            n_vals = _read(sweep, "N", _list_of(int), "sweep")
+            n_vals = _read(sweep, "N", _list_of(_as_int), "sweep")
             if n_vals is None:
-                n_vals = _read(block, "N", _list_of(int), where)
+                n_vals = _read(block, "N", _list_of(_as_int), where)
             if n_vals is None:
                 raise ConfigError("effective-level config needs N (in params or sweep)")
             kwargs["n_values"] = n_vals
@@ -257,7 +270,7 @@ class RunConfig:
                     kappa=_read(block, "kappa", float, where, _REQUIRED),
                     delta_c=_read(block, "delta_c", float, where, 0.0),
                     Omega_L=_read(block, "Omega_L", _as_complex, where, 0.0),
-                    N=_read(block, "N", int, where, _REQUIRED),
+                    N=_read(block, "N", _as_int, where, _REQUIRED),
                     delta=_read(block, "delta", float, where, 0.0),
                 )
             except ValueError as exc:
@@ -668,40 +681,18 @@ def compute_point(point: GridPoint) -> list:
     return out
 
 
-# OpenBLAS copies bundled with the numpy and scipy wheels, with the suffix
-# of each copy's thread-count symbols
-_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
-
-
-def _openblas_libraries() -> dict:
-    """package -> (ctypes handle, symbol suffix) for each bundled OpenBLAS
-    copy that is found. Opening a copy that is already loaded returns the
-    loaded one."""
-    libs = {}
-    for package, suffix in _OPENBLAS:
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
-                libs[package] = (lib, suffix)
-    return libs
-
-
 def blas_thread_counts() -> dict:
     """Thread count of each bundled OpenBLAS copy in this process."""
     return {
         package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
-        for package, (lib, suffix) in _openblas_libraries().items()
+        for package, (lib, suffix) in openblas_libraries().items()
     }
 
 
 def _one_blas_thread():
     """Pool initializer: one BLAS thread per worker. A copy that is not
     found is left alone."""
-    for lib, suffix in _openblas_libraries().values():
+    for lib, suffix in openblas_libraries().values():
         getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
 
 

@@ -197,11 +197,31 @@ def test_exit_code_config_error(tmp_path):
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
          "solver": {"method": "sparse-direct"}},
+        # an integer key takes no fraction, and a flag takes only a JSON boolean
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0}},
+         "sweep": {"N": [2.7], "drive": {"values": [0.5]}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"threads": 1.5}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": {"start": 0.2, "stop": 0.8, "num": 3.9}}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "output": {"timestamp": "false"}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "output": {"json_mirror": "no"}},
     ],
     ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero",
          "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
          "negative-drive", "unknown-key", "non-numeric-value", "non-integer-threads",
-         "block-not-object", "solver-method-retired"],
+         "block-not-object", "solver-method-retired", "fractional-n", "fractional-threads",
+         "fractional-num", "string-timestamp", "string-json-mirror"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from oracles import (
@@ -25,7 +26,7 @@ from dickelab.lindblad import (
     unvectorize,
     vectorize,
 )
-from dickelab.models import build_cavity_model
+from dickelab.models import build_cavity_model, build_dicke_model, resonant_steady_state
 from dickelab.operators import SpinRep, build_spin_operators
 from dickelab.parameters import CavityParams, EffectiveParams
 
@@ -271,6 +272,56 @@ def test_correlator_factorizes_at_long_lag():
     # slowest rate ~ N cos(t) gamma/2 = 21.6 gamma: tau = 1.5 is >> 1/rate
     vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.0, 1.5])
     assert abs(vals[1] - abs(jm) ** 2) <= 1e-6 * abs(jm) ** 2
+
+
+def _dense_correlator(L, rho, A, B, taus):
+    """<A(0) B(tau)> from the dense exponential of the generator applied to
+    vec(rho A), one expm per lag."""
+    S = L.superoperator.toarray()
+    x = vectorize(rho.matrix @ A.toarray())
+    w = vectorize(B.toarray().T)
+    return np.array([w @ (scipy.linalg.expm(t * S) @ x) for t in taus])
+
+
+@pytest.mark.parametrize(
+    "n_atoms, ratio, delta_over_gamma, delta, taus",
+    [
+        (10, 0.9, 0.5, 0.0, np.linspace(0.0, 1.0, 64)),
+        (8, 0.6, 0.5, 0.3, np.linspace(0.0, 1.5, 64)),
+        (10, 0.9, 0.5, 0.0, np.concatenate(([0.0], np.geomspace(1e-3, 2.0, 40)))),
+    ],
+    ids=["closed-form", "detuned-lu", "non-uniform-grid"],
+)
+def test_correlator_matches_dense_exponential(n_atoms, ratio, delta_over_gamma, delta, taus):
+    e = EffectiveParams(gamma=1.0, Delta=delta_over_gamma, Omega=0.0, N=n_atoms,
+                        delta=delta).with_drive_ratio(ratio)
+    model = build_dicke_model(e)
+    L, ops = model.liouvillian, model.ops
+    rho = resonant_steady_state(model)[0] if delta == 0.0 else steady_state(L)[0]
+    vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus)
+    # every fourth lag against the reference: the dense expm dominates the cost
+    exact = _dense_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus[::4])
+    means = expect(rho, ops["J_plus"]) * expect(rho, ops["J_minus"])
+    scale = float(np.abs(exact - means).max())
+    assert scale > 1e-3
+    assert float(np.abs(vals[::4] - exact).max()) <= 1e-10 * scale
+
+
+def test_correlator_of_weak_drive_stops_at_round_off():
+    # N = 40, drive 0.5, Delta = 0: the exact connected correlator is of
+    # order var(J_-) = 3.5e-15, below the round-off of its start, so the
+    # propagation stops on the round-off floor after a few vectors
+    e = EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=40).with_drive_ratio(0.5)
+    model = build_dicke_model(e)
+    L, ops = model.liouvillian, model.ops
+    rho, _ = resonant_steady_state(model)
+    taus = np.linspace(0.0, 10.0 / (40 * np.sqrt(1 - 0.5 ** 2) / 2), 512)
+    vals, report = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
+                                       full_output=True)
+    jpjm = expect(rho, ops["J_plus"] @ ops["J_minus"]).real
+    connected = vals - expect(rho, ops["J_plus"]) * expect(rho, ops["J_minus"])
+    assert float(np.abs(connected).max()) <= np.finfo(float).eps * L.dim * jpjm
+    assert report.krylov_dim <= 16
 
 
 def test_density_matrix_repair_and_rejection():

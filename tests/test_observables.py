@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,14 @@ def test_spectrum_short_window_flagged():
     p = cavity_params_for_effective(e, kappa=1000.0)
     jm = expect(rho, model.ops["J_minus"])
     fc = field_composition(p, jm, bloch_angles(e))
-    with pytest.warns(UserWarning, match="under-resolved"):
+    with pytest.warns(UserWarning, match="under-resolved") as record:
         spec = output_spectrum(model, fc, tau_max=0.3, n_tau=64, rho_ss=rho)
     assert not spec.correlator_decayed
+    # the warning names the horizon set by the slowest decay rate of the
+    # projected generator; twice that window resolves the correlator
+    found = re.search(r"slowest decay rate .* is (\S+), so tau_max ~ (\S+) would reach 1e-3",
+                      str(record[0].message))
+    rate, horizon = float(found.group(1)), float(found.group(2))
+    assert horizon == pytest.approx(math.log(1000.0) / rate, rel=1e-2)
+    assert output_spectrum(model, fc, tau_max=2 * horizon, n_tau=256,
+                           rho_ss=rho).correlator_decayed
