@@ -48,6 +48,7 @@ from .observables import (
     hp_moments,
     hp_moments_numeric,
     output_spectrum,
+    spin_moments,
     spin_squeezing_analytic,
     spin_squeezing_numeric,
 )

@@ -399,23 +399,32 @@ def openblas_libraries() -> dict:
     return libs
 
 
+def blas_thread_counts() -> dict:
+    """Thread count of each bundled OpenBLAS copy in this process."""
+    return {package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
+            for package, (lib, suffix) in openblas_libraries().items()}
+
+
+def set_blas_threads(counts: dict):
+    """Set the thread count of each copy, as ``blas_thread_counts`` names them."""
+    for package, (lib, suffix) in openblas_libraries().items():
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(counts[package])
+
+
 @contextmanager
 def _single_blas_thread():
     """One thread in each bundled OpenBLAS copy for the duration, then the
     previous counts. The dense work of a Krylov propagation is on m x m
-    matrices (m ~ 100), where a second thread costs more than it gives:
-    measured on 2 cores, expm of an 80 x 80 matrix took 94 ms with two
-    threads and 2.8 ms with one."""
-    libs = list(openblas_libraries().values())
-    previous = [getattr(lib, f"scipy_openblas_get_num_threads{suffix}")()
-                for lib, suffix in libs]
-    for lib, suffix in libs:
-        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+    matrices (m ~ 100), and that of a serial sweep (the eigh of each
+    steady-state gate) on D x D ones with D <= 401, where a second thread
+    costs more than it gives: measured on 2 cores, expm of an 80 x 80
+    matrix took 94 ms with two threads and 2.8 ms with one."""
+    previous = blas_thread_counts()
+    set_blas_threads(dict.fromkeys(previous, 1))
     try:
         yield
     finally:
-        for (lib, suffix), count in zip(libs, previous):
-            getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
+        set_blas_threads(previous)
 
 
 def _ascending_grid(grid, name: str) -> np.ndarray:
@@ -584,20 +593,22 @@ def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
 
 def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
                         full_output: bool = False):
-    """Steady-state correlator <A(0) B(tau)> by quantum regression.
+    """Connected steady-state correlator <A(0) B(tau)> - <A><B> by quantum
+    regression.
 
     Propagates the connected operator rho_ss A - <A> rho_ss under L and
-    traces against B at each lag, then adds back <A><B>. The connected
-    start has no component on the stationary mode (exp(L tau) rho_ss =
-    rho_ss and the trace is conserved), so the Krylov basis of
-    :func:`_propagate` spans only decaying modes. The basis grows until
-    the connected values on the lag grid change by at most
+    traces against B at each lag. The disconnected part <A><B> is never
+    added, so its rounding does not enter the returned values. The
+    connected start has no component on the stationary mode
+    (exp(L tau) rho_ss = rho_ss and the trace is conserved), so the Krylov
+    basis of :func:`_propagate` spans only decaying modes. The basis grows
+    until the connected values on the lag grid change by at most
     max(CORRELATOR_RTOL max|C|, eps D |<A B>|) from one check to the next.
     The second term is the round-off of the connected start itself: a
     start below it is noise, and the propagation stops after a few
     vectors instead of resolving that noise.
-    The tau=0 value equals the one-time expectation of A B. With
-    ``full_output`` the return is ``(values, PropagationReport)``.
+    The tau=0 value equals <A B> - <A><B>. With ``full_output`` the return
+    is ``(values, PropagationReport)``.
     """
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
     A_mat = A.toarray() if sp.issparse(A) else np.asarray(A)
@@ -608,12 +619,10 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     rho = rho_ss.matrix
     X0 = rho @ A_mat
     mean_a = X0.trace()
-    mean_b = np.einsum("ij,ji->", B_mat, rho)
     floor = np.finfo(float).eps * L.dim * abs(np.einsum("ij,ji->", B_mat, X0))
     observe = vectorize(B_mat.T)[None, :]  # trace(B X) = vec(B^T) . vec(X)
     connected, _, report = _propagate(
         L.superoperator, vectorize(X0 - mean_a * rho), tau_grid, observe,
         lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
         "correlator propagation")
-    values = connected[0] + mean_a * mean_b
-    return (values, report) if full_output else values
+    return (connected[0], report) if full_output else connected[0]

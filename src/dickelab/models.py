@@ -11,6 +11,9 @@ frequency, where they are time independent:
                + [ c^dag (conj(g) J_- + Omega_L) + h.c. ],
            one collapse channel c at rate kappa.
 
+Both models read their spin observables from ``observables.spin_moments``;
+the cavity model from the spin state reduced over the Fock index.
+
 The cavity model is solved in the frame displaced by the mean field,
 c = alpha + d (Mollow, Phys. Rev. A 12, 1919 (1975)). The displacement is
 unitary, so only the Fock truncation of d approximates:
@@ -36,18 +39,20 @@ import scipy.sparse as sp
 
 from .errors import DimensionCapError, NoConvergence
 from .lindblad import (
+    DensityMatrix,
     Liouvillian,
     SteadyStateOptions,
     accept_steady_state,
     build_liouvillian,
-    expect,
     steady_state,
 )
+from .observables import SpinMoments, spin_moments
 from .operators import (
     FockRep,
     SpinRep,
     build_fock_operators,
     build_spin_operators,
+    ladder_amplitudes,
     tensor,
 )
 from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
@@ -162,7 +167,7 @@ def resonant_steady_state(model: DickeModel, tol: float | None = None):
     if beta == 0:
         raw[0, 0] = 1.0
     else:
-        amp = model.ops["J_minus"].diagonal(1).real
+        amp = ladder_amplitudes(model.rep)
         log_u = np.concatenate(([0.0], np.cumsum(np.log(amp))))
         log_u -= np.arange(dim) * math.log(abs(beta))
         log_t = np.logaddexp.accumulate(2.0 * log_u[::-1])[::-1]
@@ -214,14 +219,12 @@ def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> Ca
     the frame displaced by ``alpha``: the Fock space holds the quanta of
     d = c - alpha, and alpha = 0 is the lab frame.
 
-    ``ops`` holds the lifted spin operators, ``d`` and ``d_dagger``, and
-    the lab field in this frame, ``c`` = d + alpha and ``c_dagger``, with
-    ``photon_number`` = c^dag c. So <c> = alpha + <d> and
-    <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>.
+    ``ops`` holds what the Hamiltonian is built from: the lifted
+    ``J_minus``, ``J_plus`` and ``J_z``, and ``d`` and ``d_dagger``.
     """
     fock = FockRep(cutoff=cutoff)
     spin = SpinRep.for_atoms(p.N)
-    total = cavity_dimension(p, cutoff)
+    cavity_dimension(p, cutoff)
 
     sops = build_spin_operators(spin)
     bops = build_fock_operators(fock)
@@ -231,17 +234,11 @@ def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> Ca
     lift = {
         "J_minus": tensor(sops["J_minus"], eye_f),
         "J_plus": tensor(sops["J_plus"], eye_f),
-        "J_x": tensor(sops["J_x"], eye_f),
-        "J_y": tensor(sops["J_y"], eye_f),
         "J_z": tensor(sops["J_z"], eye_f),
         "d": tensor(eye_s, bops["c"]),
         "d_dagger": tensor(eye_s, bops["c_dagger"]),
     }
     d, d_dag = lift["d"], lift["d_dagger"]
-    shift = alpha * sp.eye_array(total, dtype=np.complex128, format="csr")
-    lift["c"] = d + shift
-    lift["c_dagger"] = d_dag + shift.conj()
-    lift["photon_number"] = lift["c_dagger"] @ lift["c"]
 
     # the c-number drive left on d after the displacement, and the
     # coherent drive the mean field puts on the atoms
@@ -261,28 +258,34 @@ def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> Ca
     return CavityModel(cavity=p, spin_rep=spin, fock_rep=fock, ops=lift, liouvillian=liouv)
 
 
-def _atomic_observables(rho, ops) -> dict:
-    jpjm = ops["J_plus"] @ ops["J_minus"]
-    return {
-        "Jz": expect(rho, ops["J_z"]).real,
-        "Jminus": expect(rho, ops["J_minus"]),
-        "JpJm": expect(rho, jpjm).real,
-    }
+def _atomic_observables(mom: SpinMoments) -> dict:
+    return {"Jz": mom.jz, "Jminus": mom.jm, "JpJm": mom.jp_jm}
 
 
 def _eliminated_observables(p: CavityParams, solve_opts) -> dict:
     """<J_z>, <J_->, <J_+J_-> of the eliminated Dicke model of ``p``."""
     dicke = build_dicke_model(map_cavity_to_effective(p))
     rho, _ = steady_state(dicke.liouvillian, solve_opts)
-    return _atomic_observables(rho, dicke.ops)
+    return _atomic_observables(spin_moments(rho, dicke.rep))
 
 
 def _cavity_side_observables(p: CavityParams, cutoff, alpha, solve_opts) -> dict:
+    """<J_z>, <J_->, <J_+J_->, <c> and <c^dag c> of the atom+cavity model
+    displaced by ``alpha``. The spin moments come from the state reduced
+    over the Fock index. The state reduced over the spins gives <d> (band
+    1) and <d^dag d> (band 0); then <c> = alpha + <d> and
+    <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>."""
     model = build_cavity_model(p, cutoff, alpha)
     rho, _ = steady_state(model.liouvillian, solve_opts)
-    obs = _atomic_observables(rho, model.ops)
-    obs["c"] = expect(rho, model.ops["c"])
-    obs["photons"] = expect(rho, model.ops["photon_number"]).real
+    ds, df = model.spin_rep.dim, model.fock_rep.dim
+    blocks = rho.matrix.reshape(ds, df, ds, df)
+    spin = DensityMatrix(np.einsum("ikjk->ij", blocks), validate=False)
+    fock, n = np.einsum("kikj->ij", blocks), np.arange(df)
+    d_mean = complex(np.sqrt(n[1:]) @ fock.diagonal(-1))
+    obs = _atomic_observables(spin_moments(spin, model.spin_rep))
+    obs["c"] = alpha + d_mean
+    obs["photons"] = (abs(alpha) ** 2 + 2.0 * (np.conj(alpha) * d_mean).real
+                      + float(n @ fock.diagonal().real))
     return obs
 
 

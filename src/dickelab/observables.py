@@ -2,6 +2,9 @@
 numerics from the density matrix and closed forms from the linearized
 fluctuation theory.
 
+Every numeric observable is algebra on one record of low spin moments,
+which :func:`spin_moments` reads from diagonals 0-2 of a Dicke-basis state.
+
 The fluctuation analysis lives in the rotated frame whose -z' axis is the
 mean spin direction. Spin fluctuations map onto a bosonic mode a through
 J'_- ~ sqrt(N) a, J'_z ~ a^dag a - N/2; the stationary solution mixes the
@@ -21,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AboveThresholdError
-from .lindblad import DensityMatrix, expect, steady_state, two_time_correlator
-from .operators import SpinRep, build_spin_operators
+from .lindblad import DensityMatrix, steady_state, two_time_correlator
+
+# build_spin_operators is not used here; it stays importable at this name
+# because the benchmark's tracer wraps observables.build_spin_operators
+from .operators import SpinRep, build_spin_operators, ladder_amplitudes  # noqa: F401
 from .parameters import (
     CRITICAL_RATIO_GUARD,
     BlochAngles,
@@ -32,6 +38,36 @@ from .parameters import (
     bloch_angles,
     rotation_matrix,
 )
+
+
+@dataclass(frozen=True)
+class SpinMoments:
+    """Low moments of the collective spin in one state: <J_z>, <J_z^2>,
+    <J_->, <J_z J_->, <J_+J_->, <J_-^2> and <J_+^2 J_-^2>."""
+
+    jz: float
+    jz2: float
+    jm: complex
+    jz_jm: complex
+    jp_jm: float
+    jm2: complex
+    jp2_jm2: float
+
+    @property
+    def mean_spin(self) -> np.ndarray:
+        """(<J_x>, <J_y>, <J_z>), from J_- = J_x - i J_y."""
+        return np.array([self.jm.real, -self.jm.imag, self.jz])
+
+    @property
+    def second_moments(self) -> np.ndarray:
+        """<J_a J_b>, a, b in (x, y, z): the symmetrized part (from
+        J_-J_+ = J_+J_- - 2 J_z and J_-J_z = J_zJ_- + J_-) plus the
+        commutator [J_a, J_b]/2 = (i/2) eps_abc J_c."""
+        jx, jy, jz = self.mean_spin
+        xx, yy = 0.5 * (self.jp_jm - jz + self.jm2.real), 0.5 * (self.jp_jm - jz - self.jm2.real)
+        xy, xz, yz = -0.5 * self.jm2.imag, self.jz_jm.real + 0.5 * jx, -self.jz_jm.imag + 0.5 * jy
+        sym = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, self.jz2]])
+        return sym + 0.5j * np.array([[0.0, jz, -jy], [-jz, 0.0, jx], [jy, -jx, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -133,28 +169,37 @@ class SpectrumResult:
     correlator_decayed: bool
 
 
-def _spin_expectations(rho, ops):
-    jx = expect(rho, ops["J_x"]).real
-    jy = expect(rho, ops["J_y"]).real
-    jz = expect(rho, ops["J_z"]).real
-    return jx, jy, jz
+def spin_moments(rho: DensityMatrix, rep: SpinRep) -> SpinMoments:
+    """The moments record of a Dicke-basis state, in O(D). With a_i the
+    ladder amplitudes, J_z, J_+J_- and J_+^2 J_-^2 are diagonal, J_- and
+    J_z J_- sit on the first superdiagonal and J_-^2 on the second, so
+    tr(A rho) reads the opposite band of rho: <J_-> = sum_i a_i rho[i+1, i],
+    <J_-^2> = sum_i a_i a_{i+1} rho[i+2, i]."""
+    mat = rho.matrix
+    if mat.shape[0] != rep.dim:
+        raise ValueError(f"dimension mismatch: spin {rep.dim}, state {mat.shape[0]}")
+    m = rep.m_values
+    amp = ladder_amplitudes(rep)
+    pairs = amp[:-1] * amp[1:]
+    pop = mat.diagonal().real
+    lowered = amp * mat.diagonal(-1)
+    return SpinMoments(
+        jz=float(m @ pop),
+        jz2=float((m * m) @ pop),
+        jm=complex(lowered.sum()),
+        jz_jm=complex(m[:-1] @ lowered),
+        jp_jm=float((amp * amp) @ pop[1:]),
+        jm2=complex(pairs @ mat.diagonal(-2)),
+        jp2_jm2=float((pairs * pairs) @ pop[2:]),
+    )
 
 
-def _resolve_ops(rep: SpinRep, ops):
-    return ops if ops is not None else build_spin_operators(rep)
-
-
-def _transverse_axes(ops, means: np.ndarray) -> list:
-    """Spin components along the two transverse axes of the frame whose
-    -z' axis is the mean spin ``means`` = (<J_x>, <J_y>, <J_z>), as
-    (operator, mean) pairs. The axes are columns 0 and 1 of the rotation,
-    expressed in the original frame."""
+def _rotated_frame(mom: SpinMoments) -> tuple:
+    """R^T <J> and R^T <J_a J_b> R: the mean spin and the second moments in
+    the frame whose -z' axis is the mean spin (R's columns are its axes)."""
+    means = mom.mean_spin
     rot = rotation_matrix(angles_from_mean_spin(*means))
-    return [
-        (rot[0, col] * ops["J_x"] + rot[1, col] * ops["J_y"] + rot[2, col] * ops["J_z"],
-         float(rot[:, col] @ means))
-        for col in (0, 1)
-    ]
+    return rot.T @ means, rot.T @ mom.second_moments @ rot
 
 
 def spin_squeezing_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> float:
@@ -163,20 +208,19 @@ def spin_squeezing_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> float:
     The mean direction is taken from the state itself, two orthonormal
     transverse axes are built from it, and the minimization over the
     transverse angle is the closed-form smaller eigenvalue of the 2x2
-    symmetrized covariance matrix.
+    symmetrized covariance matrix. ``ops`` is not used; it stays because
+    the benchmark's tracer calls ``spin_squeezing_numeric(rho, rep, ops)``.
     """
-    ops = _resolve_ops(rep, ops)
-    jx, jy, jz = _spin_expectations(rho, ops)
-    length = math.sqrt(jx * jx + jy * jy + jz * jz)
+    mom = spin_moments(rho, rep)
+    length = float(np.linalg.norm(mom.mean_spin))
     if length < 1e-9 * rep.n_atoms:
         raise ValueError(
             "mean spin vector vanishes; squeezing direction undefined "
             "(near- or above-threshold state)"
         )
-    (op1, m1), (op2, m2) = _transverse_axes(ops, np.array([jx, jy, jz]))
-    v1 = expect(rho, op1 @ op1).real - m1 * m1
-    v2 = expect(rho, op2 @ op2).real - m2 * m2
-    cross = 0.5 * expect(rho, op1 @ op2 + op2 @ op1).real - m1 * m2
+    means, second = _rotated_frame(mom)
+    cov = second.real[:2, :2] - np.outer(means[:2], means[:2])
+    v1, v2, cross = cov[0, 0], cov[1, 1], cov[0, 1]
     lam_min = 0.5 * (v1 + v2) - math.sqrt(0.25 * (v1 - v2) ** 2 + cross * cross)
     return rep.n_atoms * lam_min / length**2
 
@@ -215,46 +259,39 @@ def hp_moments(a: BlochAngles, e: EffectiveParams | None = None) -> HPFluctuatio
     )
 
 
-def hp_moments_numeric(rho: DensityMatrix, rep: SpinRep, ops=None) -> tuple[float, float]:
+def hp_moments_numeric(rho: DensityMatrix, rep: SpinRep) -> tuple[float, float]:
     """(occupation, |anomalous|) extracted from a state via the rotated frame.
 
     Rotates with the state's own mean direction, then reads off
-    <a^dag a> ~ <J'_+ J'_->/N and |<a^2>| ~ |<J'_- J'_->|/N.
+    <a^dag a> ~ <J'_+ J'_->/N and |<a^2>| ~ |<J'_- J'_->|/N, with
+    J'_-+ = J'_x -+ i J'_y.
     """
-    ops = _resolve_ops(rep, ops)
-    (jxp, _), (jyp, _) = _transverse_axes(ops, np.array(_spin_expectations(rho, ops)))
-    jm_rot = jxp - 1j * jyp
-    jp_rot = jxp + 1j * jyp
+    _, second = _rotated_frame(spin_moments(rho, rep))
+    xx, yy, xy, yx = second[0, 0], second[1, 1], second[0, 1], second[1, 0]
     n = rep.n_atoms
-    occupation = expect(rho, jp_rot @ jm_rot).real / n
-    anomalous = abs(expect(rho, jm_rot @ jm_rot)) / n
+    occupation = (xx + yy - 1j * (xy - yx)).real / n
+    anomalous = abs(xx - yy - 1j * (xy + yx)) / n
     return occupation, anomalous
 
 
-def dipole_fluctuation_moments(rho: DensityMatrix, rep: SpinRep, ops=None) -> DipoleMoments:
+def dipole_fluctuation_moments(rho: DensityMatrix, rep: SpinRep) -> DipoleMoments:
     """Exact <J_+J_-> - |<J_->|^2 and <J_-J_-> - <J_->^2 from a state."""
-    ops = _resolve_ops(rep, ops)
-    jm = expect(rho, ops["J_minus"])
-    jpjm = expect(rho, ops["J_plus"] @ ops["J_minus"]).real
-    jmjm = expect(rho, ops["J_minus"] @ ops["J_minus"])
+    mom = spin_moments(rho, rep)
     return DipoleMoments(
-        jminus_mean=jm,
-        jpjm=jpjm,
-        var_jm=jpjm - abs(jm) ** 2,
-        anom_jm=jmjm - jm * jm,
+        jminus_mean=mom.jm,
+        jpjm=mom.jp_jm,
+        var_jm=mom.jp_jm - abs(mom.jm) ** 2,
+        anom_jm=mom.jm2 - mom.jm * mom.jm,
     )
 
 
-def g2_zero(rho: DensityMatrix, rep: SpinRep, ops=None) -> float:
+def g2_zero(rho: DensityMatrix, rep: SpinRep) -> float:
     """Zero-delay intensity correlation of the dipole-scattered light,
     <J_+J_+J_-J_-> / <J_+J_->^2."""
-    ops = _resolve_ops(rep, ops)
-    jp, jm = ops["J_plus"], ops["J_minus"]
-    denom = expect(rho, jp @ jm).real
-    if denom <= 1e-12 * rep.n_atoms:
+    mom = spin_moments(rho, rep)
+    if mom.jp_jm <= 1e-12 * rep.n_atoms:
         raise ValueError("dipole emission vanishes; g2 undefined for an undriven state")
-    numer = expect(rho, (jp @ jp) @ (jm @ jm)).real
-    return numer / denom**2
+    return mom.jp2_jm2 / mom.jp_jm**2
 
 
 def field_composition(p: CavityParams, jminus_mean: complex, a: BlochAngles) -> FieldComposition:
@@ -329,15 +366,14 @@ def output_spectrum(
         rho_ss, _ = steady_state(model.liouvillian)
     ops = model.ops
 
-    moments = dipole_fluctuation_moments(rho_ss, model.rep, ops)
+    moments = dipole_fluctuation_moments(rho_ss, model.rep)
     if tau_max is None:
         rate = e.N * fc.angles.cos_theta * e.gamma / 2.0
         tau_max = 10.0 / rate
     tau = np.linspace(0.0, tau_max, n_tau)
 
-    raw, report = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"],
-                                      ops["J_minus"], tau, full_output=True)
-    corr = raw - abs(moments.jminus_mean) ** 2
+    corr, report = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"],
+                                       ops["J_minus"], tau, full_output=True)
 
     decayed = abs(corr[-1]) <= 1e-3 * max(abs(corr[0]), 1e-300)
     if not decayed:

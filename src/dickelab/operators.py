@@ -81,17 +81,22 @@ def _banded(dim: int, diagonals, offsets) -> sp.csr_array:
                           format="csr", dtype=np.complex128)
 
 
+def ladder_amplitudes(rep: SpinRep) -> np.ndarray:
+    """a_i = <i| J_- |i+1> = sqrt(j(j+1) - m(m-1)), m = -j + i + 1."""
+    m = rep.m_values[1:]
+    return np.sqrt(rep.j * (rep.j + 1) - m * (m - 1))
+
+
 def build_spin_operators(rep: SpinRep) -> dict[str, sp.csr_array]:
     """Collective-spin matrices J_-, J_+, J_x, J_y, J_z on the Dicke basis.
 
-    Lowering matrix elements <j,m-1| J_- |j,m> = sqrt(j(j+1) - m(m-1)),
-    J_+ is the exact adjoint, J_z is diagonal with entries m.
+    Lowering matrix elements <j,m-1| J_- |j,m> = sqrt(j(j+1) - m(m-1))
+    (:func:`ladder_amplitudes`), J_+ is the exact adjoint, J_z is diagonal
+    with entries m.
     """
-    j = rep.j
     dim = rep.dim
     m = rep.m_values
-    # column index i holds m = -j + i; lowering sends it to row i-1
-    amp = np.sqrt(j * (j + 1) - m[1:] * (m[1:] - 1))
+    amp = ladder_amplitudes(rep)
     return {
         "J_minus": _banded(dim, [amp], [1]),
         "J_plus": _banded(dim, [amp], [-1]),

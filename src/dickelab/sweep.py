@@ -42,7 +42,13 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import SteadyStateOptions, expect, openblas_libraries, steady_state
+from .lindblad import (
+    SteadyStateOptions,
+    _single_blas_thread,
+    blas_thread_counts,
+    set_blas_threads,
+    steady_state,
+)
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
     dipole_fluctuation_moments,
@@ -51,6 +57,7 @@ from .observables import (
     hp_moments,
     hp_moments_numeric,
     output_spectrum,
+    spin_moments,
     spin_squeezing_numeric,
 )
 from .parameters import (
@@ -474,7 +481,7 @@ def _rows_sweep_jz(point: GridPoint) -> list:
     e = point.effective
     model, rho, report = _numeric_state(point)
     half_n = e.N / 2
-    jz = expect(rho, model.ops["J_z"]).real / half_n
+    jz = spin_moments(rho, model.rep).jz / half_n
     analytic = _analytic_or_none(e, lambda q: mean_field_steady_state(q)[0] / half_n)
     return [{
         "jz_over_halfN_numeric": jz,
@@ -487,7 +494,7 @@ def _rows_sweep_jz(point: GridPoint) -> list:
 def _rows_sweep_squeezing(point: GridPoint) -> list:
     e = point.effective
     model, rho, report = _numeric_state(point)
-    xi2 = spin_squeezing_numeric(rho, model.rep, model.ops)
+    xi2 = spin_squeezing_numeric(rho, model.rep)
     analytic = _analytic_or_none(e, lambda q: bloch_angles(q).cos_theta)
     return [{
         "xi2_numeric": xi2,
@@ -517,7 +524,7 @@ def _rows_mean_field(point: GridPoint) -> list:
 def _rows_moments(point: GridPoint) -> list:
     e = point.effective
     model, rho, report = _numeric_state(point)
-    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
+    mom = dipole_fluctuation_moments(rho, model.rep)
     row = {
         "jminus_re": mom.jminus_mean.real,
         "jminus_im": mom.jminus_mean.imag,
@@ -529,7 +536,7 @@ def _rows_moments(point: GridPoint) -> list:
         **_solver_cells(report),
     }
     try:
-        occ_num, anom_num = hp_moments_numeric(rho, model.rep, model.ops)
+        occ_num, anom_num = hp_moments_numeric(rho, model.rep)
         row["hp_occupation_numeric"] = occ_num
         row["hp_anomalous_numeric"] = anom_num
     except ValueError:
@@ -543,7 +550,7 @@ def _rows_moments(point: GridPoint) -> list:
 
 def _rows_g2(point: GridPoint) -> list:
     model, rho, report = _numeric_state(point)
-    return [{"g2_numeric": g2_zero(rho, model.rep, model.ops), **_solver_cells(report)}]
+    return [{"g2_numeric": g2_zero(rho, model.rep), **_solver_cells(report)}]
 
 
 def _rows_spectrum(point: GridPoint) -> list:
@@ -552,7 +559,7 @@ def _rows_spectrum(point: GridPoint) -> list:
     if p is None:
         p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
     model, rho, report = _numeric_state(point)
-    jm = expect(rho, model.ops["J_minus"])
+    jm = spin_moments(rho, model.rep).jm
     fc = field_composition(p, jm, angles)
     tau_max = cfg.tau_max_gamma
     if tau_max is not None:
@@ -681,23 +688,10 @@ def compute_point(point: GridPoint) -> list:
     return out
 
 
-def blas_thread_counts() -> dict:
-    """Thread count of each bundled OpenBLAS copy in this process."""
-    return {
-        package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
-        for package, (lib, suffix) in openblas_libraries().items()
-    }
-
-
-def _one_blas_thread():
-    """Pool initializer: one BLAS thread per worker. A copy that is not
-    found is left alone."""
-    for lib, suffix in openblas_libraries().values():
-        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    """Worker processes that run one BLAS thread each."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
+                               initargs=(dict.fromkeys(blas_thread_counts(), 1),))
 
 
 def run(cfg: RunConfig) -> SweepResult:
@@ -712,7 +706,9 @@ def run(cfg: RunConfig) -> SweepResult:
     threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
 
     if threads <= 1 or len(points) == 1:
-        blocks = [compute_point(pt) for pt in points]
+        # one BLAS thread, as in each pool worker
+        with _single_blas_thread():
+            blocks = [compute_point(pt) for pt in points]
     else:
         with _worker_pool(threads) as pool:
             blocks = list(pool.map(compute_point, points))

@@ -319,14 +319,14 @@ def test_criterion_8_engine_properties(tmp_path):
                 worst_td = max(worst_td, trace_distance(states[i], states[k]))
     assert worst_td <= 1e-7
 
-    # regression boundary
+    # regression boundary: the connected correlator at tau = 0
     e10 = eff(10, 0.5)
     model10 = build_dicke_model(e10)
     rho10, _ = steady_state(model10.liouvillian)
-    val = two_time_correlator(model10.liouvillian, rho10, model10.ops["J_plus"],
-                              model10.ops["J_minus"], [0.0])[0]
-    direct = expect(rho10, model10.ops["J_plus"] @ model10.ops["J_minus"])
-    bound_dev = abs(val - direct)
+    jp10, jm10 = model10.ops["J_plus"], model10.ops["J_minus"]
+    val = two_time_correlator(model10.liouvillian, rho10, jp10, jm10, [0.0])[0]
+    direct = expect(rho10, jp10 @ jm10)
+    bound_dev = abs(val - (direct - expect(rho10, jp10) * expect(rho10, jm10)))
     assert bound_dev <= 1e-10 * max(1.0, abs(direct))
 
     # determinism: serial and parallel sweeps byte-identical
@@ -354,7 +354,7 @@ def test_criterion_9_hp_moment_bridge():
     e = eff(100, 0.5)
     model = build_dicke_model(e)
     rho, _ = steady_state(model.liouvillian)
-    occ, anom = hp_moments_numeric(rho, model.rep, model.ops)
+    occ, anom = hp_moments_numeric(rho, model.rep)
     sol = hp_moments(bloch_angles(e), e)
     occ_dev = abs(occ / sol.occupation - 1.0)
     anom_dev = abs(anom / sol.anomalous_magnitude - 1.0)

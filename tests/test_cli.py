@@ -10,6 +10,8 @@ import pytest
 
 from dickelab.cli import main
 from dickelab.errors import ConfigError
+from dickelab import sweep
+from dickelab.lindblad import set_blas_threads
 from dickelab.sweep import MODES, RunConfig, _worker_pool, blas_thread_counts, run
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -71,12 +73,34 @@ def test_determinism_and_parallel_serial_equality(tmp_path):
     assert outs[0] == outs[2]  # parallel equals serial row for row
 
 
-def test_pool_workers_run_one_blas_thread():
+def test_pool_workers_run_one_blas_thread(monkeypatch):
     parent = blas_thread_counts()
     assert set(parent) == {"numpy", "scipy"}
     with _worker_pool(2) as pool:
         assert pool.submit(blas_thread_counts).result() == {"numpy": 1, "scipy": 1}
     assert blas_thread_counts() == parent  # the calling process is left alone
+
+    # the serial branch computes its points with one thread as well, and
+    # gives the caller back its own counts (two here, so a missed restore
+    # shows even where the process started with one)
+    seen = []
+    original = sweep.compute_point
+
+    def counting(point):
+        seen.append(blas_thread_counts())
+        return original(point)
+
+    monkeypatch.setattr(sweep, "compute_point", counting)
+    cfg = RunConfig.from_dict(BASE_MF)
+    cfg.threads = 1
+    two = {"numpy": 2, "scipy": 2}
+    set_blas_threads(two)
+    try:
+        run(cfg)
+        assert blas_thread_counts() == two
+    finally:
+        set_blas_threads(parent)
+    assert seen == [{"numpy": 1, "scipy": 1}] * 3
 
 
 def test_timestamp_header_and_wall_time(tmp_path):

@@ -16,6 +16,7 @@ from dickelab.lindblad import (
 )
 from dickelab.models import (
     CAVITY_PRODUCT_CAP,
+    _cavity_side_observables,
     build_cavity_model,
     build_dicke_model,
     cavity_dimension,
@@ -129,7 +130,7 @@ def test_phase_covariance():
             "jm": expect(rho, model.ops["J_minus"]),
             "jz": expect(rho, model.ops["J_z"]).real,
             "jpjm": expect(rho, model.ops["J_plus"] @ model.ops["J_minus"]).real,
-            "xi2": spin_squeezing_numeric(rho, model.rep, model.ops),
+            "xi2": spin_squeezing_numeric(rho, model.rep),
         }
     assert out["rot"]["jm"] == pytest.approx(out["base"]["jm"] * np.exp(1j * alpha), rel=1e-8)
     assert out["rot"]["jz"] == pytest.approx(out["base"]["jz"], rel=1e-10)
@@ -157,9 +158,10 @@ def test_decoupled_cavity_reaches_coherent_state():
     start[0, 0] = 1.0  # ground x vacuum
     final = time_evolve(model.liouvillian, DensityMatrix(start), [50.0 / p.kappa])[-1]
     amp = 1j * p.Omega_L / (1j * p.delta_c - p.kappa / 2)
-    assert expect(final, model.ops["c"]) == pytest.approx(amp, abs=1e-8)
+    c = _lab_field(p, 8, 0.0)
+    assert expect(final, c) == pytest.approx(amp, abs=1e-8)
     assert expect(final, model.ops["J_z"]).real == pytest.approx(-1.0, abs=1e-9)
-    n_phot = expect(final, model.ops["photon_number"]).real
+    n_phot = expect(final, c.conj().T @ c).real
     assert n_phot == pytest.approx(abs(amp) ** 2, rel=1e-6)
 
 
@@ -264,12 +266,20 @@ def _frame_case(n, delta_over_gamma, drive, gamma):
     return cavity_params_for_effective(e, kappa=1.0, g_phase=0.4)
 
 
-def _cavity_moments(model):
+def _lab_field(p, cutoff, alpha):
+    """The lab field c = d + alpha on the spin x Fock space of the model
+    displaced by ``alpha``."""
+    eye_s = scipy.sparse.eye_array(p.N + 1, dtype=np.complex128, format="csr")
+    d = tensor(eye_s, build_fock_operators(FockRep(cutoff=cutoff))["c"])
+    return d + alpha * scipy.sparse.eye_array(d.shape[0], format="csr")
+
+
+def _cavity_moments(model, alpha=0.0):
     rho, _ = steady_state(model.liouvillian)
-    ops = model.ops
+    ops, c = model.ops, _lab_field(model.cavity, model.fock_rep.cutoff, alpha)
     return {"Jz": expect(rho, ops["J_z"]).real, "Jminus": expect(rho, ops["J_minus"]),
             "JpJm": expect(rho, ops["J_plus"] @ ops["J_minus"]).real,
-            "c": expect(rho, ops["c"]), "photons": expect(rho, ops["photon_number"]).real}
+            "c": expect(rho, c), "photons": expect(rho, c.conj().T @ c).real}
 
 
 @pytest.mark.parametrize("n, delta_over_gamma, drive, gamma", [
@@ -283,13 +293,25 @@ def test_displaced_frame_matches_lab_frame(n, delta_over_gamma, drive, gamma):
     alpha = mean_field_amplitude(p, _eliminated_moments(p)["Jminus"])
     assert abs(alpha) > 1e-2
     lab = _cavity_moments(build_cavity_model(p, 10))
-    shifted = _cavity_moments(build_cavity_model(p, 10, alpha))
+    shifted = _cavity_moments(build_cavity_model(p, 10, alpha), alpha)
     assert abs(shifted["Jz"] - lab["Jz"]) <= 1e-9 * n / 2
     for key in ("Jminus", "JpJm", "c", "photons"):
         assert abs(shifted[key] - lab[key]) <= 1e-9 * abs(lab[key]), key
     # the stationary field equation is exact, so the lab <c> is the
     # amplitude of the lab <J_->
     assert mean_field_amplitude(p, lab["Jminus"]) == pytest.approx(lab["c"], rel=1e-9)
+
+
+def test_cavity_observables_match_lifted_operators():
+    # the partial-trace reads of the displaced model equal expect on the
+    # lifted operators and on the lab field c = d + alpha
+    p = _frame_case(4, -0.5, 0.8, 0.04)
+    alpha = mean_field_amplitude(p, _eliminated_moments(p)["Jminus"])
+    ref = _cavity_moments(build_cavity_model(p, 8, alpha), alpha)
+    got = _cavity_side_observables(p, 8, alpha, None)
+    assert set(got) == set(ref)
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
 
 
 # full-model observables of the parent lab-frame path (cutoff 11 + 5 = 16,

@@ -13,7 +13,7 @@ from oracles import (
 
 from dickelab.errors import AboveThresholdError
 from dickelab.lindblad import DensityMatrix, expect, steady_state
-from dickelab.models import build_dicke_model
+from dickelab.models import build_cavity_model, build_dicke_model, mean_field_amplitude
 from dickelab.observables import (
     dipole_fluctuation_moments,
     field_composition,
@@ -22,10 +22,11 @@ from dickelab.observables import (
     hp_moments,
     hp_moments_numeric,
     output_spectrum,
+    spin_moments,
     spin_squeezing_analytic,
     spin_squeezing_numeric,
 )
-from dickelab.operators import SpinRep
+from dickelab.operators import SpinRep, build_spin_operators, tensor
 from dickelab.parameters import (
     BlochAngles,
     CavityParams,
@@ -46,12 +47,64 @@ def solved(e):
     return model, rho
 
 
+# ---------------------------------------------------------------- moments
+
+
+def _random_full_rank():
+    # every band of rho is populated, with complex entries
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
+    rep = SpinRep.for_atoms(7)
+    return rho, rep, rho, build_spin_operators(rep)
+
+
+def _detuned_lu():
+    e = EffectiveParams(gamma=1.0, Delta=0.5, Omega=0.0, N=10,
+                        delta=0.3).with_drive_ratio(0.7, 0.3)
+    model, rho = solved(e)
+    return rho, model.rep, rho, model.ops
+
+
+def _cavity_reduced():
+    # the displaced atom+cavity state and its spin state reduced over d;
+    # the operators are lifted onto the product space
+    p = cavity_params_for_effective(
+        EffectiveParams(gamma=0.04, Delta=-0.02, Omega=0.0, N=4,
+                        delta=0.01).with_drive_ratio(0.8, 0.3), kappa=1.0, g_phase=0.4)
+    model = build_cavity_model(p, 8, mean_field_amplitude(p, 0.0))
+    rho, _ = steady_state(model.liouvillian)
+    ds, df = model.spin_rep.dim, model.fock_rep.dim
+    reduced = np.einsum("ikjk->ij", rho.matrix.reshape(ds, df, ds, df))
+    eye_f = np.eye(df)
+    lifted = {k: tensor(op, eye_f) for k, op in build_spin_operators(model.spin_rep).items()}
+    return DensityMatrix(reduced), model.spin_rep, rho, lifted
+
+
+@pytest.mark.parametrize("make_state", [_random_full_rank, _detuned_lu, _cavity_reduced],
+                         ids=["random-full-rank", "detuned-lu", "cavity-reduced"])
+def test_spin_moments_match_operator_products(make_state):
+    reduced, rep, rho, ops = make_state()
+    mom = spin_moments(reduced, rep)
+    jp, jm, jz = ops["J_plus"], ops["J_minus"], ops["J_z"]
+    products = {"jz": jz, "jz2": jz @ jz, "jm": jm, "jz_jm": jz @ jm, "jp_jm": jp @ jm,
+                "jm2": jm @ jm, "jp2_jm2": (jp @ jp) @ (jm @ jm)}
+    for name, op in products.items():
+        ref = expect(rho, op)
+        assert abs(getattr(mom, name) - ref) <= 1e-12 * abs(ref), name
+    axes = [ops["J_x"], ops["J_y"], jz]
+    means = np.array([expect(rho, a) for a in axes])
+    assert np.abs(mom.mean_spin - means).max() <= 1e-12 * np.abs(means).max()
+    second = np.array([[expect(rho, a @ b) for b in axes] for a in axes])
+    assert np.abs(mom.second_moments - second).max() <= 1e-12 * np.abs(second).max()
+
+
 # ---------------------------------------------------------------- squeezing
 
 
 def test_squeezing_coherent_spin_state_is_unity():
     model, rho = solved(EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=12))
-    assert spin_squeezing_numeric(rho, model.rep, model.ops) == pytest.approx(1.0, abs=1e-10)
+    assert spin_squeezing_numeric(rho, model.rep) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_squeezing_matches_phi_scan_oracle():
@@ -70,7 +123,7 @@ def test_squeezing_matches_phi_scan_oracle():
 
 def test_squeezing_n50_against_linearized_value():
     model, rho = solved(eff(50, 0.5))
-    xi2 = spin_squeezing_numeric(rho, model.rep, model.ops)
+    xi2 = spin_squeezing_numeric(rho, model.rep)
     assert abs(xi2 - math.sqrt(0.75)) < 0.05
     # frozen regression value from the first oracle run
     assert xi2 == pytest.approx(0.866149, abs=5e-4)
@@ -90,7 +143,7 @@ def test_squeezing_witnesses_entanglement_below_threshold():
     for n in (10, 20):
         for ratio in (0.2, 0.5, 0.7, 0.9):
             model, rho = solved(eff(n, ratio))
-            assert spin_squeezing_numeric(rho, model.rep, model.ops) < 1.0
+            assert spin_squeezing_numeric(rho, model.rep) < 1.0
 
 
 def test_squeezing_requires_finite_mean_spin():
@@ -139,7 +192,7 @@ def test_squeezing_reconstruction_matches_cosine():
 def test_hp_bridge_numeric_n60():
     e = eff(60, 0.5)
     model, rho = solved(e)
-    occ, anom = hp_moments_numeric(rho, model.rep, model.ops)
+    occ, anom = hp_moments_numeric(rho, model.rep)
     sol = hp_moments(bloch_angles(e), e)
     assert occ == pytest.approx(sol.occupation, rel=0.10)
     assert anom == pytest.approx(sol.anomalous_magnitude, rel=0.10)
@@ -213,7 +266,7 @@ def test_field_fluctuation_coefficients():
 
 def test_dipole_moments_ground_state_zero():
     model, rho = solved(EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=6))
-    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
+    mom = dipole_fluctuation_moments(rho, model.rep)
     assert abs(mom.var_jm) < 1e-12
     assert abs(mom.anom_jm) < 1e-12
 
@@ -229,7 +282,7 @@ def test_dipole_moments_against_brute_force():
     jmjm_o = np.trace(ops["jm"] @ ops["jm"] @ oracle_rho)
 
     model, rho = solved(e)
-    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
+    mom = dipole_fluctuation_moments(rho, model.rep)
     assert mom.jminus_mean == pytest.approx(jm_o, abs=1e-9)
     assert mom.var_jm == pytest.approx(jpjm_o - abs(jm_o) ** 2, abs=1e-9)
     assert mom.anom_jm == pytest.approx(jmjm_o - jm_o**2, abs=1e-9)
@@ -239,7 +292,7 @@ def test_coherence_improves_from_10_to_20():
     ratios = []
     for n in (10, 20):
         model, rho = solved(eff(n, 0.5))
-        ratios.append(dipole_fluctuation_moments(rho, model.rep, model.ops).coherence_ratio)
+        ratios.append(dipole_fluctuation_moments(rho, model.rep).coherence_ratio)
     assert ratios[1] > ratios[0]
     assert all(0.0 < r <= 1.0 + 1e-12 for r in ratios)
 
@@ -249,18 +302,18 @@ def test_coherence_improves_from_10_to_20():
 
 def test_g2_single_atom_antibunching():
     model, rho = solved(EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.2, N=1))
-    assert g2_zero(rho, model.rep, model.ops) == pytest.approx(0.0, abs=1e-10)
+    assert g2_zero(rho, model.rep) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_g2_undriven_raises():
     model, rho = solved(EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=4))
     with pytest.raises(ValueError):
-        g2_zero(rho, model.rep, model.ops)
+        g2_zero(rho, model.rep)
 
 
 def test_g2_collective_below_threshold_fixture():
     model, rho = solved(eff(50, 0.5))
-    g2 = g2_zero(rho, model.rep, model.ops)
+    g2 = g2_zero(rho, model.rep)
     # frozen from the first oracle run: the scattered light is uncorrelated
     assert g2 == pytest.approx(1.0, abs=1e-6)
 
@@ -273,7 +326,7 @@ def test_g2_bunching_above_threshold():
 
 def _state_and_rep(e):
     model, rho = solved(e)
-    return rho, model.rep, model.ops
+    return rho, model.rep
 
 
 # ---------------------------------------------------------------- spectrum
@@ -299,7 +352,7 @@ def test_spectrum_weight_identity_and_positivity():
     rate = 10 * bloch_angles(e).cos_theta * 0.5
     spec = output_spectrum(model, fc, tau_max=40.0 / rate, n_tau=1500, rho_ss=rho)
     assert spec.correlator_decayed
-    mom = dipole_fluctuation_moments(rho, model.rep, model.ops)
+    mom = dipole_fluctuation_moments(rho, model.rep)
     assert spec.incoherent_weight == pytest.approx(abs(fc.G) ** 2 * mom.var_jm, rel=1e-6)
     # symmetrized transform is real by construction and non-negative once
     # the correlator has fully decayed inside the window
