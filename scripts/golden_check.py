@@ -11,7 +11,8 @@ checkout's ``src``. It then compares the files of the two checkouts byte
 for byte. For a file that differs it lists each column whose cells
 differ, with the largest absolute deviation and the largest deviation
 scaled by the larger magnitude of the pair. The exit status is 0 when
-every file is identical and 1 otherwise.
+every file is identical and every run exits with the same code in both
+checkouts, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -119,8 +120,11 @@ def main(argv=None) -> int:
             dirs[side] = os.path.join(tmp, side)
             os.makedirs(dirs[side])
             codes[side] = _produce(os.path.abspath(root), dirs[side])
-        for run in sorted(set(codes["before"]) | set(codes["after"])):
+        runs = sorted(set(codes["before"]) | set(codes["after"]))
+        code_changes = 0
+        for run in runs:
             b, a = codes["before"].get(run), codes["after"].get(run)
+            code_changes += a != b
             note = "" if a == b else "   <- exit codes differ"
             print(f"exit {run}: {b} -> {a}{note}")
 
@@ -141,7 +145,8 @@ def main(argv=None) -> int:
                 for line in _column_deviations(before, after):
                     print(f"    {line}")
         print(f"{len(names) - differing} of {len(names)} files identical")
-    return 0 if differing == 0 else 1
+        print(f"{len(runs) - code_changes} of {len(runs)} runs with the same exit code")
+    return 0 if differing == 0 and code_changes == 0 else 1
 
 
 if __name__ == "__main__":

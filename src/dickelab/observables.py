@@ -375,7 +375,10 @@ def output_spectrum(
     corr, report = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"],
                                        ops["J_minus"], tau, full_output=True)
 
-    decayed = abs(corr[-1]) <= 1e-3 * max(abs(corr[0]), 1e-300)
+    # a connected start at or below the round-off floor the correlator
+    # stops on, eps D <J_+J_->, leaves nothing to resolve
+    floor = np.finfo(float).eps * model.liouvillian.dim * moments.jpjm
+    decayed = abs(corr[0]) <= floor or abs(corr[-1]) <= 1e-3 * abs(corr[0])
     if not decayed:
         horizon = ""
         if report.slowest_rate is not None:

@@ -10,10 +10,12 @@ across worker processes, each held to one BLAS thread so that the workers
 do not oversubscribe the cores; results are gathered in grid order, which
 makes parallel and serial runs emit identical bytes.
 
-The steady state of a numeric row comes from the closed form
-(``models.resonant_steady_state``) when the drive is resonant (delta = 0),
-otherwise from ``lindblad.steady_state``.
-Elimination checks and cavity models always use the latter.
+The numeric modes share one row path, ``_numeric``: it builds the Dicke
+model of a point, takes its steady state from the closed form
+(``models.resonant_steady_state``) when the drive is resonant (delta = 0)
+and from ``lindblad.steady_state`` otherwise, and adds the solver columns
+to the cells each mode computes from that state. Elimination checks and
+cavity models always use the latter solve.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -25,14 +27,14 @@ byte-level reproducibility.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
-import math
 import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -331,22 +333,19 @@ class SweepResult:
     meta: dict
     n_failures: int = 0
 
-    def write_csv(self, path: str, timestamp: bool = True):
+    def write_csv(self, path: str):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            if timestamp and "generated" in self.meta:
+            if "generated" in self.meta:
                 fh.write(f"# generated {self.meta['generated']}\r\n")
             writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow([_format_cell(row.get(c)) for c in self.columns])
 
-    def write_json(self, path: str, timestamp: bool = True):
-        meta = dict(self.meta)
-        if not timestamp:
-            meta.pop("generated", None)
+    def write_json(self, path: str):
         payload = {
             "mode": self.mode,
-            "meta": meta,
+            "meta": self.meta,
             "columns": self.columns,
             "rows": [
                 {c: _json_cell(row.get(c)) for c in self.columns} for row in self.rows
@@ -394,6 +393,13 @@ class GridPoint:
     cavity: CavityParams | None = None
 
 
+def _drive(cfg: RunConfig, drive: float, e: EffectiveParams) -> complex:
+    """The configured drive value as the complex drive of parameters ``e``:
+    an absolute rate or a ratio to the critical drive, at the drive phase."""
+    scale = 1.0 if cfg.drive_absolute else critical_drive(e)
+    return float(drive) * scale * cmath.exp(1j * cfg.drive_phase)
+
+
 def _grid_points(cfg: RunConfig) -> list:
     """The configured grids as GridPoints, in output order. A parameter
     combination the models reject is a ConfigError, raised before any
@@ -407,22 +413,14 @@ def _grid_points(cfg: RunConfig) -> list:
                     for drive in cfg.drive_values:
                         if drive is None:
                             raise ConfigError("effective-level runs need drive values")
-                        if cfg.drive_absolute:
-                            phase = cfg.drive_phase
-                            omega = float(drive) * complex(math.cos(phase), math.sin(phase))
-                            e = EffectiveParams(e0.gamma, e0.Delta, omega, e0.N, e0.delta)
-                        else:
-                            e = e0.with_drive_ratio(float(drive), cfg.drive_phase)
-                        points.append(GridPoint(cfg, e))
+                        points.append(GridPoint(cfg, replace(e0, Omega=_drive(cfg, drive, e0))))
         else:
             for drive in cfg.drive_values:
                 p = cfg.cavity
                 e = map_cavity_to_effective(p)
                 if drive is not None:  # rescale Omega_L to hit the requested drive
-                    target = drive if cfg.drive_absolute else drive * critical_drive(e)
-                    p = cavity_params_for_effective(
-                        EffectiveParams(e.gamma, e.Delta, target, e.N, e.delta), p.kappa
-                    )
+                    p = cavity_params_for_effective(replace(e, Omega=_drive(cfg, drive, e)),
+                                                    p.kappa, g_phase=cmath.phase(p.g))
                     e = map_cavity_to_effective(p)
                 points.append(GridPoint(cfg, e, p))
     except ValueError as exc:
@@ -450,20 +448,21 @@ def _coordinate_cells(point: GridPoint) -> dict:
 _SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
 
-def _numeric_state(point: GridPoint):
-    """Dicke model and steady state of a point: the closed form at
-    delta = 0, the sparse LU otherwise."""
-    cfg = point.config
-    model = build_dicke_model(point.effective)
-    if point.effective.delta == 0.0:
-        rho, report = resonant_steady_state(model, cfg.solver_tol)
-    else:
-        rho, report = steady_state(model.liouvillian, SteadyStateOptions(tol=cfg.solver_tol))
-    return model, rho, report
-
-
-def _solver_cells(report) -> dict:
-    return {"solver_residual": report.residual, "solver_method": report.method}
+def _numeric(cells: Callable) -> Callable[[GridPoint], list]:
+    """The row function of a numeric mode. It builds the Dicke model of a
+    point, takes its steady state from the closed form at delta = 0 and
+    from the sparse LU otherwise, calls ``cells(point, model, rho)`` for
+    the mode's rows and adds the solver columns to each."""
+    def rows(point: GridPoint) -> list:
+        model = build_dicke_model(point.effective)
+        tol = point.config.solver_tol
+        if point.effective.delta == 0.0:
+            rho, report = resonant_steady_state(model, tol)
+        else:
+            rho, report = steady_state(model.liouvillian, SteadyStateOptions(tol=tol))
+        solver = dict(zip(_SOLVER_COLUMNS, (report.residual, report.method)))
+        return [{**row, **solver} for row in cells(point, model, rho)]
+    return rows
 
 
 def _analytic_or_none(e, func):
@@ -477,31 +476,27 @@ def _analytic_or_none(e, func):
         return None
 
 
-def _rows_sweep_jz(point: GridPoint) -> list:
-    e = point.effective
-    model, rho, report = _numeric_state(point)
-    half_n = e.N / 2
+def _compared(name: str, numeric, analytic) -> dict:
+    """The numeric, analytic and residual cells of one quantity; the last
+    two stay empty where the closed form does not apply."""
+    return {
+        f"{name}_numeric": numeric,
+        f"{name}_analytic": analytic,
+        f"{name}_residual": None if analytic is None else numeric - analytic,
+    }
+
+
+def _jz_cells(point: GridPoint, model, rho) -> list:
+    half_n = point.effective.N / 2
     jz = spin_moments(rho, model.rep).jz / half_n
-    analytic = _analytic_or_none(e, lambda q: mean_field_steady_state(q)[0] / half_n)
-    return [{
-        "jz_over_halfN_numeric": jz,
-        "jz_over_halfN_analytic": analytic,
-        "jz_over_halfN_residual": None if analytic is None else jz - analytic,
-        **_solver_cells(report),
-    }]
+    analytic = _analytic_or_none(point.effective,
+                                 lambda q: mean_field_steady_state(q)[0] / half_n)
+    return [_compared("jz_over_halfN", jz, analytic)]
 
 
-def _rows_sweep_squeezing(point: GridPoint) -> list:
-    e = point.effective
-    model, rho, report = _numeric_state(point)
-    xi2 = spin_squeezing_numeric(rho, model.rep)
-    analytic = _analytic_or_none(e, lambda q: bloch_angles(q).cos_theta)
-    return [{
-        "xi2_numeric": xi2,
-        "xi2_analytic": analytic,
-        "xi2_residual": None if analytic is None else xi2 - analytic,
-        **_solver_cells(report),
-    }]
+def _squeezing_cells(point: GridPoint, model, rho) -> list:
+    analytic = _analytic_or_none(point.effective, lambda q: bloch_angles(q).cos_theta)
+    return [_compared("xi2", spin_squeezing_numeric(rho, model.rep), analytic)]
 
 
 def _rows_mean_field(point: GridPoint) -> list:
@@ -521,9 +516,7 @@ def _rows_mean_field(point: GridPoint) -> list:
     }]
 
 
-def _rows_moments(point: GridPoint) -> list:
-    e = point.effective
-    model, rho, report = _numeric_state(point)
+def _moments_cells(point: GridPoint, model, rho) -> list:
     mom = dipole_fluctuation_moments(rho, model.rep)
     row = {
         "jminus_re": mom.jminus_mean.real,
@@ -533,44 +526,35 @@ def _rows_moments(point: GridPoint) -> list:
         "anom_jm_re": mom.anom_jm.real,
         "anom_jm_im": mom.anom_jm.imag,
         "coherence_ratio": mom.coherence_ratio,
-        **_solver_cells(report),
     }
     try:
-        occ_num, anom_num = hp_moments_numeric(rho, model.rep)
-        row["hp_occupation_numeric"] = occ_num
-        row["hp_anomalous_numeric"] = anom_num
+        hp = hp_moments_numeric(rho, model.rep)
     except ValueError:
-        row["hp_occupation_numeric"] = None
-        row["hp_anomalous_numeric"] = None
-    sol = _analytic_or_none(e, lambda q: hp_moments(bloch_angles(q), q))
+        hp = (None, None)
+    row["hp_occupation_numeric"], row["hp_anomalous_numeric"] = hp
+    sol = _analytic_or_none(point.effective, lambda q: hp_moments(bloch_angles(q), q))
     row["hp_occupation_analytic"] = None if sol is None else sol.occupation
     row["hp_anomalous_analytic"] = None if sol is None else sol.anomalous_magnitude
     return [row]
 
 
-def _rows_g2(point: GridPoint) -> list:
-    model, rho, report = _numeric_state(point)
-    return [{"g2_numeric": g2_zero(rho, model.rep), **_solver_cells(report)}]
+def _g2_cells(point: GridPoint, model, rho) -> list:
+    return [{"g2_numeric": g2_zero(rho, model.rep)}]
 
 
-def _rows_spectrum(point: GridPoint) -> list:
+def _spectrum_cells(point: GridPoint, model, rho) -> list:
     e, p, cfg = point.effective, point.cavity, point.config
     angles = bloch_angles(e)  # raises above threshold -> exit 4 at CLI level
     if p is None:
         p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
-    model, rho, report = _numeric_state(point)
-    jm = spin_moments(rho, model.rep).jm
-    fc = field_composition(p, jm, angles)
-    tau_max = cfg.tau_max_gamma
-    if tau_max is not None:
-        tau_max = tau_max / e.gamma
+    fc = field_composition(p, spin_moments(rho, model.rep).jm, angles)
+    tau_max = None if cfg.tau_max_gamma is None else cfg.tau_max_gamma / e.gamma
     spec = output_spectrum(model, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
     shared = {
         "coherent_weight": spec.coherent_weight,
         "incoherent_weight": spec.incoherent_weight,
         "coherence_ratio": spec.coherence_ratio,
         "correlator_decayed": spec.correlator_decayed,
-        **_solver_cells(report),
     }
     return [
         {"omega_over_gamma": w / e.gamma, "incoherent_spectrum": s, **shared}
@@ -629,16 +613,16 @@ MODES = {
     "sweep-jz": Mode(
         ("jz_over_halfN_numeric", "jz_over_halfN_analytic", "jz_over_halfN_residual",
          *_SOLVER_COLUMNS),
-        _rows_sweep_jz,
+        _numeric(_jz_cells),
     ),
     "sweep-squeezing": Mode(
         ("xi2_numeric", "xi2_analytic", "xi2_residual", *_SOLVER_COLUMNS),
-        _rows_sweep_squeezing,
+        _numeric(_squeezing_cells),
     ),
     "spectrum": Mode(
         ("omega_over_gamma", "incoherent_spectrum", "coherent_weight", "incoherent_weight",
          "coherence_ratio", "correlator_decayed", *_SOLVER_COLUMNS),
-        _rows_spectrum,
+        _numeric(_spectrum_cells),
         resonant=True,
     ),
     "validate-elimination": Mode(
@@ -656,9 +640,9 @@ MODES = {
         ("jminus_re", "jminus_im", "jpjm", "var_jm", "anom_jm_re", "anom_jm_im",
          "coherence_ratio", "hp_occupation_numeric", "hp_anomalous_numeric",
          "hp_occupation_analytic", "hp_anomalous_analytic", *_SOLVER_COLUMNS),
-        _rows_moments,
+        _numeric(_moments_cells),
     ),
-    "g2": Mode(("g2_numeric", *_SOLVER_COLUMNS), _rows_g2),
+    "g2": Mode(("g2_numeric", *_SOLVER_COLUMNS), _numeric(_g2_cells)),
 }
 
 
@@ -677,15 +661,8 @@ def compute_point(point: GridPoint) -> list:
     except (SolverError, DickeLabError, ValueError) as exc:
         rows = [{}]
         error = f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - t0
-    out = []
-    for row in rows:
-        merged = dict(coords)
-        merged.update(row)
-        merged["error"] = error
-        merged["wall_time_s"] = wall / len(rows) if point.config.timestamp else None
-        out.append(merged)
-    return out
+    wall = (time.perf_counter() - t0) / len(rows) if point.config.timestamp else None
+    return [{**coords, **row, "error": error, "wall_time_s": wall} for row in rows]
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -704,13 +681,16 @@ def run(cfg: RunConfig) -> SweepResult:
     """
     points = _grid_points(cfg)
     threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
+    # a fork pool starts all its workers at the first submit, so no more
+    # than there are points
+    workers = min(threads, len(points))
 
-    if threads <= 1 or len(points) == 1:
+    if workers <= 1:
         # one BLAS thread, as in each pool worker
         with _single_blas_thread():
             blocks = [compute_point(pt) for pt in points]
     else:
-        with _worker_pool(threads) as pool:
+        with _worker_pool(workers) as pool:
             blocks = list(pool.map(compute_point, points))
 
     rows = [row for block in blocks for row in block]
@@ -743,12 +723,20 @@ def run(cfg: RunConfig) -> SweepResult:
 
 
 def run_and_write(cfg: RunConfig) -> SweepResult:
+    """``run``, then the CSV (and its JSON mirror) at the output path. A
+    missing output directory is a ConfigError before any solve; a write
+    that fails after the run is one as well."""
+    if cfg.out_path and not os.path.isdir(os.path.dirname(cfg.out_path) or "."):
+        raise ConfigError(f"the directory of output path {cfg.out_path} does not exist")
     result = run(cfg)
     if cfg.out_path:
-        result.write_csv(cfg.out_path, timestamp=cfg.timestamp)
-        if cfg.json_mirror:
-            base, _ = os.path.splitext(cfg.out_path)
-            result.write_json(base + ".json", timestamp=cfg.timestamp)
+        try:
+            result.write_csv(cfg.out_path)
+            if cfg.json_mirror:
+                base, _ = os.path.splitext(cfg.out_path)
+                result.write_json(base + ".json")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out_path}: {exc}") from exc
     return result
 
 

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -150,6 +151,56 @@ def test_absolute_drive_flag(tmp_path):
     )
 
 
+def test_missing_output_directory_exits_before_any_solve(tmp_path, monkeypatch):
+    def no_solve(cfg):
+        raise AssertionError("run() called with a missing output directory")
+
+    missing = tmp_path / "missing"
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "run", no_solve)
+        assert main(["moments", "--config", str(CONFIG_DIR / "moments_scaling.json"),
+                     "--out", str(missing / "dir" / "m.csv")]) == 2
+    assert not missing.exists()
+    # a write that fails after the run is a configuration error as well
+    cfg = write_cfg(tmp_path / "cfg.json", BASE_MF)
+    assert main(["mean-field", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_worker_pool_capped_at_grid_size(monkeypatch):
+    sizes = []
+
+    class InProcess:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "_worker_pool", InProcess)
+    cfg = RunConfig.from_dict(BASE_MF)
+    cfg.threads = 64
+    assert len(run(cfg).rows) == 3
+    assert sizes == [3]
+
+
+def test_cavity_drive_grid_keeps_g_and_drive_phase():
+    cfg = RunConfig.from_dict({
+        "mode": "sweep-jz",
+        "params": {"cavity": {"g": [0.0, 0.05], "kappa": 1.0, "Omega_L": 0.0, "N": 4}},
+        "sweep": {"drive": {"values": [0.5], "phase": 1.0}},
+    })
+    [point] = sweep._grid_points(cfg)
+    assert point.cavity.g == pytest.approx(0.05j, rel=1e-12)
+    assert cmath.phase(point.effective.Omega) == pytest.approx(1.0, rel=1e-12)
+    assert point.effective.drive_ratio == pytest.approx(0.5, rel=1e-12)
+
+
 def test_exit_code_config_error(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["mean-field", "--config", str(missing), "--out", "x.csv"]) == 2
@@ -287,26 +338,31 @@ def test_exit_code_solver_failure_partial_results(tmp_path):
 
 
 def test_solver_method_column_names_the_route(tmp_path):
-    # resonant rows take the closed form; a detuned row goes through the
-    # numeric solve
-    base = {
-        "mode": "sweep-jz",
-        "params": {"effective": {"gamma": 1.0, "N": 10}},
-        "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0, 1.0]},
-    }
-    cases = {
-        "resonant": (base, "closed-form"),
-        "detuned": ({**base, "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}}},
-                    "sparse-direct"),
-    }
-    for name, (payload, route) in cases.items():
-        cfg = write_cfg(tmp_path / f"{name}.json", payload)
+    # every numeric mode shares one row path: resonant rows take the closed
+    # form, detuned rows the sparse LU, and each row carries both solver
+    # columns
+    def payload(mode, delta):
+        return {
+            "mode": mode,
+            "params": {"effective": {"gamma": 1.0, "N": 10, "delta": delta}},
+            "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0, 1.0]},
+            "spectrum": {"n_tau": 32, "tau_max_gamma": 8.0},
+        }
+
+    cases = [(mode, delta, route)
+             for mode in ("sweep-jz", "sweep-squeezing", "moments", "g2")
+             for delta, route in ((0.0, "closed-form"), (0.3, "sparse-direct"))]
+    cases.append(("spectrum", 0.0, "closed-form"))
+    for mode, delta, route in cases:
+        name = f"{mode}-{delta}"
+        cfg = write_cfg(tmp_path / f"{name}.json", payload(mode, delta))
         out = tmp_path / f"{name}.csv"
-        assert main(["sweep-jz", "--config", cfg, "--out", str(out), "--no-timestamp",
-                     "--threads", "1"]) == 0
+        assert main([mode, "--config", cfg, "--out", str(out), "--no-timestamp",
+                     "--threads", "1"]) == 0, name
         rows = read_csv(out)
-        assert len(rows) == 2
-        assert [r["solver_method"] for r in rows] == [route, route], name
+        assert len(rows) == (2 * 65 if mode == "spectrum" else 2), name
+        assert {r["solver_method"] for r in rows} == {route}, name
+        assert all(math.isfinite(float(r["solver_residual"])) for r in rows), name
 
 
 def test_detuned_sweep_leaves_analytic_cells_empty(tmp_path):

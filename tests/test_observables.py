@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from oracles import (
 
 from dickelab.errors import AboveThresholdError
 from dickelab.lindblad import DensityMatrix, expect, steady_state
-from dickelab.models import build_cavity_model, build_dicke_model, mean_field_amplitude
+from dickelab.models import (
+    build_cavity_model,
+    build_dicke_model,
+    mean_field_amplitude,
+    resonant_steady_state,
+)
 from dickelab.observables import (
     dipole_fluctuation_moments,
     field_composition,
@@ -381,3 +387,20 @@ def test_spectrum_short_window_flagged():
     assert horizon == pytest.approx(math.log(1000.0) / rate, rel=1e-2)
     assert output_spectrum(model, fc, tau_max=2 * horizon, n_tau=256,
                            rho_ss=rho).correlator_decayed
+
+
+def test_spectrum_start_below_round_off_reads_decayed():
+    # N = 100 at drive 0.545: the connected start is round-off, below the
+    # floor eps D <J_+J_-> on which the correlator stops, so there is
+    # nothing left to resolve and the verdict must not hang on that noise
+    e = eff(100, 0.545)
+    model = build_dicke_model(e)
+    rho, _ = resonant_steady_state(model)
+    jm = spin_moments(rho, model.rep).jm
+    fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), jm, bloch_angles(e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = output_spectrum(model, fc, rho_ss=rho)
+    floor = np.finfo(float).eps * model.rep.dim * dipole_fluctuation_moments(rho, model.rep).jpjm
+    assert abs(spec.correlator[0]) <= floor
+    assert spec.correlator_decayed
