@@ -36,12 +36,11 @@ from .models import (
     validate_elimination,
 )
 from .observables import (
-    DipoleMoments,
     FieldComposition,
     FieldSqueezingResult,
     HPFluctuationSolution,
     SpectrumResult,
-    dipole_fluctuation_moments,
+    SpinMoments,
     field_composition,
     field_squeezing_analytic,
     g2_zero,

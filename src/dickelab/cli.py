@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError
 from .sweep import MODES, RunConfig, reproduce_figures, run_and_write
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
         if args.out:
             cfg.out_path = args.out
         if args.threads is not None:
-            cfg.threads = args.threads
+            cfg = replace(cfg, threads=args.threads)  # re-runs the config checks
         if args.no_timestamp:
             cfg.timestamp = False
         if args.absolute_drive:

@@ -267,7 +267,6 @@ class SteadyStateOptions:
 class SteadyStateSolveReport:
     method: str
     residual: float
-    iterations: int
     wall_time: float
     uniqueness_ratio: float | None = None
 
@@ -279,8 +278,7 @@ def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
 
 
 def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
-                        tol: float | None, iterations: int,
-                        uniqueness_ratio: float | None):
+                        tol: float | None, uniqueness_ratio: float | None):
     """The acceptance gate of every steady-state candidate: the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
     PSD floor), and its residual must stay within
@@ -298,7 +296,6 @@ def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
     return rho, SteadyStateSolveReport(
         method=method,
         residual=residual,
-        iterations=iterations,
         wall_time=wall,
         uniqueness_ratio=uniqueness_ratio,
     )
@@ -322,13 +319,12 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
         opts = SteadyStateOptions()
 
     t0 = time.perf_counter()
-    raw, iterations, uniq = _solve_sparse_direct(L, opts)
+    raw, uniq = _solve_sparse_direct(L, opts)
     if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
-    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol,
-                               iterations, uniq)
+    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol, uniq)
 
 
 def _square_system(L: Liouvillian):
@@ -357,7 +353,7 @@ def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
     uniq = None
     if opts.check_unique:
         uniq = _uniqueness_probe(lu, M.shape[0], scale)
-    return x, 1, uniq
+    return x, uniq
 
 
 def _uniqueness_probe(lu, n: int, scale: float) -> float:

@@ -178,7 +178,7 @@ def resonant_steady_state(model: DickeModel, tol: float | None = None):
         upper = np.exp(log_mag + 1j * np.angle(beta) * (i - k))
         raw[k, i] = upper.conj()
         raw[i, k] = upper
-    return accept_steady_state(model.liouvillian, raw, "closed-form", t0, tol, 0, None)
+    return accept_steady_state(model.liouvillian, raw, "closed-form", t0, tol, None)
 
 
 def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
@@ -187,18 +187,17 @@ def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
     return complex((p.Omega_L + np.conj(p.g) * jminus) / (p.delta_c + 0.5j * p.kappa))
 
 
-def default_fock_cutoff(p: CavityParams, moments: dict) -> int:
-    """Truncation of d = c - alpha from the eliminated model's moments.
+def default_fock_cutoff(p: CavityParams, var_jm: float) -> int:
+    """Truncation of d = c - alpha from the eliminated model's dipole
+    fluctuation ``var_jm`` = var(J_-) (``SpinMoments.var_jm``).
 
     A cavity that follows the atoms adiabatically holds
-    <d^dag d> ~ |g|^2 var(J_-)/(delta_c^2 + kappa^2/4) quanta of d, with
-    var(J_-) = <J_+J_-> - |<J_->|^2 taken from ``moments`` (keys
-    ``Jminus``, ``JpJm``). The Fock populations of a near-vacuum d fall
-    off like powers of that occupation, so three quanta cover it below
-    1/4, and each further quarter quantum adds one.
+    <d^dag d> ~ |g|^2 var(J_-)/(delta_c^2 + kappa^2/4) quanta of d. The
+    Fock populations of a near-vacuum d fall off like powers of that
+    occupation, so three quanta cover it below 1/4, and each further
+    quarter quantum adds one.
     """
-    var = max(moments["JpJm"] - abs(moments["Jminus"]) ** 2, 0.0)
-    occupation = abs(p.g) ** 2 * var / (p.delta_c**2 + (p.kappa / 2) ** 2)
+    occupation = abs(p.g) ** 2 * max(var_jm, 0.0) / (p.delta_c**2 + (p.kappa / 2) ** 2)
     return 3 + int(4.0 * occupation)
 
 
@@ -262,11 +261,11 @@ def _atomic_observables(mom: SpinMoments) -> dict:
     return {"Jz": mom.jz, "Jminus": mom.jm, "JpJm": mom.jp_jm}
 
 
-def _eliminated_observables(p: CavityParams, solve_opts) -> dict:
-    """<J_z>, <J_->, <J_+J_-> of the eliminated Dicke model of ``p``."""
+def _eliminated_moments(p: CavityParams, solve_opts) -> SpinMoments:
+    """The moments record of the eliminated Dicke model of ``p``."""
     dicke = build_dicke_model(map_cavity_to_effective(p))
     rho, _ = steady_state(dicke.liouvillian, solve_opts)
-    return _atomic_observables(spin_moments(rho, dicke.rep))
+    return spin_moments(rho, dicke.rep)
 
 
 def _cavity_side_observables(p: CavityParams, cutoff, alpha, solve_opts) -> dict:
@@ -318,9 +317,10 @@ def validate_elimination(
             "the eliminated model is not expected to be accurate",
             stacklevel=2,
         )
-    eff = _eliminated_observables(p, solve_opts)
-    alpha = mean_field_amplitude(p, eff["Jminus"])
-    base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, eff)
+    mom = _eliminated_moments(p, solve_opts)
+    eff = _atomic_observables(mom)
+    alpha = mean_field_amplitude(p, mom.jm)
+    base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, mom.var_jm)
     cavity_dimension(p, base_cutoff + 5)
 
     halfN = p.N / 2

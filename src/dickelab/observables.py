@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AboveThresholdError
-from .lindblad import DensityMatrix, steady_state, two_time_correlator
+# steady_state is not used here; it stays importable at this name because
+# the benchmark's tracer wraps observables.steady_state
+from .lindblad import DensityMatrix, steady_state, two_time_correlator  # noqa: F401
 
 # build_spin_operators is not used here; it stays importable at this name
 # because the benchmark's tracer wraps observables.build_spin_operators
@@ -43,7 +45,10 @@ from .parameters import (
 @dataclass(frozen=True)
 class SpinMoments:
     """Low moments of the collective spin in one state: <J_z>, <J_z^2>,
-    <J_->, <J_z J_->, <J_+J_->, <J_-^2> and <J_+^2 J_-^2>."""
+    <J_->, <J_z J_->, <J_+J_->, <J_-^2> and <J_+^2 J_-^2>, and the dipole
+    fluctuations var(J_-) = <J_+J_-> - |<J_->|^2 (``var_jm``) and
+    <J_-^2> - <J_->^2 (``anom_jm``). The fluctuations are formed only in
+    :func:`spin_moments`; every caller reads them from this record."""
 
     jz: float
     jz2: float
@@ -52,6 +57,17 @@ class SpinMoments:
     jp_jm: float
     jm2: complex
     jp2_jm2: float
+    var_jm: float
+    anom_jm: complex
+
+    @property
+    def coherence_ratio(self) -> float:
+        """|<J_->|^2 / <J_+J_->, the coherently scattered fraction.
+
+        NaN for a state that does not emit at all."""
+        if self.jp_jm == 0.0:
+            return float("nan")
+        return abs(self.jm) ** 2 / self.jp_jm
 
     @property
     def mean_spin(self) -> np.ndarray:
@@ -137,25 +153,6 @@ class FieldSqueezingResult:
 
 
 @dataclass(frozen=True)
-class DipoleMoments:
-    """Exact fluctuation moments of the collective dipole."""
-
-    jminus_mean: complex
-    jpjm: float
-    var_jm: float
-    anom_jm: complex
-
-    @property
-    def coherence_ratio(self) -> float:
-        """|<J_->|^2 / <J_+J_->, the coherently scattered fraction.
-
-        NaN for a state that does not emit at all."""
-        if self.jpjm == 0.0:
-            return float("nan")
-        return abs(self.jminus_mean) ** 2 / self.jpjm
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Output-light spectrum split into its delta-peak and broadband parts."""
 
@@ -183,14 +180,19 @@ def spin_moments(rho: DensityMatrix, rep: SpinRep) -> SpinMoments:
     pairs = amp[:-1] * amp[1:]
     pop = mat.diagonal().real
     lowered = amp * mat.diagonal(-1)
+    jm = complex(lowered.sum())
+    jp_jm = float((amp * amp) @ pop[1:])
+    jm2 = complex(pairs @ mat.diagonal(-2))
     return SpinMoments(
         jz=float(m @ pop),
         jz2=float((m * m) @ pop),
-        jm=complex(lowered.sum()),
+        jm=jm,
         jz_jm=complex(m[:-1] @ lowered),
-        jp_jm=float((amp * amp) @ pop[1:]),
-        jm2=complex(pairs @ mat.diagonal(-2)),
+        jp_jm=jp_jm,
+        jm2=jm2,
         jp2_jm2=float((pairs * pairs) @ pop[2:]),
+        var_jm=jp_jm - abs(jm) ** 2,
+        anom_jm=jm2 - jm * jm,
     )
 
 
@@ -274,17 +276,6 @@ def hp_moments_numeric(rho: DensityMatrix, rep: SpinRep) -> tuple[float, float]:
     return occupation, anomalous
 
 
-def dipole_fluctuation_moments(rho: DensityMatrix, rep: SpinRep) -> DipoleMoments:
-    """Exact <J_+J_-> - |<J_->|^2 and <J_-J_-> - <J_->^2 from a state."""
-    mom = spin_moments(rho, rep)
-    return DipoleMoments(
-        jminus_mean=mom.jm,
-        jpjm=mom.jp_jm,
-        var_jm=mom.jp_jm - abs(mom.jm) ** 2,
-        anom_jm=mom.jm2 - mom.jm * mom.jm,
-    )
-
-
 def g2_zero(rho: DensityMatrix, rep: SpinRep) -> float:
     """Zero-delay intensity correlation of the dipole-scattered light,
     <J_+J_+J_-J_-> / <J_+J_->^2."""
@@ -349,7 +340,7 @@ def output_spectrum(
     tau_max: float | None = None,
     n_tau: int = 512,
     *,
-    rho_ss: DensityMatrix | None = None,
+    rho_ss: DensityMatrix,
 ) -> SpectrumResult:
     """Spectrum of the radiated light from the dipole correlator.
 
@@ -360,13 +351,12 @@ def output_spectrum(
     order the full normally ordered fluctuation flux vanishes, so the
     dipole term alone bounds the residual. Default tau_max is ten times
     the slowest linearized relaxation time, 10 / (N cos(t) gamma / 2).
+    ``rho_ss`` is the steady state of ``model``.
     """
     e = model.effective
-    if rho_ss is None:
-        rho_ss, _ = steady_state(model.liouvillian)
     ops = model.ops
 
-    moments = dipole_fluctuation_moments(rho_ss, model.rep)
+    moments = spin_moments(rho_ss, model.rep)
     if tau_max is None:
         rate = e.N * fc.angles.cos_theta * e.gamma / 2.0
         tau_max = 10.0 / rate
@@ -377,7 +367,7 @@ def output_spectrum(
 
     # a connected start at or below the round-off floor the correlator
     # stops on, eps D <J_+J_->, leaves nothing to resolve
-    floor = np.finfo(float).eps * model.liouvillian.dim * moments.jpjm
+    floor = np.finfo(float).eps * model.liouvillian.dim * moments.jp_jm
     decayed = abs(corr[0]) <= floor or abs(corr[-1]) <= 1e-3 * abs(corr[0])
     if not decayed:
         horizon = ""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import csv
 import json
+import math
 import os
 import time
 from collections.abc import Callable
@@ -53,7 +54,6 @@ from .lindblad import (
 )
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
-    dipole_fluctuation_moments,
     field_composition,
     g2_zero,
     hp_moments,
@@ -101,7 +101,7 @@ def _read(block: dict, key: str, convert, where: str, default=None):
         return default
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key}: bad value {value!r} ({exc})") from exc
 
 
@@ -112,11 +112,19 @@ def _list_of(convert):
     return to_list
 
 
+def _as_real(value) -> float:
+    """A finite JSON number; ``float()`` would take "nan", NaN, Infinity
+    and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("expected a number")
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
 def _as_int(value) -> int:
     """A JSON number with an integral value; ``int()`` would truncate 2.7."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("expected an integer")
-    if not float(value).is_integer():
+    if not _as_real(value).is_integer():
         raise ValueError("expected an integer, not a fraction")
     return int(value)
 
@@ -129,37 +137,36 @@ def _as_flag(value) -> bool:
 
 
 def _as_complex(value) -> complex:
+    """A real number or an [re, im] pair of them."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise ValueError("expected a number or an [re, im] pair")
+        return complex(_as_real(value[0]), _as_real(value[1]))
+    return complex(_as_real(value))
 
 
 def _drive_list(spec) -> list[float]:
     if isinstance(spec, dict):
         where = "sweep.drive.values"
         grid = _block(spec, where, ("start", "stop", "num"))
-        start = _read(grid, "start", float, where, _REQUIRED)
-        stop = _read(grid, "stop", float, where, _REQUIRED)
+        start = _read(grid, "start", _as_real, where, _REQUIRED)
+        stop = _read(grid, "stop", _as_real, where, _REQUIRED)
         num = _read(grid, "num", _as_int, where, _REQUIRED)
         if num < 1:
             raise ConfigError("drive grid needs num >= 1")
         return [float(x) for x in np.linspace(start, stop, num)]
     if isinstance(spec, (list, tuple)) and spec:
-        return [float(x) for x in spec]
+        return [_as_real(x) for x in spec]
     raise ConfigError("drive values must be a non-empty list or {start, stop, num}")
 
 
 # the scalar options of each run-knob block: (key, RunConfig field, conversion)
 _OPTIONS = {
-    "solver": (("tol", "solver_tol", float), ("threads", "threads", _as_int)),
+    "solver": (("tol", "solver_tol", _as_real), ("threads", "threads", _as_int)),
     "output": (("path", "out_path", str), ("json_mirror", "json_mirror", _as_flag),
                ("timestamp", "timestamp", _as_flag)),
-    "spectrum": (("tau_max_gamma", "tau_max_gamma", float), ("n_tau", "n_tau", _as_int),
-                 ("kappa_embed_over_gamma", "kappa_embed_over_gamma", float)),
+    "spectrum": (("tau_max_gamma", "tau_max_gamma", _as_real), ("n_tau", "n_tau", _as_int),
+                 ("kappa_embed_over_gamma", "kappa_embed_over_gamma", _as_real)),
     "elimination": (("fock_cutoff", "fock_cutoff", _as_int),
-                    ("min_adiabaticity", "min_adiabaticity", float)),
+                    ("min_adiabaticity", "min_adiabaticity", _as_real)),
 }
 
 
@@ -221,14 +228,13 @@ class RunConfig:
             )
         if any(d is not None and d < 0 for d in self.drive_values):
             raise ConfigError("drive values must be non-negative; set the drive phase instead")
-        if self.n_tau < 16:
-            raise ConfigError("n_tau must be at least 16")
-        if self.tau_max_gamma is not None and self.tau_max_gamma <= 0:
-            raise ConfigError("spectrum.tau_max_gamma must be positive")
-        if self.kappa_embed_over_gamma <= 0:
-            raise ConfigError("spectrum.kappa_embed_over_gamma must be positive")
-        if self.fock_cutoff is not None and self.fock_cutoff < 1:
-            raise ConfigError("elimination.fock_cutoff must be >= 1")
+        # each run knob must exceed its bound; None means its default
+        for name, bound in (("solver_tol", 0), ("threads", 0), ("n_tau", 15),
+                            ("tau_max_gamma", 0), ("kappa_embed_over_gamma", 0),
+                            ("fock_cutoff", 0)):
+            value = getattr(self, name)
+            if value is not None and value <= bound:
+                raise ConfigError(f"{name} must exceed {bound}, got {value}")
 
     @classmethod
     def from_dict(cls, raw: dict, mode: str | None = None) -> "RunConfig":
@@ -259,28 +265,28 @@ class RunConfig:
 
         if level == "effective":
             block = _block(block, where, ("gamma", "delta", "N", "Delta_over_gamma"))
-            kwargs["gamma"] = _read(block, "gamma", float, where, 1.0)
-            kwargs["delta"] = _read(block, "delta", float, where, 0.0)
+            kwargs["gamma"] = _read(block, "gamma", _as_real, where, 1.0)
+            kwargs["delta"] = _read(block, "delta", _as_real, where, 0.0)
             n_vals = _read(sweep, "N", _list_of(_as_int), "sweep")
             if n_vals is None:
                 n_vals = _read(block, "N", _list_of(_as_int), where)
             if n_vals is None:
                 raise ConfigError("effective-level config needs N (in params or sweep)")
             kwargs["n_values"] = n_vals
-            d_vals = _read(sweep, "Delta_over_gamma", _list_of(float), "sweep")
+            d_vals = _read(sweep, "Delta_over_gamma", _list_of(_as_real), "sweep")
             if d_vals is None:
-                d_vals = _read(block, "Delta_over_gamma", _list_of(float), where, [0.0])
+                d_vals = _read(block, "Delta_over_gamma", _list_of(_as_real), where, [0.0])
             kwargs["delta_over_gamma_values"] = d_vals
         else:
             block = _block(block, where, ("g", "kappa", "delta_c", "Omega_L", "N", "delta"))
             try:
                 kwargs["cavity"] = CavityParams(
                     g=_read(block, "g", _as_complex, where, _REQUIRED),
-                    kappa=_read(block, "kappa", float, where, _REQUIRED),
-                    delta_c=_read(block, "delta_c", float, where, 0.0),
+                    kappa=_read(block, "kappa", _as_real, where, _REQUIRED),
+                    delta_c=_read(block, "delta_c", _as_real, where, 0.0),
                     Omega_L=_read(block, "Omega_L", _as_complex, where, 0.0),
                     N=_read(block, "N", _as_int, where, _REQUIRED),
-                    delta=_read(block, "delta", float, where, 0.0),
+                    delta=_read(block, "delta", _as_real, where, 0.0),
                 )
             except ValueError as exc:
                 raise ConfigError(f"bad cavity parameter block: {exc}") from exc
@@ -298,7 +304,7 @@ class RunConfig:
             if units not in ("critical", "absolute"):
                 raise ConfigError("drive units must be 'critical' or 'absolute'")
             kwargs["drive_absolute"] = units == "absolute"
-            kwargs["drive_phase"] = _read(drive, "phase", float, "sweep.drive", 0.0)
+            kwargs["drive_phase"] = _read(drive, "phase", _as_real, "sweep.drive", 0.0)
         elif level == "cavity":
             kwargs["drive_values"] = [None]  # use Omega_L as given
         else:
@@ -517,11 +523,11 @@ def _rows_mean_field(point: GridPoint) -> list:
 
 
 def _moments_cells(point: GridPoint, model, rho) -> list:
-    mom = dipole_fluctuation_moments(rho, model.rep)
+    mom = spin_moments(rho, model.rep)
     row = {
-        "jminus_re": mom.jminus_mean.real,
-        "jminus_im": mom.jminus_mean.imag,
-        "jpjm": mom.jpjm,
+        "jminus_re": mom.jm.real,
+        "jminus_im": mom.jm.imag,
+        "jpjm": mom.jp_jm,
         "var_jm": mom.var_jm,
         "anom_jm_re": mom.anom_jm.real,
         "anom_jm_im": mom.anom_jm.imag,

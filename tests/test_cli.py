@@ -291,18 +291,56 @@ def test_exit_code_config_error(tmp_path):
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
          "output": {"json_mirror": "no"}},
+        # a real key takes only a finite JSON number: NaN would disarm the
+        # residual gate, and float() would read "nan" and true
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"tol": float("nan")}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": "nan", "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}}},
+        {"mode": "spectrum",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "spectrum": {"n_tau": 32, "tau_max_gamma": float("inf")}},
+        {"mode": "sweep-jz",
+         "params": {"cavity": {"g": True, "kappa": 20.0, "Omega_L": 0.1, "N": 2}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0}},
+         "sweep": {"N": [10**400], "drive": {"values": [0.5]}}},
+        # the residual tolerance and the worker count must be positive
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"tol": 0}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}},
+         "solver": {"threads": 0}},
     ],
     ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero",
          "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
          "negative-drive", "unknown-key", "non-numeric-value", "non-integer-threads",
          "block-not-object", "solver-method-retired", "fractional-n", "fractional-threads",
-         "fractional-num", "string-timestamp", "string-json-mirror"],
+         "fractional-num", "string-timestamp", "string-json-mirror", "nan-tol",
+         "string-nan-gamma", "infinite-tau-max", "boolean-g", "huge-integer-n", "tol-zero",
+         "threads-zero"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
     out = tmp_path / "out.csv"
     assert main([payload["mode"], "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_threads_flag_below_one_rejected(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", BASE_MF)
+    out = tmp_path / "out.csv"
+    assert main(["mean-field", "--config", cfg, "--out", str(out), "--threads", "0"]) == 2
+    assert not out.exists()
+    assert main(["reproduce-figures", "--outdir", str(tmp_path), "--threads", "0"]) == 2
+    assert not (tmp_path / "fig2.csv").exists()
 
 
 def test_shipped_configs_parse():

@@ -180,7 +180,7 @@ def test_uniqueness_probe_flags_decoupled_cavity():
     model = build_cavity_model(CavityParams(g=0.0, kappa=2.0, delta_c=0.5, Omega_L=0.3, N=2),
                                cutoff=8)
     L = model.liouvillian
-    _, _, uniq = _solve_sparse_direct(L, SteadyStateOptions())
+    _, uniq = _solve_sparse_direct(L, SteadyStateOptions())
     assert uniq < uniqueness_threshold(L.dim ** 2)
 
 

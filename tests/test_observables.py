@@ -21,7 +21,6 @@ from dickelab.models import (
     resonant_steady_state,
 )
 from dickelab.observables import (
-    dipole_fluctuation_moments,
     field_composition,
     field_squeezing_analytic,
     g2_zero,
@@ -98,6 +97,14 @@ def test_spin_moments_match_operator_products(make_state):
     for name, op in products.items():
         ref = expect(rho, op)
         assert abs(getattr(mom, name) - ref) <= 1e-12 * abs(ref), name
+    # the fluctuations and the coherence ratio are differences and ratios
+    # of these moments, so their round-off scales with <J_+J_->
+    ref_jm, ref_jp_jm = expect(rho, jm), expect(rho, jp @ jm).real
+    fluctuations = {"var_jm": ref_jp_jm - abs(ref_jm) ** 2,
+                    "anom_jm": expect(rho, jm @ jm) - ref_jm**2,
+                    "coherence_ratio": abs(ref_jm) ** 2 / ref_jp_jm}
+    for name, ref in fluctuations.items():
+        assert abs(getattr(mom, name) - ref) <= 1e-12 * ref_jp_jm, name
     axes = [ops["J_x"], ops["J_y"], jz]
     means = np.array([expect(rho, a) for a in axes])
     assert np.abs(mom.mean_spin - means).max() <= 1e-12 * np.abs(means).max()
@@ -272,7 +279,7 @@ def test_field_fluctuation_coefficients():
 
 def test_dipole_moments_ground_state_zero():
     model, rho = solved(EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=6))
-    mom = dipole_fluctuation_moments(rho, model.rep)
+    mom = spin_moments(rho, model.rep)
     assert abs(mom.var_jm) < 1e-12
     assert abs(mom.anom_jm) < 1e-12
 
@@ -288,8 +295,8 @@ def test_dipole_moments_against_brute_force():
     jmjm_o = np.trace(ops["jm"] @ ops["jm"] @ oracle_rho)
 
     model, rho = solved(e)
-    mom = dipole_fluctuation_moments(rho, model.rep)
-    assert mom.jminus_mean == pytest.approx(jm_o, abs=1e-9)
+    mom = spin_moments(rho, model.rep)
+    assert mom.jm == pytest.approx(jm_o, abs=1e-9)
     assert mom.var_jm == pytest.approx(jpjm_o - abs(jm_o) ** 2, abs=1e-9)
     assert mom.anom_jm == pytest.approx(jmjm_o - jm_o**2, abs=1e-9)
 
@@ -298,7 +305,7 @@ def test_coherence_improves_from_10_to_20():
     ratios = []
     for n in (10, 20):
         model, rho = solved(eff(n, 0.5))
-        ratios.append(dipole_fluctuation_moments(rho, model.rep).coherence_ratio)
+        ratios.append(spin_moments(rho, model.rep).coherence_ratio)
     assert ratios[1] > ratios[0]
     assert all(0.0 < r <= 1.0 + 1e-12 for r in ratios)
 
@@ -358,7 +365,7 @@ def test_spectrum_weight_identity_and_positivity():
     rate = 10 * bloch_angles(e).cos_theta * 0.5
     spec = output_spectrum(model, fc, tau_max=40.0 / rate, n_tau=1500, rho_ss=rho)
     assert spec.correlator_decayed
-    mom = dipole_fluctuation_moments(rho, model.rep)
+    mom = spin_moments(rho, model.rep)
     assert spec.incoherent_weight == pytest.approx(abs(fc.G) ** 2 * mom.var_jm, rel=1e-6)
     # symmetrized transform is real by construction and non-negative once
     # the correlator has fully decayed inside the window
@@ -401,6 +408,6 @@ def test_spectrum_start_below_round_off_reads_decayed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = output_spectrum(model, fc, rho_ss=rho)
-    floor = np.finfo(float).eps * model.rep.dim * dipole_fluctuation_moments(rho, model.rep).jpjm
+    floor = np.finfo(float).eps * model.rep.dim * spin_moments(rho, model.rep).jp_jm
     assert abs(spec.correlator[0]) <= floor
     assert spec.correlator_decayed
