@@ -79,7 +79,7 @@ def _point(n: int, d_over_g: float, drive: float, delta: float):
     e = EffectiveParams(gamma=1.0, Delta=d_over_g, Omega=resonant.Omega, N=n, delta=delta)
     model = build_dicke_model(e)
     if delta == 0.0:
-        rho, _ = resonant_steady_state(model)
+        rho, _ = resonant_steady_state(model.effective)
     else:
         rho, _ = steady_state(model.liouvillian)
     tau = np.linspace(0.0, 10.0 / (n * bloch_angles(resonant).cos_theta / 2.0), N_TAU)

@@ -16,11 +16,19 @@ information, and M is nonsingular exactly when the steady state is unique.
 The same factor gives the uniqueness probe by inverse iteration. The Dicke
 Liouvillian is narrow-banded, so fill-in stays small. The model caps
 (``models.DICKE_ATOM_CAP``, ``models.CAVITY_PRODUCT_CAP``) are the only
-size limit. (The resonant Dicke model also has an exact steady state,
-``models.resonant_steady_state``, which the sweeps use for delta = 0.)
+size limit. Every LU candidate passes one gate, :func:`accept_steady_state`.
+(The resonant Dicke model also has an exact steady state,
+``models.resonant_steady_state``, which the sweeps use for delta = 0. It
+needs no Liouvillian, and passes the O(D) gate
+``models.accept_banded_state``, whose default tolerance is never looser
+than :func:`residual_tolerance`.)
 
-Every candidate, from the LU or from the closed form, passes the same
-gate, :func:`accept_steady_state`.
+scipy is imported inside the functions that build sparse objects or
+factor them, so importing this module, and every closed-form run, loads
+no scipy module. Serial sweeps and pool workers hold each bundled
+OpenBLAS copy to one thread (:func:`pin_blas_threads`); scipy's copy is
+loaded only with scipy's linear algebra, so the code that imports it
+calls :func:`openblas_libraries` at once, which pins the new copy too.
 
 Time evolution and the regression correlator share one propagator, the
 shift-invert (rational) Krylov approximation of exp(t L) of van den
@@ -44,8 +52,9 @@ vectors raise NoConvergence.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
-import importlib
+import importlib.util
 import logging
 import math
 import os
@@ -54,7 +63,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
 
@@ -128,6 +136,8 @@ def _inf_norm(s: sp.csr_array) -> float:
 
 def _square_operator(x) -> sp.csr_array:
     """Any dense or sparse square matrix as a complex CSR array."""
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     mat = sp.csr_array(x, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator must be a square 2D matrix, got shape {mat.shape}")
@@ -140,6 +150,8 @@ def build_liouvillian(H, collapse) -> Liouvillian:
     H and each C may be any dense or sparse square matrix. Rates must be
     non-negative; every operator must share the Hilbert dimension of H.
     """
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     Hs = _square_operator(H)
     dim = Hs.shape[0]
     eye = sp.identity(dim, dtype=np.complex128, format="csr")
@@ -178,6 +190,10 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def band(self, k: int) -> np.ndarray:
+        """Diagonal -k of the matrix: rho[i + k, i]."""
+        return self.matrix.diagonal(-k)
 
     def validate(self, atol=1e-12):
         """Hermiticity and unit trace within ``atol``, no eigenvalue below
@@ -227,6 +243,8 @@ class DensityMatrix:
 
 def expect(rho, A) -> complex:
     """trace(A rho). Real to machine precision for Hermitian A."""
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if not sp.issparse(A):
         A = np.asarray(A)
@@ -279,7 +297,8 @@ def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
 
 def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
                         tol: float | None, uniqueness_ratio: float | None):
-    """The acceptance gate of every steady-state candidate: the D x D
+    """The acceptance gate of every LU candidate (the closed form has its
+    O(D) gate, ``models.accept_banded_state``): the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
     PSD floor), and its residual must stay within
     :func:`residual_tolerance` or NoConvergence is raised. Returns
@@ -302,6 +321,8 @@ def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
 
 
 def _trace_row(dim: int) -> sp.csr_array:
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     cols = np.arange(dim) * (dim + 1)
     data = np.ones(dim, dtype=np.complex128)
     return sp.csr_array((data, (np.zeros(dim, dtype=int), cols)), shape=(1, dim * dim))
@@ -330,6 +351,8 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
 def _square_system(L: Liouvillian):
     """The superoperator with row 0 replaced by the trace row times the
     scale, and the matching right-hand side scale * e_0."""
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     scale = max(L.scale, 1e-300)
     M = sp.vstack([_trace_row(L.dim) * scale, L.superoperator[1:]], format="csc")
     b = np.zeros(M.shape[0], dtype=np.complex128)
@@ -339,6 +362,7 @@ def _square_system(L: Liouvillian):
 
 def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
     M, b, scale = _square_system(L)
     try:
@@ -376,51 +400,100 @@ def _uniqueness_probe(lu, n: int, scale: float) -> float:
 # OpenBLAS copies bundled with the numpy and scipy wheels, with the suffix
 # of each copy's thread-count symbols
 _OPENBLAS = (("numpy", "64_"), ("scipy", ""))
+# package -> (ctypes handle, symbol suffix, thread count when first seen)
+# of each copy found loaded; the handles are kept for the process's life.
+# A thread count is state of the whole process, and so is the pin below.
+_LOADED = {}
+# the thread count every copy is held to while a pin is set, else None
+_pin = None
+
+
+@functools.cache
+def _openblas_paths(package: str) -> tuple:
+    """The OpenBLAS copies bundled with ``package``, located without
+    importing it."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return ()
+    root = os.path.dirname(spec.submodule_search_locations[0])
+    return tuple(glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")))
+
+
+def _get_threads(lib, suffix: str) -> int:
+    return int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
+
+
+def _set_threads(lib, suffix: str, count: int):
+    getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
 
 
 def openblas_libraries() -> dict:
     """package -> (ctypes handle, symbol suffix) for each bundled OpenBLAS
-    copy that is found. Opening a copy that is already loaded returns the
-    loaded one."""
-    libs = {}
+    copy loaded in this process. A copy is opened with RTLD_NOLOAD, so
+    none is loaded here: numpy's comes with numpy, scipy's only with
+    scipy's linear algebra. Each handle is kept, and a copy first seen
+    while a pin is set takes the pinned count at once, so the code that
+    imports scipy's linear algebra calls this right after the import."""
     for package, suffix in _OPENBLAS:
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
+        for path in () if package in _LOADED else _openblas_paths(package):
             try:
-                lib = ctypes.CDLL(path)
-            except OSError:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:  # not loaded
                 continue
             if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
-                libs[package] = (lib, suffix)
-    return libs
+                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                _LOADED[package] = (lib, suffix, _get_threads(lib, suffix))
+                if _pin is not None:
+                    _set_threads(lib, suffix, _pin)
+    return {package: (lib, suffix) for package, (lib, suffix, _) in _LOADED.items()}
 
 
 def blas_thread_counts() -> dict:
-    """Thread count of each bundled OpenBLAS copy in this process."""
-    return {package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
+    """Thread count of each bundled OpenBLAS copy loaded in this process."""
+    return {package: _get_threads(lib, suffix)
             for package, (lib, suffix) in openblas_libraries().items()}
 
 
 def set_blas_threads(counts: dict):
-    """Set the thread count of each copy, as ``blas_thread_counts`` names them."""
+    """Set the thread count of each loaded copy that ``counts`` names, as
+    ``blas_thread_counts`` names them."""
     for package, (lib, suffix) in openblas_libraries().items():
-        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(counts[package])
+        if package in counts:
+            _set_threads(lib, suffix, counts[package])
+
+
+def pin_blas_threads(count: int | None):
+    """Hold every loaded OpenBLAS copy, and each one loaded later (see
+    :func:`openblas_libraries`), to ``count`` threads; None lifts the pin
+    and leaves the counts as they are. Pool workers start with a pin of
+    one."""
+    global _pin
+    _pin = count
+    if count is not None:
+        set_blas_threads(dict.fromkeys(openblas_libraries(), count))
 
 
 @contextmanager
 def _single_blas_thread():
-    """One thread in each bundled OpenBLAS copy for the duration, then the
-    previous counts. The dense work of a Krylov propagation is on m x m
-    matrices (m ~ 100), and that of a serial sweep (the eigh of each
-    steady-state gate) on D x D ones with D <= 401, where a second thread
-    costs more than it gives: measured on 2 cores, expm of an 80 x 80
-    matrix took 94 ms with two threads and 2.8 ms with one."""
-    previous = blas_thread_counts()
-    set_blas_threads(dict.fromkeys(previous, 1))
+    """One thread in each bundled OpenBLAS copy for the duration, a copy
+    loaded meanwhile included (a serial LU loads scipy's), then the
+    previous counts; a copy first loaded meanwhile gets back the count it
+    was loaded with, or the enclosing pin. The dense work of a Krylov
+    propagation is on m x m matrices (m ~ 100), and that of a serial
+    sweep (the eigh of each LU gate) on D x D ones with D <= 401, where a
+    second thread costs more than it gives: measured on 2 cores, expm of
+    an 80 x 80 matrix took 94 ms with two threads and 2.8 ms with one."""
+    outer, previous = _pin, blas_thread_counts()
+    pin_blas_threads(1)
     try:
         yield
     finally:
-        set_blas_threads(previous)
+        pin_blas_threads(outer)
+        set_blas_threads({package: previous.get(package, first if outer is None else outer)
+                          for package, (_, _, first) in _LOADED.items()})
 
 
 def _ascending_grid(grid, name: str) -> np.ndarray:
@@ -497,7 +570,9 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, t_grid: np.ndarray, observe, tol
     rows of length n, so that the states are ``values.T @ V`` when
     ``observe`` is None.
     """
-    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+    import scipy.sparse.linalg as spla
+    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
     t_end = float(t_grid[-1])
     beta = float(np.linalg.norm(y0))
@@ -606,6 +681,8 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     The tau=0 value equals <A B> - <A><B>. With ``full_output`` the return
     is ``(values, PropagationReport)``.
     """
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
     A_mat = A.toarray() if sp.issparse(A) else np.asarray(A)
     B_mat = B.toarray() if sp.issparse(B) else np.asarray(B)

@@ -14,6 +14,19 @@ frequency, where they are time independent:
 Both models read their spin observables from ``observables.spin_moments``;
 the cavity model from the spin state reduced over the Fock index.
 
+At delta = 0 the Dicke steady state has a closed form,
+rho ~ [(J_- - beta)^dag (J_- - beta)]^{-1} (:func:`resonant_steady_state`),
+held in O(D) by :class:`ResonantState`: no Liouvillian, no D x D matrix
+(until one is asked for) and no scipy. Its gate,
+:func:`accept_banded_state`, is O(D) too: the residual of L rho on
+diagonals 0-2, from diagonals 0-3 of rho, and the stationarity of <J_z>
+and <J_-> from their Heisenberg equations. Its default tolerance
+(:func:`banded_tolerance`) is 1e-10 times the largest row sum of L over
+its diagonal rows: the infinity norm of L at Delta = 0 and a lower bound
+of it otherwise, so the gate is never looser than the LU's
+(``lindblad.residual_tolerance``). Without a Liouvillian no atom cap
+applies to it; ``DICKE_ATOM_CAP`` guards the Liouvillian.
+
 The cavity model is solved in the frame displaced by the mean field,
 c = alpha + d (Mollow, Phys. Rev. A 12, 1919 (1975)). The displacement is
 unitary, so only the Fock truncation of d approximates:
@@ -29,20 +42,20 @@ quanta of d; alpha = 0 is the lab frame.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionCapError, NoConvergence
 from .lindblad import (
     DensityMatrix,
     Liouvillian,
     SteadyStateOptions,
-    accept_steady_state,
+    SteadyStateSolveReport,
     build_liouvillian,
     steady_state,
 )
@@ -57,8 +70,9 @@ from .operators import (
 )
 from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
 
-# Desk-scale dimension caps, the only size limits of a solve: the largest
-# sizes whose sparse LU fits a desk budget (under a minute and 3 GB on two
+# Desk-scale dimension caps, the only size limits of a Liouvillian and its
+# solve (the closed-form resonant state has none): the largest sizes whose
+# sparse LU fits a desk budget (under a minute and 3 GB on two
 # cores). The Dicke chain stays banded up to a few hundred atoms (D = 401:
 # 6.8 s, 817 MB). The product space fills in much faster, most for near
 # square splits: 12 x 12 at D = 144 takes 51-55 s and 2.5 GB, 10 x 15 at
@@ -125,11 +139,101 @@ def build_dicke_model(e: EffectiveParams) -> DickeModel:
     return DickeModel(effective=e, rep=rep, ops=ops, liouvillian=liouv)
 
 
-def resonant_steady_state(model: DickeModel, tol: float | None = None):
-    """Exact steady state of the Dicke model at delta = 0, with a solve
-    report. It passes the gate of every numeric route,
-    ``lindblad.accept_steady_state`` (Hermiticity, trace, PSD floor and the
-    Liouvillian residual within ``tol``), but runs no uniqueness probe.
+class ResonantState(DensityMatrix):
+    """The exact steady state of the Dicke model at delta = 0, held in
+    O(D): beta, the ladder amplitudes a_i, log|u_i| and log T(i) (see
+    :func:`resonant_steady_state`). It gives diagonals 0-3
+    (:meth:`band`) and the exact dipole fluctuations
+    (:meth:`dipole_fluctuations`) with no D x D object; the dense
+    ``matrix`` is built on first use only (the spectrum's correlator and
+    the tests read it) and kept."""
+
+    __slots__ = ("beta", "amp", "log_u", "log_t", "log_z", "_bands", "_dense")
+
+    def __init__(self, e: EffectiveParams):
+        if e.delta != 0.0:
+            raise ValueError(f"the closed-form steady state needs delta = 0, got {e.delta}")
+        self.beta = complex(-e.Omega / (e.Delta + 0.5j * e.gamma))
+        self.amp = ladder_amplitudes(SpinRep.for_atoms(e.N))
+        self._bands, self._dense = {}, None
+        if self.beta == 0:  # the ground state; no u is finite
+            self.log_u = self.log_t = self.log_z = None
+            return
+        dim = self.amp.size + 1
+        self.log_u = np.concatenate(([0.0], np.cumsum(np.log(self.amp))))
+        self.log_u -= np.arange(dim) * math.log(abs(self.beta))
+        self.log_t = np.logaddexp.accumulate(2.0 * self.log_u[::-1])[::-1]
+        # log of the trace of T(max(i, k))/(u_i conj(u_k)), i.e. of |beta|^2 Z
+        self.log_z = float(np.logaddexp.reduce(self.log_t - 2.0 * self.log_u))
+
+    @property
+    def dim(self) -> int:
+        return self.amp.size + 1
+
+    def band(self, k: int) -> np.ndarray:
+        """rho[i + k, i] = T(i + k) e^{i k arg(beta)}/(|u_i| |u_{i+k}| |beta|^2 Z),
+        read-only and kept."""
+        if k not in self._bands:
+            size = max(self.dim - k, 0)
+            if self.beta == 0:
+                band = np.zeros(size, dtype=np.complex128)
+                band[:1] = 1.0 if k == 0 else 0.0
+            else:
+                lu = self.log_u
+                log_mag = self.log_t[k:] - lu[:size] - lu[k:] - self.log_z
+                band = np.exp(log_mag + 1j * k * cmath.phase(self.beta))
+            band.flags.writeable = False
+            self._bands[k] = band
+        return self._bands[k]
+
+    def dipole_fluctuations(self) -> tuple[float, complex]:
+        """(var(J_-), <J_-^2> - <J_->^2) with no difference of large numbers.
+
+        With X = (J_- - beta)^{-1}, rho = X X^dag/Z and (J_- - beta) rho =
+        X^dag/Z, so var(J_-) = (D/Z)(1 - D/(|beta|^2 Z)) and
+        <J_-^2> - <J_->^2 = [D beta/conj(beta) - sum_i a_i^2/conj(beta)^2]/Z
+        - (D/(conj(beta) Z))^2. The factor 1 - D/(|beta|^2 Z) is
+        sum_i T(i + 1)/|u_i|^2 over |beta|^2 Z, a sum of positive terms,
+        so both follow from logs:
+        var = D |beta|^2 e^{L1 - 2 L0} and
+        <J_-^2> - <J_->^2 = e^{2i arg(beta)} e^{-L0} (D |beta|^2 e^{L1 - L0} - sum_i a_i^2),
+        with L0 = log(|beta|^2 Z) and L1 = log sum_i T(i + 1)/|u_i|^2."""
+        if self.beta == 0:
+            return 0.0, 0j
+        dim, b2 = self.dim, abs(self.beta) ** 2
+        log_excess = float(np.logaddexp.reduce(self.log_t[1:] - 2.0 * self.log_u[:-1]))
+        var = math.exp(math.log(dim * b2) + log_excess - 2.0 * self.log_z)
+        anom = math.exp(-self.log_z) * (dim * b2 * math.exp(log_excess - self.log_z)
+                                        - float(self.amp @ self.amp))
+        return var, cmath.exp(2j * cmath.phase(self.beta)) * anom
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense state, rho[i, k] ~ T(max(i, k))/(u_i conj(u_k)), through
+        ``DensityMatrix.from_raw``; built on first use."""
+        if self._dense is None:
+            dim = self.dim
+            raw = np.zeros((dim, dim), dtype=np.complex128)
+            if self.beta == 0:
+                raw[0, 0] = 1.0
+            else:
+                # fill the upper triangle (i <= k, so max(i, k) = k), scaled by
+                # the largest diagonal entry, and mirror it
+                i, k = np.triu_indices(dim)
+                lu = self.log_u
+                log_mag = self.log_t[k] - lu[i] - lu[k] - np.max(self.log_t - 2.0 * lu)
+                upper = np.exp(log_mag + 1j * np.angle(self.beta) * (i - k))
+                raw[k, i] = upper.conj()
+                raw[i, k] = upper
+            self._dense = DensityMatrix.from_raw(raw).matrix
+        return self._dense
+
+
+def resonant_steady_state(e: EffectiveParams, tol: float | None = None):
+    """Exact steady state of the Dicke model of ``e`` at delta = 0, with a
+    solve report. It is built in O(D), with no Liouvillian, and passes the
+    O(D) gate :func:`accept_banded_state`; it runs no uniqueness probe.
+    No atom cap applies: the state and its gate are O(D).
 
     For a resonant drive the stationary state is
 
@@ -144,7 +248,8 @@ def resonant_steady_state(model: DickeModel, tol: float | None = None):
         rho[i, k] ~ T(max(i, k)) / (u_i conj(u_k)),   T(k) = sum_{c >= k} |u_c|^2.
 
     |u| spans hundreds of decades at weak drive, so the magnitudes are
-    built in logs. Omega = 0 gives the ground state |j, -j>.
+    built in logs (:class:`ResonantState`). Omega = 0 gives the ground
+    state |j, -j>.
 
     Uniqueness follows without a probe. For beta != 0, J_- is nilpotent,
     so J_- - beta is invertible and rho is full rank (faithful). J_+ and
@@ -156,29 +261,104 @@ def resonant_steady_state(model: DickeModel, tol: float | None = None):
     the ground state alone. Raises ValueError for delta != 0, where the
     form fails.
     """
-    e = model.effective
-    if e.delta != 0.0:
-        raise ValueError(f"the closed-form steady state needs delta = 0, got {e.delta}")
-
     t0 = time.perf_counter()
-    dim = model.rep.dim
-    beta = -e.Omega / (e.Delta + 0.5j * e.gamma)
-    raw = np.zeros((dim, dim), dtype=np.complex128)
-    if beta == 0:
-        raw[0, 0] = 1.0
-    else:
-        amp = ladder_amplitudes(model.rep)
-        log_u = np.concatenate(([0.0], np.cumsum(np.log(amp))))
-        log_u -= np.arange(dim) * math.log(abs(beta))
-        log_t = np.logaddexp.accumulate(2.0 * log_u[::-1])[::-1]
-        # fill the upper triangle (i <= k, so max(i, k) = k), scaled by the
-        # largest diagonal entry, and mirror it
-        i, k = np.triu_indices(dim)
-        log_mag = log_t[k] - log_u[i] - log_u[k] - np.max(log_t - 2.0 * log_u)
-        upper = np.exp(log_mag + 1j * np.angle(beta) * (i - k))
-        raw[k, i] = upper.conj()
-        raw[i, k] = upper
-    return accept_steady_state(model.liouvillian, raw, "closed-form", t0, tol, None)
+    return accept_banded_state(e, ResonantState(e), "closed-form", t0, tol)
+
+
+def _padded_amplitudes(n_atoms: int) -> np.ndarray:
+    """The ladder amplitudes with a zero at each end: entry x + 1 is a_x,
+    for x from -1 to D - 1 (a_{-1} = a_{D-1} = 0)."""
+    return np.concatenate(([0.0], ladder_amplitudes(SpinRep.for_atoms(n_atoms)), [0.0]))
+
+
+def _lindblad_bands(e: EffectiveParams, rho) -> list:
+    """Diagonals 0-2 of L rho, ``[(L rho)[i + k, i] for k in 0, 1, 2]``, for
+    the Dicke model of ``e`` from diagonals 0-3 of the Dicke-basis state
+    ``rho``, in O(D). Row (r, c) of L rho reads
+
+        [-i (h_r - h_c) - gamma (n_r + n_c)/2] rho[r, c]
+        + i conj(Omega) a_r rho[r+1, c] + i Omega a_{r-1} rho[r-1, c]
+        - i Omega a_c rho[r, c+1] - i conj(Omega) a_{c-1} rho[r, c-1]
+        + gamma a_r a_c rho[r+1, c+1],
+
+    with h = -Delta n - delta m the diagonal of H and n_r = a_{r-1}^2 that
+    of J_+ J_- (a_{-1} = a_{D-1} = 0)."""
+    dim, a = rho.dim, _padded_amplitudes(e.N)
+    n = a[:-1] ** 2
+    h = -e.Delta * n - e.delta * (np.arange(dim) - (dim - 1) / 2)
+    bands = [rho.band(k) for k in range(4)]
+
+    def entries(k: int, cols: np.ndarray) -> np.ndarray:
+        # rho[cols + k, cols], zero outside the matrix
+        if k < 0:
+            return np.conj(entries(-k, cols + k))
+        out = np.zeros(cols.size, dtype=np.complex128)
+        inside = (cols >= 0) & (cols < dim - k)
+        out[inside] = bands[k][cols[inside]]
+        return out
+
+    omega, gamma, out = e.Omega, e.gamma, []
+    for k in range(3):
+        c = np.arange(max(dim - k, 0))
+        r = c + k
+        out.append((-1j * (h[r] - h[c]) - 0.5 * gamma * (n[r] + n[c])) * entries(k, c)
+                   + 1j * np.conj(omega) * a[r + 1] * entries(k + 1, c)
+                   + 1j * omega * a[r] * entries(k - 1, c)
+                   - 1j * omega * a[c + 1] * entries(k - 1, c + 1)
+                   - 1j * np.conj(omega) * a[c] * entries(k + 1, c - 1)
+                   + gamma * a[r + 1] * a[c + 1] * entries(k, c + 1))
+    return out
+
+
+def banded_tolerance(e: EffectiveParams, tol: float | None) -> float:
+    """``tol``, or by default 1e-10 times the largest absolute row sum of
+    the Liouvillian over its diagonal rows (r, r),
+    gamma (a_{r-1}^2 + a_r^2) + 2 |Omega| (a_{r-1} + a_r), and at least
+    1e-10. At Delta = delta = 0 that is the superoperator's infinity norm
+    L.scale (a_r a_c <= (a_r^2 + a_c^2)/2 puts the largest row on the
+    diagonal); otherwise it is a lower bound of it, so the O(D) gate is
+    never looser than :func:`lindblad.residual_tolerance`. The row sum is
+    taken 1e-12 below its computed value: the assembled norm adds the
+    same terms in another order, and may round one ulp lower."""
+    if tol is not None:
+        return tol
+    a = _padded_amplitudes(e.N)
+    rows = e.gamma * (a[:-1] ** 2 + a[1:] ** 2) + 2.0 * abs(e.Omega) * (a[:-1] + a[1:])
+    return 1e-10 * max((1.0 - 1e-12) * float(rows.max()), 1.0)
+
+
+def accept_banded_state(e: EffectiveParams, rho, method: str, t0: float,
+                        tol: float | None):
+    """The O(D) acceptance gate of a Dicke-basis state ``rho`` (anything
+    with ``dim`` and ``band(k)``, as :class:`ResonantState` and
+    ``DensityMatrix``): the residual of L rho on diagonals 0-2 (Frobenius
+    norm over diagonals -2 to 2, from diagonals 0-3 of rho; see
+    :func:`_lindblad_bands`), and the stationarity of <J_z> and <J_-> from
+    their Heisenberg equations,
+
+        d<J_z>/dt = 2 Im(conj(Omega) <J_->) - gamma <J_+J_->,
+        d<J_->/dt = (gamma - 2i Delta) <J_z J_-> - 2i Omega <J_z> + i delta <J_->,
+
+    each within :func:`banded_tolerance`, or NoConvergence is raised.
+    Returns ``(rho, SteadyStateSolveReport)`` with the band residual,
+    timed from ``t0``."""
+    tol = banded_tolerance(e, tol)
+    diag0, diag1, diag2 = _lindblad_bands(e, rho)
+    residual = math.sqrt(float(np.vdot(diag0, diag0).real + 2.0 * np.vdot(diag1, diag1).real
+                               + 2.0 * np.vdot(diag2, diag2).real))
+    mom = spin_moments(rho, SpinRep.for_atoms(e.N))
+    rates = {
+        "d<J_z>/dt": abs(2.0 * (np.conj(e.Omega) * mom.jm).imag - e.gamma * mom.jp_jm),
+        "d<J_->/dt": abs((e.gamma - 2j * e.Delta) * mom.jz_jm - 2j * e.Omega * mom.jz
+                         + 1j * e.delta * mom.jm),
+    }
+    wall = time.perf_counter() - t0
+    for name, value in {"band residual": residual, **rates}.items():
+        if value > tol:
+            raise NoConvergence(
+                f"steady-state {name} {value:.3e} above tolerance {tol:.3e} (method {method})"
+            )
+    return rho, SteadyStateSolveReport(method=method, residual=residual, wall_time=wall)
 
 
 def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
@@ -221,6 +401,8 @@ def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> Ca
     ``ops`` holds what the Hamiltonian is built from: the lifted
     ``J_minus``, ``J_plus`` and ``J_z``, and ``d`` and ``d_dagger``.
     """
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     fock = FockRep(cutoff=cutoff)
     spin = SpinRep.for_atoms(p.N)
     cavity_dimension(p, cutoff)

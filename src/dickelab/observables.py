@@ -48,7 +48,8 @@ class SpinMoments:
     <J_->, <J_z J_->, <J_+J_->, <J_-^2> and <J_+^2 J_-^2>, and the dipole
     fluctuations var(J_-) = <J_+J_-> - |<J_->|^2 (``var_jm``) and
     <J_-^2> - <J_->^2 (``anom_jm``). The fluctuations are formed only in
-    :func:`spin_moments`; every caller reads them from this record."""
+    :func:`spin_moments`, exactly for the closed-form resonant state;
+    every caller reads them from this record."""
 
     jz: float
     jz2: float
@@ -62,12 +63,13 @@ class SpinMoments:
 
     @property
     def coherence_ratio(self) -> float:
-        """|<J_->|^2 / <J_+J_->, the coherently scattered fraction.
+        """|<J_->|^2 / <J_+J_->, the coherently scattered fraction, as
+        1 - var(J_-)/<J_+J_->, so that it is as exact as ``var_jm``.
 
         NaN for a state that does not emit at all."""
         if self.jp_jm == 0.0:
             return float("nan")
-        return abs(self.jm) ** 2 / self.jp_jm
+        return 1.0 - self.var_jm / self.jp_jm
 
     @property
     def mean_spin(self) -> np.ndarray:
@@ -166,23 +168,28 @@ class SpectrumResult:
     correlator_decayed: bool
 
 
-def spin_moments(rho: DensityMatrix, rep: SpinRep) -> SpinMoments:
+def spin_moments(rho, rep: SpinRep) -> SpinMoments:
     """The moments record of a Dicke-basis state, in O(D). With a_i the
     ladder amplitudes, J_z, J_+J_- and J_+^2 J_-^2 are diagonal, J_- and
     J_z J_- sit on the first superdiagonal and J_-^2 on the second, so
     tr(A rho) reads the opposite band of rho: <J_-> = sum_i a_i rho[i+1, i],
-    <J_-^2> = sum_i a_i a_{i+1} rho[i+2, i]."""
-    mat = rho.matrix
-    if mat.shape[0] != rep.dim:
-        raise ValueError(f"dimension mismatch: spin {rep.dim}, state {mat.shape[0]}")
+    <J_-^2> = sum_i a_i a_{i+1} rho[i+2, i]. ``rho`` is a DensityMatrix or
+    any state with ``dim`` and ``band(k)`` (rho[i + k, i]), such as
+    ``models.ResonantState``. A state that knows its dipole fluctuations
+    exactly (``dipole_fluctuations()``) gives them; otherwise they are
+    var(J_-) = <J_+J_-> - |<J_->|^2 and <J_-^2> - <J_->^2."""
+    if rho.dim != rep.dim:
+        raise ValueError(f"dimension mismatch: spin {rep.dim}, state {rho.dim}")
     m = rep.m_values
     amp = ladder_amplitudes(rep)
     pairs = amp[:-1] * amp[1:]
-    pop = mat.diagonal().real
-    lowered = amp * mat.diagonal(-1)
+    pop = rho.band(0).real
+    lowered = amp * rho.band(1)
     jm = complex(lowered.sum())
     jp_jm = float((amp * amp) @ pop[1:])
-    jm2 = complex(pairs @ mat.diagonal(-2))
+    jm2 = complex(pairs @ rho.band(2))
+    exact = getattr(rho, "dipole_fluctuations", None)
+    var_jm, anom_jm = exact() if exact else (jp_jm - abs(jm) ** 2, jm2 - jm * jm)
     return SpinMoments(
         jz=float(m @ pop),
         jz2=float((m * m) @ pop),
@@ -191,8 +198,8 @@ def spin_moments(rho: DensityMatrix, rep: SpinRep) -> SpinMoments:
         jp_jm=jp_jm,
         jm2=jm2,
         jp2_jm2=float((pairs * pairs) @ pop[2:]),
-        var_jm=jp_jm - abs(jm) ** 2,
-        anom_jm=jm2 - jm * jm,
+        var_jm=var_jm,
+        anom_jm=anom_jm,
     )
 
 

@@ -10,7 +10,10 @@ Conventions used throughout the package:
 
 Every operator is a complex ``scipy.sparse.csr_array``. J_+- and c, c^dag
 have one off-diagonal, J_x and J_y two and J_z only the main one, so each
-is built from its diagonals in O(D).
+is built from its diagonals in O(D). ``scipy.sparse`` is imported inside
+the functions that build them, so importing this module (and the
+closed-form resonant path, which needs only the ladder amplitudes) loads
+no scipy module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionCapError
 
@@ -77,6 +79,8 @@ class FockRep:
 
 def _banded(dim: int, diagonals, offsets) -> sp.csr_array:
     """Complex CSR matrix from its diagonals, built in O(dim)."""
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     return sp.diags_array(diagonals, offsets=offsets, shape=(dim, dim),
                           format="csr", dtype=np.complex128)
 
@@ -125,6 +129,8 @@ def tensor(a, b) -> sp.csr_array:
     Row/column index of the result is ``i_a * dim_b + i_b``, matching the
     spin-slow / Fock-fast ordering of the atom+cavity space.
     """
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
     total = a.shape[0] * b.shape[0]
     if total > TENSOR_CAP:
         raise DimensionCapError(

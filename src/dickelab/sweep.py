@@ -10,12 +10,14 @@ across worker processes, each held to one BLAS thread so that the workers
 do not oversubscribe the cores; results are gathered in grid order, which
 makes parallel and serial runs emit identical bytes.
 
-The numeric modes share one row path, ``_numeric``: it builds the Dicke
-model of a point, takes its steady state from the closed form
-(``models.resonant_steady_state``) when the drive is resonant (delta = 0)
-and from ``lindblad.steady_state`` otherwise, and adds the solver columns
-to the cells each mode computes from that state. Elimination checks and
-cavity models always use the latter solve.
+The numeric modes share one row path, ``_numeric``: it takes the steady
+state of a point from the closed form (``models.resonant_steady_state``,
+O(D), no Liouvillian) when the drive is resonant (delta = 0) and from
+``lindblad.steady_state`` on the Dicke model otherwise, and adds the
+solver columns to the cells each mode computes from that state. The Dicke
+model, and with it scipy, is built only where its Liouvillian is needed:
+for that LU and for the spectrum's correlator. Elimination checks and
+cavity models always use the LU.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -34,7 +36,6 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,11 +46,11 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import (
+from .lindblad import (  # noqa: F401 (blas_thread_counts is read at this name)
     SteadyStateOptions,
     _single_blas_thread,
     blas_thread_counts,
-    set_blas_threads,
+    pin_blas_threads,
     steady_state,
 )
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
@@ -71,6 +72,7 @@ from .parameters import (
     map_cavity_to_effective,
     mean_field_steady_state,
 )
+from .operators import SpinRep
 
 
 # the default of a config key that must be given
@@ -455,19 +457,20 @@ _SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
 
 def _numeric(cells: Callable) -> Callable[[GridPoint], list]:
-    """The row function of a numeric mode. It builds the Dicke model of a
-    point, takes its steady state from the closed form at delta = 0 and
-    from the sparse LU otherwise, calls ``cells(point, model, rho)`` for
-    the mode's rows and adds the solver columns to each."""
+    """The row function of a numeric mode. It takes the steady state of a
+    point from the closed form at delta = 0 (no Dicke model is built) and
+    from the sparse LU of the Dicke model otherwise, calls
+    ``cells(point, rep, rho)`` for the mode's rows and adds the solver
+    columns to each."""
     def rows(point: GridPoint) -> list:
-        model = build_dicke_model(point.effective)
-        tol = point.config.solver_tol
-        if point.effective.delta == 0.0:
-            rho, report = resonant_steady_state(model, tol)
+        e, tol = point.effective, point.config.solver_tol
+        if e.delta == 0.0:
+            rho, report = resonant_steady_state(e, tol)
         else:
-            rho, report = steady_state(model.liouvillian, SteadyStateOptions(tol=tol))
+            rho, report = steady_state(build_dicke_model(e).liouvillian,
+                                       SteadyStateOptions(tol=tol))
         solver = dict(zip(_SOLVER_COLUMNS, (report.residual, report.method)))
-        return [{**row, **solver} for row in cells(point, model, rho)]
+        return [{**row, **solver} for row in cells(point, SpinRep.for_atoms(e.N), rho)]
     return rows
 
 
@@ -492,17 +495,17 @@ def _compared(name: str, numeric, analytic) -> dict:
     }
 
 
-def _jz_cells(point: GridPoint, model, rho) -> list:
+def _jz_cells(point: GridPoint, rep, rho) -> list:
     half_n = point.effective.N / 2
-    jz = spin_moments(rho, model.rep).jz / half_n
+    jz = spin_moments(rho, rep).jz / half_n
     analytic = _analytic_or_none(point.effective,
                                  lambda q: mean_field_steady_state(q)[0] / half_n)
     return [_compared("jz_over_halfN", jz, analytic)]
 
 
-def _squeezing_cells(point: GridPoint, model, rho) -> list:
+def _squeezing_cells(point: GridPoint, rep, rho) -> list:
     analytic = _analytic_or_none(point.effective, lambda q: bloch_angles(q).cos_theta)
-    return [_compared("xi2", spin_squeezing_numeric(rho, model.rep), analytic)]
+    return [_compared("xi2", spin_squeezing_numeric(rho, rep), analytic)]
 
 
 def _rows_mean_field(point: GridPoint) -> list:
@@ -522,8 +525,8 @@ def _rows_mean_field(point: GridPoint) -> list:
     }]
 
 
-def _moments_cells(point: GridPoint, model, rho) -> list:
-    mom = spin_moments(rho, model.rep)
+def _moments_cells(point: GridPoint, rep, rho) -> list:
+    mom = spin_moments(rho, rep)
     row = {
         "jminus_re": mom.jm.real,
         "jminus_im": mom.jm.imag,
@@ -534,7 +537,7 @@ def _moments_cells(point: GridPoint, model, rho) -> list:
         "coherence_ratio": mom.coherence_ratio,
     }
     try:
-        hp = hp_moments_numeric(rho, model.rep)
+        hp = hp_moments_numeric(rho, rep)
     except ValueError:
         hp = (None, None)
     row["hp_occupation_numeric"], row["hp_anomalous_numeric"] = hp
@@ -544,16 +547,17 @@ def _moments_cells(point: GridPoint, model, rho) -> list:
     return [row]
 
 
-def _g2_cells(point: GridPoint, model, rho) -> list:
-    return [{"g2_numeric": g2_zero(rho, model.rep)}]
+def _g2_cells(point: GridPoint, rep, rho) -> list:
+    return [{"g2_numeric": g2_zero(rho, rep)}]
 
 
-def _spectrum_cells(point: GridPoint, model, rho) -> list:
+def _spectrum_cells(point: GridPoint, rep, rho) -> list:
     e, p, cfg = point.effective, point.cavity, point.config
     angles = bloch_angles(e)  # raises above threshold -> exit 4 at CLI level
     if p is None:
         p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
-    fc = field_composition(p, spin_moments(rho, model.rep).jm, angles)
+    fc = field_composition(p, spin_moments(rho, rep).jm, angles)
+    model = build_dicke_model(e)  # the correlator propagates under its Liouvillian
     tau_max = None if cfg.tau_max_gamma is None else cfg.tau_max_gamma / e.gamma
     spec = output_spectrum(model, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
     shared = {
@@ -673,8 +677,10 @@ def compute_point(point: GridPoint) -> list:
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Worker processes that run one BLAS thread each."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
-                               initargs=(dict.fromkeys(blas_thread_counts(), 1),))
+    from concurrent.futures import ProcessPoolExecutor  # deferred: a serial run never needs it
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads,
+                               initargs=(1,))
 
 
 def run(cfg: RunConfig) -> SweepResult:
@@ -751,8 +757,8 @@ def reproduce_figures(outdir: str = ".", threads: int | None = None,
     """Emit fig2.csv (population inversion) and fig3.csv (spin squeezing):
     N = 50, dipole shifts 2 Delta/gamma in {0, 1, 2}, thirty drive points
     between 0.05 and 1.2 of the critical drive, numeric and analytic
-    columns plus their residual."""
-    os.makedirs(outdir, exist_ok=True)
+    columns plus their residual. The arguments are checked before the
+    directory is made."""
     common = dict(
         level="effective",
         gamma=1.0,
@@ -762,11 +768,11 @@ def reproduce_figures(outdir: str = ".", threads: int | None = None,
         threads=threads,
         timestamp=timestamp,
     )
-    paths = {}
-    for mode, fname in (("sweep-jz", "fig2.csv"), ("sweep-squeezing", "fig3.csv")):
-        cfg = RunConfig(mode=mode, out_path=os.path.join(outdir, fname), **common)
+    configs = [RunConfig(mode=mode, out_path=os.path.join(outdir, fname), **common)
+               for mode, fname in (("sweep-jz", "fig2.csv"), ("sweep-squeezing", "fig3.csv"))]
+    os.makedirs(outdir, exist_ok=True)
+    for cfg in configs:
         result = run_and_write(cfg)
         if result.n_failures:
-            raise SolverError(f"{result.n_failures} grid points failed in {mode}")
-        paths[mode] = cfg.out_path
-    return paths
+            raise SolverError(f"{result.n_failures} grid points failed in {cfg.mode}")
+    return {cfg.mode: cfg.out_path for cfg in configs}

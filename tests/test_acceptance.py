@@ -310,7 +310,7 @@ def test_criterion_8_engine_properties(tmp_path):
         ops = dense_spin_ops(n)
         states = [
             steady_state(model.liouvillian)[0],
-            resonant_steady_state(model)[0],
+            resonant_steady_state(model.effective)[0],
             brute_force_steady_state(dicke_hamiltonian(ops, e.Delta, e.Omega),
                                      [(e.gamma, ops["jm"])]),
         ]

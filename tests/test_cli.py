@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -341,6 +344,92 @@ def test_threads_flag_below_one_rejected(tmp_path):
     assert not out.exists()
     assert main(["reproduce-figures", "--outdir", str(tmp_path), "--threads", "0"]) == 2
     assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_reproduce_figures_checks_arguments_before_making_outdir(tmp_path):
+    outdir = tmp_path / "new"
+    assert main(["reproduce-figures", "--outdir", str(outdir), "--threads", "0"]) == 2
+    assert not outdir.exists()
+
+
+def _fresh_interpreter(script: str, *args) -> str:
+    """Standard output of ``script`` run in a new interpreter on this package."""
+    src = str(pathlib.Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_resonant_run_loads_no_scipy(tmp_path):
+    # the closed form needs numpy alone: importing the CLI and running a
+    # delta = 0 sweep leave no scipy module in sys.modules
+    payload = {
+        "mode": "sweep-squeezing",
+        "params": {"effective": {"gamma": 1.0, "N": 30}},
+        "sweep": {"drive": {"values": [0.3, 0.8]}, "Delta_over_gamma": [0.0, 1.0]},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import dickelab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "code = dickelab.cli.main(['sweep-squeezing', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                          '--threads', '1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        cfg, tmp_path / "out.csv")
+    lines = out.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+    assert [r["solver_method"] for r in read_csv(tmp_path / "out.csv")] == ["closed-form"] * 4
+
+
+def test_blas_pin_holds_a_copy_loaded_after_it(tmp_path):
+    # in a process that has not loaded scipy's OpenBLAS, a detuned point
+    # loads it for its LU inside the pin; the LU must still run one thread
+    # in that copy (read raw, during the uniqueness probe), and a serial run
+    # gives back the counts it found (scipy's the one it was loaded with)
+    payload = {
+        "mode": "sweep-jz",
+        "params": {"effective": {"gamma": 1.0, "N": 6, "delta": 0.3}},
+        "sweep": {"drive": {"values": [0.4, 0.8]}, "Delta_over_gamma": [0.0]},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    setup = (
+        "import ctypes, os, sys\n"
+        "from dickelab import lindblad, sweep\n"
+        "from dickelab.sweep import RunConfig\n"
+        "seen, probe = [], lindblad._uniqueness_probe\n"
+        "def probing(*args):\n"
+        "    lib = ctypes.CDLL(lindblad._openblas_paths('scipy')[0], mode=os.RTLD_NOLOAD)\n"
+        "    seen.append(lib.scipy_openblas_get_num_threads())\n"
+        "    return probe(*args)\n"
+        "lindblad._uniqueness_probe = probing\n"
+        "cfg = RunConfig.from_file(sys.argv[1])\n"
+        "print(sorted(lindblad.blas_thread_counts()))\n"
+    )
+    out = _fresh_interpreter(
+        setup
+        + "lindblad.set_blas_threads({'numpy': 2})\n"
+        "cfg.threads = 1\n"
+        "assert sweep.run(cfg).n_failures == 0\n"
+        "print(seen)\n"
+        "print(lindblad.blas_thread_counts() == {'numpy': 2, 'scipy': lindblad._LOADED['scipy'][2]})\n",
+        cfg)
+    assert out.splitlines() == ["['numpy']", "[1, 1]", "True"]
+
+    # a pool worker pins the copy that its point loads
+    out = _fresh_interpreter(
+        setup
+        + "def point(pt):\n"
+        "    sweep.compute_point(pt)\n"
+        "    return seen\n"
+        "if __name__ == '__main__':\n"
+        "    with sweep._worker_pool(1) as pool:\n"
+        "        print(pool.submit(point, sweep._grid_points(cfg)[0]).result())\n"
+        "    print(sorted(lindblad.blas_thread_counts()))\n",
+        cfg)
+    assert out.splitlines() == ["['numpy']", "[1]", "['numpy']"]
 
 
 def test_shipped_configs_parse():

@@ -302,7 +302,7 @@ def test_correlator_matches_dense_exponential(n_atoms, ratio, delta_over_gamma, 
                         delta=delta).with_drive_ratio(ratio)
     model = build_dicke_model(e)
     L, ops = model.liouvillian, model.ops
-    rho = resonant_steady_state(model)[0] if delta == 0.0 else steady_state(L)[0]
+    rho = resonant_steady_state(model.effective)[0] if delta == 0.0 else steady_state(L)[0]
     vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus)
     # every fourth lag against the reference: the dense expm dominates the cost
     exact = _dense_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus[::4])
@@ -319,7 +319,7 @@ def test_correlator_of_weak_drive_stops_at_round_off():
     e = EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=40).with_drive_ratio(0.5)
     model = build_dicke_model(e)
     L, ops = model.liouvillian, model.ops
-    rho, _ = resonant_steady_state(model)
+    rho, _ = resonant_steady_state(model.effective)
     taus = np.linspace(0.0, 10.0 / (40 * np.sqrt(1 - 0.5 ** 2) / 2), 512)
     vals, report = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
                                        full_output=True)

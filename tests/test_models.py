@@ -16,7 +16,12 @@ from dickelab.lindblad import (
 )
 from dickelab.models import (
     CAVITY_PRODUCT_CAP,
+    DICKE_ATOM_CAP,
+    ResonantState,
     _cavity_side_observables,
+    _lindblad_bands,
+    accept_banded_state,
+    banded_tolerance,
     build_cavity_model,
     build_dicke_model,
     cavity_dimension,
@@ -25,7 +30,7 @@ from dickelab.models import (
     resonant_steady_state,
     validate_elimination,
 )
-from dickelab.observables import spin_squeezing_numeric
+from dickelab.observables import spin_moments, spin_squeezing_numeric
 from dickelab.operators import (
     FockRep,
     SpinRep,
@@ -371,10 +376,13 @@ def test_resonant_closed_form_matches_sparse_lu():
     worst = 0.0
     for n, d, ratio, phase in _CLOSED_FORM_GRID:
         model = build_dicke_model(effective(n, ratio, d, phase))
-        rho, report = resonant_steady_state(model)
+        rho, report = resonant_steady_state(model.effective)
         assert report.method == "closed-form"
         assert report.uniqueness_ratio is None
         assert report.residual <= 1e-10 * max(model.liouvillian.scale, 1.0)
+        # the dense gate on the same state: from_raw and the assembled residual
+        dense = DensityMatrix.from_raw(rho.matrix)
+        assert model.liouvillian.residual(dense.matrix) <= 1e-10 * max(model.liouvillian.scale, 1.0)
         ref, _ = steady_state(model.liouvillian)
         worst = max(worst, trace_distance(rho, ref))
     assert worst <= 1e-10
@@ -384,13 +392,129 @@ def test_resonant_closed_form_checks():
     model = build_dicke_model(effective(6, 0.3))
     # an undrivable tolerance fails like the numeric routes do
     with pytest.raises(NoConvergence):
-        resonant_steady_state(model, 1e-30)
-    _, report = resonant_steady_state(model, 1e-6)
+        resonant_steady_state(model.effective, 1e-30)
+    _, report = resonant_steady_state(model.effective, 1e-6)
     assert report.residual <= 1e-6
     # undriven: the collective ground state |j, -j>
-    ground, _ = resonant_steady_state(build_dicke_model(effective(6, 0.0)))
+    ground, _ = resonant_steady_state(build_dicke_model(effective(6, 0.0)).effective)
     assert ground.matrix[0, 0] == 1.0 and np.count_nonzero(ground.matrix) == 1
     # off resonance the closed form does not hold
     detuned = EffectiveParams(1.0, 0.0, 0.0, 6, delta=0.3).with_drive_ratio(0.3)
     with pytest.raises(ValueError, match="delta = 0"):
-        resonant_steady_state(build_dicke_model(detuned))
+        resonant_steady_state(build_dicke_model(detuned).effective)
+
+
+def test_resonant_bands_match_dense_closed_form():
+    # diagonals 0-3 in O(D) against the dense closed form (from_raw of the
+    # D x D matrix); the gate builds no dense matrix
+    worst = 0.0
+    for n, d, ratio, phase in _CLOSED_FORM_GRID:
+        rho, _ = resonant_steady_state(effective(n, ratio, d, phase))
+        assert rho._dense is None
+        for k in range(4):
+            dense = rho.matrix.diagonal(-k)
+            scale = float(np.abs(dense).max(initial=0.0))
+            if scale == 0.0:  # the undriven ground state
+                assert not np.any(rho.band(k))
+                continue
+            worst = max(worst, float(np.abs(rho.band(k) - dense).max()) / scale)
+    assert worst <= 1e-12
+
+
+def test_band_liouvillian_matches_assembled():
+    # diagonals 0-2 of L rho on states that are not stationary for the
+    # model, so that every term of the row formula contributes; the
+    # detuned model checks the J_z term as well
+    for n, e in ((1, effective(1, 0.6, 1.0, 0.3)), (7, effective(7, 0.6, 1.0, 0.3)),
+                 (30, EffectiveParams(1.0, 0.5, 0.7 + 0.2j, 30, delta=0.4))):
+        rho = DensityMatrix(ResonantState(effective(n, 0.9, 0.25)).matrix)
+        full = build_dicke_model(e).liouvillian.apply(rho.matrix)
+        scale = float(np.abs(full).max())
+        for k, band in enumerate(_lindblad_bands(e, rho)):
+            assert float(np.abs(band - full.diagonal(-k)).max(initial=0.0)) <= 1e-12 * scale
+
+
+def test_banded_tolerance_no_looser_than_assembled():
+    for n, d, ratio, phase in _CLOSED_FORM_GRID:
+        e = effective(n, ratio, d, phase)
+        dense = 1e-10 * max(build_dicke_model(e).liouvillian.scale, 1.0)
+        assert 0.25 * dense <= banded_tolerance(e, None) <= dense
+
+
+_GATE_POINT = effective(40, 0.8, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_banded_gate_rejects_perturbed_band(k):
+    # one diagonal (and its mirror) of the exact state off by a part in 1e6
+    exact = ResonantState(_GATE_POINT)
+    accept_banded_state(_GATE_POINT, exact, "closed-form", 0.0, None)
+    mat = exact.matrix.copy()
+    idx = np.arange(exact.dim - k)
+    mat[idx + k, idx] *= 1.0 + 1e-6
+    if k:
+        mat[idx, idx + k] *= 1.0 + 1e-6
+    with pytest.raises(NoConvergence, match="above tolerance"):
+        accept_banded_state(_GATE_POINT, DensityMatrix(mat, validate=False), "closed-form",
+                            0.0, None)
+
+
+@pytest.mark.parametrize("other", [effective(40, 0.8 * (1 + 1e-6), 1.0, 0.3),
+                                   effective(40, 0.8, 1.5, 0.3)], ids=["drive", "shift"])
+def test_banded_gate_rejects_wrong_beta(other):
+    # the exact state of another beta: a drive off by 1e-6, or another shift
+    with pytest.raises(NoConvergence, match="above tolerance"):
+        accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form", 0.0, None)
+
+
+def test_banded_gate_passes_the_lu_state():
+    # the gate holds for any Dicke-basis state of the model: the LU state of
+    # a detuned drive passes it too
+    e = EffectiveParams(1.0, 0.5, 0.0, 12, delta=0.3).with_drive_ratio(0.7)
+    rho, _ = steady_state(build_dicke_model(e).liouvillian)
+    _, report = accept_banded_state(e, rho, "sparse-direct", 0.0, None)
+    assert report.residual <= 1e-3 * banded_tolerance(e, None)
+
+
+def test_resonant_dipole_fluctuations_match_high_precision():
+    # var(J_-) and <J_-^2> - <J_->^2 of the closed form against a 60-digit
+    # evaluation of rho = X X^dag / tr, X = (J_- - beta)^{-1}; at N = 40,
+    # drive 0.5 both are of order 1e-15, below the round-off of the
+    # difference formulas
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    for n, ratio, d in ((10, 0.95, 1.0), (40, 0.5, 0.0), (40, 0.5, 1.0)):
+        e = effective(n, ratio, d, 0.3)
+        beta = -mpmath.mpc(e.Omega) / (mpmath.mpf(d) + mpmath.mpc(0, 0.5))
+        j, jm = mpmath.mpf(n) / 2, mpmath.zeros(n + 1, n + 1)
+        for i in range(n):
+            m = -j + i + 1
+            jm[i, i + 1] = mpmath.sqrt(j * (j + 1) - m * (m - 1))
+        x = (jm - beta * mpmath.eye(n + 1)) ** -1
+
+        def band(k):  # (X X^dag)[i + k, i], unnormalized
+            return [mpmath.fsum(x[i + k, c] * mpmath.conj(x[i, c]) for c in range(n + 1))
+                    for i in range(n + 1 - k)]
+
+        pop, low, low2 = band(0), band(1), band(2)
+        z = mpmath.fsum(pop)
+        m1 = mpmath.fsum(jm[i, i + 1] * low[i] for i in range(n)) / z
+        jpjm = mpmath.fsum(jm[i, i + 1] ** 2 * pop[i + 1] for i in range(n)) / z
+        m2 = mpmath.fsum(jm[i, i + 1] * jm[i + 1, i + 2] * low2[i] for i in range(n - 1)) / z
+        var, anom = jpjm - abs(m1) ** 2, m2 - m1**2
+        mom = spin_moments(ResonantState(e), SpinRep.for_atoms(n))
+        assert abs(mom.var_jm - float(var.real)) <= 1e-10 * abs(var)
+        assert abs(mom.anom_jm - complex(anom)) <= 1e-10 * abs(anom)
+        assert mom.coherence_ratio == 1.0 - mom.var_jm / mom.jp_jm
+
+
+def test_resonant_state_beyond_the_dicke_cap():
+    # the closed form and its gate are O(D): no cap applies to them, while
+    # the Liouvillian keeps DICKE_ATOM_CAP
+    e = effective(20 * DICKE_ATOM_CAP, 0.9, 0.5)
+    rho, report = resonant_steady_state(e)
+    assert report.residual <= banded_tolerance(e, None)
+    xi2 = spin_squeezing_numeric(rho, SpinRep.for_atoms(e.N))
+    assert abs(xi2 - math.sqrt(1 - 0.9**2)) <= 1e-3
+    with pytest.raises(DimensionCapError):
+        build_dicke_model(e)

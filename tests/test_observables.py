@@ -402,7 +402,7 @@ def test_spectrum_start_below_round_off_reads_decayed():
     # nothing left to resolve and the verdict must not hang on that noise
     e = eff(100, 0.545)
     model = build_dicke_model(e)
-    rho, _ = resonant_steady_state(model)
+    rho, _ = resonant_steady_state(model.effective)
     jm = spin_moments(rho, model.rep).jm
     fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), jm, bloch_angles(e))
     with warnings.catch_warnings():
