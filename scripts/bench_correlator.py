@@ -9,7 +9,7 @@ N in {10, 40, 100, 200}, Delta/gamma in {0, 0.5, 2} and drives 0.55 and
 0.9 of the critical drive, plus one detuned point (N = 40, drive 0.5,
 delta = 0.3); ``--points`` replaces it. At each point the steady state is
 the closed form at delta = 0 and the sparse LU otherwise, and the lag grid
-is the default of ``output_spectrum``: 512 points up to
+has 512 points up to the default tau_max of ``output_spectrum``,
 10 / (N cos(theta) gamma / 2), with the resonant Bloch angle also at
 delta != 0.
 
@@ -218,8 +218,8 @@ def main(argv=None) -> int:
     import scipy
 
     result = {
-        "what": "lindblad.two_time_correlator(L, rho, J_+, J_-, tau) on output_spectrum's "
-                "default lag grid; deviation = max |connected - DOP853 rtol 1e-13| / "
+        "what": "lindblad.two_time_correlator(L, rho, J_+, J_-, tau) on 512 lags up to "
+                "output_spectrum's default tau_max; deviation = max |connected - DOP853 rtol 1e-13| / "
                 "max |DOP853|",
         "note": args.note,
         "nproc": os.cpu_count(),

@@ -10,7 +10,9 @@ fig3.csv), each in a fresh interpreter with PYTHONPATH set to the
 checkout's ``src``. It then compares the files of the two checkouts byte
 for byte. For a file that differs it lists each column whose cells
 differ, with the largest absolute deviation and the largest deviation
-scaled by the larger magnitude of the pair. The exit status is 0 when
+scaled by the larger magnitude of the pair. Each stderr line naming a
+Warning that only one checkout's run prints is listed under that run
+(warnings do not change the exit status). The exit status is 0 when
 every file is identical and every run exits with the same code in both
 checkouts, and 1 otherwise.
 """
@@ -23,6 +25,7 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,26 +33,30 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def _cli(root: str, args: list) -> int:
+def _cli(root: str, args: list) -> tuple:
+    """(exit code, the lines of stderr that name a Warning) of one run, each
+    without its leading ``file:line:``, which names the checkout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run([sys.executable, "-m", "dickelab.cli", *args], env=env,
                           capture_output=True, text=True)
-    return proc.returncode
+    return proc.returncode, [re.sub(r"^.*?:\d+: ", "", line)
+                             for line in proc.stderr.splitlines() if "Warning" in line]
 
 
 def _produce(root: str, outdir: str) -> dict:
-    """Write the outputs of ``root`` into ``outdir``; run name -> exit code."""
-    codes = {}
+    """Write the outputs of ``root`` into ``outdir``; run name -> (exit code,
+    warning lines)."""
+    runs = {}
     for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
         stem = os.path.splitext(os.path.basename(path))[0]
         with open(path, encoding="utf-8") as fh:
             mode = json.load(fh)["mode"]
-        codes[stem] = _cli(root, [mode, "--config", path,
-                                  "--out", os.path.join(outdir, stem + ".csv"),
-                                  "--threads", "1", "--no-timestamp", "--json"])
-    codes["reproduce-figures"] = _cli(root, ["reproduce-figures", "--outdir", outdir,
-                                             "--threads", "1", "--no-timestamp"])
-    return codes
+        runs[stem] = _cli(root, [mode, "--config", path,
+                                 "--out", os.path.join(outdir, stem + ".csv"),
+                                 "--threads", "1", "--no-timestamp", "--json"])
+    runs["reproduce-figures"] = _cli(root, ["reproduce-figures", "--outdir", outdir,
+                                            "--threads", "1", "--no-timestamp"])
+    return runs
 
 
 def _table(path: str) -> tuple:
@@ -115,18 +122,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        dirs, codes = {}, {}
+        dirs, produced = {}, {}
         for side, root in (("before", args.before), ("after", args.after)):
             dirs[side] = os.path.join(tmp, side)
             os.makedirs(dirs[side])
-            codes[side] = _produce(os.path.abspath(root), dirs[side])
-        runs = sorted(set(codes["before"]) | set(codes["after"]))
+            produced[side] = _produce(os.path.abspath(root), dirs[side])
+        runs = sorted(set(produced["before"]) | set(produced["after"]))
         code_changes = 0
         for run in runs:
-            b, a = codes["before"].get(run), codes["after"].get(run)
+            (b, warned_b), (a, warned_a) = (produced[side].get(run, (None, []))
+                                            for side in ("before", "after"))
             code_changes += a != b
             note = "" if a == b else "   <- exit codes differ"
             print(f"exit {run}: {b} -> {a}{note}")
+            for side, lines, other in (("before", warned_b, warned_a),
+                                       ("after", warned_a, warned_b)):
+                for line in lines:
+                    if line not in other:
+                        print(f"    warning only {side}: {line.strip()}")
 
         names = sorted(set(os.listdir(dirs["before"])) | set(os.listdir(dirs["after"])))
         differing = 0

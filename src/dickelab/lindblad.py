@@ -30,23 +30,24 @@ OpenBLAS copy to one thread (:func:`pin_blas_threads`); scipy's copy is
 loaded only with scipy's linear algebra, so the code that imports it
 calls :func:`openblas_libraries` at once, which pins the new copy too.
 
-Time evolution and the regression correlator share one propagator, the
-shift-invert (rational) Krylov approximation of exp(t L) of van den
-Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438 (2006)). I - h L is
-factored once by sparse LU (COLAMD ordering), with the shift h the last
-grid time over KRYLOV_SHIFT_STEPS (4 steps of the default 512-point lag
-grid). Arnoldi on (I - h L)^{-1}, with full reorthogonalization, builds
-an orthonormal basis V_m and a Hessenberg H_m; the projected generator is
-A_m = (I - H_m^{-1}) / h, and exp(t L) y ~ |y| V_m exp(t A_m) e_1. On the
-grid, exp(dt A_m) comes from ``scipy.linalg.expm`` once per run of equal
-steps and is applied by repeated products; A_m is not diagonalized to
-propagate, since its eigenvectors are ill-conditioned. The fast
-collective modes (rates of order N^2 gamma) are damped by the inverse, so
-they set no step size. Every few vectors
-the values on the whole grid are recomputed; the basis stops growing when
-they change by no more than the caller's stop rule, or when it spans an
-invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
-vectors raise NoConvergence.
+Time evolution, the regression correlator and the output spectrum share
+one propagator, the shift-invert (rational) Krylov approximation of
+exp(t L) of van den Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438
+(2006)). I - h L is factored once by sparse LU, ordered by minimum degree
+on A^T + A with pivoting threshold 0.1 (2/3 of COLAMD's fill at N = 100;
+full pivoting breaks the order), with the shift h the last grid time (the
+spectrum's tau_max) over KRYLOV_SHIFT_STEPS. Arnoldi on (I - h L)^{-1},
+with full reorthogonalization, builds an orthonormal basis V_m and a
+Hessenberg H_m; the projected generator is A_m = (I - H_m^{-1}) / h, and
+exp(t L) y ~ |y| V_m exp(t A_m) e_1. The fast collective modes (rates of
+order N^2 gamma) are damped by the inverse, so they set no step size. On a
+time grid, exp(dt A_m) comes from ``scipy.linalg.expm`` once per run of
+equal steps; the spectrum is the pole sum of A_m = W diag(lambda) W^{-1},
+without its stationary mode: the transform of exp(t A_m) e_1 is
+W (-lambda - i omega)^{-1} W^{-1} e_1. Every few vectors the values are
+recomputed; the basis stops growing when they change by no more than the
+caller's stop rule, or when it spans an invariant subspace, where the
+result is exact. More than KRYLOV_MAX_DIM vectors raise NoConvergence.
 """
 
 from __future__ import annotations
@@ -75,21 +76,21 @@ PSD_FLOOR = -1e-8
 PROBE_RTOL = 1e-2
 PROBE_MAX_STEPS = 10
 
-# shift-invert Krylov propagation: the shift is the last grid time over
-# KRYLOV_SHIFT_STEPS; a basis that needs more than KRYLOV_MAX_DIM vectors
+# shift-invert Krylov propagation: the shift is the last grid time (the
+# spectrum's tau_max) over KRYLOV_SHIFT_STEPS; past KRYLOV_MAX_DIM vectors
 # is a NoConvergence. The stop rule is checked every KRYLOV_CHECK_EVERY
 # vectors, or every eighth of the basis once that is more. Its tolerances
 # are relative changes between checks: of the connected correlator on its
-# lag grid, and of the evolved state. A subspace whose next Arnoldi
-# vector is below BREAKDOWN_RTOL of its solve is invariant.
+# lag grid or its transform on a frequency grid, and of the evolved state.
+# A next Arnoldi vector below BREAKDOWN_RTOL of its solve is invariant.
 KRYLOV_SHIFT_STEPS = 128
 KRYLOV_MAX_DIM = 300
 KRYLOV_CHECK_EVERY = 4
 CORRELATOR_RTOL = 1e-10
+SPECTRUM_RTOL = 1e-8
 EVOLVE_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-12
-# decay rates of a projected generator below this share of its norm are
-# its stationary mode
+# a mode of a projected generator below this share of its norm is stationary
 RATE_FLOOR = 1e-8
 
 
@@ -505,89 +506,79 @@ def _ascending_grid(grid, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropagationReport:
-    """What one Krylov propagation did: the basis size, the nonzeros of
-    L + U of the shifted factor, the last change seen by the stop rule,
-    and the slowest nonzero decay rate of the projected generator (None
-    when no mode of the basis decays)."""
+    """What one Krylov propagation did: the basis size, the entries stored
+    for L + U of the shifted factor, and the last change seen by the stop
+    rule."""
 
     krylov_dim: int
     lu_nnz: int
     change: float
-    slowest_rate: float | None
 
 
-def _grid_coefficients(A: np.ndarray, t_grid: np.ndarray, beta: float) -> np.ndarray:
+def _grid_coefficients(A: np.ndarray, beta: float, t_grid: np.ndarray) -> np.ndarray:
     """beta exp(t A) e_1 at each t of the ascending grid, one column per
-    point. A run of equal grid steps costs one expm of the step E and
-    about 2 log2(run) products: the block of columns E y, ..., E^s y is
-    extended by E^s times itself."""
+    point, stepped along the grid; one expm per run of equal steps."""
     from scipy.linalg import expm
 
-    y = np.zeros(A.shape[0], dtype=np.complex128)
-    y[0] = beta
-    steps = np.diff(t_grid, prepend=0.0)
+    y, cols, last = np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta, [], math.nan
     same = 8 * np.finfo(float).eps * t_grid[-1]
-    blocks, k = [], 0
-    while k < steps.size:
-        run = 1
-        while k + run < steps.size and abs(steps[k + run] - steps[k]) <= same:
-            run += 1
-        if steps[k] == 0.0:  # a first grid point at t = 0
-            block = y[:, None]
-        else:
-            power = expm(steps[k] * A)
-            block = (power @ y)[:, None]
-            while block.shape[1] < run:
-                block = np.hstack([block, power @ block])
-                power = power @ power
-            block = block[:, :run]
-        blocks.append(block)
-        y = block[:, -1]
-        k += run
-    return np.hstack(blocks)
+    for step in np.diff(t_grid, prepend=0.0):
+        if not abs(step - last) <= same:
+            power, last = expm(step * A), step
+        y = power @ y
+        cols.append(y)
+    return np.stack(cols, axis=1)
 
 
-def _slowest_rate(A: np.ndarray) -> float | None:
-    lam = np.linalg.eigvals(A)
-    rates = -lam.real
-    decaying = rates[rates > RATE_FLOOR * max(float(np.abs(lam).max()), 1e-300)]
-    return float(decaying.min()) if decaying.size else None
+def _decaying_modes(A: np.ndarray, beta: float) -> tuple:
+    """(lambda, W, c) of the modes of A = W diag(lambda) W^{-1} that decay
+    (|lambda| > RATE_FLOOR |A|), with c = W^{-1} beta e_1."""
+    lam, W = np.linalg.eig(A)
+    c = np.linalg.solve(W, np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta)
+    keep = np.abs(lam) > RATE_FLOOR * max(float(np.abs(lam).max()), 1e-300)
+    return lam[keep], W[:, keep], c[keep]
+
+
+def _pole_coefficients(A: np.ndarray, beta: float, omega: np.ndarray) -> np.ndarray:
+    """beta (-A - i omega)^{-1} e_1 on the decaying modes of A, one column
+    per omega: the one-sided transform of beta exp(t A) e_1."""
+    lam, W, c = _decaying_modes(A, beta)
+    return W @ (c[:, None] / (-lam[:, None] - 1j * omega[None, :]))
 
 
 @_single_blas_thread()
-def _propagate(S: sp.csr_array, y0: np.ndarray, t_grid: np.ndarray, observe, tolerance,
+def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tolerance,
                what: str):
-    """exp(t S) y0 on an ascending grid by shift-invert Krylov.
+    """exp(t S) y0 by shift-invert Krylov with the shift ``h``.
 
-    ``observe`` is a (p, n) array of functionals, or None to observe the
-    coordinates of the state in the orthonormal basis (whose changes are
-    those of the state). The basis grows until the observed values on the
-    whole grid change by at most ``tolerance(values)`` from one check to
-    the next, or until it spans an invariant subspace; past KRYLOV_MAX_DIM
-    vectors NoConvergence names ``what``. The dense work runs on one BLAS
-    thread. Returns
-    ``(values, V, report)``: values (p or m, K), and the basis V as m
-    rows of length n, so that the states are ``values.T @ V`` when
-    ``observe`` is None.
+    ``evaluate(A, beta)`` maps the projected generator A and |y0| to
+    coefficient columns in the basis (:func:`_grid_coefficients`,
+    :func:`_pole_coefficients`). ``observe`` is a (p, n) array of
+    functionals, or None to observe the coefficients (whose changes are
+    those of the state). The basis grows until the observed values change
+    by at most ``tolerance(values)`` from one check to the next, or until
+    it spans an invariant subspace; past KRYLOV_MAX_DIM vectors
+    NoConvergence names ``what``. The dense work runs on one BLAS thread.
+    Returns ``(values, V, A, report)``: values (p or m, K), the basis V as
+    m rows of length n (the states are ``values.T @ V`` when ``observe``
+    is None) and the last A.
     """
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
     import scipy.sparse.linalg as spla
     openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
-    t_end = float(t_grid[-1])
     beta = float(np.linalg.norm(y0))
-    if t_end == 0.0 or beta == 0.0:
+    if h == 0.0 or beta == 0.0:
         # the grid is [0], or the start is zero and stays so
-        V = y0[None, :]
-        coeffs = np.ones((1, t_grid.size), dtype=np.complex128)
+        A = np.zeros((1, 1))
+        coeffs = evaluate(A, 1.0)
         values = coeffs if observe is None else (observe @ y0)[:, None] * coeffs
-        return values, V, PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0,
-                                            slowest_rate=None)
+        return values, y0[None, :], A, PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0)
 
     n = y0.size
-    h = t_end / KRYLOV_SHIFT_STEPS
-    lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc())
-    lu_nnz = int(lu.L.nnz + lu.U.nnz)
+    lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+    lu_nnz = int(lu.nnz)  # lu.L and lu.U would copy both factors to count them
 
     V = np.empty((KRYLOV_MAX_DIM + 1, n), dtype=np.complex128)
     H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM), dtype=np.complex128)
@@ -613,7 +604,7 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, t_grid: np.ndarray, observe, tol
             check = m + max(KRYLOV_CHECK_EVERY, m // 8)
             A = (np.eye(m) - np.linalg.inv(H[:m, :m])) / h
             previous = values
-            coeffs = _grid_coefficients(A, t_grid, beta)
+            coeffs = evaluate(A, beta)
             values = coeffs if seen is None else seen[:, :m] @ coeffs
             limit = tolerance(values)
             if previous is not None:
@@ -630,12 +621,11 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, t_grid: np.ndarray, observe, tol
         )
 
     report = PropagationReport(krylov_dim=m, lu_nnz=lu_nnz,
-                               change=0.0 if previous is None else change,
-                               slowest_rate=_slowest_rate(A))
+                               change=0.0 if previous is None else change)
     logger.debug("%s: Krylov dimension %d, L+U nonzeros %d, last change %.3e "
-                 "(tolerance %.3e), slowest decay rate %s", what, report.krylov_dim,
-                 report.lu_nnz, report.change, limit, report.slowest_rate)
-    return values, V[:m], report
+                 "(tolerance %.3e)", what, report.krylov_dim, report.lu_nnz,
+                 report.change, limit)
+    return values, V[:m], A, report
 
 
 def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
@@ -652,14 +642,32 @@ def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
     t_grid = _ascending_grid(t_grid, "t_grid")
     y0 = vectorize(rho0.matrix)
     limit = EVOLVE_RTOL * float(np.linalg.norm(y0))
-    coeffs, V, _ = _propagate(L.superoperator, y0, t_grid, None, lambda _: limit,
-                              "time evolution")
+    coeffs, V, _, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
+                                 functools.partial(_grid_coefficients, t_grid=t_grid), None,
+                                 lambda _: limit, "time evolution")
     states = []
     for y in coeffs.T @ V:
         dm = DensityMatrix(unvectorize(y, L.dim), validate=False)
         dm.validate(atol=1e-9)
         states.append(dm)
     return states
+
+
+def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
+    """(start, observe, floor) of <A(0) B(tau)> - <A><B>: the connected
+    operator rho_ss A - <A> rho_ss, trace(B .) as a (1, D^2) row, and the
+    start's round-off eps D |<A B>|."""
+    import scipy.sparse as sp  # deferred: a closed-form run never loads it
+
+    A_mat = A.toarray() if sp.issparse(A) else np.asarray(A)
+    B_mat = B.toarray() if sp.issparse(B) else np.asarray(B)
+    if A_mat.shape[0] != L.dim or B_mat.shape[0] != L.dim:
+        raise ValueError("operator dimension does not match the Liouvillian")
+    rho = rho_ss.matrix
+    X0 = rho @ A_mat
+    floor = np.finfo(float).eps * L.dim * abs(np.einsum("ij,ji->", B_mat, X0))
+    observe = vectorize(B_mat.T)[None, :]  # trace(B X) = vec(B^T) . vec(X)
+    return vectorize(X0 - X0.trace() * rho), observe, floor
 
 
 def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
@@ -681,21 +689,34 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     The tau=0 value equals <A B> - <A><B>. With ``full_output`` the return
     is ``(values, PropagationReport)``.
     """
-    import scipy.sparse as sp  # deferred: a closed-form run never loads it
-
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
-    A_mat = A.toarray() if sp.issparse(A) else np.asarray(A)
-    B_mat = B.toarray() if sp.issparse(B) else np.asarray(B)
-    if A_mat.shape[0] != L.dim or B_mat.shape[0] != L.dim:
-        raise ValueError("operator dimension does not match the Liouvillian")
-
-    rho = rho_ss.matrix
-    X0 = rho @ A_mat
-    mean_a = X0.trace()
-    floor = np.finfo(float).eps * L.dim * abs(np.einsum("ij,ji->", B_mat, X0))
-    observe = vectorize(B_mat.T)[None, :]  # trace(B X) = vec(B^T) . vec(X)
-    connected, _, report = _propagate(
-        L.superoperator, vectorize(X0 - mean_a * rho), tau_grid, observe,
+    start, observe, floor = _connected_start(L, rho_ss, A, B)
+    connected, _, _, report = _propagate(
+        L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
+        functools.partial(_grid_coefficients, t_grid=tau_grid), observe,
         lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
         "correlator propagation")
     return (connected[0], report) if full_output else connected[0]
+
+
+def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, tau_max: float):
+    """The connected correlator <A(0) B(tau)> - <A><B> as
+    sum_k w_k exp(lambda_k tau): ``(lambda, w, PropagationReport)``. Its
+    one-sided transform is the sum of Lorentzians sum_k w_k/(-lambda_k - i omega),
+    and sum_k w_k is its tau = 0 value. w_k = (seen W)_k (W^{-1} beta e_1)_k
+    from A_m = W diag(lambda) W^{-1} of :func:`_propagate` (shift tau_max /
+    KRYLOV_SHIFT_STEPS), seen being trace(B .) on the basis. The basis grows
+    until the transform on the grid ``omega`` changes by at most
+    max(SPECTRUM_RTOL, floor/|C(0)|) times its largest magnitude between
+    checks; floor/|C(0)| is the relative round-off of the start (see
+    :func:`two_time_correlator`), and 1 for a start below it."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    start, observe, floor = _connected_start(L, rho_ss, A, B)
+    c0 = abs(complex((observe @ start)[0]))
+    relative = max(SPECTRUM_RTOL, floor / c0 if c0 > floor else 1.0)
+    _, V, A_m, report = _propagate(
+        L.superoperator, start, tau_max / KRYLOV_SHIFT_STEPS,
+        functools.partial(_pole_coefficients, omega=omega), observe,
+        lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
+    lam, W, c = _decaying_modes(A_m, float(np.linalg.norm(start)))
+    return lam, (observe @ V.T @ W)[0] * c, report

@@ -159,9 +159,9 @@ class ResonantState(DensityMatrix):
         if self.beta == 0:  # the ground state; no u is finite
             self.log_u = self.log_t = self.log_z = None
             return
-        dim = self.amp.size + 1
-        self.log_u = np.concatenate(([0.0], np.cumsum(np.log(self.amp))))
-        self.log_u -= np.arange(dim) * math.log(abs(self.beta))
+        # summing log(a_i/|beta|) keeps the partial sums and their rounding small
+        steps = np.log(self.amp) - math.log(abs(self.beta))
+        self.log_u = np.concatenate(([0.0], np.cumsum(steps)))
         self.log_t = np.logaddexp.accumulate(2.0 * self.log_u[::-1])[::-1]
         # log of the trace of T(max(i, k))/(u_i conj(u_k)), i.e. of |beta|^2 Z
         self.log_z = float(np.logaddexp.reduce(self.log_t - 2.0 * self.log_u))

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AboveThresholdError
-# steady_state is not used here; it stays importable at this name because
-# the benchmark's tracer wraps observables.steady_state
-from .lindblad import DensityMatrix, steady_state, two_time_correlator  # noqa: F401
+from .lindblad import DensityMatrix, correlator_poles
+# not used here; the benchmark's tracer wraps them at these names
+from .lindblad import steady_state, two_time_correlator  # noqa: F401
 
 # build_spin_operators is not used here; it stays importable at this name
 # because the benchmark's tracer wraps observables.build_spin_operators
@@ -156,16 +155,15 @@ class FieldSqueezingResult:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Output-light spectrum split into its delta-peak and broadband parts."""
+    """Output-light spectrum split into its delta-peak and broadband parts;
+    a ``coherent`` verdict leaves ``incoherent_spectrum`` None."""
 
     omega: np.ndarray
-    incoherent_spectrum: np.ndarray
+    incoherent_spectrum: np.ndarray | None
     coherent_weight: float
     incoherent_weight: float
     coherence_ratio: float
-    tau: np.ndarray
-    correlator: np.ndarray
-    correlator_decayed: bool
+    verdict: str
 
 
 def spin_moments(rho, rep: SpinRep) -> SpinMoments:
@@ -342,72 +340,52 @@ def field_squeezing_analytic(fc: FieldComposition) -> FieldSqueezingResult:
 
 
 def output_spectrum(
-    model,
+    e: EffectiveParams,
     fc: FieldComposition,
     tau_max: float | None = None,
     n_tau: int = 512,
     *,
     rho_ss: DensityMatrix,
 ) -> SpectrumResult:
-    """Spectrum of the radiated light from the dipole correlator.
+    """Spectrum of the radiated light at ``rho_ss``, the steady state of the
+    Dicke model of ``e``: a delta peak at the drive frequency of weight
+    |<E>|^2, and |G|^2 times the transform of the connected dipole
+    correlator <dJ_+(0) dJ_-(tau)>, of weight |G|^2 var(J_-). Vacuum-dipole
+    cross terms are dropped: at linear order the full normally ordered
+    fluctuation flux vanishes, so the dipole term alone bounds the residual.
 
-    The coherent part is a delta peak at the drive frequency with weight
-    |<E>|^2; the broadband part is the transform of
-    |G|^2 <dJ_+(0) dJ_-(tau)>, evaluated on a uniform lag grid extended by
-    conjugate symmetry. Vacuum-dipole cross terms are dropped: at linear
-    order the full normally ordered fluctuation flux vanishes, so the
-    dipole term alone bounds the residual. Default tau_max is ten times
-    the slowest linearized relaxation time, 10 / (N cos(t) gamma / 2).
-    ``rho_ss`` is the steady state of ``model``.
+    The verdict is ``coherent`` when var(J_-) is at or below eps D <J_+J_->,
+    the round-off of the correlator's start; then no Liouvillian is built
+    and the incoherent spectrum is None. Otherwise it is ``resolved``, and
+    the spectrum is the sum of Lorentzians |G|^2 2 Re sum_k w_k /
+    (-lambda_k - i omega) of ``lindblad.correlator_poles``, on 2 n_tau + 1
+    frequencies spanning [-pi/dtau, pi/dtau], dtau = tau_max/(n_tau - 1).
+    tau_max also sets the Krylov shift; it defaults to ten slowest
+    linearized relaxation times, 10 / (N cos(t) gamma / 2).
     """
-    e = model.effective
-    ops = model.ops
-
-    moments = spin_moments(rho_ss, model.rep)
+    rep = SpinRep.for_atoms(e.N)
+    moments = spin_moments(rho_ss, rep)
     if tau_max is None:
-        rate = e.N * fc.angles.cos_theta * e.gamma / 2.0
-        tau_max = 10.0 / rate
-    tau = np.linspace(0.0, tau_max, n_tau)
-
-    corr, report = two_time_correlator(model.liouvillian, rho_ss, ops["J_plus"],
-                                       ops["J_minus"], tau, full_output=True)
-
-    # a connected start at or below the round-off floor the correlator
-    # stops on, eps D <J_+J_->, leaves nothing to resolve
-    floor = np.finfo(float).eps * model.liouvillian.dim * moments.jp_jm
-    decayed = abs(corr[0]) <= floor or abs(corr[-1]) <= 1e-3 * abs(corr[0])
-    if not decayed:
-        horizon = ""
-        if report.slowest_rate is not None:
-            horizon = (
-                f"; the slowest decay rate of the projected generator is "
-                f"{report.slowest_rate:.3g}, so tau_max ~ "
-                f"{math.log(1000.0) / report.slowest_rate:.3g} would reach 1e-3"
-            )
-        warnings.warn(
-            f"dipole correlator only decayed to {abs(corr[-1]):.3e} of "
-            f"{abs(corr[0]):.3e} at tau_max = {tau_max:.3g}; spectrum is "
-            f"under-resolved{horizon}",
-            stacklevel=2,
-        )
-
-    dtau = tau[1] - tau[0]
+        tau_max = 10.0 / (e.N * fc.angles.cos_theta * e.gamma / 2.0)
+    dtau = tau_max / (n_tau - 1)
     omega = np.linspace(-np.pi / dtau, np.pi / dtau, 2 * n_tau + 1)
-    # one-sided correlator extended by C(-tau) = conj(C(tau)):
-    # S(w) = dtau * ( C(0) + 2 Re sum_{k>=1} C(tau_k) e^{i w tau_k} )
-    phases = np.exp(1j * np.outer(omega, tau[1:]))
-    spectrum = dtau * (corr[0].real + 2.0 * (phases @ corr[1:]).real)
     g2abs = abs(fc.G) ** 2
-    spectrum = g2abs * spectrum
-    incoherent_weight = float(np.trapezoid(spectrum, omega) / (2 * np.pi))
+
+    spectrum, verdict = None, "coherent"
+    if moments.var_jm > np.finfo(float).eps * rep.dim * moments.jp_jm:
+        from .models import build_dicke_model  # deferred: models imports this module
+
+        model = build_dicke_model(e)
+        lam, w, _ = correlator_poles(model.liouvillian, rho_ss, model.ops["J_plus"],
+                                     model.ops["J_minus"], omega, tau_max)
+        transform = (w / (-lam - 1j * omega[:, None])).sum(axis=1)
+        spectrum, verdict = 2.0 * g2abs * transform.real, "resolved"
 
     return SpectrumResult(
         omega=omega,
         incoherent_spectrum=spectrum,
         coherent_weight=abs(fc.mean_field_out) ** 2,
-        incoherent_weight=incoherent_weight,
+        incoherent_weight=g2abs * moments.var_jm,
         coherence_ratio=moments.coherence_ratio,
-        tau=tau,
-        correlator=corr,
-        correlator_decayed=bool(decayed),
+        verdict=verdict,
     )

@@ -16,8 +16,8 @@ O(D), no Liouvillian) when the drive is resonant (delta = 0) and from
 ``lindblad.steady_state`` on the Dicke model otherwise, and adds the
 solver columns to the cells each mode computes from that state. The Dicke
 model, and with it scipy, is built only where its Liouvillian is needed:
-for that LU and for the spectrum's correlator. Elimination checks and
-cavity models always use the LU.
+for that LU and for a resolved spectrum (``observables.output_spectrum``).
+Elimination checks and cavity models always use the LU.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -557,18 +557,19 @@ def _spectrum_cells(point: GridPoint, rep, rho) -> list:
     if p is None:
         p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
     fc = field_composition(p, spin_moments(rho, rep).jm, angles)
-    model = build_dicke_model(e)  # the correlator propagates under its Liouvillian
     tau_max = None if cfg.tau_max_gamma is None else cfg.tau_max_gamma / e.gamma
-    spec = output_spectrum(model, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
+    spec = output_spectrum(e, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
     shared = {
         "coherent_weight": spec.coherent_weight,
         "incoherent_weight": spec.incoherent_weight,
         "coherence_ratio": spec.coherence_ratio,
-        "correlator_decayed": spec.correlator_decayed,
+        "verdict": spec.verdict,
     }
+    # a coherent point leaves the broadband cells empty
+    values = spec.incoherent_spectrum if spec.verdict == "resolved" else [None] * len(spec.omega)
     return [
         {"omega_over_gamma": w / e.gamma, "incoherent_spectrum": s, **shared}
-        for w, s in zip(spec.omega, spec.incoherent_spectrum)
+        for w, s in zip(spec.omega, values)
     ]
 
 
@@ -631,7 +632,7 @@ MODES = {
     ),
     "spectrum": Mode(
         ("omega_over_gamma", "incoherent_spectrum", "coherent_weight", "incoherent_weight",
-         "coherence_ratio", "correlator_decayed", *_SOLVER_COLUMNS),
+         "coherence_ratio", "verdict", *_SOLVER_COLUMNS),
         _numeric(_spectrum_cells),
         resonant=True,
     ),

@@ -78,6 +78,11 @@ def test_determinism_and_parallel_serial_equality(tmp_path):
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
+    import scipy.linalg  # noqa: F401 (loads scipy's OpenBLAS, which the package loads only for an LU)
+
+    from dickelab.lindblad import openblas_libraries
+
+    openblas_libraries()
     parent = blas_thread_counts()
     assert set(parent) == {"numpy", "scipy"}
     with _worker_pool(2) as pool:
@@ -537,11 +542,40 @@ def test_spectrum_mode_rows(tmp_path):
     rows = read_csv(out)
     assert list(rows[0]) == COORDS + [
         "omega_over_gamma", "incoherent_spectrum", "coherent_weight", "incoherent_weight",
-        "coherence_ratio", "correlator_decayed",
+        "coherence_ratio", "verdict",
     ] + SOLVER + TAIL
     assert len(rows) == 129  # 2*n_tau + 1 frequency bins
     assert {float(r["coherence_ratio"]) for r in rows}  # constant, parseable
-    assert rows[0]["correlator_decayed"] in ("true", "false")
+    assert {r["verdict"] for r in rows} == {"resolved"}
+    assert all(float(r["incoherent_spectrum"]) >= 0.0 for r in rows)
+
+
+def test_coherent_spectrum_loads_no_scipy(tmp_path):
+    # var(J_-) below the correlator's round-off reads coherent: the rows
+    # keep the frequency grid with empty broadband cells, and nothing is
+    # propagated, so no scipy module loads and no Dicke atom cap applies
+    payload = {
+        "mode": "spectrum",
+        "params": {"effective": {"gamma": 1.0}},
+        "sweep": {"N": [100, 8000], "drive": {"values": [0.55]}, "Delta_over_gamma": [0.0]},
+        "spectrum": {"n_tau": 32, "kappa_embed_over_gamma": 1000.0},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = _fresh_interpreter(
+        "import sys, warnings\n"
+        "import dickelab.cli\n"
+        "warnings.simplefilter('error')\n"
+        "code = dickelab.cli.main(['spectrum', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                          '--threads', '1'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        cfg, tmp_path / "out.csv")
+    assert out.splitlines()[-1] == "0 []"
+    rows = read_csv(tmp_path / "out.csv")
+    assert len(rows) == 2 * 65
+    assert {r["verdict"] for r in rows} == {"coherent"}
+    assert {r["incoherent_spectrum"] for r in rows} == {""}
+    assert {r["error"] for r in rows} == {""}
+    assert all(0.0 <= float(r["incoherent_weight"]) < 1e-20 for r in rows)
 
 
 def test_validate_elimination_mode(tmp_path):

@@ -508,6 +508,16 @@ def test_resonant_dipole_fluctuations_match_high_precision():
         assert mom.coherence_ratio == 1.0 - mom.var_jm / mom.jp_jm
 
 
+@pytest.mark.parametrize("ratio", [0.9, 0.99])
+def test_resonant_gate_residual_far_below_tolerance_at_large_n(ratio):
+    # log|u| summed as log(a_i/|beta|) keeps its rounding small: at
+    # N = 10^5 the band residual stays below 1e-3 of the gate's tolerance
+    # (4e-3 when the sum ran over log a_i alone)
+    e = effective(10**5, ratio, 0.0)
+    _, report = resonant_steady_state(e)
+    assert report.residual <= 1e-3 * banded_tolerance(e, None)
+
+
 def test_resonant_state_beyond_the_dicke_cap():
     # the closed form and its gate are O(D): no cap applies to them, while
     # the Liouvillian keeps DICKE_ATOM_CAP

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -345,69 +344,92 @@ def _state_and_rep(e):
 # ---------------------------------------------------------------- spectrum
 
 
+def _spectrum_point(e, **kwargs):
+    """The closed-form state of ``e``, its embedding at kappa = 1000 gamma
+    and its output spectrum."""
+    rho, _ = resonant_steady_state(e)
+    mom = spin_moments(rho, SpinRep.for_atoms(e.N))
+    fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), mom.jm, bloch_angles(e))
+    return rho, mom, fc, output_spectrum(e, fc, rho_ss=rho, **kwargs)
+
+
 def test_spectrum_undriven_is_empty():
     e = EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=6)
-    model, rho = solved(e)
+    rho, _ = resonant_steady_state(e)
     p = cavity_params_for_effective(e, kappa=100.0)
     fc = field_composition(p, 0.0, BlochAngles(0.0, 0.0))
-    spec = output_spectrum(model, fc, tau_max=2.0, n_tau=64, rho_ss=rho)
+    spec = output_spectrum(e, fc, tau_max=2.0, n_tau=64, rho_ss=rho)
     assert spec.coherent_weight == 0.0  # no drive, no coherent peak
-    assert abs(spec.incoherent_weight) < 1e-12
+    assert spec.incoherent_weight == 0.0
+    assert spec.verdict == "coherent" and spec.incoherent_spectrum is None
     assert math.isnan(spec.coherence_ratio)  # nothing is emitted at all
 
 
 def test_spectrum_weight_identity_and_positivity():
     e = eff(10, 0.7)
-    model, rho = solved(e)
-    p = cavity_params_for_effective(e, kappa=1000.0)
-    jm = expect(rho, model.ops["J_minus"])
-    fc = field_composition(p, jm, bloch_angles(e))
-    rate = 10 * bloch_angles(e).cos_theta * 0.5
-    spec = output_spectrum(model, fc, tau_max=40.0 / rate, n_tau=1500, rho_ss=rho)
-    assert spec.correlator_decayed
-    mom = spin_moments(rho, model.rep)
-    assert spec.incoherent_weight == pytest.approx(abs(fc.G) ** 2 * mom.var_jm, rel=1e-6)
-    # symmetrized transform is real by construction and non-negative once
-    # the correlator has fully decayed inside the window
+    _, mom, fc, spec = _spectrum_point(e, n_tau=256)
+    assert spec.verdict == "resolved"
+    assert spec.incoherent_weight == abs(fc.G) ** 2 * mom.var_jm
+    # the grid is wide (+-pi/dtau) and fine next to the line: the rule
+    # integral of the transform over it holds the weight to 1e-3
+    step = spec.omega[1] - spec.omega[0]
+    integral = spec.incoherent_spectrum.sum() * step / (2 * np.pi)
+    assert integral == pytest.approx(spec.incoherent_weight, rel=1e-3)
+    # a sum of Lorentzians of a Hermitian correlator: real and non-negative
     peak = spec.incoherent_spectrum.max()
-    assert spec.incoherent_spectrum.min() >= -1e-8 * peak
+    assert spec.incoherent_spectrum.min() >= -1e-12 * peak
     assert 0.0 < spec.coherence_ratio <= 1.0
     # broadband part peaks at the drive frequency for Delta = 0
     center = spec.omega[np.argmax(spec.incoherent_spectrum)]
-    assert abs(center) <= spec.omega[1] - spec.omega[0]
+    assert abs(center) <= step
 
 
-def test_spectrum_short_window_flagged():
-    e = eff(10, 0.7)
-    model, rho = solved(e)
-    p = cavity_params_for_effective(e, kappa=1000.0)
-    jm = expect(rho, model.ops["J_minus"])
-    fc = field_composition(p, jm, bloch_angles(e))
-    with pytest.warns(UserWarning, match="under-resolved") as record:
-        spec = output_spectrum(model, fc, tau_max=0.3, n_tau=64, rho_ss=rho)
-    assert not spec.correlator_decayed
-    # the warning names the horizon set by the slowest decay rate of the
-    # projected generator; twice that window resolves the correlator
-    found = re.search(r"slowest decay rate .* is (\S+), so tau_max ~ (\S+) would reach 1e-3",
-                      str(record[0].message))
-    rate, horizon = float(found.group(1)), float(found.group(2))
-    assert horizon == pytest.approx(math.log(1000.0) / rate, rel=1e-2)
-    assert output_spectrum(model, fc, tau_max=2 * horizon, n_tau=256,
-                           rho_ss=rho).correlator_decayed
+@pytest.mark.parametrize("n, ratio, delta_over_gamma", [(100, 0.9, 0.5), (100, 0.9, 2.0),
+                                                         (10, 0.95, 0.0)])
+def test_spectrum_matches_direct_resolvents(n, ratio, delta_over_gamma):
+    # the one-sided transform of the connected correlator at omega != 0 is
+    # trace(J_- x) with -(L + i omega) x = rho J_+ - <J_+> rho, solved
+    # directly; omega = 0 is left out, where that system is singular. The
+    # spectrum (2 Re) is even in omega here, so the complex transform of
+    # the poles is compared as well
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
+    from dickelab.lindblad import correlator_poles, vectorize
 
-def test_spectrum_start_below_round_off_reads_decayed():
-    # N = 100 at drive 0.545: the connected start is round-off, below the
-    # floor eps D <J_+J_-> on which the correlator stops, so there is
-    # nothing left to resolve and the verdict must not hang on that noise
-    e = eff(100, 0.545)
+    e = eff(n, ratio, delta_over_gamma)
+    rho, mom, fc, spec = _spectrum_point(e)
+    assert spec.verdict == "resolved"
     model = build_dicke_model(e)
-    rho, _ = resonant_steady_state(model.effective)
-    jm = spin_moments(rho, model.rep).jm
-    fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), jm, bloch_angles(e))
+    jp, jm = model.ops["J_plus"].toarray(), model.ops["J_minus"].toarray()
+    tau_max = 10.0 / (n * bloch_angles(e).cos_theta / 2.0)
+    lam, w, _ = correlator_poles(model.liouvillian, rho, jp, jm, spec.omega, tau_max)
+    transform = (w / (-lam - 1j * spec.omega[:, None])).sum(axis=1)
+    start = vectorize(rho.matrix @ jp - mom.jm.conjugate() * rho.matrix)
+    S = model.liouvillian.superoperator.tocsc()
+    eye = sp.identity(S.shape[0], dtype=np.complex128, format="csc")
+    center = int(np.argmin(np.abs(spec.omega)))
+    assert spec.omega[center] == 0.0
+    peak, scale = spec.incoherent_spectrum.max(), np.abs(transform).max()
+    g2abs = abs(fc.G) ** 2
+    for k in (center - 1, center + 1, center - 3, center + 7, center - 40, center + 300):
+        x = spla.spsolve((-(S + 1j * spec.omega[k] * eye)).tocsc(), start)
+        direct = np.einsum("ij,ji->", jm, x.reshape(rho.dim, rho.dim, order="F"))
+        assert abs(spec.incoherent_spectrum[k] - 2.0 * g2abs * direct.real) <= 1e-8 * peak, k
+        assert abs(transform[k] - direct) <= 1e-8 * scale, k
+    # the pole weights sum to the connected start, var(J_-)
+    assert w.sum().real == pytest.approx(mom.var_jm, rel=1e-10)
+    assert np.all(lam.real < 0.0)
+
+
+def test_spectrum_below_round_off_reads_coherent():
+    # N = 100 at drive 0.545: var(J_-) is far below the round-off of the
+    # connected start, eps D <J_+J_->, so the point reads coherent and no
+    # propagation runs (the Dicke model is never built)
+    e = eff(100, 0.545)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = output_spectrum(model, fc, rho_ss=rho)
-    floor = np.finfo(float).eps * model.rep.dim * spin_moments(rho, model.rep).jp_jm
-    assert abs(spec.correlator[0]) <= floor
-    assert spec.correlator_decayed
+        _, mom, _, spec = _spectrum_point(e)
+    assert mom.var_jm <= np.finfo(float).eps * (e.N + 1) * mom.jp_jm
+    assert spec.verdict == "coherent" and spec.incoherent_spectrum is None
+    assert spec.omega.size == 2 * 512 + 1
