@@ -13,10 +13,16 @@ superoperator with its first row (the equation for rho_00) replaced by the
 scaled trace row, then one refinement sweep. Trace preservation makes the
 diagonal-entry rows sum to zero, so the replaced row carries no
 information, and M is nonsingular exactly when the steady state is unique.
-The same factor gives the uniqueness probe by inverse iteration. The Dicke
-Liouvillian is narrow-banded, so fill-in stays small. The model caps
-(``models.DICKE_ATOM_CAP``, ``models.CAVITY_PRODUCT_CAP``) are the only
-size limit. Every LU candidate passes one gate, :func:`accept_steady_state`.
+The same factor gives the uniqueness probe by inverse iteration, and is
+handed back in the solve report. The Dicke Liouvillian is narrow-banded,
+so fill-in stays small. The model caps (``models.DICKE_ATOM_CAP``,
+``models.CAVITY_PRODUCT_CAP``) are the only size limit of an LU. A larger
+system that holds a solved one on some of its entries (the atom+cavity
+model at a higher Fock cutoff) is solved by :func:`extended_steady_state`:
+restarted GMRES on its trace-row system, preconditioned by the smaller
+system's factor on the shared entries and by the diagonal elsewhere, with
+no factor of its own. Every candidate of either solver passes one gate,
+:func:`accept_steady_state`.
 (The resonant Dicke model also has an exact steady state,
 ``models.resonant_steady_state``, which the sweeps use for delta = 0. It
 needs no Liouvillian, and passes the O(D) gate
@@ -61,7 +67,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +77,13 @@ logger = logging.getLogger(__name__)
 
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
+
+# GMRES of an extended steady state: the restart length (the basis holds
+# GMRES_RESTART + 1 vectors of D^2 entries), the restart cycles before a
+# NoConvergence, and the residual target relative to the right-hand side
+GMRES_RESTART = 80
+GMRES_MAX_RESTARTS = 10
+GMRES_RTOL = 1e-14
 
 # inverse-iteration stopping rule of the uniqueness probe
 PROBE_RTOL = 1e-2
@@ -212,20 +225,24 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
+        with _single_blas_thread():
+            return float(np.linalg.eigvalsh(herm)[0])
 
     @classmethod
     def from_raw(cls, mat) -> "DensityMatrix":
         """Build from a raw solver vector: hermitize, normalize the trace,
         and floor eigenvalues in (PSD_FLOOR, 0). Larger PSD violations are
-        a solver failure, not rounding noise to be masked."""
+        a solver failure, not rounding noise to be masked. The eigh runs
+        on one BLAS thread, as every dense decomposition of a state does
+        (:meth:`min_eigenvalue`, :func:`trace_distance`)."""
         mat = np.asarray(mat, dtype=np.complex128)
         herm = 0.5 * (mat + mat.conj().T)
         tr = herm.trace()
         if abs(tr) < 1e-6 * max(np.abs(herm).max(), 1e-300):
             raise SolverError("steady-state candidate is (nearly) traceless")
         herm = herm / tr
-        evals, evecs = np.linalg.eigh(herm)
+        with _single_blas_thread():
+            evals, evecs = np.linalg.eigh(herm)
         min_eig = float(evals[0])
         if min_eig < PSD_FLOOR:
             raise SolverError(
@@ -261,7 +278,8 @@ def trace_distance(rho, sigma) -> float:
     a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     b = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
     diff = 0.5 * ((a - b) + (a - b).conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    with _single_blas_thread():
+        return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 @dataclass
@@ -284,10 +302,17 @@ class SteadyStateOptions:
 
 @dataclass(frozen=True)
 class SteadyStateSolveReport:
+    """What a steady-state solve did. ``uniqueness_ratio`` is the probe's
+    (None without a probe); ``factor`` is the SuperLU factor of the
+    trace-row system that the LU route solved, for a caller that solves an
+    extended system with it (:func:`extended_steady_state`), and None on
+    every other route."""
+
     method: str
     residual: float
     wall_time: float
-    uniqueness_ratio: float | None = None
+    uniqueness_ratio: float | None
+    factor: object = field(repr=False, compare=False)
 
 
 def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
@@ -297,9 +322,9 @@ def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
 
 
 def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
-                        tol: float | None, uniqueness_ratio: float | None):
-    """The acceptance gate of every LU candidate (the closed form has its
-    O(D) gate, ``models.accept_banded_state``): the D x D
+                        tol: float | None, uniqueness_ratio: float | None, factor):
+    """The acceptance gate of every LU and GMRES candidate (the closed form
+    has its O(D) gate, ``models.accept_banded_state``): the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
     PSD floor), and its residual must stay within
     :func:`residual_tolerance` or NoConvergence is raised. Returns
@@ -318,6 +343,7 @@ def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
         residual=residual,
         wall_time=wall,
         uniqueness_ratio=uniqueness_ratio,
+        factor=factor,
     )
 
 
@@ -332,21 +358,22 @@ def _trace_row(dim: int) -> sp.csr_array:
 def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     """Stationary density matrix of L, with a solve report.
 
-    Returns ``(DensityMatrix, SteadyStateSolveReport)``. Raises
-    NonUniqueSteadyState when the uniqueness probe finds a second
-    near-stationary direction, NoConvergence when the residual target
-    cannot be met.
+    Returns ``(DensityMatrix, SteadyStateSolveReport)``; the report holds
+    the LU factor. Raises NonUniqueSteadyState when the uniqueness probe
+    finds a second near-stationary direction, NoConvergence when the
+    residual target cannot be met.
     """
     if opts is None:
         opts = SteadyStateOptions()
 
     t0 = time.perf_counter()
-    raw, uniq = _solve_sparse_direct(L, opts)
+    raw, uniq, lu = _solve_sparse_direct(L, opts)
     if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
         raise NonUniqueSteadyState(
             f"second stationary direction at relative level {uniq:.2e}"
         )
-    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol, uniq)
+    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol,
+                               uniq, lu)
 
 
 def _square_system(L: Liouvillian):
@@ -378,7 +405,8 @@ def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
     uniq = None
     if opts.check_unique:
         uniq = _uniqueness_probe(lu, M.shape[0], scale)
-    return x, uniq
+    return x, uniq, lu
+
 
 
 def _uniqueness_probe(lu, n: int, scale: float) -> float:
@@ -483,10 +511,11 @@ def _single_blas_thread():
     loaded meanwhile included (a serial LU loads scipy's), then the
     previous counts; a copy first loaded meanwhile gets back the count it
     was loaded with, or the enclosing pin. The dense work of a Krylov
-    propagation is on m x m matrices (m ~ 100), and that of a serial
-    sweep (the eigh of each LU gate) on D x D ones with D <= 401, where a
-    second thread costs more than it gives: measured on 2 cores, expm of
-    an 80 x 80 matrix took 94 ms with two threads and 2.8 ms with one."""
+    propagation is on m x m matrices (m ~ 100), and that of a state (the
+    eigh of ``DensityMatrix.from_raw`` in each gate, ``min_eigenvalue``,
+    ``trace_distance``) on D x D ones with D <= 401, where a second
+    thread costs more than it gives: measured on 2 cores, expm of an
+    80 x 80 matrix took 94 ms with two threads and 2.8 ms with one."""
     outer, previous = _pin, blas_thread_counts()
     pin_blas_threads(1)
     try:
@@ -495,6 +524,71 @@ def _single_blas_thread():
         pin_blas_threads(outer)
         set_blas_threads({package: previous.get(package, first if outer is None else outer)
                           for package, (_, _, first) in _LOADED.items()})
+
+
+@_single_blas_thread()
+def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
+                          base_rho: DensityMatrix, factor, opts: SteadyStateOptions | None):
+    """Stationary state of L from that of a smaller system ``base``, solved
+    by :func:`steady_state` into ``base_rho`` with the report's ``factor``.
+    Entry k of vec(base_rho) is entry ``embed[k]`` of L's vectorized space,
+    and ``embed[0] = 0``, so the two trace rows meet. L restricted to the
+    embedded entries is ``base``, so the base factor nearly inverts that
+    block; a poor embedding only slows the GMRES, and the gate still holds.
+
+    Restarted GMRES (GMRES_RESTART vectors, up to GMRES_MAX_RESTARTS
+    cycles) solves L's trace-row system to GMRES_RTOL of its right-hand
+    side, from base_rho padded with zeros. Its left preconditioner applies
+    the base factor on the embedded entries, with row 0 rescaled from the
+    base's trace-row scale to L's, and divides every other entry by its
+    diagonal. No factor of L is made and no uniqueness probe runs: the
+    base solve's probe stands for it. The candidate passes
+    :func:`accept_steady_state`; a GMRES that does not converge raises
+    NoConvergence. The dense work runs on one BLAS thread.
+    """
+    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
+
+    if opts is None:
+        opts = SteadyStateOptions()
+
+    t0 = time.perf_counter()
+    M, b, scale = _square_system(L)
+    M = M.tocsr()  # GMRES only multiplies by it
+    rest = np.ones(M.shape[0], dtype=bool)
+    rest[embed] = False
+    inverse_diagonal = np.zeros(M.shape[0], dtype=np.complex128)
+    inverse_diagonal[rest] = 1.0 / M.diagonal()[rest]
+    rescale = max(base.scale, 1e-300) / scale
+
+    def precondition(r):
+        z = r * inverse_diagonal
+        block = r[embed]
+        block[0] *= rescale
+        z[embed] = factor.solve(block)
+        return z
+
+    x0 = np.zeros(M.shape[0], dtype=np.complex128)
+    x0[embed] = vectorize(base_rho.matrix)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.gmres(M, b, x0=x0, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                         maxiter=GMRES_MAX_RESTARTS,
+                         M=spla.LinearOperator(M.shape, precondition, dtype=np.complex128),
+                         callback=count, callback_type="pr_norm")
+    logger.debug("extended steady state: %d unknowns, %d GMRES iterations, info %d",
+                 M.shape[0], iterations, info)
+    if info != 0:
+        raise NoConvergence(
+            f"GMRES did not reach {GMRES_RTOL:.0e} of the right-hand side within "
+            f"{GMRES_MAX_RESTARTS} restarts of {GMRES_RESTART} ({iterations} iterations)"
+        )
+    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", t0, opts.tol,
+                               None, None)
 
 
 def _ascending_grid(grid, name: str) -> np.ndarray:
@@ -670,6 +764,7 @@ def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
     return vectorize(X0 - X0.trace() * rho), observe, floor
 
 
+@_single_blas_thread()
 def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
                         full_output: bool = False):
     """Connected steady-state correlator <A(0) B(tau)> - <A><B> by quantum
@@ -687,7 +782,8 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     start below it is noise, and the propagation stops after a few
     vectors instead of resolving that noise.
     The tau=0 value equals <A B> - <A><B>. With ``full_output`` the return
-    is ``(values, PropagationReport)``.
+    is ``(values, PropagationReport)``. The dense work runs on one BLAS
+    thread.
     """
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
     start, observe, floor = _connected_start(L, rho_ss, A, B)
@@ -699,6 +795,7 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     return (connected[0], report) if full_output else connected[0]
 
 
+@_single_blas_thread()
 def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, tau_max: float):
     """The connected correlator <A(0) B(tau)> - <A><B> as
     sum_k w_k exp(lambda_k tau): ``(lambda, w, PropagationReport)``. Its
@@ -709,7 +806,8 @@ def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, tau_max
     until the transform on the grid ``omega`` changes by at most
     max(SPECTRUM_RTOL, floor/|C(0)|) times its largest magnitude between
     checks; floor/|C(0)| is the relative round-off of the start (see
-    :func:`two_time_correlator`), and 1 for a start below it."""
+    :func:`two_time_correlator`), and 1 for a start below it. The dense
+    work runs on one BLAS thread."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     start, observe, floor = _connected_start(L, rho_ss, A, B)
     c0 = abs(complex((observe @ start)[0]))

@@ -38,6 +38,12 @@ alpha = (Omega_L + conj(g) <J_->)/(delta_c + i kappa/2), d is driven only
 by the dipole fluctuation conj(g)(J_- - <J_->) and stays near vacuum, with
 <d^dag d> ~ |g|^2 var(J_-)/(delta_c^2 + kappa^2/4). The Fock cutoff counts
 quanta of d; alpha = 0 is the lab frame.
+
+:func:`validate_elimination` compares the two models. The eliminated one
+comes from the closed form at delta = 0. The cavity model is factored once,
+at the Fock cutoff, and confirmed at cutoff + 5 by GMRES preconditioned
+with that factor (``lindblad.extended_steady_state``): the model at the
+cutoff is the block of the larger one with both Fock indices up to it.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from .lindblad import (
     SteadyStateOptions,
     SteadyStateSolveReport,
     build_liouvillian,
+    extended_steady_state,
     steady_state,
 )
 from .observables import SpinMoments, spin_moments
@@ -70,13 +77,16 @@ from .operators import (
 )
 from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
 
-# Desk-scale dimension caps, the only size limits of a Liouvillian and its
-# solve (the closed-form resonant state has none): the largest sizes whose
+# Desk-scale dimension caps, the only size limits of a factored Liouvillian
+# (the closed-form resonant state has none): the largest sizes whose
 # sparse LU fits a desk budget (under a minute and 3 GB on two
 # cores). The Dicke chain stays banded up to a few hundred atoms (D = 401:
 # 6.8 s, 817 MB). The product space fills in much faster, most for near
 # square splits: 12 x 12 at D = 144 takes 51-55 s and 2.5 GB, 10 x 15 at
-# D = 150 more than a minute.
+# D = 150 more than a minute; 36 x 4 (N = 35 at Fock cutoff 3) takes
+# 4.3-4.8 s. The cavity cap bounds the model that validate_elimination
+# factors, at its Fock cutoff; the confirmation at cutoff + 5 is not
+# factored.
 DICKE_ATOM_CAP = 400
 CAVITY_PRODUCT_CAP = 144
 # an elimination passes when J_z of the two models agrees within this
@@ -358,7 +368,8 @@ def accept_banded_state(e: EffectiveParams, rho, method: str, t0: float,
             raise NoConvergence(
                 f"steady-state {name} {value:.3e} above tolerance {tol:.3e} (method {method})"
             )
-    return rho, SteadyStateSolveReport(method=method, residual=residual, wall_time=wall)
+    return rho, SteadyStateSolveReport(method=method, residual=residual, wall_time=wall,
+                                       uniqueness_ratio=None, factor=None)
 
 
 def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
@@ -396,16 +407,24 @@ def cavity_dimension(p: CavityParams, cutoff: int) -> int:
 def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> CavityModel:
     """Atom+cavity Liouvillian on the spin (slow) x Fock (fast) space, in
     the frame displaced by ``alpha``: the Fock space holds the quanta of
-    d = c - alpha, and alpha = 0 is the lab frame.
+    d = c - alpha, and alpha = 0 is the lab frame. DimensionCapError above
+    ``CAVITY_PRODUCT_CAP``, which bounds the models that are factored.
 
     ``ops`` holds what the Hamiltonian is built from: the lifted
     ``J_minus``, ``J_plus`` and ``J_z``, and ``d`` and ``d_dagger``.
     """
+    cavity_dimension(p, cutoff)
+    return _cavity_model(p, cutoff, alpha)
+
+
+def _cavity_model(p: CavityParams, cutoff: int, alpha: complex) -> CavityModel:
+    """:func:`build_cavity_model` without the cap: the model of the
+    Fock-cutoff confirmation, which is solved by GMRES and never
+    factored."""
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
 
     fock = FockRep(cutoff=cutoff)
     spin = SpinRep.for_atoms(p.N)
-    cavity_dimension(p, cutoff)
 
     sops = build_spin_operators(spin)
     bops = build_fock_operators(fock)
@@ -444,20 +463,24 @@ def _atomic_observables(mom: SpinMoments) -> dict:
 
 
 def _eliminated_moments(p: CavityParams, solve_opts) -> SpinMoments:
-    """The moments record of the eliminated Dicke model of ``p``."""
-    dicke = build_dicke_model(map_cavity_to_effective(p))
+    """The moments record of the eliminated Dicke model of ``p``: from the
+    closed form at delta = 0, with its exact var(J_-), and from the LU of
+    the Dicke model otherwise."""
+    e = map_cavity_to_effective(p)
+    if e.delta == 0.0:
+        rho, _ = resonant_steady_state(e, solve_opts.tol if solve_opts else None)
+        return spin_moments(rho, SpinRep.for_atoms(e.N))
+    dicke = build_dicke_model(e)
     rho, _ = steady_state(dicke.liouvillian, solve_opts)
     return spin_moments(rho, dicke.rep)
 
 
-def _cavity_side_observables(p: CavityParams, cutoff, alpha, solve_opts) -> dict:
-    """<J_z>, <J_->, <J_+J_->, <c> and <c^dag c> of the atom+cavity model
-    displaced by ``alpha``. The spin moments come from the state reduced
-    over the Fock index. The state reduced over the spins gives <d> (band
-    1) and <d^dag d> (band 0); then <c> = alpha + <d> and
-    <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>."""
-    model = build_cavity_model(p, cutoff, alpha)
-    rho, _ = steady_state(model.liouvillian, solve_opts)
+def _reduced_observables(model: CavityModel, rho: DensityMatrix, alpha) -> dict:
+    """<J_z>, <J_->, <J_+J_->, <c> and <c^dag c> of a state of ``model``,
+    the atom+cavity model displaced by ``alpha``. The spin moments come
+    from the state reduced over the Fock index. The state reduced over the
+    spins gives <d> (band 1) and <d^dag d> (band 0); then <c> = alpha + <d>
+    and <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>."""
     ds, df = model.spin_rep.dim, model.fock_rep.dim
     blocks = rho.matrix.reshape(ds, df, ds, df)
     spin = DensityMatrix(np.einsum("ikjk->ij", blocks), validate=False)
@@ -468,6 +491,17 @@ def _cavity_side_observables(p: CavityParams, cutoff, alpha, solve_opts) -> dict
     obs["photons"] = (abs(alpha) ** 2 + 2.0 * (np.conj(alpha) * d_mean).real
                       + float(n @ fock.diagonal().real))
     return obs
+
+
+def _fock_embedding(spin_dim: int, fock_dim: int, wide_fock_dim: int) -> np.ndarray:
+    """Entry k of the vectorized spin x Fock space with ``fock_dim`` Fock
+    levels as an entry of the one with ``wide_fock_dim``: both Fock indices
+    stay, so the smaller space is the block of the larger one with both
+    Fock indices below ``fock_dim``."""
+    index = np.arange(spin_dim * fock_dim)
+    wide = (index // fock_dim) * wide_fock_dim + index % fock_dim
+    # column stacking: entry (i, j) of a D x D matrix is i + j D
+    return (wide[:, None] + wide_fock_dim * spin_dim * wide[None, :]).flatten(order="F")
 
 
 def validate_elimination(
@@ -485,12 +519,21 @@ def validate_elimination(
     value below ``min_adiabaticity`` only warns, since mapping the
     breakdown is itself useful.
 
-    The cavity model is solved in the frame displaced by the mean-field
-    amplitude of the eliminated model's <J_->, and ``cutoff`` (None: from
-    :func:`default_fock_cutoff`) counts quanta of d = c - alpha. It is
-    accepted when the deviations barely move as the cutoff grows by five;
-    the larger cutoff's observables are reported. A larger model over
-    ``CAVITY_PRODUCT_CAP`` raises DimensionCapError before any cavity solve.
+    The eliminated model comes from the closed form at delta = 0 and from
+    its LU otherwise. The cavity model is solved in the frame displaced by
+    the mean-field amplitude of the eliminated model's <J_->, and
+    ``cutoff`` (None: from :func:`default_fock_cutoff`) counts quanta of
+    d = c - alpha. It is accepted when the deviations barely move as the
+    cutoff grows by five; the larger cutoff's observables are reported.
+    The model at ``cutoff`` is solved by LU, with the uniqueness probe.
+    The one at cutoff + 5 holds it on the entries with both Fock indices
+    up to ``cutoff``, and is solved by GMRES preconditioned with that LU
+    (``lindblad.extended_steady_state``), which passes the same gate but
+    runs no probe and makes no factor. ``CAVITY_PRODUCT_CAP`` bounds the
+    model at ``cutoff``, the one factored: above it DimensionCapError is
+    raised before any cavity solve. The GMRES basis of the model at
+    cutoff + 5, 81 vectors of D^2 entries, is bounded with it: 136 MB at
+    cutoff 3 and N = 35, 329 MB at cutoff 1 and N = 71.
     """
     ratio = p.adiabaticity_ratio
     if ratio < min_adiabaticity:
@@ -503,7 +546,6 @@ def validate_elimination(
     eff = _atomic_observables(mom)
     alpha = mean_field_amplitude(p, mom.jm)
     base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, mom.var_jm)
-    cavity_dimension(p, base_cutoff + 5)
 
     halfN = p.N / 2
 
@@ -520,9 +562,14 @@ def validate_elimination(
         }
         return dev_abs, dev_rel
 
-    full_lo = _cavity_side_observables(p, base_cutoff, alpha, solve_opts)
-    dev_lo, _ = deviations(full_lo)
-    full_hi = _cavity_side_observables(p, base_cutoff + 5, alpha, solve_opts)
+    base = build_cavity_model(p, base_cutoff, alpha)
+    rho_lo, report_lo = steady_state(base.liouvillian, solve_opts)
+    dev_lo, _ = deviations(_reduced_observables(base, rho_lo, alpha))
+    wide = _cavity_model(p, base_cutoff + 5, alpha)
+    embed = _fock_embedding(base.spin_rep.dim, base.fock_rep.dim, wide.fock_rep.dim)
+    rho_hi, _ = extended_steady_state(wide.liouvillian, embed, base.liouvillian, rho_lo,
+                                      report_lo.factor, solve_opts)
+    full_hi = _reduced_observables(wide, rho_hi, alpha)
     dev_hi, dev_rel_hi = deviations(full_hi)
 
     # changes far below the pass scale never count as non-convergence

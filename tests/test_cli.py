@@ -14,7 +14,7 @@ import pytest
 
 from dickelab.cli import main
 from dickelab.errors import ConfigError
-from dickelab import sweep
+from dickelab import lindblad, sweep
 from dickelab.lindblad import set_blas_threads
 from dickelab.sweep import MODES, RunConfig, _worker_pool, blas_thread_counts, run
 
@@ -608,9 +608,8 @@ def test_validate_elimination_mode(tmp_path):
 
 
 def test_elimination_over_the_cap_fails_before_any_cavity_solve(tmp_path):
-    # N = 12 at Fock cutoff 8: the lower model (13 * 9 = 117) fits the cap
-    # of 144 but takes about 15 s to solve; the cutoff + 5 model
-    # (13 * 14 = 182) does not, so the point must fail before either solve
+    # N = 12 at Fock cutoff 11: the factored model (13 * 12 = 156) is over
+    # the cap of 144, so the point must fail before any cavity solve
     n, kappa, adiab = 12, 1.0, 20.0
     g = kappa / (adiab * math.sqrt(n))
     omega = 0.9 * (n / 4) * (4 * g * g / kappa)
@@ -618,7 +617,7 @@ def test_elimination_over_the_cap_fails_before_any_cavity_solve(tmp_path):
         "mode": "validate-elimination",
         "params": {"cavity": {"g": g, "kappa": kappa, "delta_c": 0.0,
                                "Omega_L": [0.0, -omega * kappa / (2 * g)], "N": n}},
-        "elimination": {"fock_cutoff": 8},
+        "elimination": {"fock_cutoff": 11},
     }
     cfg = write_cfg(tmp_path / "cfg.json", payload)
     out = tmp_path / "elim.csv"
@@ -629,7 +628,31 @@ def test_elimination_over_the_cap_fails_before_any_cavity_solve(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 1
     assert "DimensionCapError" in rows[0]["error"]
-    assert "13*14 = 182 exceeds cap 144" in rows[0]["error"]
+    assert "13*12 = 156 exceeds cap 144" in rows[0]["error"]
+
+
+def test_elimination_gmres_without_convergence_is_an_error_row(tmp_path, monkeypatch):
+    # restarts of one vector cannot reach the confirmation's residual
+    # target (the benchmark's N = 4 drive takes 21 iterations with 80):
+    # the point ends as a NoConvergence row, with no LU fallback
+    monkeypatch.setattr(lindblad, "GMRES_RESTART", 1)
+    n, kappa, adiab = 4, 1.0, 10.0
+    g = kappa / (adiab * math.sqrt(n))
+    omega = 0.75 * (n / 4) * (4 * g * g / kappa)
+    payload = {
+        "mode": "validate-elimination",
+        "params": {"cavity": {"g": g, "kappa": kappa, "delta_c": 0.0,
+                               "Omega_L": [0.0, -omega * kappa / (2 * g)], "N": n}},
+        "solver": {"threads": 1},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "elim.csv"
+    assert main(["validate-elimination", "--config", cfg, "--out", str(out),
+                 "--no-timestamp"]) == 3
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert "NoConvergence" in rows[0]["error"]
+    assert "GMRES did not reach" in rows[0]["error"]
 
 
 def test_cavity_level_drive_scaling(tmp_path):

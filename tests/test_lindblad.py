@@ -16,8 +16,12 @@ from dickelab.lindblad import (
     DensityMatrix,
     SteadyStateOptions,
     _solve_sparse_direct,
+    blas_thread_counts,
     build_liouvillian,
+    correlator_poles,
     expect,
+    openblas_libraries,
+    set_blas_threads,
     steady_state,
     time_evolve,
     trace_distance,
@@ -180,7 +184,7 @@ def test_uniqueness_probe_flags_decoupled_cavity():
     model = build_cavity_model(CavityParams(g=0.0, kappa=2.0, delta_c=0.5, Omega_L=0.3, N=2),
                                cutoff=8)
     L = model.liouvillian
-    _, uniq = _solve_sparse_direct(L, SteadyStateOptions())
+    _, uniq, _ = _solve_sparse_direct(L, SteadyStateOptions())
     assert uniq < uniqueness_threshold(L.dim ** 2)
 
 
@@ -336,6 +340,37 @@ def test_density_matrix_repair_and_rejection():
     bad = np.diag([0.8, 0.3, -0.1]).astype(complex)
     with pytest.raises(SolverError):
         DensityMatrix.from_raw(bad)
+
+
+def test_dense_decompositions_run_on_one_blas_thread(monkeypatch):
+    # from_raw, min_eigenvalue, trace_distance and the correlator's poles
+    # pin one thread around their eigh/eigvalsh/eig, and give the caller
+    # back its own counts (two here, so a missed restore shows)
+    L, ops, _ = dicke_liouvillian(4, 0.5, 0.5)
+    rho_ss, _ = steady_state(L)
+    openblas_libraries()
+    parent = blas_thread_counts()
+    seen = []
+    for name in ("eigh", "eigvalsh", "eig"):
+        original = getattr(np.linalg, name)
+
+        def recording(*args, _original=original, **kwargs):
+            seen.append(blas_thread_counts())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    two = dict.fromkeys(parent, 2)
+    set_blas_threads(two)
+    try:
+        rho = DensityMatrix.from_raw(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        rho.min_eigenvalue()
+        trace_distance(rho, np.diag([1.0, 0.0, 0.0]))
+        correlator_poles(L, rho_ss, ops["J_plus"], ops["J_minus"], [0.0, 1.0], 10.0)
+        assert blas_thread_counts() == two
+    finally:
+        set_blas_threads(parent)
+    assert len(seen) > 3
+    assert all(counts == dict.fromkeys(parent, 1) for counts in seen)
 
 
 def test_density_matrix_validation():

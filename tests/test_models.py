@@ -14,12 +14,13 @@ from dickelab.lindblad import (
     time_evolve,
     trace_distance,
 )
+from dickelab import models
 from dickelab.models import (
     CAVITY_PRODUCT_CAP,
     DICKE_ATOM_CAP,
     ResonantState,
-    _cavity_side_observables,
     _lindblad_bands,
+    _reduced_observables,
     accept_banded_state,
     banded_tolerance,
     build_cavity_model,
@@ -313,8 +314,9 @@ def test_cavity_observables_match_lifted_operators():
     # lifted operators and on the lab field c = d + alpha
     p = _frame_case(4, -0.5, 0.8, 0.04)
     alpha = mean_field_amplitude(p, _eliminated_moments(p)["Jminus"])
-    ref = _cavity_moments(build_cavity_model(p, 8, alpha), alpha)
-    got = _cavity_side_observables(p, 8, alpha, None)
+    model = build_cavity_model(p, 8, alpha)
+    ref = _cavity_moments(model, alpha)
+    got = _reduced_observables(model, steady_state(model.liouvillian)[0], alpha)
     assert set(got) == set(ref)
     for key in ref:
         assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
@@ -359,6 +361,82 @@ def test_elimination_warns_when_not_adiabatic():
     p = elimination_cavity(2, adiabaticity=2.0, drive_ratio=0.5)
     with pytest.warns(UserWarning, match="adiabaticity"):
         validate_elimination(p)
+
+
+def _lu_confirmation(L, embed, base, base_rho, factor, opts):
+    """The cutoff + 5 confirmation by its own LU, in place of
+    ``extended_steady_state``."""
+    return steady_state(L, opts)
+
+
+def _verdict(p, cutoff):
+    try:
+        report = validate_elimination(p, cutoff)
+    except NoConvergence as exc:
+        return "rejected: " + str(exc).split(":")[0], None
+    return f"passed {report.passed}, converged {report.cutoff_converged}", report
+
+
+# (N, kappa/(sqrt(N)|g|), drive, cutoff): the criterion-5 grid, the
+# benchmark's drives and cutoffs too low to converge (N = 4 at ratio 2 takes
+# 109 GMRES iterations, N = 8 at cutoff 1 350)
+_CONFIRMATION_SCAN = (
+    [(2, ratio, 0.5, None) for ratio in (2.0, 5.0, 10.0, 20.0)]
+    + [(4, 10.0, drive, None) for drive in (0.25, 0.5, 0.75)]
+    + [(2, 20.0, 0.5, 1), (8, 2.0, 0.9, 1), (4, 2.0, 0.9, None)]
+)
+
+
+@pytest.mark.parametrize("case", _CONFIRMATION_SCAN, ids=lambda c: "N%d-r%g-d%g-c%s" % c)
+def test_gmres_confirmation_matches_the_lu(case, monkeypatch):
+    # the GMRES confirmation gives the verdict of a cutoff + 5 LU, and the
+    # observables it reports agree with that LU's to 1e-12 relative; c and
+    # the photon number may be far below the unit trace, so below 1e-2 the
+    # bound is 1e-14 absolute, the round-off of the state's entries
+    n, ratio, drive, cutoff = case
+    p = elimination_cavity(n, ratio, drive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        verdict, report = _verdict(p, cutoff)
+        monkeypatch.setattr(models, "extended_steady_state", _lu_confirmation)
+        lu_verdict, lu_report = _verdict(p, cutoff)
+    assert verdict == lu_verdict
+    if report is not None:
+        assert report.fock_cutoff == lu_report.fock_cutoff
+        for key, ref in lu_report.full.items():
+            assert abs(report.full[key] - ref) <= 1e-12 * max(abs(ref), 1e-2), key
+
+
+def test_elimination_over_the_old_cap_passes():
+    # N = 20 at cutoffs 3 and 8: the confirmation model (21 * 9 = 189) is
+    # over the cap, which now bounds only the factored model (21 * 4 = 84)
+    p = elimination_cavity(20, 20.0, 0.9)
+    with pytest.raises(DimensionCapError):
+        cavity_dimension(p, 8)
+    report = validate_elimination(p)
+    assert report.fock_cutoff == 8
+    assert report.cutoff_converged
+    assert report.passed
+
+
+def test_eliminated_model_takes_the_closed_form(monkeypatch):
+    # at delta = 0 no Dicke Liouvillian is built; the moments, var(J_-)
+    # included, are those of the closed form, and agree with the LU's
+    p = elimination_cavity(4, 10.0, 0.7)
+    e = map_cavity_to_effective(p)
+    lu_rho, _ = steady_state(build_dicke_model(e).liouvillian)
+    lu = spin_moments(lu_rho, SpinRep.for_atoms(4))
+
+    def refuse(_):
+        raise AssertionError("the Dicke LU ran at delta = 0")
+
+    monkeypatch.setattr(models, "build_dicke_model", refuse)
+    mom = models._eliminated_moments(p, None)
+    assert mom == spin_moments(ResonantState(e), SpinRep.for_atoms(4))
+    assert mom.var_jm == ResonantState(e).dipole_fluctuations()[0]
+    assert abs(mom.jz - lu.jz) <= 1e-10
+    assert abs(mom.jm - lu.jm) <= 1e-10 * abs(lu.jm)
+    assert mom.var_jm == pytest.approx(lu.var_jm, rel=1e-8)
 
 
 # the LU costs about 1 s per point at N = 200 and 5 s at N = 400, so the
