@@ -1,0 +1,200 @@
+"""Output-spectrum Krylov cost and agreement over a grid of Dicke points,
+for two checkouts of the package.
+
+    python scripts/bench_spectrum.py PARENT_ROOT [CHANGE_ROOT] [--repeats 1]
+        [--out BENCH_spectrum.json] [--note TEXT] [--points N,D,drive ...]
+
+CHANGE_ROOT defaults to the checkout holding this script. The grid is
+N in {20, 60, 100, 150}, drives 0.8 and 0.95 of the critical drive and
+Delta/gamma in {0.25, 1, -1, 3}, plus N = 100 at drive 0.9 and
+Delta/gamma 0.5 and 2 (the benchmark's near point and the second
+resolvent-oracle point); ``--points`` replaces it. Every point is
+resonant (delta = 0), so the steady state is the closed form.
+
+Each run is one fresh interpreter with PYTHONPATH set to the checkout's
+``src`` and OPENBLAS_NUM_THREADS=1; the checkouts alternate which goes
+first. It calls ``observables.output_spectrum`` with its default grid
+(tau_max and n_tau) at kappa = 1000 gamma, and wraps
+``observables.correlator_poles`` to time that call and read its
+``PropagationReport``. Per point the record holds, for each side, the
+Krylov dimension, the L + U entries of the shifted factor, the seconds of
+``correlator_poles`` (the smallest over the repeats), the number of kept
+poles and the slowest kept rate; and the largest |F_change - F_parent|
+over the omega grid divided by the parent's peak. ``start_round_off`` is
+eps D <J_+J_-> / var(J_-), the relative round-off of the correlator's
+start: the stop rule holds each spectrum only to max(1e-8, that share)
+of its peak, so two checkouts may differ by about as much. A side that
+raises records the error instead. The record also holds the core count,
+the package versions and the OpenBLAS thread count of each loaded copy in
+a child.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import importlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+POINTS = [(n, d, drive) for n in (20, 60, 100, 150) for drive in (0.8, 0.95)
+          for d in (0.25, 1.0, -1.0, 3.0)] + [(100, 0.5, 0.9), (100, 2.0, 0.9)]
+KAPPA_OVER_GAMMA = 1000.0
+
+
+def _blas_threads() -> dict:
+    """OpenBLAS thread count of each copy bundled with numpy and scipy."""
+    counts = {}
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
+            getter = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}", None)
+            if getter is not None:
+                counts[package] = int(getter())
+    return counts
+
+
+def _child(point) -> dict:
+    """One output spectrum of the checkout on the path, with its
+    correlator_poles call timed."""
+    from dickelab import observables
+    from dickelab.models import resonant_steady_state
+    from dickelab.observables import field_composition, output_spectrum, spin_moments
+    from dickelab.operators import SpinRep
+    from dickelab.parameters import EffectiveParams, bloch_angles, cavity_params_for_effective
+
+    n, d_over_g, drive = point
+    e = EffectiveParams(gamma=1.0, Delta=d_over_g, Omega=0.0, N=n).with_drive_ratio(drive)
+    rho, _ = resonant_steady_state(e)
+    moments = spin_moments(rho, SpinRep.for_atoms(n))
+    fc = field_composition(cavity_params_for_effective(e, kappa=KAPPA_OVER_GAMMA * e.gamma),
+                           moments.jm, bloch_angles(e))
+    poles, calls = observables.correlator_poles, []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        result = poles(*args)
+        calls.append((time.perf_counter() - t0, result))
+        return result
+
+    observables.correlator_poles = timed
+    record = {"blas_threads": None, "error": None,
+              "start_round_off": float(np.finfo(float).eps * (n + 1) * moments.jp_jm
+                                       / moments.var_jm)}
+    try:
+        spec = output_spectrum(e, fc, rho_ss=rho)
+    except Exception as exc:  # noqa: BLE001 - a failing side is a result
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        spec = None
+    record["blas_threads"] = _blas_threads()
+    if calls:
+        seconds, (lam, _, report) = calls[-1]
+        record.update(poles_s=seconds, krylov_dim=report.krylov_dim, lu_nnz=report.lu_nnz,
+                      poles=int(lam.size),
+                      slowest_rate=float(-lam.real.max()) if lam.size else None)
+    if spec is not None:
+        record["verdict"] = spec.verdict
+        record["spectrum"] = (None if spec.incoherent_spectrum is None
+                              else [float(x) for x in spec.incoherent_spectrum])
+    return record
+
+
+def _run(root: str, point) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    arg = ",".join(repr(x) for x in point)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", arg],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _parse_point(text: str):
+    n, d_over_g, drive = (float(x) for x in text.split(","))
+    return int(n), d_over_g, drive
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?", default=os.path.dirname(HERE))
+    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--points", nargs="+", type=_parse_point)
+    parser.add_argument("--out", default=os.path.join(os.path.dirname(HERE),
+                                                      "BENCH_spectrum.json"))
+    parser.add_argument("--note", default="", help="free text stored in the record")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(_parse_point(args.child))))
+        return 0
+    if args.parent is None:
+        parser.error("PARENT_ROOT is required")
+
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    records, blas = [], {}
+    for point in args.points or POINTS:
+        record = {"N": point[0], "Delta_over_gamma": point[1], "drive": point[2]}
+        spectra = {}
+        for repeat in range(args.repeats):
+            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
+            for side in order:
+                rec = _run(sides[side], point)
+                blas[side] = rec.pop("blas_threads")
+                record["start_round_off"] = rec.pop("start_round_off")
+                spectra[side] = rec.pop("spectrum", None)
+                seconds = rec.pop("poles_s", None)
+                if seconds is not None:
+                    best = record.get(side, {}).get("poles_s", seconds)
+                    rec["poles_s"] = min(best, seconds)
+                record[side] = rec
+        if spectra["parent"] is not None and spectra["change"] is not None:
+            before, after = np.array(spectra["parent"]), np.array(spectra["change"])
+            record["max_change_over_peak"] = float(np.abs(after - before).max()
+                                                   / np.abs(before).max())
+        records.append(record)
+        summary = "  ".join(
+            f"{side} " + (record[side]["error"] or
+                          f"{record[side].get('krylov_dim', '-')} vectors "
+                          f"{record[side].get('poles_s', 0.0):.3f} s")
+            for side in sides)
+        print(f"N={point[0]} D/g={point[1]} drive={point[2]}: {summary}  "
+              f"change/peak {record.get('max_change_over_peak', float('nan')):.1e}",
+              flush=True)
+
+    import scipy
+
+    dims = [(r["parent"].get("krylov_dim"), r["change"].get("krylov_dim")) for r in records]
+    dims = [(p, c) for p, c in dims if p is not None and c is not None]
+    result = {
+        "what": "observables.correlator_poles inside output_spectrum at the default omega "
+                "grid, kappa = 1000 gamma; poles_s is the smallest over the repeats; "
+                "max_change_over_peak = max |F_change - F_parent| / max |F_parent|",
+        "note": args.note,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "repeats": args.repeats,
+        "blas_threads": blas,
+        "fewer_vectors": sum(c < p for p, c in dims),
+        "same_vectors": sum(c == p for p, c in dims),
+        "more_vectors": sum(c > p for p, c in dims),
+        "points": records,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,19 +41,23 @@ one propagator, the shift-invert (rational) Krylov approximation of
 exp(t L) of van den Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438
 (2006)). I - h L is factored once by sparse LU, ordered by minimum degree
 on A^T + A with pivoting threshold 0.1 (2/3 of COLAMD's fill at N = 100;
-full pivoting breaks the order), with the shift h the last grid time (the
-spectrum's tau_max) over KRYLOV_SHIFT_STEPS. Arnoldi on (I - h L)^{-1},
-with full reorthogonalization, builds an orthonormal basis V_m and a
-Hessenberg H_m; the projected generator is A_m = (I - H_m^{-1}) / h, and
+full pivoting breaks the order). On a time grid the shift h is the last
+grid time over KRYLOV_SHIFT_STEPS; the spectrum's caller passes its own
+(``observables.output_spectrum`` takes the collective scale
+h = 1/(N |Delta + i gamma/2|)). Arnoldi on (I - h L)^{-1}, with full
+reorthogonalization, builds an orthonormal basis V_m and a Hessenberg
+H_m; the projected generator is A_m = (I - H_m^{-1}) / h, and
 exp(t L) y ~ |y| V_m exp(t A_m) e_1. The fast collective modes (rates of
 order N^2 gamma) are damped by the inverse, so they set no step size. On a
 time grid, exp(dt A_m) comes from ``scipy.linalg.expm`` once per run of
-equal steps; the spectrum is the pole sum of A_m = W diag(lambda) W^{-1},
-without its stationary mode: the transform of exp(t A_m) e_1 is
-W (-lambda - i omega)^{-1} W^{-1} e_1. Every few vectors the values are
-recomputed; the basis stops growing when they change by no more than the
-caller's stop rule, or when it spans an invariant subspace, where the
-result is exact. More than KRYLOV_MAX_DIM vectors raise NoConvergence.
+equal steps; the spectrum is the pole sum of A_m = W diag(lambda) W^{-1}
+on its decaying modes (Re lambda < 0, which drops the stationary mode):
+the transform of exp(t A_m) e_1 is W (-lambda - i omega)^{-1} W^{-1} e_1,
+formed from the pole weights, and the kept weights must sum to the start.
+Every few vectors the values are recomputed; the basis stops growing when
+they change by no more than the caller's stop rule, or when it spans an
+invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
+vectors raise NoConvergence.
 """
 
 from __future__ import annotations
@@ -89,10 +93,11 @@ GMRES_RTOL = 1e-14
 PROBE_RTOL = 1e-2
 PROBE_MAX_STEPS = 10
 
-# shift-invert Krylov propagation: the shift is the last grid time (the
-# spectrum's tau_max) over KRYLOV_SHIFT_STEPS; past KRYLOV_MAX_DIM vectors
-# is a NoConvergence. The stop rule is checked every KRYLOV_CHECK_EVERY
-# vectors, or every eighth of the basis once that is more. Its tolerances
+# shift-invert Krylov propagation: on a time grid the shift is the last grid
+# time over KRYLOV_SHIFT_STEPS (the spectrum's caller passes its own shift,
+# see correlator_poles); past KRYLOV_MAX_DIM vectors is a NoConvergence.
+# The stop rule is checked every KRYLOV_CHECK_EVERY vectors, or every
+# eighth of the basis once that is more. Its tolerances
 # are relative changes between checks: of the connected correlator on its
 # lag grid or its transform on a frequency grid, and of the evolved state.
 # A next Arnoldi vector below BREAKDOWN_RTOL of its solve is invariant.
@@ -609,9 +614,10 @@ class PropagationReport:
     change: float
 
 
-def _grid_coefficients(A: np.ndarray, beta: float, t_grid: np.ndarray) -> np.ndarray:
+def _grid_values(A: np.ndarray, beta: float, seen, t_grid: np.ndarray):
     """beta exp(t A) e_1 at each t of the ascending grid, one column per
-    point, stepped along the grid; one expm per run of equal steps."""
+    point, stepped along the grid (one expm per run of equal steps), or
+    ``seen`` times it when given; no extra result (None)."""
     from scipy.linalg import expm
 
     y, cols, last = np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta, [], math.nan
@@ -621,23 +627,28 @@ def _grid_coefficients(A: np.ndarray, beta: float, t_grid: np.ndarray) -> np.nda
             power, last = expm(step * A), step
         y = power @ y
         cols.append(y)
-    return np.stack(cols, axis=1)
+    coeffs = np.stack(cols, axis=1)
+    return (coeffs if seen is None else seen @ coeffs), None
 
 
 def _decaying_modes(A: np.ndarray, beta: float) -> tuple:
     """(lambda, W, c) of the modes of A = W diag(lambda) W^{-1} that decay
-    (|lambda| > RATE_FLOOR |A|), with c = W^{-1} beta e_1."""
+    (Re lambda < 0 and |lambda| > RATE_FLOOR |A|), with c = W^{-1} beta e_1."""
     lam, W = np.linalg.eig(A)
     c = np.linalg.solve(W, np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta)
-    keep = np.abs(lam) > RATE_FLOOR * max(float(np.abs(lam).max()), 1e-300)
+    floor = RATE_FLOOR * max(float(np.abs(lam).max()), 1e-300)
+    keep = (lam.real < 0.0) & (np.abs(lam) > floor)
     return lam[keep], W[:, keep], c[keep]
 
 
-def _pole_coefficients(A: np.ndarray, beta: float, omega: np.ndarray) -> np.ndarray:
-    """beta (-A - i omega)^{-1} e_1 on the decaying modes of A, one column
-    per omega: the one-sided transform of beta exp(t A) e_1."""
+def _pole_transform(A: np.ndarray, beta: float, seen: np.ndarray, omega: np.ndarray):
+    """The one-sided transform of seen beta exp(t A) e_1 on the decaying
+    modes of A, one column per omega, and its poles and weights
+    ``(lambda, w)``, w = (seen W) o c: the transform is
+    sum_k w_k/(-lambda_k - i omega), formed in O(m K)."""
     lam, W, c = _decaying_modes(A, beta)
-    return W @ (c[:, None] / (-lam[:, None] - 1j * omega[None, :]))
+    w = (seen @ W) * c
+    return w @ (1.0 / (-lam[:, None] - 1j * omega[None, :])), (lam, w)
 
 
 @_single_blas_thread()
@@ -645,17 +656,19 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
                what: str):
     """exp(t S) y0 by shift-invert Krylov with the shift ``h``.
 
-    ``evaluate(A, beta)`` maps the projected generator A and |y0| to
-    coefficient columns in the basis (:func:`_grid_coefficients`,
-    :func:`_pole_coefficients`). ``observe`` is a (p, n) array of
-    functionals, or None to observe the coefficients (whose changes are
-    those of the state). The basis grows until the observed values change
-    by at most ``tolerance(values)`` from one check to the next, or until
-    it spans an invariant subspace; past KRYLOV_MAX_DIM vectors
+    ``evaluate(A, beta, seen)`` maps the projected generator A, |y0| and
+    ``seen`` (the functionals ``observe`` on the basis, (p, m), or None)
+    to ``(values, extra)``: the values the stop rule watches and whatever
+    else the caller wants from the same check (:func:`_grid_values`,
+    :func:`_pole_transform`). ``observe`` is a (p, n) array of
+    functionals, or None to watch the coefficients in the basis (whose
+    changes are those of the state). The basis grows until the values
+    change by at most ``tolerance(values)`` from one check to the next, or
+    until it spans an invariant subspace; past KRYLOV_MAX_DIM vectors
     NoConvergence names ``what``. The dense work runs on one BLAS thread.
-    Returns ``(values, V, A, report)``: values (p or m, K), the basis V as
-    m rows of length n (the states are ``values.T @ V`` when ``observe``
-    is None) and the last A.
+    Returns ``(values, extra, V, report)`` of the last check: values
+    (p or m, K) and the basis V as m rows of length n (the states are
+    ``values.T @ V`` when ``observe`` is None).
     """
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
     import scipy.sparse.linalg as spla
@@ -664,10 +677,10 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
     beta = float(np.linalg.norm(y0))
     if h == 0.0 or beta == 0.0:
         # the grid is [0], or the start is zero and stays so
-        A = np.zeros((1, 1))
-        coeffs = evaluate(A, 1.0)
-        values = coeffs if observe is None else (observe @ y0)[:, None] * coeffs
-        return values, y0[None, :], A, PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0)
+        values, extra = evaluate(np.zeros((1, 1)), 1.0,
+                                 None if observe is None else (observe @ y0)[:, None])
+        return values, extra, y0[None, :], PropagationReport(krylov_dim=0, lu_nnz=0,
+                                                             change=0.0)
 
     n = y0.size
     lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc(),
@@ -698,8 +711,7 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
             check = m + max(KRYLOV_CHECK_EVERY, m // 8)
             A = (np.eye(m) - np.linalg.inv(H[:m, :m])) / h
             previous = values
-            coeffs = evaluate(A, beta)
-            values = coeffs if seen is None else seen[:, :m] @ coeffs
+            values, extra = evaluate(A, beta, None if seen is None else seen[:, :m])
             limit = tolerance(values)
             if previous is not None:
                 diff = values.copy()
@@ -719,7 +731,7 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
     logger.debug("%s: Krylov dimension %d, L+U nonzeros %d, last change %.3e "
                  "(tolerance %.3e)", what, report.krylov_dim, report.lu_nnz,
                  report.change, limit)
-    return values, V[:m], A, report
+    return values, extra, V[:m], report
 
 
 def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
@@ -736,8 +748,8 @@ def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
     t_grid = _ascending_grid(t_grid, "t_grid")
     y0 = vectorize(rho0.matrix)
     limit = EVOLVE_RTOL * float(np.linalg.norm(y0))
-    coeffs, V, _, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
-                                 functools.partial(_grid_coefficients, t_grid=t_grid), None,
+    coeffs, _, V, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
+                                 functools.partial(_grid_values, t_grid=t_grid), None,
                                  lambda _: limit, "time evolution")
     states = []
     for y in coeffs.T @ V:
@@ -789,32 +801,41 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     start, observe, floor = _connected_start(L, rho_ss, A, B)
     connected, _, _, report = _propagate(
         L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
-        functools.partial(_grid_coefficients, t_grid=tau_grid), observe,
+        functools.partial(_grid_values, t_grid=tau_grid), observe,
         lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
         "correlator propagation")
     return (connected[0], report) if full_output else connected[0]
 
 
 @_single_blas_thread()
-def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, tau_max: float):
+def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: float):
     """The connected correlator <A(0) B(tau)> - <A><B> as
     sum_k w_k exp(lambda_k tau): ``(lambda, w, PropagationReport)``. Its
     one-sided transform is the sum of Lorentzians sum_k w_k/(-lambda_k - i omega),
     and sum_k w_k is its tau = 0 value. w_k = (seen W)_k (W^{-1} beta e_1)_k
-    from A_m = W diag(lambda) W^{-1} of :func:`_propagate` (shift tau_max /
-    KRYLOV_SHIFT_STEPS), seen being trace(B .) on the basis. The basis grows
-    until the transform on the grid ``omega`` changes by at most
-    max(SPECTRUM_RTOL, floor/|C(0)|) times its largest magnitude between
-    checks; floor/|C(0)| is the relative round-off of the start (see
-    :func:`two_time_correlator`), and 1 for a start below it. The dense
+    from A_m = W diag(lambda) W^{-1} of :func:`_propagate` with the Krylov
+    shift ``shift``, seen being trace(B .) on the basis; only decaying modes
+    are kept (:func:`_decaying_modes`). The basis grows until the transform
+    on the grid ``omega`` changes by at most max(SPECTRUM_RTOL,
+    floor/|C(0)|) times its largest magnitude between checks; floor/|C(0)|
+    is the relative round-off of the start (see :func:`two_time_correlator`),
+    and 1 for a start below it. The kept weights must sum to the connected
+    start C(0) within the same share of |C(0)|, or NoConvergence is raised:
+    a dropped mode that held weight would bias every frequency. The dense
     work runs on one BLAS thread."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     start, observe, floor = _connected_start(L, rho_ss, A, B)
-    c0 = abs(complex((observe @ start)[0]))
-    relative = max(SPECTRUM_RTOL, floor / c0 if c0 > floor else 1.0)
-    _, V, A_m, report = _propagate(
-        L.superoperator, start, tau_max / KRYLOV_SHIFT_STEPS,
-        functools.partial(_pole_coefficients, omega=omega), observe,
-        lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
-    lam, W, c = _decaying_modes(A_m, float(np.linalg.norm(start)))
-    return lam, (observe @ V.T @ W)[0] * c, report
+    c0 = complex((observe @ start)[0])
+    relative = max(SPECTRUM_RTOL, floor / abs(c0) if abs(c0) > floor else 1.0)
+    _, (lam, w), _, report = _propagate(
+        L.superoperator, start, shift, functools.partial(_pole_transform, omega=omega),
+        observe, lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
+    w = w[0]
+    total = complex(w.sum())
+    if not abs(total - c0) <= relative * abs(c0):
+        raise NoConvergence(
+            f"spectrum propagation: the {lam.size} decaying poles of {report.krylov_dim} "
+            f"Krylov vectors sum to {total:.6e}, not the connected start {c0:.6e} "
+            f"(allowed {relative:.0e} of it)"
+        )
+    return lam, w, report

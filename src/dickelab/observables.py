@@ -17,6 +17,7 @@ stays coherent while the spins squeeze.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,11 @@ from .parameters import (
     EffectiveParams,
     angles_from_mean_spin,
     bloch_angles,
+    critical_drive,
     rotation_matrix,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -360,8 +364,12 @@ def output_spectrum(
     the spectrum is the sum of Lorentzians |G|^2 2 Re sum_k w_k /
     (-lambda_k - i omega) of ``lindblad.correlator_poles``, on 2 n_tau + 1
     frequencies spanning [-pi/dtau, pi/dtau], dtau = tau_max/(n_tau - 1).
-    tau_max also sets the Krylov shift; it defaults to ten slowest
-    linearized relaxation times, 10 / (N cos(t) gamma / 2).
+    tau_max and n_tau set only that grid; tau_max defaults to ten slowest
+    linearized relaxation times, 10 / (N cos(t) gamma / 2). The Krylov
+    shift is the inverse of the model's collective scale,
+    1/(N |Delta + i gamma/2|) = 1/(2 Omega_c). The slowest kept rate, its
+    share of var(J_-), the grid step and the Krylov dimension are logged
+    at DEBUG.
     """
     rep = SpinRep.for_atoms(e.N)
     moments = spin_moments(rho_ss, rep)
@@ -376,8 +384,14 @@ def output_spectrum(
         from .models import build_dicke_model  # deferred: models imports this module
 
         model = build_dicke_model(e)
-        lam, w, _ = correlator_poles(model.liouvillian, rho_ss, model.ops["J_plus"],
-                                     model.ops["J_minus"], omega, tau_max)
+        lam, w, report = correlator_poles(model.liouvillian, rho_ss, model.ops["J_plus"],
+                                          model.ops["J_minus"], omega,
+                                          0.5 / critical_drive(e))
+        if lam.size:
+            k = int(np.argmax(lam.real))
+            logger.debug("spectrum: slowest kept rate %.4g (%.3g of var(J_-)), grid step "
+                         "%.4g, Krylov dimension %d", -lam[k].real,
+                         abs(w[k]) / moments.var_jm, omega[1] - omega[0], report.krylov_dim)
         transform = (w / (-lam - 1j * omega[:, None])).sum(axis=1)
         spectrum, verdict = 2.0 * g2abs * transform.real, "resolved"
 

@@ -550,6 +550,28 @@ def test_spectrum_mode_rows(tmp_path):
     assert all(float(r["incoherent_spectrum"]) >= 0.0 for r in rows)
 
 
+def test_spectrum_poles_short_of_the_start_are_an_error_row(tmp_path, monkeypatch):
+    # a rate floor at half the projected generator's norm drops decaying
+    # modes that hold weight: the kept poles no longer sum to the connected
+    # start var(J_-), and the point ends as a NoConvergence row instead of
+    # a biased spectrum
+    monkeypatch.setattr(lindblad, "RATE_FLOOR", 0.5)
+    payload = {
+        "mode": "spectrum",
+        "params": {"effective": {"gamma": 1.0, "N": 8}},
+        "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [1.0]},
+        "spectrum": {"n_tau": 16},
+        "solver": {"threads": 1},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 3
+    rows = read_csv(out)
+    assert len(rows) == 1
+    assert "NoConvergence" in rows[0]["error"]
+    assert "not the connected start" in rows[0]["error"]
+
+
 def test_coherent_spectrum_loads_no_scipy(tmp_path):
     # var(J_-) below the correlator's round-off reads coherent: the rows
     # keep the frequency grid with empty broadband cells, and nothing is

@@ -365,7 +365,7 @@ def test_dense_decompositions_run_on_one_blas_thread(monkeypatch):
         rho = DensityMatrix.from_raw(np.diag([0.5, 0.3, 0.2]).astype(complex))
         rho.min_eigenvalue()
         trace_distance(rho, np.diag([1.0, 0.0, 0.0]))
-        correlator_poles(L, rho_ss, ops["J_plus"], ops["J_minus"], [0.0, 1.0], 10.0)
+        correlator_poles(L, rho_ss, ops["J_plus"], ops["J_minus"], [0.0, 1.0], 0.1)
         assert blas_thread_counts() == two
     finally:
         set_blas_threads(parent)

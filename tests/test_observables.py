@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from oracles import (
 )
 
 from dickelab.errors import AboveThresholdError
-from dickelab.lindblad import DensityMatrix, expect, steady_state
+from dickelab.lindblad import KRYLOV_MAX_DIM, DensityMatrix, expect, steady_state
 from dickelab.models import (
     build_cavity_model,
     build_dicke_model,
@@ -365,10 +366,12 @@ def test_spectrum_undriven_is_empty():
     assert math.isnan(spec.coherence_ratio)  # nothing is emitted at all
 
 
-def test_spectrum_weight_identity_and_positivity():
+def test_spectrum_weight_identity_and_positivity(caplog):
     e = eff(10, 0.7)
-    _, mom, fc, spec = _spectrum_point(e, n_tau=256)
+    with caplog.at_level(logging.DEBUG, logger="dickelab.observables"):
+        _, mom, fc, spec = _spectrum_point(e, n_tau=256)
     assert spec.verdict == "resolved"
+    assert "slowest kept rate" in caplog.text and "grid step" in caplog.text
     assert spec.incoherent_weight == abs(fc.G) ** 2 * mom.var_jm
     # the grid is wide (+-pi/dtau) and fine next to the line: the rule
     # integral of the transform over it holds the weight to 1e-3
@@ -384,26 +387,41 @@ def test_spectrum_weight_identity_and_positivity():
     assert abs(center) <= step
 
 
+# the largest Krylov basis each point may build: a regression guard on a
+# count, not a timing (the collective-scale shift stops at 63 and 109)
+KRYLOV_DIM_BOUND = {(100, 0.9, 0.5): 80, (100, 0.9, 2.0): 120}
+
+
 @pytest.mark.parametrize("n, ratio, delta_over_gamma", [(100, 0.9, 0.5), (100, 0.9, 2.0),
-                                                         (10, 0.95, 0.0)])
-def test_spectrum_matches_direct_resolvents(n, ratio, delta_over_gamma):
+                                                         (10, 0.95, 0.0), (60, 0.95, 3.0)])
+def test_spectrum_matches_direct_resolvents(n, ratio, delta_over_gamma, monkeypatch):
     # the one-sided transform of the connected correlator at omega != 0 is
     # trace(J_- x) with -(L + i omega) x = rho J_+ - <J_+> rho, solved
     # directly; omega = 0 is left out, where that system is singular. The
     # spectrum (2 Re) is even in omega here, so the complex transform of
-    # the poles is compared as well
+    # the poles is compared as well. The poles are those output_spectrum
+    # itself asked for, with its own Krylov shift
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    from dickelab.lindblad import correlator_poles, vectorize
+    from dickelab import observables
+    from dickelab.lindblad import vectorize
 
+    poles, calls = observables.correlator_poles, []
+
+    def recording(*args):
+        calls.append(poles(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(observables, "correlator_poles", recording)
     e = eff(n, ratio, delta_over_gamma)
     rho, mom, fc, spec = _spectrum_point(e)
     assert spec.verdict == "resolved"
+    (lam, w, report), = calls
+    assert report.krylov_dim <= KRYLOV_DIM_BOUND.get((n, ratio, delta_over_gamma),
+                                                     KRYLOV_MAX_DIM)
     model = build_dicke_model(e)
     jp, jm = model.ops["J_plus"].toarray(), model.ops["J_minus"].toarray()
-    tau_max = 10.0 / (n * bloch_angles(e).cos_theta / 2.0)
-    lam, w, _ = correlator_poles(model.liouvillian, rho, jp, jm, spec.omega, tau_max)
     transform = (w / (-lam - 1j * spec.omega[:, None])).sum(axis=1)
     start = vectorize(rho.matrix @ jp - mom.jm.conjugate() * rho.matrix)
     S = model.liouvillian.superoperator.tocsc()
