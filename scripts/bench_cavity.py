@@ -10,34 +10,25 @@ kappa/(sqrt(N)|g|) = 10 and 20, and N = 15 and 35 at 20, each at the given
 drives (ratios to the critical drive of the eliminated model). Every drive
 runs in a fresh interpreter with PYTHONPATH set to the checkout's ``src``.
 Its record holds the wall time of the ``validate_elimination`` call, the
-peak resident set of that process, the L + U nonzeros of each sparse LU it
-factorizes (counted around scipy's ``splu``), the iterations of each GMRES
-solve (counted around scipy's ``gmres``), both Fock cutoffs, and the
-full-model J_z and photon number; a drive that raises a package error
-(a model over a cap, a cutoff that does not converge) records the error
-instead. The record also holds the core count and the OpenBLAS thread
-count of each loaded copy.
+peak resident set of that process, the stored entries of each sparse LU
+it factorizes (``SuperLU.nnz``, counted around scipy's ``splu``), the
+iterations of each GMRES solve (counted around scipy's ``gmres``), both
+Fock cutoffs, and the full-model J_z and photon number; a drive that
+raises a package error (a model over a cap, a cutoff that does not
+converge) records the error instead. The record also holds the OpenBLAS thread count of each loaded
+copy, after the header of ``harness.write``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 
-import numpy as np
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
-
-from bench_pool import _blas_threads  # noqa: E402
+import harness
 
 CASES = [(n, ratio) for n in (2, 4, 8) for ratio in (10.0, 20.0)] + [(15, 20.0), (35, 20.0)]
 
@@ -55,7 +46,7 @@ def _child(n: int, ratio: float, drive: float) -> dict:
 
     def counting_splu(A, *args, **kwargs):
         lu = splu(A, *args, **kwargs)
-        factors.append({"unknowns": A.shape[0], "lu_nnz": int(lu.L.nnz + lu.U.nnz)})
+        factors.append({"unknowns": A.shape[0], "lu_nnz": int(lu.nnz)})
         return lu
 
     def counting_gmres(A, b, *args, callback=None, callback_type=None, **kwargs):
@@ -94,46 +85,29 @@ def _child(n: int, ratio: float, drive: float) -> dict:
         "gmres": krylov,
         "jz_over_half_n": float(report.full["Jz"]) / (n / 2) if report else None,
         "photons": float(report.full["photons"]) if report else None,
-        "blas_threads": _blas_threads(),
+        "blas_threads": harness.blas_threads(),
     }
 
 
-def _measure(root: str, n: int, ratio: float, drive: float) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", str(n), str(ratio), str(drive)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", nargs="?")
-    parser.add_argument("after", nargs="?", default=os.path.dirname(HERE))
-    parser.add_argument("--repeats", type=int, default=1)
+    parser = harness.Arguments(__doc__, "BENCH_cavity.json", repeats=1,
+                               sides=("before", "after"), child=dict(nargs=3))
     parser.add_argument("--drives", type=float, nargs="+", default=[0.3, 0.7, 0.9])
-    parser.add_argument("--out", default=os.path.join(os.path.dirname(HERE), "BENCH_cavity.json"))
-    parser.add_argument("--note", default="", help="free text stored in the record")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         n, ratio, drive = args.child
         print(json.dumps(_child(int(n), float(ratio), float(drive))))
         return 0
-    if args.before is None:
-        parser.error("BEFORE_ROOT is required")
 
-    sides = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
+    sides = args.roots
     runs = {side: {} for side in sides}
     blas = {}
     for n, ratio in CASES:
         for drive in args.drives:
             key = f"N{n}_ratio{ratio:g}_drive{drive:g}"
             for repeat in range(args.repeats):
-                # alternate which checkout goes first
-                order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-                for side in order:
-                    rec = _measure(sides[side], n, ratio, drive)
+                for side in harness.side_order(sides, repeat):
+                    rec = harness.run_child(__file__, sides[side], n, ratio, drive)
                     blas[side] = rec.pop("blas_threads")
                     runs[side].setdefault(key, []).append(rec)
                     print(f"{side} {key}: wall {rec['wall_s']:.3f} s, "
@@ -155,8 +129,6 @@ def main(argv=None) -> int:
             "runs": recs,
         }
 
-    import scipy
-
     cases = {side: {key: summary(recs) for key, recs in runs[side].items()} for side in sides}
     comparison = {}
     for key in cases["before"]:
@@ -169,22 +141,10 @@ def main(argv=None) -> int:
             "jz_over_half_n_gap": abs(a["jz_over_half_n"] - b["jz_over_half_n"]),
             "photons_rel_gap": abs(a["photons"] - b["photons"]) / max(abs(b["photons"]), 1e-300),
         }
-    record = {
-        "what": "validate_elimination per drive, resonant cavity, kappa = 1",
-        "note": args.note,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "repeats": args.repeats,
-        "drives": args.drives,
-        "comparison": comparison,
-        "checkouts": {side: {"blas_threads": blas[side], "cases": cases[side]} for side in sides},
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    harness.write(
+        args, "validate_elimination per drive, resonant cavity, kappa = 1",
+        drives=args.drives, comparison=comparison,
+        checkouts={side: {"blas_threads": blas[side], "cases": cases[side]} for side in sides})
     return 0
 
 

@@ -28,44 +28,25 @@ connected start lies above the round-off of its terms, eps D <J_+ J_->;
 below it both correlators are noise. ``output_round_off`` is
 eps |<J_+ J_->| over ``max_connected``: the rounding of a returned
 <J_+(0) J_-(tau)>, which holds the disconnected <J_+><J_->, relative to
-the connected part; no deviation of an older checkout can fall below it. The record also holds
-the core count, the package versions and the OpenBLAS thread count of each
-loaded copy in a child.
+the connected part; no deviation of an older checkout can fall below it.
+After the header of ``harness.write``, the record holds the OpenBLAS
+thread count of each loaded copy in a child.
 """
 
 from __future__ import annotations
 
-import argparse
-import ctypes
-import glob
-import importlib
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+import harness
 
 POINTS = [(n, d, drive, 0.0) for n in (10, 40, 100, 200) for d in (0.0, 0.5, 2.0)
           for drive in (0.55, 0.9)] + [(40, 0.0, 0.5, 0.3)]
 N_TAU = 512
 REFERENCE_RTOL = 1e-13
-
-
-def _blas_threads() -> dict:
-    """OpenBLAS thread count of each copy bundled with numpy and scipy."""
-    counts = {}
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
-            getter = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}", None)
-            if getter is not None:
-                counts[package] = int(getter())
-    return counts
 
 
 def _point(n: int, d_over_g: float, drive: float, delta: float):
@@ -109,7 +90,7 @@ def _child_time(point) -> dict:
     # rather than at the connected <J_+ J_-> - <J_+><J_->
     if abs(connected[0] - jpjm) < abs(connected[0] - (jpjm - jp * jm)):
         connected = connected - jp * jm
-    return {"wall_s": wall, "blas_threads": _blas_threads(),
+    return {"wall_s": wall, "blas_threads": harness.blas_threads(),
             "connected": [[float(c.real), float(c.imag)] for c in connected]}
 
 
@@ -148,11 +129,7 @@ def _child_reference(point) -> dict:
 
 
 def _run(root: str, kind: str, point) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    arg = ",".join(repr(x) for x in point)
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", kind, arg],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return harness.run_child(__file__, root, kind, ",".join(repr(x) for x in point))
 
 
 def _complex(pairs) -> np.ndarray:
@@ -167,25 +144,17 @@ def _parse_point(text: str):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", nargs="?")
-    parser.add_argument("after", nargs="?", default=os.path.dirname(HERE))
-    parser.add_argument("--repeats", type=int, default=1)
+    parser = harness.Arguments(__doc__, "BENCH_correlator.json", repeats=1,
+                               sides=("before", "after"), child=dict(nargs=2))
     parser.add_argument("--points", nargs="+", type=_parse_point)
-    parser.add_argument("--out", default=os.path.join(os.path.dirname(HERE),
-                                                      "BENCH_correlator.json"))
-    parser.add_argument("--note", default="", help="free text stored in the record")
-    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         kind, point = args.child
         child = _child_time if kind == "time" else _child_reference
         print(json.dumps(child(_parse_point(point))))
         return 0
-    if args.before is None:
-        parser.error("BEFORE_ROOT is required")
 
-    sides = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.after)}
+    sides = args.roots
     eps = float(np.finfo(float).eps)
     records, blas = [], {}
     for point in args.points or POINTS:
@@ -200,8 +169,7 @@ def main(argv=None) -> int:
                   "output_round_off": eps * ref["jpjm"] / scale,
                   "reference_s": ref["wall_s"], "reference_steps": ref["steps"]}
         for repeat in range(args.repeats):
-            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-            for side in order:
+            for side in harness.side_order(sides, repeat):
                 rec = _run(sides[side], "time", point)
                 blas[side] = rec["blas_threads"]
                 dev = float(np.abs(_complex(rec["connected"]) - exact).max())
@@ -215,25 +183,11 @@ def main(argv=None) -> int:
               f"(dev {record['after_deviation']:.1e}), "
               f"resolvable {record['resolvable']}", flush=True)
 
-    import scipy
-
-    result = {
-        "what": "lindblad.two_time_correlator(L, rho, J_+, J_-, tau) on 512 lags up to "
-                "output_spectrum's default tau_max; deviation = max |connected - DOP853 rtol 1e-13| / "
-                "max |DOP853|",
-        "note": args.note,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "repeats": args.repeats,
-        "blas_threads": blas,
-        "points": records,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    harness.write(
+        args, "lindblad.two_time_correlator(L, rho, J_+, J_-, tau) on 512 lags up to "
+              "output_spectrum's default tau_max; deviation = max |connected - DOP853 rtol "
+              "1e-13| / max |DOP853|",
+        blas_threads=blas, points=records)
     return 0
 
 

@@ -24,43 +24,23 @@ over the omega grid divided by the parent's peak. ``start_round_off`` is
 eps D <J_+J_-> / var(J_-), the relative round-off of the correlator's
 start: the stop rule holds each spectrum only to max(1e-8, that share)
 of its peak, so two checkouts may differ by about as much. A side that
-raises records the error instead. The record also holds the core count,
-the package versions and the OpenBLAS thread count of each loaded copy in
-a child.
+raises records the error instead. After the header of ``harness.write``,
+the record holds the OpenBLAS thread count of each loaded copy in a child.
 """
 
 from __future__ import annotations
 
-import argparse
-import ctypes
-import glob
-import importlib
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+import harness
 
 POINTS = [(n, d, drive) for n in (20, 60, 100, 150) for drive in (0.8, 0.95)
           for d in (0.25, 1.0, -1.0, 3.0)] + [(100, 0.5, 0.9), (100, 2.0, 0.9)]
 KAPPA_OVER_GAMMA = 1000.0
-
-
-def _blas_threads() -> dict:
-    """OpenBLAS thread count of each copy bundled with numpy and scipy."""
-    counts = {}
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")):
-            getter = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}", None)
-            if getter is not None:
-                counts[package] = int(getter())
-    return counts
 
 
 def _child(point) -> dict:
@@ -95,7 +75,7 @@ def _child(point) -> dict:
     except Exception as exc:  # noqa: BLE001 - a failing side is a result
         record["error"] = f"{type(exc).__name__}: {exc}"
         spec = None
-    record["blas_threads"] = _blas_threads()
+    record["blas_threads"] = harness.blas_threads()
     if calls:
         seconds, (lam, _, report) = calls[-1]
         record.update(poles_s=seconds, krylov_dim=report.krylov_dim, lu_nnz=report.lu_nnz,
@@ -108,45 +88,29 @@ def _child(point) -> dict:
     return record
 
 
-def _run(root: str, point) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
-    arg = ",".join(repr(x) for x in point)
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", arg],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def _parse_point(text: str):
     n, d_over_g, drive = (float(x) for x in text.split(","))
     return int(n), d_over_g, drive
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", nargs="?")
-    parser.add_argument("change", nargs="?", default=os.path.dirname(HERE))
-    parser.add_argument("--repeats", type=int, default=1)
+    parser = harness.Arguments(__doc__, "BENCH_spectrum.json", repeats=1,
+                               sides=("parent", "change"), child={})
     parser.add_argument("--points", nargs="+", type=_parse_point)
-    parser.add_argument("--out", default=os.path.join(os.path.dirname(HERE),
-                                                      "BENCH_spectrum.json"))
-    parser.add_argument("--note", default="", help="free text stored in the record")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(_child(_parse_point(args.child))))
         return 0
-    if args.parent is None:
-        parser.error("PARENT_ROOT is required")
 
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sides = args.roots
     records, blas = [], {}
     for point in args.points or POINTS:
         record = {"N": point[0], "Delta_over_gamma": point[1], "drive": point[2]}
         spectra = {}
         for repeat in range(args.repeats):
-            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-            for side in order:
-                rec = _run(sides[side], point)
+            for side in harness.side_order(sides, repeat):
+                rec = harness.run_child(__file__, sides[side], ",".join(repr(x) for x in point),
+                                        OPENBLAS_NUM_THREADS="1")
                 blas[side] = rec.pop("blas_threads")
                 record["start_round_off"] = rec.pop("start_round_off")
                 spectra[side] = rec.pop("spectrum", None)
@@ -169,30 +133,17 @@ def main(argv=None) -> int:
               f"change/peak {record.get('max_change_over_peak', float('nan')):.1e}",
               flush=True)
 
-    import scipy
-
     dims = [(r["parent"].get("krylov_dim"), r["change"].get("krylov_dim")) for r in records]
     dims = [(p, c) for p, c in dims if p is not None and c is not None]
-    result = {
-        "what": "observables.correlator_poles inside output_spectrum at the default omega "
-                "grid, kappa = 1000 gamma; poles_s is the smallest over the repeats; "
-                "max_change_over_peak = max |F_change - F_parent| / max |F_parent|",
-        "note": args.note,
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "repeats": args.repeats,
-        "blas_threads": blas,
-        "fewer_vectors": sum(c < p for p, c in dims),
-        "same_vectors": sum(c == p for p, c in dims),
-        "more_vectors": sum(c > p for p, c in dims),
-        "points": records,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    harness.write(
+        args, "observables.correlator_poles inside output_spectrum at the default omega "
+              "grid, kappa = 1000 gamma; poles_s is the smallest over the repeats; "
+              "max_change_over_peak = max |F_change - F_parent| / max |F_parent|",
+        blas_threads=blas,
+        fewer_vectors=sum(c < p for p, c in dims),
+        same_vectors=sum(c == p for p, c in dims),
+        more_vectors=sum(c > p for p, c in dims),
+        points=records)
     return 0
 
 

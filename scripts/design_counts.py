@@ -4,9 +4,10 @@
 
 ROOT defaults to the checkout holding this script. For each checkout it
 prints the line count of every module in ``src/dickelab`` and their total,
-and the number of settable values: the parameters with a default of every
-function, and every method (dataclass ``__init__`` included), defined in
-the package, as ``inspect.signature`` reports them. The package is
+the line total of ``scripts/*.py``, and the number of settable values:
+the parameters with a default of every function, and every method
+(dataclass ``__init__`` included), defined in the package, as
+``inspect.signature`` reports them. The package is
 imported in a fresh interpreter with PYTHONPATH set to the checkout's
 ``src``, so two checkouts never share a module cache.
 """
@@ -55,9 +56,9 @@ def settable_values(root: str) -> int:
     return int(proc.stdout)
 
 
-def module_lines(root: str) -> dict:
+def module_lines(directory: str) -> dict:
     lines = {}
-    for path in sorted(glob.glob(os.path.join(root, "src", "dickelab", "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             lines[os.path.basename(path)] = sum(1 for _ in fh)
     return lines
@@ -69,11 +70,13 @@ def main(argv=None) -> int:
                         help="checkout roots (default: this checkout)")
     args = parser.parse_args(argv)
     for root in args.roots:
-        lines = module_lines(root)
+        lines = module_lines(os.path.join(root, "src", "dickelab"))
         print(root)
         for name, count in lines.items():
             print(f"  {name:<16}{count:>6}")
         print(f"  {'total':<16}{sum(lines.values()):>6}")
+        print(f"  {'scripts total':<16}"
+              f"{sum(module_lines(os.path.join(root, 'scripts')).values()):>6}")
         print(f"  {'settable values':<16}{settable_values(root):>6}")
     return 0
 

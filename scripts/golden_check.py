@@ -26,19 +26,16 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import tempfile
 
-HERE = os.path.dirname(os.path.abspath(__file__))
+import harness
 
 
 def _cli(root: str, args: list) -> tuple:
     """(exit code, the lines of stderr that name a Warning) of one run, each
     without its leading ``file:line:``, which names the checkout."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-m", "dickelab.cli", *args], env=env,
-                          capture_output=True, text=True)
+    proc = harness.fresh(root, ["-m", "dickelab.cli", *args])
     return proc.returncode, [re.sub(r"^.*?:\d+: ", "", line)
                              for line in proc.stderr.splitlines() if "Warning" in line]
 
@@ -117,7 +114,7 @@ def _column_deviations(before: str, after: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", help="root of the reference checkout")
-    parser.add_argument("after", nargs="?", default=os.path.dirname(HERE),
+    parser.add_argument("after", nargs="?", default=harness.ROOT,
                         help="root of the checkout under test (default: this one)")
     args = parser.parse_args(argv)
 

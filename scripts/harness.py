@@ -1,0 +1,118 @@
+"""What the bench scripts share: the command line, the fresh interpreter on
+a checkout, the order of the checkouts in each repeat, the OpenBLAS thread
+reader and the record header.
+
+Every ``BENCH_*.json`` starts with the header of :func:`write`: ``what``,
+``note``, ``nproc``, ``python``, ``numpy``, ``scipy`` and ``repeats``.
+This module imports no ``dickelab``, so it works with any checkout, an
+older one included.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import importlib.metadata
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Arguments(argparse.ArgumentParser):
+    """The shared command line: the two checkouts ``sides`` (the second
+    defaults to this checkout), ``--repeats``, ``--out`` (a file name
+    under this checkout by default), ``--note`` and, when ``child`` holds
+    its argparse keywords, the hidden ``--child``. A script adds its own
+    arguments to it."""
+
+    def __init__(self, doc: str, out: str, repeats: int, sides: tuple = (),
+                 child: dict | None = None):
+        super().__init__(description=doc.splitlines()[0])
+        self.sides = sides
+        if sides:
+            self.add_argument(sides[0], nargs="?")
+            self.add_argument(sides[1], nargs="?", default=ROOT)
+        self.add_argument("--repeats", type=int, default=repeats)
+        self.add_argument("--out", default=os.path.join(ROOT, out))
+        self.add_argument("--note", default="", help="free text stored in the record")
+        if child is not None:
+            self.add_argument("--child", help=argparse.SUPPRESS, **child)
+
+    def parse_args(self, argv=None):
+        """The arguments plus ``roots``, the absolute root of each checkout
+        by side (empty under ``--child``)."""
+        args = super().parse_args(argv)
+        args.roots = {}
+        if self.sides and not getattr(args, "child", None):
+            if getattr(args, self.sides[0]) is None:
+                self.error(f"{self.sides[0].upper()}_ROOT is required")
+            args.roots = {side: os.path.abspath(getattr(args, side)) for side in self.sides}
+        return args
+
+
+def fresh(root: str, args: list, **env) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports the package from
+    ``root``'s ``src``, with ``env`` added to the environment; the caller
+    reads the exit code."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **env))
+
+
+def run_child(script: str, root: str, *args, **env) -> dict:
+    """The last JSON line that ``script --child args`` prints in a fresh
+    interpreter on ``root`` (see :func:`fresh`); each argument is passed
+    as its ``str``."""
+    proc = fresh(root, [os.path.abspath(script), "--child", *map(str, args)], **env)
+    proc.check_returncode()
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def side_order(sides, repeat: int) -> list:
+    """The sides in the order repeat number ``repeat`` runs them: as given
+    on even repeats and reversed on odd ones, so neither checkout always
+    runs first."""
+    return list(sides) if repeat % 2 == 0 else list(reversed(sides))
+
+
+def blas_threads() -> dict:
+    """Thread count of each OpenBLAS copy bundled with numpy and scipy that
+    this process has loaded. A copy not yet loaded is left out rather than
+    loaded, so reading does not change the process it reads."""
+    counts = {}
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+        for path in glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:  # not loaded
+                continue
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[package] = int(getter())
+    return counts
+
+
+def write(args, what: str, **fields):
+    """Write the record to ``args.out``: the shared header, then ``fields``.
+    Package versions are read from their metadata, with no import."""
+    record = {
+        "what": what,
+        "note": args.note,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+        "repeats": args.repeats,
+        **fields,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {args.out}")

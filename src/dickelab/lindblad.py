@@ -777,8 +777,7 @@ def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
 
 
 @_single_blas_thread()
-def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *,
-                        full_output: bool = False):
+def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
     """Connected steady-state correlator <A(0) B(tau)> - <A><B> by quantum
     regression.
 
@@ -793,18 +792,17 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid, *
     The second term is the round-off of the connected start itself: a
     start below it is noise, and the propagation stops after a few
     vectors instead of resolving that noise.
-    The tau=0 value equals <A B> - <A><B>. With ``full_output`` the return
-    is ``(values, PropagationReport)``. The dense work runs on one BLAS
-    thread.
+    The tau=0 value equals <A B> - <A><B>. The Krylov dimension is logged
+    at DEBUG. The dense work runs on one BLAS thread.
     """
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
     start, observe, floor = _connected_start(L, rho_ss, A, B)
-    connected, _, _, report = _propagate(
+    connected, *_ = _propagate(
         L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
         functools.partial(_grid_values, t_grid=tau_grid), observe,
         lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
         "correlator propagation")
-    return (connected[0], report) if full_output else connected[0]
+    return connected[0]
 
 
 @_single_blas_thread()

@@ -46,10 +46,9 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import (  # noqa: F401 (blas_thread_counts is read at this name)
+from .lindblad import (
     SteadyStateOptions,
     _single_blas_thread,
-    blas_thread_counts,
     pin_blas_threads,
     steady_state,
 )

@@ -15,8 +15,8 @@ import pytest
 from dickelab.cli import main
 from dickelab.errors import ConfigError
 from dickelab import lindblad, sweep
-from dickelab.lindblad import set_blas_threads
-from dickelab.sweep import MODES, RunConfig, _worker_pool, blas_thread_counts, run
+from dickelab.lindblad import blas_thread_counts, set_blas_threads
+from dickelab.sweep import MODES, RunConfig, _worker_pool, run
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
