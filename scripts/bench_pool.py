@@ -10,8 +10,10 @@ runs in a fresh interpreter with PYTHONPATH set to the checkout's ``src``;
 wall time covers the ``run`` call, CPU time is user + system of that
 process and of the pool workers it joined. After the header of
 ``harness.write``, the record holds the OpenBLAS thread count of each
-loaded copy, in the calling process and in a worker of the checkout's
-sweep pool.
+loaded copy in the calling process (``blas_threads_main``, read before
+any run) and the counts a worker of the checkout's sweep pool sees inside
+the uniqueness probe of one detuned LU point (``blas_threads_worker``;
+None where the checkout has no ``lindblad._uniqueness_probe``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,31 @@ def _cpu_seconds() -> float:
     return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
 
 
+def _lu_point_threads():
+    """The OpenBLAS counts seen inside the uniqueness probe of one detuned
+    LU point, run serially in this process; None where the checkout has
+    no such probe."""
+    from dickelab import lindblad, sweep
+
+    probe = getattr(lindblad, "_uniqueness_probe", None)
+    if probe is None:
+        return None
+    seen = []
+
+    def probing(*args):
+        seen.append(harness.blas_threads())
+        return probe(*args)
+
+    lindblad._uniqueness_probe = probing
+    try:
+        sweep.run(sweep.RunConfig(level="effective", mode="sweep-jz", delta=0.3, n_values=[8],
+                                  delta_over_gamma_values=[0.0], drive_values=[0.5],
+                                  threads=1, timestamp=False))
+    finally:
+        lindblad._uniqueness_probe = probe
+    return seen[0] if seen else None
+
+
 def _child(case: str) -> dict:
     """One measurement in this interpreter (the package comes from PYTHONPATH)."""
     from concurrent.futures import ProcessPoolExecutor
@@ -61,7 +88,7 @@ def _child(case: str) -> dict:
     make_pool = getattr(sweep, "_worker_pool",
                         lambda n: ProcessPoolExecutor(max_workers=n))
     with make_pool(workers) as pool:
-        worker_blas = pool.submit(harness.blas_threads).result()
+        worker_blas = pool.submit(_lu_point_threads).result()
     record = {"blas_threads_main": harness.blas_threads(), "blas_threads_worker": worker_blas}
 
     with tempfile.TemporaryDirectory() as outdir:

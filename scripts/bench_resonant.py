@@ -6,9 +6,11 @@ the moments record per N, the CLI import, and one large-N sweep point.
 
 Runs the checkout holding this script. Each (N, drive) case times
 ``resonant_steady_state`` (the state and its gate) plus ``spin_moments``
-with one thread in each OpenBLAS copy, as a serial sweep runs them, and
-keeps the median over the repeats, with the gate's residual over its
-tolerance and the exact var(J_-). The import time is the wall time of a
+inside ``lindblad._single_blas_thread``, the one-thread scope of the
+package's dense kernels (a sweep runs these O(D) steps, which call no
+such kernel, at the process's own count), and keeps the median over the
+repeats, with the gate's residual over its tolerance and the exact
+var(J_-). The import time is the wall time of a
 fresh interpreter that runs ``import dickelab.cli``, next to one that runs
 ``import numpy`` alone, and the record lists the scipy modules that the
 import loaded. The sweep point is one ``dicke-lab sweep-squeezing`` call

@@ -31,10 +31,11 @@ than :func:`residual_tolerance`.)
 
 scipy is imported inside the functions that build sparse objects or
 factor them, so importing this module, and every closed-form run, loads
-no scipy module. Serial sweeps and pool workers hold each bundled
-OpenBLAS copy to one thread (:func:`pin_blas_threads`); scipy's copy is
-loaded only with scipy's linear algebra, so the code that imports it
-calls :func:`openblas_libraries` at once, which pins the new copy too.
+no scipy module. Every function here that runs dense or factored work
+holds one thread in each loaded OpenBLAS copy for its own duration and
+then restores the counts it found (:func:`_single_blas_thread`). scipy's
+copy is loaded only with scipy's linear algebra, so a function that needs
+it imports it before it enters that scope.
 
 Time evolution, the regression correlator and the output spectrum share
 one propagator, the shift-invert (rational) Krylov approximation of
@@ -368,17 +369,20 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     finds a second near-stationary direction, NoConvergence when the
     residual target cannot be met.
     """
+    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
+
     if opts is None:
         opts = SteadyStateOptions()
 
     t0 = time.perf_counter()
-    raw, uniq, lu = _solve_sparse_direct(L, opts)
-    if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
-        raise NonUniqueSteadyState(
-            f"second stationary direction at relative level {uniq:.2e}"
-        )
-    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0, opts.tol,
-                               uniq, lu)
+    with _single_blas_thread():
+        raw, uniq, lu = _solve_sparse_direct(L, opts)
+        if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
+            raise NonUniqueSteadyState(
+                f"second stationary direction at relative level {uniq:.2e}"
+            )
+        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0,
+                                   opts.tol, uniq, lu)
 
 
 def _square_system(L: Liouvillian):
@@ -395,7 +399,6 @@ def _square_system(L: Liouvillian):
 
 def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
-    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
     M, b, scale = _square_system(L)
     try:
@@ -411,7 +414,6 @@ def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
     if opts.check_unique:
         uniq = _uniqueness_probe(lu, M.shape[0], scale)
     return x, uniq, lu
-
 
 
 def _uniqueness_probe(lu, n: int, scale: float) -> float:
@@ -434,12 +436,9 @@ def _uniqueness_probe(lu, n: int, scale: float) -> float:
 # OpenBLAS copies bundled with the numpy and scipy wheels, with the suffix
 # of each copy's thread-count symbols
 _OPENBLAS = (("numpy", "64_"), ("scipy", ""))
-# package -> (ctypes handle, symbol suffix, thread count when first seen)
-# of each copy found loaded; the handles are kept for the process's life.
-# A thread count is state of the whole process, and so is the pin below.
+# package -> (ctypes handle, symbol suffix) of each copy found loaded; the
+# handles are kept for the process's life
 _LOADED = {}
-# the thread count every copy is held to while a pin is set, else None
-_pin = None
 
 
 @functools.cache
@@ -453,21 +452,11 @@ def _openblas_paths(package: str) -> tuple:
     return tuple(glob.glob(os.path.join(root, f"{package}.libs", "libscipy_openblas*.so")))
 
 
-def _get_threads(lib, suffix: str) -> int:
-    return int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
-
-
-def _set_threads(lib, suffix: str, count: int):
-    getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
-
-
 def openblas_libraries() -> dict:
     """package -> (ctypes handle, symbol suffix) for each bundled OpenBLAS
     copy loaded in this process. A copy is opened with RTLD_NOLOAD, so
     none is loaded here: numpy's comes with numpy, scipy's only with
-    scipy's linear algebra. Each handle is kept, and a copy first seen
-    while a pin is set takes the pinned count at once, so the code that
-    imports scipy's linear algebra calls this right after the import."""
+    scipy's linear algebra. Each handle is kept."""
     for package, suffix in _OPENBLAS:
         for path in () if package in _LOADED else _openblas_paths(package):
             try:
@@ -479,15 +468,13 @@ def openblas_libraries() -> dict:
                 setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                _LOADED[package] = (lib, suffix, _get_threads(lib, suffix))
-                if _pin is not None:
-                    _set_threads(lib, suffix, _pin)
-    return {package: (lib, suffix) for package, (lib, suffix, _) in _LOADED.items()}
+                _LOADED[package] = (lib, suffix)
+    return dict(_LOADED)
 
 
 def blas_thread_counts() -> dict:
     """Thread count of each bundled OpenBLAS copy loaded in this process."""
-    return {package: _get_threads(lib, suffix)
+    return {package: int(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
             for package, (lib, suffix) in openblas_libraries().items()}
 
 
@@ -496,42 +483,28 @@ def set_blas_threads(counts: dict):
     ``blas_thread_counts`` names them."""
     for package, (lib, suffix) in openblas_libraries().items():
         if package in counts:
-            _set_threads(lib, suffix, counts[package])
-
-
-def pin_blas_threads(count: int | None):
-    """Hold every loaded OpenBLAS copy, and each one loaded later (see
-    :func:`openblas_libraries`), to ``count`` threads; None lifts the pin
-    and leaves the counts as they are. Pool workers start with a pin of
-    one."""
-    global _pin
-    _pin = count
-    if count is not None:
-        set_blas_threads(dict.fromkeys(openblas_libraries(), count))
+            getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(counts[package])
 
 
 @contextmanager
 def _single_blas_thread():
-    """One thread in each bundled OpenBLAS copy for the duration, a copy
-    loaded meanwhile included (a serial LU loads scipy's), then the
-    previous counts; a copy first loaded meanwhile gets back the count it
-    was loaded with, or the enclosing pin. The dense work of a Krylov
-    propagation is on m x m matrices (m ~ 100), and that of a state (the
-    eigh of ``DensityMatrix.from_raw`` in each gate, ``min_eigenvalue``,
-    ``trace_distance``) on D x D ones with D <= 401, where a second
-    thread costs more than it gives: measured on 2 cores, expm of an
-    80 x 80 matrix took 94 ms with two threads and 2.8 ms with one."""
-    outer, previous = _pin, blas_thread_counts()
-    pin_blas_threads(1)
+    """One thread in each loaded OpenBLAS copy for the duration, then the
+    counts found on entry. A copy loaded meanwhile is not held, so a
+    function that needs scipy's linear algebra imports it first. The LU
+    solves and the dense work of a Krylov propagation (m x m matrices,
+    m ~ 100) and of a state (the eigh of ``DensityMatrix.from_raw`` in
+    each gate, ``min_eigenvalue``, ``trace_distance``; D x D with
+    D <= 401) are too small for a second thread to pay: measured on 2
+    cores, expm of an 80 x 80 matrix took 94 ms with two threads and
+    2.8 ms with one."""
+    previous = blas_thread_counts()
+    set_blas_threads(dict.fromkeys(previous, 1))
     try:
         yield
     finally:
-        pin_blas_threads(outer)
-        set_blas_threads({package: previous.get(package, first if outer is None else outer)
-                          for package, (_, _, first) in _LOADED.items()})
+        set_blas_threads(previous)
 
 
-@_single_blas_thread()
 def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
                           base_rho: DensityMatrix, factor, opts: SteadyStateOptions | None):
     """Stationary state of L from that of a smaller system ``base``, solved
@@ -549,10 +522,9 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
     diagonal. No factor of L is made and no uniqueness probe runs: the
     base solve's probe stands for it. The candidate passes
     :func:`accept_steady_state`; a GMRES that does not converge raises
-    NoConvergence. The dense work runs on one BLAS thread.
+    NoConvergence. The GMRES runs on one BLAS thread.
     """
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
-    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
     if opts is None:
         opts = SteadyStateOptions()
@@ -581,10 +553,11 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
         nonlocal iterations
         iterations += 1
 
-    x, info = spla.gmres(M, b, x0=x0, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                         maxiter=GMRES_MAX_RESTARTS,
-                         M=spla.LinearOperator(M.shape, precondition, dtype=np.complex128),
-                         callback=count, callback_type="pr_norm")
+    with _single_blas_thread():
+        x, info = spla.gmres(M, b, x0=x0, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                             maxiter=GMRES_MAX_RESTARTS,
+                             M=spla.LinearOperator(M.shape, precondition, dtype=np.complex128),
+                             callback=count, callback_type="pr_norm")
     logger.debug("extended steady state: %d unknowns, %d GMRES iterations, info %d",
                  M.shape[0], iterations, info)
     if info != 0:
@@ -651,7 +624,6 @@ def _pole_transform(A: np.ndarray, beta: float, seen: np.ndarray, omega: np.ndar
     return w @ (1.0 / (-lam[:, None] - 1j * omega[None, :])), (lam, w)
 
 
-@_single_blas_thread()
 def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tolerance,
                what: str):
     """exp(t S) y0 by shift-invert Krylov with the shift ``h``.
@@ -665,14 +637,13 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
     changes are those of the state). The basis grows until the values
     change by at most ``tolerance(values)`` from one check to the next, or
     until it spans an invariant subspace; past KRYLOV_MAX_DIM vectors
-    NoConvergence names ``what``. The dense work runs on one BLAS thread.
-    Returns ``(values, extra, V, report)`` of the last check: values
-    (p or m, K) and the basis V as m rows of length n (the states are
-    ``values.T @ V`` when ``observe`` is None).
+    NoConvergence names ``what``. Each caller holds one BLAS thread
+    around it. Returns ``(values, extra, V, report)`` of the last check:
+    values (p or m, K) and the basis V as m rows of length n (the states
+    are ``values.T @ V`` when ``observe`` is None).
     """
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
     import scipy.sparse.linalg as spla
-    openblas_libraries()  # the OpenBLAS copy that import loads takes the pin
 
     beta = float(np.linalg.norm(y0))
     if h == 0.0 or beta == 0.0:
@@ -743,16 +714,21 @@ def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
     until no state on the grid changes by more than EVOLVE_RTOL times
     |rho0| (Frobenius) from one check to the next. States are
     checked, not repaired: trace and Hermiticity drift stay visible to the
-    caller, which is why the stop rule is tight.
+    caller, which is why the stop rule is tight. The propagation runs on
+    one BLAS thread.
     """
+    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
+
     t_grid = _ascending_grid(t_grid, "t_grid")
     y0 = vectorize(rho0.matrix)
     limit = EVOLVE_RTOL * float(np.linalg.norm(y0))
-    coeffs, _, V, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
-                                 functools.partial(_grid_values, t_grid=t_grid), None,
-                                 lambda _: limit, "time evolution")
+    with _single_blas_thread():
+        coeffs, _, V, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
+                                     functools.partial(_grid_values, t_grid=t_grid), None,
+                                     lambda _: limit, "time evolution")
+        vecs = coeffs.T @ V
     states = []
-    for y in coeffs.T @ V:
+    for y in vecs:
         dm = DensityMatrix(unvectorize(y, L.dim), validate=False)
         dm.validate(atol=1e-9)
         states.append(dm)
@@ -776,7 +752,6 @@ def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
     return vectorize(X0 - X0.trace() * rho), observe, floor
 
 
-@_single_blas_thread()
 def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
     """Connected steady-state correlator <A(0) B(tau)> - <A><B> by quantum
     regression.
@@ -795,17 +770,19 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
     The tau=0 value equals <A B> - <A><B>. The Krylov dimension is logged
     at DEBUG. The dense work runs on one BLAS thread.
     """
+    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
+
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
-    start, observe, floor = _connected_start(L, rho_ss, A, B)
-    connected, *_ = _propagate(
-        L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
-        functools.partial(_grid_values, t_grid=tau_grid), observe,
-        lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
-        "correlator propagation")
+    with _single_blas_thread():
+        start, observe, floor = _connected_start(L, rho_ss, A, B)
+        connected, *_ = _propagate(
+            L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
+            functools.partial(_grid_values, t_grid=tau_grid), observe,
+            lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
+            "correlator propagation")
     return connected[0]
 
 
-@_single_blas_thread()
 def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: float):
     """The connected correlator <A(0) B(tau)> - <A><B> as
     sum_k w_k exp(lambda_k tau): ``(lambda, w, PropagationReport)``. Its
@@ -821,13 +798,16 @@ def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: 
     start C(0) within the same share of |C(0)|, or NoConvergence is raised:
     a dropped mode that held weight would bias every frequency. The dense
     work runs on one BLAS thread."""
+    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
+
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    start, observe, floor = _connected_start(L, rho_ss, A, B)
-    c0 = complex((observe @ start)[0])
-    relative = max(SPECTRUM_RTOL, floor / abs(c0) if abs(c0) > floor else 1.0)
-    _, (lam, w), _, report = _propagate(
-        L.superoperator, start, shift, functools.partial(_pole_transform, omega=omega),
-        observe, lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
+    with _single_blas_thread():
+        start, observe, floor = _connected_start(L, rho_ss, A, B)
+        c0 = complex((observe @ start)[0])
+        relative = max(SPECTRUM_RTOL, floor / abs(c0) if abs(c0) > floor else 1.0)
+        _, (lam, w), _, report = _propagate(
+            L.superoperator, start, shift, functools.partial(_pole_transform, omega=omega),
+            observe, lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
     w = w[0]
     total = complex(w.sum())
     if not abs(total - c0) <= relative * abs(c0):

@@ -6,9 +6,10 @@ configuration once, in the calling process, into frozen ``GridPoint``
 records (run settings plus the effective and, where given, cavity
 parameters of the point); bad parameter combinations are rejected there,
 before any solve. Rows are computed independently, so grids parallelize
-across worker processes, each held to one BLAS thread so that the workers
-do not oversubscribe the cores; results are gathered in grid order, which
-makes parallel and serial runs emit identical bytes.
+across worker processes; results are gathered in grid order, which makes
+parallel and serial runs emit identical bytes. The dense kernels of
+``lindblad`` each hold one BLAS thread while they run, in a worker as in a
+serial run, so the workers do not oversubscribe the cores.
 
 The numeric modes share one row path, ``_numeric``: it takes the steady
 state of a point from the closed form (``models.resonant_steady_state``,
@@ -46,12 +47,7 @@ from .errors import (
     DickeLabError,
     SolverError,
 )
-from .lindblad import (
-    SteadyStateOptions,
-    _single_blas_thread,
-    pin_blas_threads,
-    steady_state,
-)
+from .lindblad import SteadyStateOptions, steady_state
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
     field_composition,
@@ -676,11 +672,10 @@ def compute_point(point: GridPoint) -> list:
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Worker processes that run one BLAS thread each."""
+    """The worker processes of a pooled run."""
     from concurrent.futures import ProcessPoolExecutor  # deferred: a serial run never needs it
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads,
-                               initargs=(1,))
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def run(cfg: RunConfig) -> SweepResult:
@@ -698,9 +693,7 @@ def run(cfg: RunConfig) -> SweepResult:
     workers = min(threads, len(points))
 
     if workers <= 1:
-        # one BLAS thread, as in each pool worker
-        with _single_blas_thread():
-            blocks = [compute_point(pt) for pt in points]
+        blocks = [compute_point(pt) for pt in points]
     else:
         with _worker_pool(workers) as pool:
             blocks = list(pool.map(compute_point, points))

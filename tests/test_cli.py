@@ -1,5 +1,6 @@
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -77,39 +78,52 @@ def test_determinism_and_parallel_serial_equality(tmp_path):
     assert outs[0] == outs[2]  # parallel equals serial row for row
 
 
-def test_pool_workers_run_one_blas_thread(monkeypatch):
-    import scipy.linalg  # noqa: F401 (loads scipy's OpenBLAS, which the package loads only for an LU)
+# a detuned grid: every point takes the sparse LU and its uniqueness probe
+DETUNED = {
+    "mode": "sweep-jz",
+    "params": {"effective": {"gamma": 1.0, "N": 6, "delta": 0.3}},
+    "sweep": {"drive": {"values": [0.4, 0.8]}, "Delta_over_gamma": [0.0]},
+}
 
-    from dickelab.lindblad import openblas_libraries
 
-    openblas_libraries()
-    parent = blas_thread_counts()
-    assert set(parent) == {"numpy", "scipy"}
-    with _worker_pool(2) as pool:
-        assert pool.submit(blas_thread_counts).result() == {"numpy": 1, "scipy": 1}
-    assert blas_thread_counts() == parent  # the calling process is left alone
+def _threads_in_lu(call, *args):
+    """The OpenBLAS counts that ``call(*args)`` sees in each uniqueness
+    probe of its LU solves."""
+    seen, probe = [], lindblad._uniqueness_probe
 
-    # the serial branch computes its points with one thread as well, and
-    # gives the caller back its own counts (two here, so a missed restore
-    # shows even where the process started with one)
-    seen = []
-    original = sweep.compute_point
-
-    def counting(point):
+    def probing(*probe_args):
         seen.append(blas_thread_counts())
-        return original(point)
+        return probe(*probe_args)
 
-    monkeypatch.setattr(sweep, "compute_point", counting)
-    cfg = RunConfig.from_dict(BASE_MF)
+    lindblad._uniqueness_probe = probing
+    try:
+        call(*args)
+    finally:
+        lindblad._uniqueness_probe = probe
+    return seen
+
+
+def test_pool_workers_run_one_blas_thread():
+    # the LU of a detuned point runs one thread in every copy, in a serial
+    # run and in a pool worker, and the caller keeps its own counts (two
+    # here, so a missed restore shows even where the process started with one)
+    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS, so both copies are set)
+
+    cfg = RunConfig.from_dict(DETUNED)
     cfg.threads = 1
-    two = {"numpy": 2, "scipy": 2}
+    one, two = {"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}
+    parent = blas_thread_counts()
     set_blas_threads(two)
     try:
-        run(cfg)
+        assert _threads_in_lu(run, cfg) == [one] * 2
+        assert blas_thread_counts() == two
+        with _worker_pool(1) as pool:
+            worker = pool.submit(_threads_in_lu, sweep.compute_point,
+                                 sweep._grid_points(cfg)[0]).result()
+        assert worker == [one]
         assert blas_thread_counts() == two
     finally:
         set_blas_threads(parent)
-    assert seen == [{"numpy": 1, "scipy": 1}] * 3
 
 
 def test_timestamp_header_and_wall_time(tmp_path):
@@ -357,10 +371,12 @@ def test_reproduce_figures_checks_arguments_before_making_outdir(tmp_path):
     assert not outdir.exists()
 
 
-def _fresh_interpreter(script: str, *args) -> str:
-    """Standard output of ``script`` run in a new interpreter on this package."""
+def _fresh_interpreter(script: str, *args, **env) -> str:
+    """Standard output of ``script`` run in a new interpreter on this
+    package, with ``env`` added to the environment."""
     src = str(pathlib.Path(sweep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               **env)
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -389,41 +405,52 @@ def test_resonant_run_loads_no_scipy(tmp_path):
     assert [r["solver_method"] for r in read_csv(tmp_path / "out.csv")] == ["closed-form"] * 4
 
 
+# OpenBLAS starts with one thread per core up to this, so a count left at
+# its start shows on a machine with two cores or more
+TWO_THREADS = {"OPENBLAS_NUM_THREADS": "2"}
+
+
+@functools.cache
+def _scipy_load_count() -> int:
+    """The thread count of scipy's OpenBLAS copy in a fresh interpreter
+    right after it is loaded."""
+    return int(_fresh_interpreter(
+        "import scipy.sparse.linalg\n"
+        "from dickelab import lindblad\n"
+        "print(lindblad.blas_thread_counts()['scipy'])\n", **TWO_THREADS))
+
+
 def test_blas_pin_holds_a_copy_loaded_after_it(tmp_path):
     # in a process that has not loaded scipy's OpenBLAS, a detuned point
-    # loads it for its LU inside the pin; the LU must still run one thread
-    # in that copy (read raw, during the uniqueness probe), and a serial run
-    # gives back the counts it found (scipy's the one it was loaded with)
-    payload = {
-        "mode": "sweep-jz",
-        "params": {"effective": {"gamma": 1.0, "N": 6, "delta": 0.3}},
-        "sweep": {"drive": {"values": [0.4, 0.8]}, "Delta_over_gamma": [0.0]},
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    # loads it for its LU; the LU must still run one thread in every copy
+    # (read during the uniqueness probe), and a serial run gives back the
+    # counts it found, scipy's copy the count it was loaded with
+    cfg = write_cfg(tmp_path / "cfg.json", DETUNED)
     setup = (
-        "import ctypes, os, sys\n"
+        "import sys\n"
         "from dickelab import lindblad, sweep\n"
         "from dickelab.sweep import RunConfig\n"
         "seen, probe = [], lindblad._uniqueness_probe\n"
         "def probing(*args):\n"
-        "    lib = ctypes.CDLL(lindblad._openblas_paths('scipy')[0], mode=os.RTLD_NOLOAD)\n"
-        "    seen.append(lib.scipy_openblas_get_num_threads())\n"
+        "    seen.append(lindblad.blas_thread_counts())\n"
         "    return probe(*args)\n"
         "lindblad._uniqueness_probe = probing\n"
         "cfg = RunConfig.from_file(sys.argv[1])\n"
         "print(sorted(lindblad.blas_thread_counts()))\n"
     )
+    one = {"numpy": 1, "scipy": 1}
     out = _fresh_interpreter(
         setup
         + "lindblad.set_blas_threads({'numpy': 2})\n"
         "cfg.threads = 1\n"
         "assert sweep.run(cfg).n_failures == 0\n"
         "print(seen)\n"
-        "print(lindblad.blas_thread_counts() == {'numpy': 2, 'scipy': lindblad._LOADED['scipy'][2]})\n",
-        cfg)
-    assert out.splitlines() == ["['numpy']", "[1, 1]", "True"]
+        "print(lindblad.blas_thread_counts())\n",
+        cfg, **TWO_THREADS)
+    assert out.splitlines() == [
+        "['numpy']", str([one] * 2), str({"numpy": 2, "scipy": _scipy_load_count()})]
 
-    # a pool worker pins the copy that its point loads
+    # a pool worker holds the copy that its point loads
     out = _fresh_interpreter(
         setup
         + "def point(pt):\n"
@@ -433,8 +460,66 @@ def test_blas_pin_holds_a_copy_loaded_after_it(tmp_path):
         "    with sweep._worker_pool(1) as pool:\n"
         "        print(pool.submit(point, sweep._grid_points(cfg)[0]).result())\n"
         "    print(sorted(lindblad.blas_thread_counts()))\n",
-        cfg)
-    assert out.splitlines() == ["['numpy']", "[1]", "['numpy']"]
+        cfg, **TWO_THREADS)
+    assert out.splitlines() == ["['numpy']", str([one]), "['numpy']"]
+
+
+# kernel -> (module, name of the function it wraps, set-up, call) of
+# test_kernels_import_scipy_before_their_blas_scope. extended_steady_state
+# needs the factor of a base solve, which loads scipy before it; it extends
+# L by itself, so every entry is embedded.
+_KERNEL_CALLS = {
+    "steady_state": ("dickelab.lindblad", "_uniqueness_probe", "",
+                     "lindblad.steady_state(L)"),
+    "extended_steady_state": (
+        "scipy.sparse.linalg", "gmres",
+        "base, report = lindblad.steady_state(L)\n"
+        "lindblad.set_blas_threads({'numpy': 2, 'scipy': 2})\n",
+        "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor, None)"),
+    "time_evolve": ("dickelab.lindblad", "_grid_values", "",
+                    "lindblad.time_evolve(L, rho, [0.5, 1.0])"),
+    "correlator_poles": (
+        "dickelab.lindblad", "_pole_transform", "",
+        "lindblad.correlator_poles(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CALLS))
+def test_kernels_import_scipy_before_their_blas_scope(kernel):
+    # each kernel runs one thread in both copies, scipy's included where the
+    # call itself loads it, and leaves the counts it found (scipy's copy the
+    # count it was loaded with)
+    module, name, setup, call = _KERNEL_CALLS[kernel]
+    out = _fresh_interpreter(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from dickelab import lindblad\n"
+        "from dickelab.models import build_dicke_model, resonant_steady_state\n"
+        "from dickelab.parameters import EffectiveParams\n"
+        "e = EffectiveParams(1.0, 0.0, 0.0, 4).with_drive_ratio(0.6)\n"
+        "model = build_dicke_model(e)\n"
+        "L, ops = model.liouvillian, model.ops\n"
+        "rho, _ = resonant_steady_state(e)\n"
+        "print(json.dumps(sorted(lindblad.blas_thread_counts())))\n"
+        "lindblad.set_blas_threads({'numpy': 2})\n"
+        + setup
+        + f"owner = sys.modules[{module!r}]\n"
+        f"seen, original = [], getattr(owner, {name!r})\n"
+        "def watching(*args, **kwargs):\n"
+        "    seen.append(lindblad.blas_thread_counts())\n"
+        "    return original(*args, **kwargs)\n"
+        f"setattr(owner, {name!r}, watching)\n"
+        "before = lindblad.blas_thread_counts()\n"
+        + call + "\n"
+        "print(json.dumps([seen, before, lindblad.blas_thread_counts()]))\n",
+        **TWO_THREADS)
+    loaded, record = out.splitlines()
+    seen, before, after = json.loads(record)
+    assert json.loads(loaded) == ["numpy"]  # the model and the closed form load no BLAS of scipy
+    assert seen and all(counts == {"numpy": 1, "scipy": 1} for counts in seen)
+    assert ("scipy" in before) == (kernel == "extended_steady_state")
+    assert before["numpy"] == 2
+    assert after == {"scipy": _scipy_load_count(), **before}
 
 
 def test_shipped_configs_parse():
