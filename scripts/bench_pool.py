@@ -1,6 +1,7 @@
 """Pooled-sweep timings: the acceptance grids of criteria 1-3 and
 ``reproduce-figures``, each run through ``sweep.run`` with one worker per
-core, for one or two checkouts of the package.
+core, and the whole ``dicke-lab reproduce-figures`` process, for one or two
+checkouts of the package.
 
     python scripts/bench_pool.py BEFORE_ROOT [AFTER_ROOT] [--repeats 3]
         [--out BENCH_pool.json] [--note TEXT]
@@ -8,12 +9,17 @@ core, for one or two checkouts of the package.
 AFTER_ROOT defaults to the checkout holding this script. Each measurement
 runs in a fresh interpreter with PYTHONPATH set to the checkout's ``src``;
 wall time covers the ``run`` call, CPU time is user + system of that
-process and of the pool workers it joined. After the header of
-``harness.write``, the record holds the OpenBLAS thread count of each
-loaded copy in the calling process (``blas_threads_main``, read before
-any run) and the counts a worker of the checkout's sweep pool sees inside
-the uniqueness probe of one detuned LU point (``blas_threads_worker``;
-None where the checkout has no ``lindblad._uniqueness_probe``).
+process and of the pool workers it joined. Those cases start timing in
+a process that has already loaded the package, so they omit its load and
+exit; the ``cli_reproduce_figures`` case times the whole ``python -m
+dickelab.cli reproduce-figures`` process instead, from start to exit, with
+the CPU time of it and of its reaped workers (``harness.timed``). After
+the header of ``harness.write``, the record holds the OpenBLAS thread
+count of each loaded copy in the calling process (``blas_threads_main``,
+read before any run) and the counts a worker of the checkout's sweep pool
+sees inside the uniqueness probe of one detuned LU point
+(``blas_threads_worker``; None where the checkout has no
+``lindblad._uniqueness_probe``).
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -42,7 +47,10 @@ GRIDS = {
         drive_values=[float(x) for x in np.arange(0.75, 1.0201, 0.01)]),
     "criterion_1_fig2_detuned_lu": dict(mode="sweep-jz", delta=0.3, **_FIGURE_GRID),
 }
-CASES = (*GRIDS, "reproduce_figures")
+# the cases timed inside a child that has loaded the package, then the
+# whole CLI process
+IN_PROCESS = (*GRIDS, "reproduce_figures")
+CASES = (*IN_PROCESS, "cli_reproduce_figures")
 
 
 def _cpu_seconds() -> float:
@@ -107,7 +115,7 @@ def _child(case: str) -> dict:
 
 def main(argv=None) -> int:
     parser = harness.Arguments(__doc__, "BENCH_pool.json", repeats=3,
-                               sides=("before", "after"), child=dict(choices=CASES))
+                               sides=("before", "after"), child=dict(choices=IN_PROCESS))
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(_child(args.child)))
@@ -120,8 +128,14 @@ def main(argv=None) -> int:
         order = harness.side_order(sides, repeat)
         for case in CASES:
             for side in order:
-                rec = harness.run_child(__file__, sides[side], case)
-                blas[side] = {k: rec[k] for k in ("blas_threads_main", "blas_threads_worker")}
+                if case == "cli_reproduce_figures":
+                    with tempfile.TemporaryDirectory() as outdir:
+                        rec = harness.timed(sides[side], [
+                            "-m", "dickelab.cli", "reproduce-figures", "--outdir", outdir,
+                            "--no-timestamp"])
+                else:
+                    rec = harness.run_child(__file__, sides[side], case)
+                    blas[side] = {k: rec[k] for k in ("blas_threads_main", "blas_threads_worker")}
                 runs[side][case].append({"wall_s": rec["wall_s"], "cpu_s": rec["cpu_s"]})
                 print(f"{side} {case}: wall {rec['wall_s']:.2f} s, cpu {rec['cpu_s']:.2f} s",
                       flush=True)
@@ -129,17 +143,8 @@ def main(argv=None) -> int:
     harness.write(
         args, "pooled sweeps through sweep.run, one worker per core",
         checkouts={
-            side: {
-                **blas[side],
-                "cases": {
-                    case: {
-                        "wall_s_median": statistics.median(r["wall_s"] for r in rs),
-                        "cpu_s_median": statistics.median(r["cpu_s"] for r in rs),
-                        "runs": rs,
-                    }
-                    for case, rs in runs[side].items()
-                },
-            }
+            side: {**blas[side],
+                   "cases": {case: harness.summary(rs) for case, rs in runs[side].items()}}
             for side in sides
         })
     return 0

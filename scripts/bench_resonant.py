@@ -10,13 +10,14 @@ inside ``lindblad._single_blas_thread``, the one-thread scope of the
 package's dense kernels (a sweep runs these O(D) steps, which call no
 such kernel, at the process's own count), and keeps the median over the
 repeats, with the gate's residual over its tolerance and the exact
-var(J_-). The import time is the wall time of a
-fresh interpreter that runs ``import dickelab.cli``, next to one that runs
-``import numpy`` alone, and the record lists the scipy modules that the
+var(J_-). The import cost is the wall time and the user + system CPU time
+(``harness.timed``) of a fresh interpreter that runs ``import
+dickelab.cli``, next to one that runs ``import numpy`` alone, and the
+record lists the scipy modules and the OpenBLAS thread counts that the
 import loaded. The sweep point is one ``dicke-lab sweep-squeezing`` call
-at N = 10^4 in a fresh interpreter. After the header of
-``harness.write``, the record holds the OpenBLAS thread count of each
-loaded copy.
+at N = 10^4 in a fresh interpreter, timed the same way. After the header
+of ``harness.write``, the record holds the OpenBLAS thread count of each
+copy loaded in this process.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ def _case(n: int, drive: float, repeats: int) -> dict:
             "var_jm": mom.var_jm}
 
 
-def _fresh(args: list) -> float:
-    """Wall time of a fresh interpreter on this checkout's sources."""
-    t0 = time.perf_counter()
-    harness.fresh(harness.ROOT, args).check_returncode()
-    return time.perf_counter() - t0
-
-
 def main(argv=None) -> int:
     args = harness.Arguments(__doc__, "BENCH_resonant.json", repeats=5).parse_args(argv)
 
@@ -81,24 +75,25 @@ def main(argv=None) -> int:
                       f"residual/tolerance {c['residual_over_tolerance']:.1e}", flush=True)
 
     proc = harness.fresh(harness.ROOT, [
-        "-c", "import sys, dickelab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        "-c", "import json, sys, dickelab.cli; from dickelab import lindblad; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "lindblad.blas_thread_counts()]))"])
     proc.check_returncode()
-    loaded = proc.stdout.strip()
-    imports = {
-        "numpy_s": [_fresh(["-c", "import numpy"]) for _ in range(args.repeats)],
-        "dickelab_cli_s": [_fresh(["-c", "import dickelab.cli"]) for _ in range(args.repeats)],
-    }
+    loaded, cli_blas = json.loads(proc.stdout)
+    imports = {name: harness.summary([harness.timed(harness.ROOT, ["-c", code])
+                                      for _ in range(args.repeats)])
+               for name, code in (("numpy", "import numpy"),
+                                  ("dickelab_cli", "import dickelab.cli"))}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "point.json")
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(SWEEP_POINT, fh)
-        point = [_fresh(["-m", "dickelab.cli", "sweep-squeezing", "--config", cfg, "--out",
-                         os.path.join(tmp, "point.csv"), "--threads", "1"])
-                 for _ in range(args.repeats)]
-    print(f"import dickelab.cli: {statistics.median(imports['dickelab_cli_s']):.3f} s "
-          f"(numpy alone {statistics.median(imports['numpy_s']):.3f} s), scipy modules {loaded}; "
-          f"N = 10^4 sweep-squeezing call {statistics.median(point):.3f} s")
+        point = harness.summary([harness.timed(harness.ROOT, [
+            "-m", "dickelab.cli", "sweep-squeezing", "--config", cfg, "--out",
+            os.path.join(tmp, "point.csv"), "--threads", "1"]) for _ in range(args.repeats)])
+    for name, rec in (*imports.items(), ("N = 10^4 sweep-squeezing call", point)):
+        print(f"{name}: wall {rec['wall_s_median']:.3f} s, cpu {rec['cpu_s_median']:.3f} s")
+    print(f"import dickelab.cli loaded scipy modules {loaded}, OpenBLAS threads {cli_blas}")
 
     harness.write(
         args, "resonant closed form: state + O(D) gate + moments record per N, "
@@ -107,10 +102,9 @@ def main(argv=None) -> int:
         blas_threads_timed=blas_pinned,
         delta_over_gamma=DELTA_OVER_GAMMA,
         cases=cases,
-        **{"import": {**{f"{k}_median": statistics.median(v) for k, v in imports.items()},
-                      **imports, "scipy_modules_after_import": loaded}},
-        sweep_point_n10000={"config": SWEEP_POINT, "wall_s_median": statistics.median(point),
-                            "wall_s": point})
+        **{"import": {**imports, "scipy_modules_after_import": loaded,
+                      "blas_threads_after_import": cli_blas}},
+        sweep_point_n10000={"config": SWEEP_POINT, **point})
     return 0
 
 

@@ -1,9 +1,12 @@
 """What the bench scripts share: the command line, the fresh interpreter on
-a checkout, the order of the checkouts in each repeat, the OpenBLAS thread
-reader and the record header.
+a checkout and its wall and CPU time, the order of the checkouts in each
+repeat, the OpenBLAS thread reader and the record header.
 
 Every ``BENCH_*.json`` starts with the header of :func:`write`: ``what``,
-``note``, ``nproc``, ``python``, ``numpy``, ``scipy`` and ``repeats``.
+``note``, ``nproc``, ``python``, ``numpy``, ``scipy``, ``repeats`` and
+``blas_thread_env``, the caller's OpenBLAS thread variables (value, or
+null where unset), which the fresh interpreters inherit: a ``dicke-lab``
+child loads OpenBLAS with one thread unless one of them is set.
 This module imports no ``dickelab``, so it works with any checkout, an
 older one included.
 """
@@ -18,10 +21,15 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the variables OpenBLAS reads for its thread count when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class Arguments(argparse.ArgumentParser):
@@ -56,12 +64,36 @@ class Arguments(argparse.ArgumentParser):
         return args
 
 
+def _env(root: str, env: dict) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **env)
+
+
 def fresh(root: str, args: list, **env) -> subprocess.CompletedProcess:
     """``python args`` in a fresh interpreter that imports the package from
     ``root``'s ``src``, with ``env`` added to the environment; the caller
     reads the exit code."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **env))
+                          env=_env(root, env))
+
+
+def timed(root: str, args: list, **env) -> dict:
+    """``wall_s`` and ``cpu_s`` of ``python args`` in a fresh interpreter
+    (as :func:`fresh`): wall time from start to exit, and user + system
+    CPU time of the process and of the children it reaped, pool workers
+    included (``os.wait4``). Output is discarded; a non-zero exit raises
+    with the process's standard error."""
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL,
+                                stderr=err, env=_env(root, env))
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, proc.args,
+                                                stderr=err.read().decode())
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime}
 
 
 def run_child(script: str, root: str, *args, **env) -> dict:
@@ -71,6 +103,14 @@ def run_child(script: str, root: str, *args, **env) -> dict:
     proc = fresh(root, [os.path.abspath(script), "--child", *map(str, args)], **env)
     proc.check_returncode()
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(runs: list) -> dict:
+    """``wall_s_median`` and ``cpu_s_median`` over ``runs``, records of
+    :func:`timed`'s form, and the runs themselves."""
+    return {"wall_s_median": statistics.median(r["wall_s"] for r in runs),
+            "cpu_s_median": statistics.median(r["cpu_s"] for r in runs),
+            "runs": runs}
 
 
 def side_order(sides, repeat: int) -> list:
@@ -110,6 +150,7 @@ def write(args, what: str, **fields):
         "numpy": importlib.metadata.version("numpy"),
         "scipy": importlib.metadata.version("scipy"),
         "repeats": args.repeats,
+        "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         **fields,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,16 +6,32 @@
 
 Exit codes: 0 success, 2 bad configuration, 3 solver failure,
 4 above-threshold analytic request.
+
+OpenBLAS threads: each OpenBLAS copy (numpy's, and scipy's where a point
+loads it) reads ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` once, when it loads, and otherwise starts one thread per
+core. Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before it loads
+numpy, unless one of the three is set (non-empty), in which case the
+caller's count stands. Pool workers inherit the setting. Every dense kernel
+already runs on one thread (``lindblad._single_blas_thread``), so the
+threads a copy starts at load only cost the process its start-up and exit.
+Importing any other module of the package leaves the environment alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
-from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError
-from .sweep import MODES, RunConfig, reproduce_figures, run_and_write
+# the variables OpenBLAS reads for its thread count, highest priority first
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(os.environ.get(name) for name in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError  # noqa: E402
+from .sweep import MODES, RunConfig, reproduce_figures, run_and_write  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -35,7 +35,10 @@ no scipy module. Every function here that runs dense or factored work
 holds one thread in each loaded OpenBLAS copy for its own duration and
 then restores the counts it found (:func:`_single_blas_thread`). scipy's
 copy is loaded only with scipy's linear algebra, so a function that needs
-it imports it before it enters that scope.
+it imports it before it enters that scope. A ``dicke-lab`` process loads
+every copy with one thread already (see ``cli``), so there the scope
+changes nothing; it serves library callers, which load numpy themselves
+with one thread per core, and a CLI caller who sets a count of their own.
 
 Time evolution, the regression correlator and the output spectrum share
 one propagator, the shift-invert (rational) Krylov approximation of
@@ -496,7 +499,10 @@ def _single_blas_thread():
     each gate, ``min_eigenvalue``, ``trace_distance``; D x D with
     D <= 401) are too small for a second thread to pay: measured on 2
     cores, expm of an 80 x 80 matrix took 94 ms with two threads and
-    2.8 ms with one."""
+    2.8 ms with one. The scope is for processes whose copies run more
+    than one thread: library callers, and a ``dicke-lab`` caller who sets
+    an OpenBLAS thread variable; a plain ``dicke-lab`` process loads each
+    copy with one thread (see ``cli``)."""
     previous = blas_thread_counts()
     set_blas_threads(dict.fromkeys(previous, 1))
     try:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dickelab.cli import main
+from dickelab.cli import BLAS_THREAD_VARIABLES, main
 from dickelab.errors import ConfigError
 from dickelab import lindblad, sweep
 from dickelab.lindblad import blas_thread_counts, set_blas_threads
@@ -373,10 +373,12 @@ def test_reproduce_figures_checks_arguments_before_making_outdir(tmp_path):
 
 def _fresh_interpreter(script: str, *args, **env) -> str:
     """Standard output of ``script`` run in a new interpreter on this
-    package, with ``env`` added to the environment."""
+    package, with ``env`` added to the environment (a None value removes
+    the variable)."""
     src = str(pathlib.Path(sweep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
                **env)
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -462,6 +464,49 @@ def test_blas_pin_holds_a_copy_loaded_after_it(tmp_path):
         "    print(sorted(lindblad.blas_thread_counts()))\n",
         cfg, **TWO_THREADS)
     assert out.splitlines() == ["['numpy']", str([one]), "['numpy']"]
+
+
+# no OpenBLAS thread variable: the process picks its own count
+NO_BLAS_ENV = dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+@pytest.mark.parametrize("env", [{}, TWO_THREADS, {"OMP_NUM_THREADS": "2"}],
+                         ids=["unset", "openblas-2", "omp-2"])
+def test_cli_loads_openblas_with_one_thread_unless_the_caller_sets_a_count(tmp_path, env):
+    # importing the CLI sets one thread before numpy loads, so numpy's copy
+    # and scipy's, which a detuned LU point loads later, start with one; a
+    # count the caller set stands, and its variables are left as given
+    cfg = write_cfg(tmp_path / "cfg.json", DETUNED)
+    out = _fresh_interpreter(
+        "import json, os, sys\n"
+        "import dickelab.cli\n"
+        "from dickelab import lindblad, sweep\n"
+        "print(json.dumps(lindblad.blas_thread_counts()))\n"
+        "point = sweep._grid_points(sweep.RunConfig.from_file(sys.argv[1]))[0]\n"
+        "assert not any(row['error'] for row in sweep.compute_point(point))\n"
+        "print(json.dumps(lindblad.blas_thread_counts()))\n"
+        "print(json.dumps({name: os.environ.get(name)\n"
+        "                  for name in dickelab.cli.BLAS_THREAD_VARIABLES}))\n",
+        cfg, **{**NO_BLAS_ENV, **env})
+    loaded, after_point, variables = map(json.loads, out.splitlines())
+    count = _scipy_load_count() if env else 1
+    assert loaded == {"numpy": count}
+    assert after_point == {"numpy": count, "scipy": count}
+    assert variables == {**NO_BLAS_ENV, **(env or {"OPENBLAS_NUM_THREADS": "1"})}
+
+
+def test_package_import_loads_no_numpy_and_leaves_the_environment():
+    # the package resolves its public names on first use, and only the CLI
+    # sets a thread variable
+    out = _fresh_interpreter(
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import dickelab\n"
+        "print('numpy' in sys.modules)\n"
+        "from dickelab import lindblad, sweep\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n",
+        **NO_BLAS_ENV)
+    assert out.splitlines() == ["False", "True True"]
 
 
 # kernel -> (module, name of the function it wraps, set-up, call) of

@@ -3,7 +3,12 @@ its siblings, so each policy (the BLAS thread scope of ``lindblad``, say)
 stays behind the module that holds it."""
 
 import ast
+import importlib
 import pathlib
+
+import pytest
+
+import dickelab
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dickelab"
 
@@ -16,3 +21,16 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 private += [f"{path.name}: from .{node.module} import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_names_resolve_to_their_submodules():
+    # each public name, and each submodule that defines one, is loaded on
+    # first use; any other name is an AttributeError
+    assert {*dickelab.__all__, *dickelab._EXPORTS} <= set(dir(dickelab))
+    for module, names in dickelab._EXPORTS.items():
+        submodule = importlib.import_module(f"dickelab.{module}")
+        assert getattr(dickelab, module) is submodule
+        for name in names:
+            assert getattr(dickelab, name) is getattr(submodule, name)
+    with pytest.raises(AttributeError):
+        dickelab.no_such_name  # noqa: B018

@@ -3,6 +3,7 @@ OpenBLAS thread reader and one end-to-end record of ``bench_spectrum``.
 The scripts are imported as they are, from their own directory."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from dickelab.lindblad import blas_thread_counts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
-HEADER = ["what", "note", "nproc", "python", "numpy", "scipy", "repeats"]
+HEADER = ["what", "note", "nproc", "python", "numpy", "scipy", "repeats", "blas_thread_env"]
 
 
 @pytest.fixture
@@ -56,6 +57,9 @@ def test_bench_spectrum_writes_the_shared_header(harness, tmp_path):
     record = json.loads(out.read_text())
     assert list(record)[:len(HEADER)] == HEADER
     assert record["repeats"] == 1 and record["note"] == ""
+    # the caller's thread variables, which the CLI children inherit
+    assert record["blas_thread_env"] == {
+        name: os.environ.get(name) for name in harness.BLAS_THREAD_VARIABLES}
     (point,) = record["points"]
     assert point["max_change_over_peak"] == 0.0
     # each child runs with the one-thread environment the script passes
