@@ -4,10 +4,11 @@
 
 ROOT defaults to the checkout holding this script. For each checkout it
 prints the line count of every module in ``src/dickelab`` and their total,
-the line total of ``scripts/*.py``, and the number of settable values:
-the parameters with a default of every function, and every method
+the line total of ``scripts/*.py``, the number of settable values
+(the parameters with a default of every function, and every method
 (dataclass ``__init__`` included), defined in the package, as
-``inspect.signature`` reports them. The package is
+``inspect.signature`` reports them), and the number of public package
+names (``len(dickelab.__all__)``; ``-`` without one). The package is
 imported in a fresh interpreter with PYTHONPATH set to the checkout's
 ``src``, so two checkouts never share a module cache.
 """
@@ -22,8 +23,9 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# run in the fresh interpreter: print the number of defaulted parameters
-_SETTABLE = """
+# run in the fresh interpreter: the report rows of the defaulted parameters
+# and of the public package names
+_COUNTS = """
 import importlib, inspect, pkgutil
 import dickelab
 
@@ -45,15 +47,16 @@ for info in pkgutil.iter_modules(dickelab.__path__):
         for func in functions(obj):
             count += sum(p.default is not inspect.Parameter.empty
                          for p in inspect.signature(func).parameters.values())
-print(count)
+print(f"  {'settable values':<16}{count:>6}")
+print(f"  {'public names':<16}{len(getattr(dickelab, '__all__', ())) or '-':>6}")
 """
 
 
-def settable_values(root: str) -> int:
+def package_counts(root: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", _SETTABLE], env=env, cwd=root,
+    proc = subprocess.run([sys.executable, "-c", _COUNTS], env=env, cwd=root,
                           capture_output=True, text=True, check=True)
-    return int(proc.stdout)
+    return proc.stdout
 
 
 def module_lines(directory: str) -> dict:
@@ -77,7 +80,7 @@ def main(argv=None) -> int:
         print(f"  {'total':<16}{sum(lines.values()):>6}")
         print(f"  {'scripts total':<16}"
               f"{sum(module_lines(os.path.join(root, 'scripts')).values()):>6}")
-        print(f"  {'settable values':<16}{settable_values(root):>6}")
+        print(package_counts(root), end="")
     return 0
 
 

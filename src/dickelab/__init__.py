@@ -26,7 +26,6 @@ _EXPORTS = {
     "lindblad": (
         "DensityMatrix",
         "Liouvillian",
-        "PropagationReport",
         "SteadyStateOptions",
         "SteadyStateSolveReport",
         "build_liouvillian",
@@ -34,7 +33,6 @@ _EXPORTS = {
         "steady_state",
         "time_evolve",
         "trace_distance",
-        "two_time_correlator",
     ),
     "models": (
         "CavityModel",

@@ -40,7 +40,7 @@ every copy with one thread already (see ``cli``), so there the scope
 changes nothing; it serves library callers, which load numpy themselves
 with one thread per core, and a CLI caller who sets a count of their own.
 
-Time evolution, the regression correlator and the output spectrum share
+Time evolution and the pole sum of the regression correlator share
 one propagator, the shift-invert (rational) Krylov approximation of
 exp(t L) of van den Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438
 (2006)). I - h L is factored once by sparse LU, ordered by minimum degree
@@ -62,6 +62,10 @@ Every few vectors the values are recomputed; the basis stops growing when
 they change by no more than the caller's stop rule, or when it spans an
 invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
 vectors raise NoConvergence.
+
+The regression theorem has one route, :func:`correlator_poles`, whose
+pole sum is the correlator at any lag; the lag-grid
+:func:`two_time_correlator` remains only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -577,8 +581,10 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
 
 def _ascending_grid(grid, name: str) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0:
-        raise ValueError(f"{name} must be strictly increasing and non-negative")
+    if (grid.size == 0 or not np.isfinite(grid).all() or grid[0] < 0
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError(f"{name} must be non-empty, finite, strictly increasing "
+                         "and non-negative")
     return grid
 
 
@@ -759,23 +765,18 @@ def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
 
 
 def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
-    """Connected steady-state correlator <A(0) B(tau)> - <A><B> by quantum
-    regression.
-
-    Propagates the connected operator rho_ss A - <A> rho_ss under L and
-    traces against B at each lag. The disconnected part <A><B> is never
-    added, so its rounding does not enter the returned values. The
-    connected start has no component on the stationary mode
-    (exp(L tau) rho_ss = rho_ss and the trace is conserved), so the Krylov
-    basis of :func:`_propagate` spans only decaying modes. The basis grows
-    until the connected values on the lag grid change by at most
-    max(CORRELATOR_RTOL max|C|, eps D |<A B>|) from one check to the next.
-    The second term is the round-off of the connected start itself: a
-    start below it is noise, and the propagation stops after a few
-    vectors instead of resolving that noise.
-    The tau=0 value equals <A B> - <A><B>. The Krylov dimension is logged
-    at DEBUG. The dense work runs on one BLAS thread.
-    """
+    """Connected steady-state correlator <A(0) B(tau)> - <A><B> on a lag
+    grid: the start of :func:`_connected_start` propagated by
+    :func:`_propagate` (one expm per run of equal steps) and traced against
+    B, until the values change by at most max(CORRELATOR_RTOL max|C|,
+    eps D |<A B>|) between checks; a start below its round-off stops after a
+    few vectors. The Krylov dimension is logged at DEBUG; the dense work
+    runs on one BLAS thread. No mode calls it: the spectrum, the acceptance
+    suite and the tests read the correlator from :func:`correlator_poles`.
+    It stays only because the benchmark's tracer wraps it at
+    ``observables.two_time_correlator``; when the ROADMAP item that
+    redefines the benchmark removes that wrap, this function,
+    CORRELATOR_RTOL and its lag-only tests go in one step."""
     import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
 
     tau_grid = _ascending_grid(tau_grid, "tau_grid")
@@ -799,11 +800,12 @@ def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: 
     are kept (:func:`_decaying_modes`). The basis grows until the transform
     on the grid ``omega`` changes by at most max(SPECTRUM_RTOL,
     floor/|C(0)|) times its largest magnitude between checks; floor/|C(0)|
-    is the relative round-off of the start (see :func:`two_time_correlator`),
+    is the relative round-off of the start (see :func:`_connected_start`),
     and 1 for a start below it. The kept weights must sum to the connected
-    start C(0) within the same share of |C(0)|, or NoConvergence is raised:
-    a dropped mode that held weight would bias every frequency. The dense
-    work runs on one BLAS thread."""
+    start C(0) within the same share of max(|C(0)|, floor), or NoConvergence
+    is raised: a dropped mode that held weight would bias every frequency,
+    while a start below its round-off may sit on the stationary mode, which
+    no kept pole carries. The dense work runs on one BLAS thread."""
     import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
 
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -816,7 +818,7 @@ def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: 
             observe, lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
     w = w[0]
     total = complex(w.sum())
-    if not abs(total - c0) <= relative * abs(c0):
+    if not abs(total - c0) <= relative * max(abs(c0), floor):
         raise NoConvergence(
             f"spectrum propagation: the {lam.size} decaying poles of {report.krylov_dim} "
             f"Krylov vectors sum to {total:.6e}, not the connected start {c0:.6e} "

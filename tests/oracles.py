@@ -97,3 +97,41 @@ def scan_transverse_variance(rho, ops, n_phi=10_000):
         var = np.trace(op @ op @ rho).real - np.trace(op @ rho).real ** 2
         best = min(best, var)
     return best, length
+
+
+def high_precision_resonant_state(n_atoms, Delta, Omega, gamma):
+    """The delta = 0 steady state rho = X X^dag / tr(X X^dag), X = (J_- - beta)^{-1},
+    beta = -Omega/(Delta + i gamma/2), in 60-digit mpmath, rounded to a
+    dense complex matrix at the end. J_- - beta is upper bidiagonal, so
+    X[i, k] = -u_k/(beta u_i) with u_k = prod_{l<k} a_l/beta (a_l the ladder
+    amplitudes), and (X X^dag)[i, c] = T(i)/(|beta|^2 u_i conj(u_c)) for
+    i >= c, T(i) = sum_{k>=i} |u_k|^2. With phi = arg(beta),
+    u_k = |u_k| e^{-i k phi}: the magnitudes are taken in mpmath, whose
+    exponent range holds every |u_k| (no logs), and the phase
+    e^{i (i - c) phi} in double."""
+    import mpmath
+
+    dim = n_atoms + 1
+    magnitude = np.zeros((dim, dim))
+    with mpmath.workdps(60):
+        beta = -mpmath.mpc(Omega) / (mpmath.mpf(Delta) + mpmath.mpc(0, 0.5) * gamma)
+        if beta == 0:  # undriven: the collective ground state
+            magnitude[0, 0] = 1.0
+            return magnitude.astype(complex)
+        j = mpmath.mpf(n_atoms) / 2
+        u = [mpmath.mpf(1)]
+        for i in range(n_atoms):
+            m = -j + i + 1
+            u.append(u[-1] * mpmath.sqrt(j * (j + 1) - m * (m - 1)) / abs(beta))
+        tail = [x ** 2 for x in u]
+        for i in range(n_atoms - 1, -1, -1):
+            tail[i] += tail[i + 1]
+        trace = mpmath.fsum(t / x ** 2 for t, x in zip(tail, u))
+        for i in range(dim):
+            row = tail[i] / (u[i] * trace)
+            for c in range(i + 1):
+                magnitude[i, c] = float(row / u[c])
+        phi = float(mpmath.arg(beta))
+    i, c = np.indices((dim, dim))
+    rho = magnitude * np.exp(1j * (i - c) * phi)
+    return rho + np.tril(rho, -1).conj().T

@@ -23,11 +23,11 @@ from oracles import brute_force_steady_state, dense_spin_ops, dicke_hamiltonian
 from dickelab.cli import main as cli_main
 from dickelab.lindblad import (
     DensityMatrix,
+    correlator_poles,
     expect,
     steady_state,
     time_evolve,
     trace_distance,
-    two_time_correlator,
 )
 from dickelab.models import build_dicke_model, resonant_steady_state, validate_elimination
 from dickelab.observables import (
@@ -45,6 +45,7 @@ from dickelab.parameters import (
     EffectiveParams,
     bloch_angles,
     cavity_params_for_effective,
+    critical_drive,
     map_cavity_to_effective,
 )
 from dickelab.sweep import RunConfig, run
@@ -311,12 +312,15 @@ def test_criterion_8_engine_properties(tmp_path):
                 worst_td = max(worst_td, trace_distance(states[i], states[k]))
     assert worst_td <= 1e-7
 
-    # regression boundary: the connected correlator at tau = 0
+    # regression boundary: the connected correlator at tau = 0, the sum of
+    # its pole weights (with the spectrum's Krylov shift)
     e10 = eff(10, 0.5)
     model10 = build_dicke_model(e10)
     rho10, _ = steady_state(model10.liouvillian)
     jp10, jm10 = model10.ops["J_plus"], model10.ops["J_minus"]
-    val = two_time_correlator(model10.liouvillian, rho10, jp10, jm10, [0.0])[0]
+    _, weights, _ = correlator_poles(model10.liouvillian, rho10, jp10, jm10, [0.0],
+                                     0.5 / critical_drive(e10))
+    val = weights.sum()
     direct = expect(rho10, jp10 @ jm10)
     bound_dev = abs(val - (direct - expect(rho10, jp10) * expect(rho10, jm10)))
     assert bound_dev <= 1e-10 * max(1.0, abs(direct))

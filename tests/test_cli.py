@@ -340,6 +340,22 @@ def test_exit_code_config_error(tmp_path):
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
          "solver": {"threads": 0}},
+        # the physical parameters and the grids must be usable
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": -1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5]}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0}},
+         "sweep": {"N": [0], "drive": {"values": [0.5]}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"Delta_over_gamma": [], "drive": {"values": [0.5]}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": [0.5], "units": "rabi"}}},
+        {"mode": "sweep-jz",
+         "params": {"effective": {"gamma": 1.0, "N": 6}},
+         "sweep": {"drive": {"values": {"start": 0.2, "stop": 0.8, "num": 0}}}},
     ],
     ids=["mean-field-detuned", "spectrum-detuned", "unknown-solver-method", "cavity-g-zero",
          "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
@@ -347,7 +363,8 @@ def test_exit_code_config_error(tmp_path):
          "block-not-object", "solver-method-retired", "fractional-n", "fractional-threads",
          "fractional-num", "string-timestamp", "string-json-mirror", "nan-tol",
          "string-nan-gamma", "infinite-tau-max", "boolean-g", "huge-integer-n", "tol-zero",
-         "threads-zero"],
+         "threads-zero", "gamma-negative", "n-zero", "empty-delta-list", "unknown-drive-units",
+         "drive-num-zero"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)

@@ -34,3 +34,13 @@ def test_package_names_resolve_to_their_submodules():
             assert getattr(dickelab, name) is getattr(submodule, name)
     with pytest.raises(AttributeError):
         dickelab.no_such_name  # noqa: B018
+
+
+def test_lag_correlator_is_not_exported():
+    # the regression correlator's one route is lindblad.correlator_poles;
+    # the lag-grid function stays at the one name the benchmark's tracer wraps
+    for name in ("two_time_correlator", "PropagationReport"):
+        assert name not in dickelab.__all__
+        with pytest.raises(AttributeError):
+            getattr(dickelab, name)
+    assert dickelab.observables.two_time_correlator is dickelab.lindblad.two_time_correlator

@@ -16,6 +16,7 @@ from oracles import (
 
 from dickelab.errors import NoConvergence, NonUniqueSteadyState, SolverError
 from dickelab.lindblad import (
+    SPECTRUM_RTOL,
     DensityMatrix,
     SteadyStateOptions,
     _solve_sparse_direct,
@@ -35,7 +36,7 @@ from dickelab.lindblad import (
 )
 from dickelab.models import build_cavity_model, build_dicke_model, resonant_steady_state
 from dickelab.operators import SpinRep, build_spin_operators
-from dickelab.parameters import CavityParams, EffectiveParams
+from dickelab.parameters import CavityParams, EffectiveParams, critical_drive
 
 
 def dicke_liouvillian(n_atoms, ratio, delta_over_gamma=0.0, gamma=1.0):
@@ -244,24 +245,51 @@ def test_expect_basics():
         expect(rho, sp.eye_array(5, format="csr"))
 
 
-def test_correlator_identity_is_constant():
-    # <1(0) 1(tau)> = 1 = <1><1> at every lag: nothing is left connected
-    L, _, _ = dicke_liouvillian(4, 0.5)
+def _pole_correlator(L, rho, A, B, taus, shift):
+    """(lambda, w, sum_k w_k exp(lambda_k tau) on taus) from correlator_poles
+    with the Krylov shift ``shift`` (``observables.output_spectrum`` takes
+    0.5/critical_drive = 1/(N |Delta + i gamma/2|)), its stop rule watching
+    the frequency grid the spectrum takes for such lags (2 len(taus) + 1
+    points over +-pi/dtau, dtau = taus[-1]/(len(taus) - 1))."""
+    taus = np.asarray(taus)
+    dtau = taus[-1] / (taus.size - 1)
+    omega = np.linspace(-np.pi / dtau, np.pi / dtau, 2 * taus.size + 1)
+    lam, w, _ = correlator_poles(L, rho, A, B, omega, shift)
+    return lam, w, np.exp(np.outer(taus, lam)) @ w
+
+
+@pytest.mark.parametrize("route", ["lag", "poles"])
+def test_correlator_identity_is_constant(route):
+    # <1(0) 1(tau)> = 1 = <1><1> at every lag: nothing is left connected;
+    # the connected start is round-off on the stationary mode, which no
+    # kept pole carries
+    L, _, e = dicke_liouvillian(4, 0.5)
     rho, _ = steady_state(L)
     eye = sp.eye_array(5, dtype=complex, format="csr")
     taus = np.linspace(0.0, 2.0, 9)
-    vals = two_time_correlator(L, rho, eye, eye, taus)
+    if route == "lag":
+        vals = two_time_correlator(L, rho, eye, eye, taus)
+    else:
+        _, w, vals = _pole_correlator(L, rho, eye, eye, taus, 0.5 / critical_drive(e))
+        assert float(np.abs(w).max(initial=0.0)) <= np.finfo(float).eps * L.dim
     np.testing.assert_allclose(vals, np.zeros_like(vals), atol=1e-12)
 
 
-def test_correlator_single_atom_decay_envelope():
+@pytest.mark.parametrize("route", ["lag", "poles"])
+def test_correlator_single_atom_decay_envelope(route):
     # regression propagation of the excited-state coherence decays at gamma/2
     ops = dense_spin_ops(1)
     gamma = 0.8
     L = build_liouvillian(np.zeros((2, 2)), [(gamma, ops["jm"])])
     rho_e = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     taus = np.linspace(0.0, 3.0, 13)
-    vals = two_time_correlator(L, rho_e, ops["jp"], ops["jm"], taus)
+    if route == "lag":
+        vals = two_time_correlator(L, rho_e, ops["jp"], ops["jm"], taus)
+    else:
+        # one pole at -gamma/2 of weight 1; the spectrum's shift at N = 1, Delta = 0
+        lam, w, vals = _pole_correlator(L, rho_e, ops["jp"], ops["jm"], taus, 2.0 / gamma)
+        assert lam.size == 1
+        assert abs(lam[0] + 0.5 * gamma) <= 1e-14 and abs(w[0] - 1.0) <= 1e-14
     np.testing.assert_allclose(vals, np.exp(-0.5 * gamma * taus), atol=1e-9)
 
 
@@ -295,28 +323,40 @@ def _dense_correlator(L, rho, A, B, taus):
     return np.array([w @ (scipy.linalg.expm(t * S) @ x) for t in taus])
 
 
+_DENSE_CASES = {
+    "closed-form": (10, 0.9, 0.5, 0.0, np.linspace(0.0, 1.0, 64)),
+    "detuned-lu": (8, 0.6, 0.5, 0.3, np.linspace(0.0, 1.5, 64)),
+    "non-uniform-grid": (10, 0.9, 0.5, 0.0,
+                         np.concatenate(([0.0], np.geomspace(1e-3, 2.0, 40)))),
+}
+
+
 @pytest.mark.parametrize(
-    "n_atoms, ratio, delta_over_gamma, delta, taus",
-    [
-        (10, 0.9, 0.5, 0.0, np.linspace(0.0, 1.0, 64)),
-        (8, 0.6, 0.5, 0.3, np.linspace(0.0, 1.5, 64)),
-        (10, 0.9, 0.5, 0.0, np.concatenate(([0.0], np.geomspace(1e-3, 2.0, 40)))),
-    ],
-    ids=["closed-form", "detuned-lu", "non-uniform-grid"],
+    "case, route",
+    [(case, "lag") for case in _DENSE_CASES] + [(case, "poles") for case in _DENSE_CASES],
+    ids=[*_DENSE_CASES, *(f"{case}-poles" for case in _DENSE_CASES)],
 )
-def test_correlator_matches_dense_exponential(n_atoms, ratio, delta_over_gamma, delta, taus):
+def test_correlator_matches_dense_exponential(case, route):
+    # the lag route to 1e-10 of the largest value; the pole sum, with the
+    # spectrum's shift, to SPECTRUM_RTOL of it, its stop rule's guarantee
+    n_atoms, ratio, delta_over_gamma, delta, taus = _DENSE_CASES[case]
     e = EffectiveParams(gamma=1.0, Delta=delta_over_gamma, Omega=0.0, N=n_atoms,
                         delta=delta).with_drive_ratio(ratio)
     model = build_dicke_model(e)
     L, ops = model.liouvillian, model.ops
     rho = resonant_steady_state(model.effective)[0] if delta == 0.0 else steady_state(L)[0]
-    vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus)
+    if route == "lag":
+        vals, rtol = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus), 1e-10
+    else:
+        _, _, vals = _pole_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
+                                      0.5 / critical_drive(e))
+        rtol = SPECTRUM_RTOL
     # every fourth lag against the reference: the dense expm dominates the cost
     exact = _dense_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus[::4])
     exact -= expect(rho, ops["J_plus"]) * expect(rho, ops["J_minus"])
     scale = float(np.abs(exact).max())
     assert scale > 1e-3
-    assert float(np.abs(vals[::4] - exact).max()) <= 1e-10 * scale
+    assert float(np.abs(vals[::4] - exact).max()) <= rtol * scale
 
 
 def test_correlator_of_weak_drive_stops_at_round_off(caplog):
@@ -398,6 +438,10 @@ def test_grid_validation():
         time_evolve(L, rho, [1.0, 0.5])  # not increasing
     with pytest.raises(ValueError):
         time_evolve(L, rho, [-1.0, 0.5])  # negative start
+    with pytest.raises(ValueError, match="non-empty"):
+        time_evolve(L, rho, [])
+    with pytest.raises(ValueError, match="finite"):
+        time_evolve(L, rho, [np.nan, 1.0])
     with pytest.raises(ValueError):
         two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.5, 0.25])
     with pytest.raises(ValueError):

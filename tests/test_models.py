@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from oracles import high_precision_resonant_state
+
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
     DensityMatrix,
@@ -439,8 +441,7 @@ def test_eliminated_model_takes_the_closed_form(monkeypatch):
     assert mom.var_jm == pytest.approx(lu.var_jm, rel=1e-8)
 
 
-# the LU costs about 1 s per point at N = 200 and 5 s at N = 400, so the
-# full grid runs up to N = 50; N = 200 takes each drive once and N = 400
+# the full grid runs up to N = 50; N = 200 takes each drive once and N = 400
 # the hardest point (largest shift, near threshold, rotated phase)
 _CLOSED_FORM_GRID = (
     [(n, d, r, ph) for n in (1, 2, 50) for d in (0.0, 1.0, 3.0)
@@ -448,21 +449,49 @@ _CLOSED_FORM_GRID = (
     + [(200, 0.0, 0.0, 0.0), (200, 1.0, 0.01, 0.3), (200, 3.0, 0.5, 0.0),
        (200, 0.0, 0.95, 0.3), (200, 1.0, 1.5, 0.0), (400, 3.0, 0.95, 0.3)]
 )
+# the sparse LU is the reference up to this N; it costs about 0.6 s per point
+# at N = 200 and 6 s at N = 400, so larger points take a 60-digit X X^dag
+LU_REFERENCE_MAX_N = 100
+
+
+def _gated_closed_form(n, d, ratio, phase):
+    """The model and the closed-form state of one grid point, through the
+    closed form's O(D) gate and the dense gate (from_raw and the residual in
+    the assembled Liouvillian)."""
+    model = build_dicke_model(effective(n, ratio, d, phase))
+    rho, report = resonant_steady_state(model.effective)
+    assert report.method == "closed-form"
+    assert report.uniqueness_ratio is None
+    assert report.residual <= 1e-10 * max(model.liouvillian.scale, 1.0)
+    dense = DensityMatrix.from_raw(rho.matrix)
+    assert model.liouvillian.residual(dense.matrix) <= 1e-10 * max(model.liouvillian.scale, 1.0)
+    return model, rho
 
 
 def test_resonant_closed_form_matches_sparse_lu():
     worst = 0.0
     for n, d, ratio, phase in _CLOSED_FORM_GRID:
-        model = build_dicke_model(effective(n, ratio, d, phase))
-        rho, report = resonant_steady_state(model.effective)
-        assert report.method == "closed-form"
-        assert report.uniqueness_ratio is None
-        assert report.residual <= 1e-10 * max(model.liouvillian.scale, 1.0)
-        # the dense gate on the same state: from_raw and the assembled residual
-        dense = DensityMatrix.from_raw(rho.matrix)
-        assert model.liouvillian.residual(dense.matrix) <= 1e-10 * max(model.liouvillian.scale, 1.0)
-        ref, _ = steady_state(model.liouvillian)
-        worst = max(worst, trace_distance(rho, ref))
+        if n <= LU_REFERENCE_MAX_N:
+            model, rho = _gated_closed_form(n, d, ratio, phase)
+            ref, _ = steady_state(model.liouvillian)
+            worst = max(worst, trace_distance(rho, ref))
+    assert worst <= 1e-10
+
+
+def test_resonant_closed_form_matches_high_precision_at_large_n():
+    # past LU_REFERENCE_MAX_N the reference is X X^dag/tr in 60 digits,
+    # itself held to the LU at the largest LU point of the grid
+    pytest.importorskip("mpmath")
+    e = effective(50, 0.95, 3.0, 0.3)
+    anchor = high_precision_resonant_state(e.N, e.Delta, e.Omega, e.gamma)
+    assert trace_distance(anchor, steady_state(build_dicke_model(e).liouvillian)[0]) <= 1e-10
+    worst = 0.0
+    for n, d, ratio, phase in _CLOSED_FORM_GRID:
+        if n > LU_REFERENCE_MAX_N:
+            model, rho = _gated_closed_form(n, d, ratio, phase)
+            e = model.effective
+            ref = high_precision_resonant_state(n, e.Delta, e.Omega, e.gamma)
+            worst = max(worst, trace_distance(rho, ref))
     assert worst <= 1e-10
 
 
