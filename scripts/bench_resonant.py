@@ -14,10 +14,15 @@ var(J_-). The import cost is the wall time and the user + system CPU time
 (``harness.timed``) of a fresh interpreter that runs ``import
 dickelab.cli``, next to one that runs ``import numpy`` alone, and the
 record lists the scipy modules and the OpenBLAS thread counts that the
-import loaded. The sweep point is one ``dicke-lab sweep-squeezing`` call
-at N = 10^4 in a fresh interpreter, timed the same way. After the header
-of ``harness.write``, the record holds the OpenBLAS thread count of each
-copy loaded in this process.
+import loaded. ``import dickelab.cli`` is timed twice: with the caller's
+``PYTHONDONTWRITEBYTECODE`` (named in the record header; where it is set,
+the package's source is compiled at every start) and, as
+``dickelab_cli_cached``, with a bytecode cache (``PYTHONPYCACHEPREFIX`` in
+a temporary directory, written by one warm-up run), so the difference is
+the compile share of every ``dicke-lab`` start-up. The sweep point is one
+``dicke-lab sweep-squeezing`` call at N = 10^4 in a fresh interpreter,
+timed the same way. After the header of ``harness.write``, the record
+holds the OpenBLAS thread count of each copy loaded in this process.
 """
 
 from __future__ import annotations
@@ -80,10 +85,15 @@ def main(argv=None) -> int:
         "lindblad.blas_thread_counts()]))"])
     proc.check_returncode()
     loaded, cli_blas = json.loads(proc.stdout)
-    imports = {name: harness.summary([harness.timed(harness.ROOT, ["-c", code])
-                                      for _ in range(args.repeats)])
-               for name, code in (("numpy", "import numpy"),
-                                  ("dickelab_cli", "import dickelab.cli"))}
+    with tempfile.TemporaryDirectory() as cache:
+        cached = {"PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": ""}
+        harness.timed(harness.ROOT, ["-c", "import dickelab.cli"], **cached)  # fills the cache
+        imports = {name: harness.summary([harness.timed(harness.ROOT, ["-c", code], **env)
+                                          for _ in range(args.repeats)])
+                   for name, code, env in (("numpy", "import numpy", {}),
+                                           ("dickelab_cli", "import dickelab.cli", {}),
+                                           ("dickelab_cli_cached", "import dickelab.cli",
+                                            cached))}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "point.json")
         with open(cfg, "w", encoding="utf-8") as fh:

@@ -3,10 +3,13 @@ a checkout and its wall and CPU time, the order of the checkouts in each
 repeat, the OpenBLAS thread reader and the record header.
 
 Every ``BENCH_*.json`` starts with the header of :func:`write`: ``what``,
-``note``, ``nproc``, ``python``, ``numpy``, ``scipy``, ``repeats`` and
+``note``, ``nproc``, ``python``, ``numpy``, ``scipy``, ``repeats``,
 ``blas_thread_env``, the caller's OpenBLAS thread variables (value, or
 null where unset), which the fresh interpreters inherit: a ``dicke-lab``
-child loads OpenBLAS with one thread unless one of them is set.
+child loads OpenBLAS with one thread unless one of them is set; and
+``pythondontwritebytecode``, the caller's ``PYTHONDONTWRITEBYTECODE``
+(null where unset), under which a fresh interpreter compiles the
+package's source at every start.
 This module imports no ``dickelab``, so it works with any checkout, an
 older one included.
 """
@@ -151,6 +154,7 @@ def write(args, what: str, **fields):
         "scipy": importlib.metadata.version("scipy"),
         "repeats": args.repeats,
         "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         **fields,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

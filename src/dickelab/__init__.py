@@ -47,7 +47,6 @@ _EXPORTS = {
     ),
     "observables": (
         "FieldComposition",
-        "FieldSqueezingResult",
         "HPFluctuationSolution",
         "SpectrumResult",
         "SpinMoments",

@@ -96,16 +96,12 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         cfg = RunConfig.from_file(args.config, mode=args.command)
-        if args.out:
-            cfg.out_path = args.out
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)  # re-runs the config checks
-        if args.no_timestamp:
-            cfg.timestamp = False
-        if args.absolute_drive:
-            cfg.drive_absolute = True
-        if args.json:
-            cfg.json_mirror = True
+        # a flag overrides its config key and passes the same checks
+        flags = {"out_path": args.out or None, "threads": args.threads,
+                 "timestamp": False if args.no_timestamp else None,
+                 "drive_absolute": args.absolute_drive or None,
+                 "json_mirror": args.json or None}
+        cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         if not cfg.out_path:
             raise ConfigError("no output path: set output.path in the config or --out")
 

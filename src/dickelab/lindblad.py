@@ -176,6 +176,9 @@ def build_liouvillian(H, collapse) -> Liouvillian:
 
     H and each C may be any dense or sparse square matrix. Rates must be
     non-negative; every operator must share the Hilbert dimension of H.
+    With G = -iH - (1/2) sum_r r C^dag C, L rho = G rho + rho G^dag +
+    sum_r r C rho C^dag, which column stacking makes
+    I (x) G + conj(G) (x) I + sum_r r conj(C) (x) C.
     """
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
 
@@ -183,7 +186,7 @@ def build_liouvillian(H, collapse) -> Liouvillian:
     dim = Hs.shape[0]
     eye = sp.identity(dim, dtype=np.complex128, format="csr")
 
-    gen = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(Hs.T, eye, format="csr"))
+    G, jumps = -1j * Hs, []
     for rate, C in collapse:
         if rate < 0:
             raise ValueError(f"collapse rate must be non-negative, got {rate}")
@@ -192,12 +195,11 @@ def build_liouvillian(H, collapse) -> Liouvillian:
             raise ValueError(
                 f"collapse operator dimension {Cs.shape[0]} != Hamiltonian dimension {dim}"
             )
-        CdC = (Cs.conj().T @ Cs).tocsr()
-        gen = gen + rate * (
-            sp.kron(Cs.conj(), Cs, format="csr")
-            - 0.5 * sp.kron(eye, CdC, format="csr")
-            - 0.5 * sp.kron(CdC.T, eye, format="csr")
-        )
+        G = G - 0.5 * rate * (Cs.conj().T @ Cs)
+        jumps.append(rate * sp.kron(Cs.conj(), Cs, format="csr"))
+    gen = sp.kron(eye, G, format="csr") + sp.kron(G.conj(), eye, format="csr")
+    for jump in jumps:
+        gen = gen + jump
     return Liouvillian(dim=dim, superoperator=gen.tocsr())
 
 

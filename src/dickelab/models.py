@@ -219,22 +219,15 @@ class ResonantState(DensityMatrix):
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense state, rho[i, k] ~ T(max(i, k))/(u_i conj(u_k)), through
-        ``DensityMatrix.from_raw``; built on first use."""
+        """The dense state through ``DensityMatrix.from_raw``: band k of
+        :meth:`band` below the diagonal and its conjugate above it; built
+        on first use."""
         if self._dense is None:
-            dim = self.dim
+            dim, i = self.dim, np.arange(self.dim)
             raw = np.zeros((dim, dim), dtype=np.complex128)
-            if self.beta == 0:
-                raw[0, 0] = 1.0
-            else:
-                # fill the upper triangle (i <= k, so max(i, k) = k), scaled by
-                # the largest diagonal entry, and mirror it
-                i, k = np.triu_indices(dim)
-                lu = self.log_u
-                log_mag = self.log_t[k] - lu[i] - lu[k] - np.max(self.log_t - 2.0 * lu)
-                upper = np.exp(log_mag + 1j * np.angle(self.beta) * (i - k))
-                raw[k, i] = upper.conj()
-                raw[i, k] = upper
+            for k in range(dim):
+                raw[i[k:], i[:dim - k]] = self.band(k)
+                raw[i[:dim - k], i[k:]] = self.band(k).conj()
             self._dense = DensityMatrix.from_raw(raw).matrix
         return self._dense
 

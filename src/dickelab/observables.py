@@ -141,23 +141,6 @@ class FieldComposition:
 
 
 @dataclass(frozen=True)
-class FieldSqueezingResult:
-    """Quadrature-noise verdict for the radiated field.
-
-    At linear order both fluctuation channels of the output are
-    lowering-type, so the normally ordered flux and the anomalous
-    correlator vanish and the squeezing parameter is exactly one.
-    ``b_dagger_coefficient`` is the computed weight of the raising noise
-    component; its cancellation is the whole story.
-    """
-
-    value: float
-    b_dagger_coefficient: complex
-    normally_ordered_flux: float
-    anomalous_magnitude: float
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Output-light spectrum split into its delta-peak and broadband parts;
     a ``coherent`` verdict leaves ``incoherent_spectrum`` None."""
@@ -322,25 +305,20 @@ def field_composition(p: CavityParams, jminus_mean: complex, a: BlochAngles) -> 
     )
 
 
-def field_squeezing_analytic(fc: FieldComposition) -> FieldSqueezingResult:
-    """Bosonic squeezing parameter of the radiated field: identically one.
+def field_squeezing_analytic(fc: FieldComposition) -> complex:
+    """The weight of the raising noise B^dag in the radiated field: exactly 0.
 
     The dipole fluctuation transported to the output combines the mode
     weights (cos t +- 1)/2 with the Bogoliubov weights (1 +- cos t)/2 so
-    that the raising-noise component cancels exactly; what leaves the
-    cavity is vacuum plus a coherent amplitude for any below-threshold
-    drive. The computed raising-noise weight is returned as evidence.
+    that the raising-noise component cancels. Both fluctuation channels of
+    the output are then lowering-type, so its normally ordered flux and
+    anomalous correlator vanish and its squeezing parameter is one: what
+    leaves the cavity is vacuum plus a coherent amplitude for any
+    below-threshold drive.
     """
     c = fc.angles.cos_theta
-    phase = cmath.exp(-2j * fc.angles.phi)
     per_mode = ((c + 1) * (1 - c) + (c - 1) * (1 + c)) / 4.0
-    b_dagger = fc.G * fc.n_atoms * phase * per_mode
-    return FieldSqueezingResult(
-        value=1.0,
-        b_dagger_coefficient=complex(b_dagger),
-        normally_ordered_flux=0.0,
-        anomalous_magnitude=0.0,
-    )
+    return complex(fc.G * fc.n_atoms * cmath.exp(-2j * fc.angles.phi) * per_mode)
 
 
 def output_spectrum(

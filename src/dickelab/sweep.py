@@ -56,6 +56,7 @@ from .observables import (
     hp_moments_numeric,
     output_spectrum,
     spin_moments,
+    spin_squeezing_analytic,
     spin_squeezing_numeric,
 )
 from .parameters import (
@@ -440,7 +441,7 @@ def _coordinate_cells(point: GridPoint) -> dict:
     if point.config.drive_absolute:
         cells["Omega_abs"] = abs(e.Omega)
     else:
-        cells["Omega_over_Omega_c"] = abs(e.Omega) / critical_drive(e)
+        cells["Omega_over_Omega_c"] = e.drive_ratio
     return cells
 
 
@@ -499,7 +500,7 @@ def _jz_cells(point: GridPoint, rep, rho) -> list:
 
 
 def _squeezing_cells(point: GridPoint, rep, rho) -> list:
-    analytic = _analytic_or_none(point.effective, lambda q: bloch_angles(q).cos_theta)
+    analytic = _analytic_or_none(point.effective, spin_squeezing_analytic)
     return [_compared("xi2", spin_squeezing_numeric(rho, rep), analytic)]
 
 

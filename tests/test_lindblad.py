@@ -77,6 +77,49 @@ def test_superoperator_matches_brute_force():
         )
 
 
+def commutator_form(H, collapse):
+    """The generator as -i[H, .] plus, per channel, r (C . C^dag - {C^dag C, .}/2),
+    one Kronecker product per term."""
+    Hs = sp.csr_array(H, dtype=complex)
+    eye = sp.identity(Hs.shape[0], dtype=complex, format="csr")
+    gen = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(Hs.T, eye, format="csr"))
+    for rate, C in collapse:
+        Cs = sp.csr_array(C, dtype=complex)
+        CdC = (Cs.conj().T @ Cs).tocsr()
+        gen = gen + rate * (sp.kron(Cs.conj(), Cs, format="csr")
+                            - 0.5 * sp.kron(eye, CdC, format="csr")
+                            - 0.5 * sp.kron(CdC.T, eye, format="csr"))
+    return gen.tocsr()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dicke_model(EffectiveParams(0.7, 0.9, 0.0, 20, delta=0.3)
+                              .with_drive_ratio(0.8, 0.3)),
+    lambda: build_cavity_model(CavityParams(g=0.3 * np.exp(0.4j), kappa=1.7, delta_c=0.6,
+                                            Omega_L=0.8 + 0.2j, N=6, delta=0.05),
+                               4, 0.3 - 0.2j),
+], ids=["dicke-detuned", "cavity-displaced"])
+def test_superoperator_matches_commutator_form(build, monkeypatch):
+    # I (x) G + conj(G) (x) I + sum r conj(C) (x) C has the sparsity of the
+    # commutator form, and its entries within two ulps
+    import dickelab.models
+
+    calls = []
+
+    def spy(H, collapse):
+        calls.append((H, collapse))
+        return build_liouvillian(H, collapse)
+
+    monkeypatch.setattr(dickelab.models, "build_liouvillian", spy)
+    built = build().liouvillian.superoperator
+    (H, collapse), = calls
+    reference = commutator_form(H, collapse)
+    assert built.has_canonical_format and reference.has_canonical_format
+    np.testing.assert_array_equal(built.indptr, reference.indptr)
+    np.testing.assert_array_equal(built.indices, reference.indices)
+    np.testing.assert_allclose(built.data, reference.data, rtol=2 * np.finfo(float).eps, atol=0)
+
+
 def test_liouvillian_input_forms_and_checks():
     # dense and sparse inputs give one generator; malformed input is refused
     ops = dense_spin_ops(2)

@@ -589,30 +589,32 @@ def test_resonant_dipole_fluctuations_match_high_precision():
     # drive 0.5 both are of order 1e-15, below the round-off of the
     # difference formulas
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 60
-    for n, ratio, d in ((10, 0.95, 1.0), (40, 0.5, 0.0), (40, 0.5, 1.0)):
-        e = effective(n, ratio, d, 0.3)
-        beta = -mpmath.mpc(e.Omega) / (mpmath.mpf(d) + mpmath.mpc(0, 0.5))
-        j, jm = mpmath.mpf(n) / 2, mpmath.zeros(n + 1, n + 1)
-        for i in range(n):
-            m = -j + i + 1
-            jm[i, i + 1] = mpmath.sqrt(j * (j + 1) - m * (m - 1))
-        x = (jm - beta * mpmath.eye(n + 1)) ** -1
+    with mpmath.workdps(60):
+        for n, ratio, d in ((10, 0.95, 1.0), (40, 0.5, 0.0), (40, 0.5, 1.0)):
+            e = effective(n, ratio, d, 0.3)
+            beta = -mpmath.mpc(e.Omega) / (mpmath.mpf(d) + mpmath.mpc(0, 0.5))
+            j, jm = mpmath.mpf(n) / 2, mpmath.zeros(n + 1, n + 1)
+            for i in range(n):
+                m = -j + i + 1
+                jm[i, i + 1] = mpmath.sqrt(j * (j + 1) - m * (m - 1))
+            x = (jm - beta * mpmath.eye(n + 1)) ** -1
 
-        def band(k):  # (X X^dag)[i + k, i], unnormalized
-            return [mpmath.fsum(x[i + k, c] * mpmath.conj(x[i, c]) for c in range(n + 1))
-                    for i in range(n + 1 - k)]
+            def band(k):  # (X X^dag)[i + k, i], unnormalized
+                return [mpmath.fsum(x[i + k, c] * mpmath.conj(x[i, c]) for c in range(n + 1))
+                        for i in range(n + 1 - k)]
 
-        pop, low, low2 = band(0), band(1), band(2)
-        z = mpmath.fsum(pop)
-        m1 = mpmath.fsum(jm[i, i + 1] * low[i] for i in range(n)) / z
-        jpjm = mpmath.fsum(jm[i, i + 1] ** 2 * pop[i + 1] for i in range(n)) / z
-        m2 = mpmath.fsum(jm[i, i + 1] * jm[i + 1, i + 2] * low2[i] for i in range(n - 1)) / z
-        var, anom = jpjm - abs(m1) ** 2, m2 - m1**2
-        mom = spin_moments(ResonantState(e), SpinRep.for_atoms(n))
-        assert abs(mom.var_jm - float(var.real)) <= 1e-10 * abs(var)
-        assert abs(mom.anom_jm - complex(anom)) <= 1e-10 * abs(anom)
-        assert mom.coherence_ratio == 1.0 - mom.var_jm / mom.jp_jm
+            pop, low, low2 = band(0), band(1), band(2)
+            z = mpmath.fsum(pop)
+            m1 = mpmath.fsum(jm[i, i + 1] * low[i] for i in range(n)) / z
+            jpjm = mpmath.fsum(jm[i, i + 1] ** 2 * pop[i + 1] for i in range(n)) / z
+            m2 = mpmath.fsum(jm[i, i + 1] * jm[i + 1, i + 2] * low2[i] for i in range(n - 1)) / z
+            var, anom = jpjm - abs(m1) ** 2, m2 - m1**2
+            mom = spin_moments(ResonantState(e), SpinRep.for_atoms(n))
+            assert abs(mom.var_jm - float(var.real)) <= 1e-10 * abs(var)
+            assert abs(mom.anom_jm - complex(anom)) <= 1e-10 * abs(anom)
+            assert mom.coherence_ratio == 1.0 - mom.var_jm / mom.jp_jm
+    # the precision is scoped to the test
+    assert mpmath.mp.dps == 15
 
 
 @pytest.mark.parametrize("ratio", [0.9, 0.99])

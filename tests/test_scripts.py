@@ -14,7 +14,8 @@ from dickelab.lindblad import blas_thread_counts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
-HEADER = ["what", "note", "nproc", "python", "numpy", "scipy", "repeats", "blas_thread_env"]
+HEADER = ["what", "note", "nproc", "python", "numpy", "scipy", "repeats", "blas_thread_env",
+          "pythondontwritebytecode"]
 
 
 @pytest.fixture
@@ -60,6 +61,7 @@ def test_bench_spectrum_writes_the_shared_header(harness, tmp_path):
     # the caller's thread variables, which the CLI children inherit
     assert record["blas_thread_env"] == {
         name: os.environ.get(name) for name in harness.BLAS_THREAD_VARIABLES}
+    assert record["pythondontwritebytecode"] == os.environ.get("PYTHONDONTWRITEBYTECODE")
     (point,) = record["points"]
     assert point["max_change_over_peak"] == 0.0
     # each child runs with the one-thread environment the script passes
