@@ -14,7 +14,10 @@ var(J_-). The import cost is the wall time and the user + system CPU time
 (``harness.timed``) of a fresh interpreter that runs ``import
 dickelab.cli``, next to one that runs ``import numpy`` alone, and the
 record lists the scipy modules and the OpenBLAS thread counts that the
-import loaded. ``import dickelab.cli`` is timed twice: with the caller's
+import loaded. ``import numpy`` runs with OPENBLAS_NUM_THREADS=1 unless
+the caller sets one of ``harness.BLAS_THREAD_VARIABLES``, the rule by
+which ``dickelab.cli`` sets one thread before numpy loads, so the
+difference of the two is the package's own import share. ``import dickelab.cli`` is timed twice: with the caller's
 ``PYTHONDONTWRITEBYTECODE`` (named in the record header; where it is set,
 the package's source is compiled at every start) and, as
 ``dickelab_cli_cached``, with a bytecode cache (``PYTHONPYCACHEPREFIX`` in
@@ -85,12 +88,15 @@ def main(argv=None) -> int:
         "lindblad.blas_thread_counts()]))"])
     proc.check_returncode()
     loaded, cli_blas = json.loads(proc.stdout)
+    # the numpy import at the thread count that dickelab.cli loads it with
+    numpy_env = ({} if any(os.environ.get(name) for name in harness.BLAS_THREAD_VARIABLES)
+                 else {"OPENBLAS_NUM_THREADS": "1"})
     with tempfile.TemporaryDirectory() as cache:
         cached = {"PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": ""}
         harness.timed(harness.ROOT, ["-c", "import dickelab.cli"], **cached)  # fills the cache
         imports = {name: harness.summary([harness.timed(harness.ROOT, ["-c", code], **env)
                                           for _ in range(args.repeats)])
-                   for name, code, env in (("numpy", "import numpy", {}),
+                   for name, code, env in (("numpy", "import numpy", numpy_env),
                                            ("dickelab_cli", "import dickelab.cli", {}),
                                            ("dickelab_cli_cached", "import dickelab.cli",
                                             cached))}

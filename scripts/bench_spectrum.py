@@ -15,16 +15,17 @@ Each run is one fresh interpreter with PYTHONPATH set to the checkout's
 ``src`` and OPENBLAS_NUM_THREADS=1; the checkouts alternate which goes
 first. It calls ``observables.output_spectrum`` with its default grid
 (tau_max and n_tau) at kappa = 1000 gamma, and wraps
-``observables.correlator_poles`` to time that call and read its
+``lindblad._propagate``, the Krylov propagation inside the regression
+correlator, to time that call and read its poles and
 ``PropagationReport``. Per point the record holds, for each side, the
 Krylov dimension, the L + U entries of the shifted factor, the seconds of
-``correlator_poles`` (the smallest over the repeats), the number of kept
-poles and the slowest kept rate; and the largest |F_change - F_parent|
-over the omega grid divided by the parent's peak. ``start_round_off`` is
-eps D <J_+J_-> / var(J_-), the relative round-off of the correlator's
-start: the stop rule holds each spectrum only to max(1e-8, that share)
-of its peak, so two checkouts may differ by about as much. A side that
-raises records the error instead. After the header of ``harness.write``,
+the propagation (``propagate_s``, the smallest over the repeats), the
+number of kept poles and the slowest kept rate; and the largest
+|F_change - F_parent| over the omega grid divided by the parent's peak.
+``start_round_off`` is eps D <J_+J_-> / var(J_-), the relative round-off
+of the correlator's start: the stop rule holds each spectrum only to
+max(1e-8, that share) of its peak, so two checkouts may differ by about as
+much. A side that raises records the error instead. After the header of ``harness.write``,
 the record holds the OpenBLAS thread count of each loaded copy in a child.
 """
 
@@ -44,9 +45,9 @@ KAPPA_OVER_GAMMA = 1000.0
 
 
 def _child(point) -> dict:
-    """One output spectrum of the checkout on the path, with its
-    correlator_poles call timed."""
-    from dickelab import observables
+    """One output spectrum of the checkout on the path, with its Krylov
+    propagation timed."""
+    from dickelab import lindblad
     from dickelab.models import resonant_steady_state
     from dickelab.observables import field_composition, output_spectrum, spin_moments
     from dickelab.operators import SpinRep
@@ -58,15 +59,15 @@ def _child(point) -> dict:
     moments = spin_moments(rho, SpinRep.for_atoms(n))
     fc = field_composition(cavity_params_for_effective(e, kappa=KAPPA_OVER_GAMMA * e.gamma),
                            moments.jm, bloch_angles(e))
-    poles, calls = observables.correlator_poles, []
+    propagate, calls = lindblad._propagate, []
 
     def timed(*args):
         t0 = time.perf_counter()
-        result = poles(*args)
+        result = propagate(*args)
         calls.append((time.perf_counter() - t0, result))
         return result
 
-    observables.correlator_poles = timed
+    lindblad._propagate = timed
     record = {"blas_threads": None, "error": None,
               "start_round_off": float(np.finfo(float).eps * (n + 1) * moments.jp_jm
                                        / moments.var_jm)}
@@ -77,8 +78,8 @@ def _child(point) -> dict:
         spec = None
     record["blas_threads"] = harness.blas_threads()
     if calls:
-        seconds, (lam, _, report) = calls[-1]
-        record.update(poles_s=seconds, krylov_dim=report.krylov_dim, lu_nnz=report.lu_nnz,
+        seconds, (_, (lam, _), _, report) = calls[-1]
+        record.update(propagate_s=seconds, krylov_dim=report.krylov_dim, lu_nnz=report.lu_nnz,
                       poles=int(lam.size),
                       slowest_rate=float(-lam.real.max()) if lam.size else None)
     if spec is not None:
@@ -114,10 +115,10 @@ def main(argv=None) -> int:
                 blas[side] = rec.pop("blas_threads")
                 record["start_round_off"] = rec.pop("start_round_off")
                 spectra[side] = rec.pop("spectrum", None)
-                seconds = rec.pop("poles_s", None)
+                seconds = rec.pop("propagate_s", None)
                 if seconds is not None:
-                    best = record.get(side, {}).get("poles_s", seconds)
-                    rec["poles_s"] = min(best, seconds)
+                    best = record.get(side, {}).get("propagate_s", seconds)
+                    rec["propagate_s"] = min(best, seconds)
                 record[side] = rec
         if spectra["parent"] is not None and spectra["change"] is not None:
             before, after = np.array(spectra["parent"]), np.array(spectra["change"])
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
         summary = "  ".join(
             f"{side} " + (record[side]["error"] or
                           f"{record[side].get('krylov_dim', '-')} vectors "
-                          f"{record[side].get('poles_s', 0.0):.3f} s")
+                          f"{record[side].get('propagate_s', 0.0):.3f} s")
             for side in sides)
         print(f"N={point[0]} D/g={point[1]} drive={point[2]}: {summary}  "
               f"change/peak {record.get('max_change_over_peak', float('nan')):.1e}",
@@ -136,8 +137,8 @@ def main(argv=None) -> int:
     dims = [(r["parent"].get("krylov_dim"), r["change"].get("krylov_dim")) for r in records]
     dims = [(p, c) for p, c in dims if p is not None and c is not None]
     harness.write(
-        args, "observables.correlator_poles inside output_spectrum at the default omega "
-              "grid, kappa = 1000 gamma; poles_s is the smallest over the repeats; "
+        args, "lindblad._propagate inside output_spectrum at the default omega "
+              "grid, kappa = 1000 gamma; propagate_s is the smallest over the repeats; "
               "max_change_over_peak = max |F_change - F_parent| / max |F_parent|",
         blas_threads=blas,
         fewer_vectors=sum(c < p for p, c in dims),

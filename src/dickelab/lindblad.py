@@ -63,9 +63,9 @@ they change by no more than the caller's stop rule, or when it spans an
 invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
 vectors raise NoConvergence.
 
-The regression theorem has one route, :func:`correlator_poles`, whose
-pole sum is the correlator at any lag; the lag-grid
-:func:`two_time_correlator` remains only for the benchmark's tracer.
+The regression theorem has one route, :func:`two_time_correlator`: the
+connected steady-state correlator as the pole sum of that propagator,
+which gives it at any lag and its transform at any frequency.
 """
 
 from __future__ import annotations
@@ -103,16 +103,15 @@ PROBE_MAX_STEPS = 10
 
 # shift-invert Krylov propagation: on a time grid the shift is the last grid
 # time over KRYLOV_SHIFT_STEPS (the spectrum's caller passes its own shift,
-# see correlator_poles); past KRYLOV_MAX_DIM vectors is a NoConvergence.
+# see two_time_correlator); past KRYLOV_MAX_DIM vectors is a NoConvergence.
 # The stop rule is checked every KRYLOV_CHECK_EVERY vectors, or every
-# eighth of the basis once that is more. Its tolerances
-# are relative changes between checks: of the connected correlator on its
-# lag grid or its transform on a frequency grid, and of the evolved state.
+# eighth of the basis once that is more. Its tolerances are relative
+# changes between checks: of the correlator's transform on a frequency
+# grid, and of the evolved state.
 # A next Arnoldi vector below BREAKDOWN_RTOL of its solve is invariant.
 KRYLOV_SHIFT_STEPS = 128
 KRYLOV_MAX_DIM = 300
 KRYLOV_CHECK_EVERY = 4
-CORRELATOR_RTOL = 1e-10
 SPECTRUM_RTOL = 1e-8
 EVOLVE_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-12
@@ -603,8 +602,9 @@ class PropagationReport:
 
 def _grid_values(A: np.ndarray, beta: float, seen, t_grid: np.ndarray):
     """beta exp(t A) e_1 at each t of the ascending grid, one column per
-    point, stepped along the grid (one expm per run of equal steps), or
-    ``seen`` times it when given; no extra result (None)."""
+    point, stepped along the grid (one expm per run of equal steps); no
+    extra result (None). ``seen`` is None: time evolution watches the
+    coefficients in the basis."""
     from scipy.linalg import expm
 
     y, cols, last = np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta, [], math.nan
@@ -615,7 +615,7 @@ def _grid_values(A: np.ndarray, beta: float, seen, t_grid: np.ndarray):
         y = power @ y
         cols.append(y)
     coeffs = np.stack(cols, axis=1)
-    return (coeffs if seen is None else seen @ coeffs), None
+    return coeffs, None
 
 
 def _decaying_modes(A: np.ndarray, beta: float) -> tuple:
@@ -766,33 +766,7 @@ def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
     return vectorize(X0 - X0.trace() * rho), observe, floor
 
 
-def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, tau_grid):
-    """Connected steady-state correlator <A(0) B(tau)> - <A><B> on a lag
-    grid: the start of :func:`_connected_start` propagated by
-    :func:`_propagate` (one expm per run of equal steps) and traced against
-    B, until the values change by at most max(CORRELATOR_RTOL max|C|,
-    eps D |<A B>|) between checks; a start below its round-off stops after a
-    few vectors. The Krylov dimension is logged at DEBUG; the dense work
-    runs on one BLAS thread. No mode calls it: the spectrum, the acceptance
-    suite and the tests read the correlator from :func:`correlator_poles`.
-    It stays only because the benchmark's tracer wraps it at
-    ``observables.two_time_correlator``; when the ROADMAP item that
-    redefines the benchmark removes that wrap, this function,
-    CORRELATOR_RTOL and its lag-only tests go in one step."""
-    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
-
-    tau_grid = _ascending_grid(tau_grid, "tau_grid")
-    with _single_blas_thread():
-        start, observe, floor = _connected_start(L, rho_ss, A, B)
-        connected, *_ = _propagate(
-            L.superoperator, start, tau_grid[-1] / KRYLOV_SHIFT_STEPS,
-            functools.partial(_grid_values, t_grid=tau_grid), observe,
-            lambda C: max(CORRELATOR_RTOL * float(np.abs(C).max()), floor),
-            "correlator propagation")
-    return connected[0]
-
-
-def correlator_poles(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: float):
+def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shift: float):
     """The connected correlator <A(0) B(tau)> - <A><B> as
     sum_k w_k exp(lambda_k tau): ``(lambda, w, PropagationReport)``. Its
     one-sided transform is the sum of Lorentzians sum_k w_k/(-lambda_k - i omega),

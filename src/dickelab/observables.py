@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AboveThresholdError
-from .lindblad import DensityMatrix, correlator_poles
-# not used here; the benchmark's tracer wraps them at these names
-from .lindblad import steady_state, two_time_correlator  # noqa: F401
+from .lindblad import DensityMatrix, two_time_correlator
+# not used here; the benchmark's tracer wraps it at this name
+from .lindblad import steady_state  # noqa: F401
 
 # build_spin_operators is not used here; it stays importable at this name
 # because the benchmark's tracer wraps observables.build_spin_operators
@@ -340,7 +340,7 @@ def output_spectrum(
     the round-off of the correlator's start; then no Liouvillian is built
     and the incoherent spectrum is None. Otherwise it is ``resolved``, and
     the spectrum is the sum of Lorentzians |G|^2 2 Re sum_k w_k /
-    (-lambda_k - i omega) of ``lindblad.correlator_poles``, on 2 n_tau + 1
+    (-lambda_k - i omega) of ``lindblad.two_time_correlator``, on 2 n_tau + 1
     frequencies spanning [-pi/dtau, pi/dtau], dtau = tau_max/(n_tau - 1).
     tau_max and n_tau set only that grid; tau_max defaults to ten slowest
     linearized relaxation times, 10 / (N cos(t) gamma / 2). The Krylov
@@ -362,9 +362,9 @@ def output_spectrum(
         from .models import build_dicke_model  # deferred: models imports this module
 
         model = build_dicke_model(e)
-        lam, w, report = correlator_poles(model.liouvillian, rho_ss, model.ops["J_plus"],
-                                          model.ops["J_minus"], omega,
-                                          0.5 / critical_drive(e))
+        lam, w, report = two_time_correlator(model.liouvillian, rho_ss, model.ops["J_plus"],
+                                             model.ops["J_minus"], omega,
+                                             0.5 / critical_drive(e))
         if lam.size:
             k = int(np.argmax(lam.real))
             logger.debug("spectrum: slowest kept rate %.4g (%.3g of var(J_-)), grid step "

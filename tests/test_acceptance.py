@@ -23,11 +23,11 @@ from oracles import brute_force_steady_state, dense_spin_ops, dicke_hamiltonian
 from dickelab.cli import main as cli_main
 from dickelab.lindblad import (
     DensityMatrix,
-    correlator_poles,
     expect,
     steady_state,
     time_evolve,
     trace_distance,
+    two_time_correlator,
 )
 from dickelab.models import build_dicke_model, resonant_steady_state, validate_elimination
 from dickelab.observables import (
@@ -317,8 +317,8 @@ def test_criterion_8_engine_properties(tmp_path):
     model10 = build_dicke_model(e10)
     rho10, _ = steady_state(model10.liouvillian)
     jp10, jm10 = model10.ops["J_plus"], model10.ops["J_minus"]
-    _, weights, _ = correlator_poles(model10.liouvillian, rho10, jp10, jm10, [0.0],
-                                     0.5 / critical_drive(e10))
+    _, weights, _ = two_time_correlator(model10.liouvillian, rho10, jp10, jm10, [0.0],
+                                        0.5 / critical_drive(e10))
     val = weights.sum()
     direct = expect(rho10, jp10 @ jm10)
     bound_dev = abs(val - (direct - expect(rho10, jp10) * expect(rho10, jm10)))

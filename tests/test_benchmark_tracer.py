@@ -34,3 +34,31 @@ def test_tracer_installs_on_the_package_and_restores_it(monkeypatch):
 
     # replay's warm-up call, with the model's operators as third argument
     assert spin_squeezing_numeric(rho, model.rep, model.ops) == traced_xi2
+
+
+def test_tracer_times_the_correlator_inside_the_spectrum(monkeypatch):
+    # a resolved spectrum point calls the regression correlator once, under
+    # output_spectrum, at the name the tracer books as lindblad.correlator_s
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    cfg = sweep.RunConfig.from_dict({
+        "mode": "spectrum",
+        "params": {"effective": {"gamma": 1.0, "N": 10}},
+        "sweep": {"drive": {"values": [0.9]}, "Delta_over_gamma": [0.5]},
+        "spectrum": {"n_tau": 32},
+    })
+    [point] = sweep._grid_points(cfg)
+    tracer = tracing.Tracer()
+    try:
+        tracing._install(tracer, [])
+        rows = sweep.compute_point(point)
+    finally:
+        tracer.restore()
+    assert {row["verdict"] for row in rows} == {"resolved"}
+    spans = [index for index, span in enumerate(tracer.spans)
+             if span["name"] == "lindblad.two_time_correlator"]
+    assert len(spans) == 1
+    parent = tracer.spans[tracer.spans[spans[0]]["parent"]]
+    assert parent["name"] == "observables.output_spectrum"
+    assert tracer.total("lindblad.two_time_correlator") > 0.0

@@ -540,9 +540,9 @@ _KERNEL_CALLS = {
         "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor, None)"),
     "time_evolve": ("dickelab.lindblad", "_grid_values", "",
                     "lindblad.time_evolve(L, rho, [0.5, 1.0])"),
-    "correlator_poles": (
+    "two_time_correlator": (
         "dickelab.lindblad", "_pole_transform", "",
-        "lindblad.correlator_poles(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),
+        "lindblad.two_time_correlator(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),
 }
 
 

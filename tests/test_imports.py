@@ -37,8 +37,8 @@ def test_package_names_resolve_to_their_submodules():
 
 
 def test_lag_correlator_is_not_exported():
-    # the regression correlator's one route is lindblad.correlator_poles;
-    # the lag-grid function stays at the one name the benchmark's tracer wraps
+    # the regression correlator is internal; output_spectrum calls it at the
+    # observables name, where the benchmark's tracer wraps it
     for name in ("two_time_correlator", "PropagationReport"):
         assert name not in dickelab.__all__
         with pytest.raises(AttributeError):

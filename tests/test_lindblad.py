@@ -22,7 +22,6 @@ from dickelab.lindblad import (
     _solve_sparse_direct,
     blas_thread_counts,
     build_liouvillian,
-    correlator_poles,
     expect,
     openblas_libraries,
     set_blas_threads,
@@ -289,7 +288,7 @@ def test_expect_basics():
 
 
 def _pole_correlator(L, rho, A, B, taus, shift):
-    """(lambda, w, sum_k w_k exp(lambda_k tau) on taus) from correlator_poles
+    """(lambda, w, sum_k w_k exp(lambda_k tau) on taus) from two_time_correlator
     with the Krylov shift ``shift`` (``observables.output_spectrum`` takes
     0.5/critical_drive = 1/(N |Delta + i gamma/2|)), its stop rule watching
     the frequency grid the spectrum takes for such lags (2 len(taus) + 1
@@ -297,11 +296,11 @@ def _pole_correlator(L, rho, A, B, taus, shift):
     taus = np.asarray(taus)
     dtau = taus[-1] / (taus.size - 1)
     omega = np.linspace(-np.pi / dtau, np.pi / dtau, 2 * taus.size + 1)
-    lam, w, _ = correlator_poles(L, rho, A, B, omega, shift)
+    lam, w, _ = two_time_correlator(L, rho, A, B, omega, shift)
     return lam, w, np.exp(np.outer(taus, lam)) @ w
 
 
-@pytest.mark.parametrize("route", ["lag", "poles"])
+@pytest.mark.parametrize("route", ["poles"])
 def test_correlator_identity_is_constant(route):
     # <1(0) 1(tau)> = 1 = <1><1> at every lag: nothing is left connected;
     # the connected start is round-off on the stationary mode, which no
@@ -310,15 +309,12 @@ def test_correlator_identity_is_constant(route):
     rho, _ = steady_state(L)
     eye = sp.eye_array(5, dtype=complex, format="csr")
     taus = np.linspace(0.0, 2.0, 9)
-    if route == "lag":
-        vals = two_time_correlator(L, rho, eye, eye, taus)
-    else:
-        _, w, vals = _pole_correlator(L, rho, eye, eye, taus, 0.5 / critical_drive(e))
-        assert float(np.abs(w).max(initial=0.0)) <= np.finfo(float).eps * L.dim
+    _, w, vals = _pole_correlator(L, rho, eye, eye, taus, 0.5 / critical_drive(e))
+    assert float(np.abs(w).max(initial=0.0)) <= np.finfo(float).eps * L.dim
     np.testing.assert_allclose(vals, np.zeros_like(vals), atol=1e-12)
 
 
-@pytest.mark.parametrize("route", ["lag", "poles"])
+@pytest.mark.parametrize("route", ["poles"])
 def test_correlator_single_atom_decay_envelope(route):
     # regression propagation of the excited-state coherence decays at gamma/2
     ops = dense_spin_ops(1)
@@ -326,35 +322,11 @@ def test_correlator_single_atom_decay_envelope(route):
     L = build_liouvillian(np.zeros((2, 2)), [(gamma, ops["jm"])])
     rho_e = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     taus = np.linspace(0.0, 3.0, 13)
-    if route == "lag":
-        vals = two_time_correlator(L, rho_e, ops["jp"], ops["jm"], taus)
-    else:
-        # one pole at -gamma/2 of weight 1; the spectrum's shift at N = 1, Delta = 0
-        lam, w, vals = _pole_correlator(L, rho_e, ops["jp"], ops["jm"], taus, 2.0 / gamma)
-        assert lam.size == 1
-        assert abs(lam[0] + 0.5 * gamma) <= 1e-14 and abs(w[0] - 1.0) <= 1e-14
+    # one pole at -gamma/2 of weight 1; the spectrum's shift at N = 1, Delta = 0
+    lam, w, vals = _pole_correlator(L, rho_e, ops["jp"], ops["jm"], taus, 2.0 / gamma)
+    assert lam.size == 1
+    assert abs(lam[0] + 0.5 * gamma) <= 1e-14 and abs(w[0] - 1.0) <= 1e-14
     np.testing.assert_allclose(vals, np.exp(-0.5 * gamma * taus), atol=1e-9)
-
-
-def test_correlator_tau_zero_boundary():
-    # the connected correlator starts at <J_+J_-> - <J_+><J_->
-    L, ops, _ = dicke_liouvillian(10, 0.5)
-    rho, _ = steady_state(L)
-    vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.0, 0.1])
-    direct = expect(rho, ops["J_plus"] @ ops["J_minus"])
-    connected = direct - expect(rho, ops["J_plus"]) * expect(rho, ops["J_minus"])
-    assert abs(vals[0] - connected) <= 1e-10 * max(1.0, abs(direct))
-
-
-def test_correlator_factorizes_at_long_lag():
-    L, ops, e = dicke_liouvillian(50, 0.5)
-    rho, _ = steady_state(L)
-    jm = expect(rho, ops["J_minus"])
-    # slowest rate ~ N cos(t) gamma/2 = 21.6 gamma: tau = 1.5 is >> 1/rate,
-    # so <J_+(0) J_-(tau)> has factorized into |<J_->|^2 and nothing is
-    # left connected
-    vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.0, 1.5])
-    assert abs(vals[1]) <= 1e-6 * abs(jm) ** 2
 
 
 def _dense_correlator(L, rho, A, B, taus):
@@ -374,32 +346,42 @@ _DENSE_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "case, route",
-    [(case, "lag") for case in _DENSE_CASES] + [(case, "poles") for case in _DENSE_CASES],
-    ids=[*_DENSE_CASES, *(f"{case}-poles" for case in _DENSE_CASES)],
-)
-def test_correlator_matches_dense_exponential(case, route):
-    # the lag route to 1e-10 of the largest value; the pole sum, with the
-    # spectrum's shift, to SPECTRUM_RTOL of it, its stop rule's guarantee
+@pytest.mark.parametrize("case", _DENSE_CASES, ids=[f"{case}-poles" for case in _DENSE_CASES])
+def test_correlator_matches_dense_exponential(case):
+    # the pole sum, with the spectrum's shift, to SPECTRUM_RTOL of the
+    # largest value, its stop rule's guarantee
     n_atoms, ratio, delta_over_gamma, delta, taus = _DENSE_CASES[case]
     e = EffectiveParams(gamma=1.0, Delta=delta_over_gamma, Omega=0.0, N=n_atoms,
                         delta=delta).with_drive_ratio(ratio)
     model = build_dicke_model(e)
     L, ops = model.liouvillian, model.ops
     rho = resonant_steady_state(model.effective)[0] if delta == 0.0 else steady_state(L)[0]
-    if route == "lag":
-        vals, rtol = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus), 1e-10
-    else:
-        _, _, vals = _pole_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
-                                      0.5 / critical_drive(e))
-        rtol = SPECTRUM_RTOL
+    _, _, vals = _pole_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
+                                  0.5 / critical_drive(e))
     # every fourth lag against the reference: the dense expm dominates the cost
     exact = _dense_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus[::4])
     exact -= expect(rho, ops["J_plus"]) * expect(rho, ops["J_minus"])
     scale = float(np.abs(exact).max())
     assert scale > 1e-3
-    assert float(np.abs(vals[::4] - exact).max()) <= rtol * scale
+    assert float(np.abs(vals[::4] - exact).max()) <= SPECTRUM_RTOL * scale
+
+
+def test_correlator_factorizes_at_long_lag():
+    # the closed-form case: the connected start is 9 % of |<J_->|^2, far
+    # above its round-off, and the slowest kept pole decays at about
+    # 1.07 gamma, so by tau = 20/gamma <J_+(0) J_-(tau)> has factorized
+    # into |<J_->|^2 and nothing is left connected
+    n_atoms, ratio, delta_over_gamma, _, _ = _DENSE_CASES["closed-form"]
+    e = EffectiveParams(gamma=1.0, Delta=delta_over_gamma, Omega=0.0,
+                        N=n_atoms).with_drive_ratio(ratio)
+    model = build_dicke_model(e)
+    L, ops = model.liouvillian, model.ops
+    rho, _ = resonant_steady_state(model.effective)
+    jm = expect(rho, ops["J_minus"])
+    _, _, vals = _pole_correlator(L, rho, ops["J_plus"], ops["J_minus"],
+                                  np.linspace(0.0, 20.0, 64), 0.5 / critical_drive(e))
+    assert abs(vals[0]) >= 0.05 * abs(jm) ** 2
+    assert abs(vals[-1]) <= 1e-6 * abs(jm) ** 2
 
 
 def test_correlator_of_weak_drive_stops_at_round_off(caplog):
@@ -412,10 +394,11 @@ def test_correlator_of_weak_drive_stops_at_round_off(caplog):
     rho, _ = resonant_steady_state(model.effective)
     taus = np.linspace(0.0, 10.0 / (40 * np.sqrt(1 - 0.5 ** 2) / 2), 512)
     with caplog.at_level(logging.DEBUG, logger="dickelab.lindblad"):
-        vals = two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus)
+        _, _, vals = _pole_correlator(L, rho, ops["J_plus"], ops["J_minus"], taus,
+                                      0.5 / critical_drive(e))
     jpjm = expect(rho, ops["J_plus"] @ ops["J_minus"]).real
     assert float(np.abs(vals).max()) <= np.finfo(float).eps * L.dim * jpjm
-    dims = re.findall(r"correlator propagation: Krylov dimension (\d+)", caplog.text)
+    dims = re.findall(r"spectrum propagation: Krylov dimension (\d+)", caplog.text)
     assert len(dims) == 1 and int(dims[0]) <= 16
 
 
@@ -452,7 +435,7 @@ def test_dense_decompositions_run_on_one_blas_thread(monkeypatch):
         rho = DensityMatrix.from_raw(np.diag([0.5, 0.3, 0.2]).astype(complex))
         rho.min_eigenvalue()
         trace_distance(rho, np.diag([1.0, 0.0, 0.0]))
-        correlator_poles(L, rho_ss, ops["J_plus"], ops["J_minus"], [0.0, 1.0], 0.1)
+        two_time_correlator(L, rho_ss, ops["J_plus"], ops["J_minus"], [0.0, 1.0], 0.1)
         assert blas_thread_counts() == two
     finally:
         set_blas_threads(parent)
@@ -486,6 +469,4 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="finite"):
         time_evolve(L, rho, [np.nan, 1.0])
     with pytest.raises(ValueError):
-        two_time_correlator(L, rho, ops["J_plus"], ops["J_minus"], [0.5, 0.25])
-    with pytest.raises(ValueError):
-        two_time_correlator(L, rho, sp.eye_array(3, format="csr"), ops["J_minus"], [0.0])
+        two_time_correlator(L, rho, sp.eye_array(3, format="csr"), ops["J_minus"], [0.0], 0.1)

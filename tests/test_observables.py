@@ -404,13 +404,13 @@ def test_spectrum_matches_direct_resolvents(n, ratio, delta_over_gamma, monkeypa
     from dickelab import observables
     from dickelab.lindblad import vectorize
 
-    poles, calls = observables.correlator_poles, []
+    poles, calls = observables.two_time_correlator, []
 
     def recording(*args):
         calls.append(poles(*args))
         return calls[-1]
 
-    monkeypatch.setattr(observables, "correlator_poles", recording)
+    monkeypatch.setattr(observables, "two_time_correlator", recording)
     e = eff(n, ratio, delta_over_gamma)
     rho, mom, fc, spec = _spectrum_point(e)
     assert spec.verdict == "resolved"
