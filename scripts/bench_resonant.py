@@ -17,7 +17,8 @@ record lists the scipy modules and the OpenBLAS thread counts that the
 import loaded. ``import numpy`` runs with OPENBLAS_NUM_THREADS=1 unless
 the caller sets one of ``harness.BLAS_THREAD_VARIABLES``, the rule by
 which ``dickelab.cli`` sets one thread before numpy loads, so the
-difference of the two is the package's own import share. ``import dickelab.cli`` is timed twice: with the caller's
+difference of the two is the package's own import share.
+``import dickelab.cli`` is timed twice: with the caller's
 ``PYTHONDONTWRITEBYTECODE`` (named in the record header; where it is set,
 the package's source is compiled at every start) and, as
 ``dickelab_cli_cached``, with a bytecode cache (``PYTHONPYCACHEPREFIX`` in

@@ -25,8 +25,9 @@ number of kept poles and the slowest kept rate; and the largest
 ``start_round_off`` is eps D <J_+J_-> / var(J_-), the relative round-off
 of the correlator's start: the stop rule holds each spectrum only to
 max(1e-8, that share) of its peak, so two checkouts may differ by about as
-much. A side that raises records the error instead. After the header of ``harness.write``,
-the record holds the OpenBLAS thread count of each loaded copy in a child.
+much. A side that raises records the error instead. After the header of
+``harness.write``, the record holds the OpenBLAS thread count of each
+loaded copy in a child.
 """
 
 from __future__ import annotations
