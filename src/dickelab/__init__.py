@@ -31,7 +31,6 @@ _EXPORTS = {
         "build_liouvillian",
         "expect",
         "steady_state",
-        "time_evolve",
         "trace_distance",
     ),
     "models": (
@@ -51,7 +50,6 @@ _EXPORTS = {
         "SpectrumResult",
         "SpinMoments",
         "field_composition",
-        "field_squeezing_analytic",
         "g2_zero",
         "hp_moments",
         "hp_moments_numeric",

@@ -40,28 +40,27 @@ every copy with one thread already (see ``cli``), so there the scope
 changes nothing; it serves library callers, which load numpy themselves
 with one thread per core, and a CLI caller who sets a count of their own.
 
-Time evolution and the pole sum of the regression correlator share
-one propagator, the shift-invert (rational) Krylov approximation of
-exp(t L) of van den Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438
-(2006)). I - h L is factored once by sparse LU, ordered by minimum degree
-on A^T + A with pivoting threshold 0.1 (2/3 of COLAMD's fill at N = 100;
-full pivoting breaks the order). On a time grid the shift h is the last
-grid time over KRYLOV_SHIFT_STEPS; the spectrum's caller passes its own
+The propagator has one job, the pole sum of the regression correlator:
+the shift-invert (rational) Krylov approximation of exp(t L) of van den
+Eshof & Hochbruck (SIAM J. Sci. Comput. 27, 1438 (2006)). I - h L is
+factored once by sparse LU, ordered by minimum degree on A^T + A with
+pivoting threshold 0.1 (2/3 of COLAMD's fill at N = 100; full pivoting
+breaks the order). The caller passes the shift h
 (``observables.output_spectrum`` takes the collective scale
 h = 1/(N |Delta + i gamma/2|)). Arnoldi on (I - h L)^{-1}, with full
 reorthogonalization, builds an orthonormal basis V_m and a Hessenberg
 H_m; the projected generator is A_m = (I - H_m^{-1}) / h, and
-exp(t L) y ~ |y| V_m exp(t A_m) e_1. The fast collective modes (rates of
-order N^2 gamma) are damped by the inverse, so they set no step size. On a
-time grid, exp(dt A_m) comes from ``scipy.linalg.expm`` once per run of
-equal steps; the spectrum is the pole sum of A_m = W diag(lambda) W^{-1}
+exp(t L) y ~ |y| V_m exp(t A_m) e_1. The inverse maps the fast collective
+modes (rates of order N^2 gamma) near zero, so the basis finds the slow
+ones first. The correlator is the pole sum of A_m = W diag(lambda) W^{-1}
 on its decaying modes (Re lambda < 0, which drops the stationary mode):
 the transform of exp(t A_m) e_1 is W (-lambda - i omega)^{-1} W^{-1} e_1,
 formed from the pole weights, and the kept weights must sum to the start.
-Every few vectors the values are recomputed; the basis stops growing when
-they change by no more than the caller's stop rule, or when it spans an
-invariant subspace, where the result is exact. More than KRYLOV_MAX_DIM
-vectors raise NoConvergence.
+Every few vectors the transform on the caller's frequency grid is
+recomputed; the basis stops growing when it changes by no more than the
+caller's share of its peak, or when it spans an invariant subspace, where
+the result is exact. More than KRYLOV_MAX_DIM vectors raise
+NoConvergence.
 
 The regression theorem has one route, :func:`two_time_correlator`: the
 connected steady-state correlator as the pole sum of that propagator,
@@ -101,19 +100,16 @@ GMRES_RTOL = 1e-14
 PROBE_RTOL = 1e-2
 PROBE_MAX_STEPS = 10
 
-# shift-invert Krylov propagation: on a time grid the shift is the last grid
-# time over KRYLOV_SHIFT_STEPS (the spectrum's caller passes its own shift,
-# see two_time_correlator); past KRYLOV_MAX_DIM vectors is a NoConvergence.
-# The stop rule is checked every KRYLOV_CHECK_EVERY vectors, or every
-# eighth of the basis once that is more. Its tolerances are relative
-# changes between checks: of the correlator's transform on a frequency
-# grid, and of the evolved state.
+# shift-invert Krylov propagation of the regression correlator (its caller
+# passes the shift, see two_time_correlator); past KRYLOV_MAX_DIM vectors is
+# a NoConvergence. The stop rule is checked every KRYLOV_CHECK_EVERY vectors,
+# or every eighth of the basis once that is more. It bounds the change of the
+# correlator's transform on a frequency grid between checks, relative to its
+# peak, by SPECTRUM_RTOL or the start's round-off share, whichever is larger.
 # A next Arnoldi vector below BREAKDOWN_RTOL of its solve is invariant.
-KRYLOV_SHIFT_STEPS = 128
 KRYLOV_MAX_DIM = 300
 KRYLOV_CHECK_EVERY = 4
 SPECTRUM_RTOL = 1e-8
-EVOLVE_RTOL = 1e-12
 BREAKDOWN_RTOL = 1e-12
 # a mode of a projected generator below this share of its norm is stationary
 RATE_FLOOR = 1e-8
@@ -499,15 +495,15 @@ def _single_blas_thread():
     """One thread in each loaded OpenBLAS copy for the duration, then the
     counts found on entry. A copy loaded meanwhile is not held, so a
     function that needs scipy's linear algebra imports it first. The LU
-    solves and the dense work of a Krylov propagation (m x m matrices,
-    m ~ 100) and of a state (the eigh of ``DensityMatrix.from_raw`` in
-    each gate, ``min_eigenvalue``, ``trace_distance``; D x D with
-    D <= 401) are too small for a second thread to pay: measured on 2
-    cores, expm of an 80 x 80 matrix took 94 ms with two threads and
-    2.8 ms with one. The scope is for processes whose copies run more
-    than one thread: library callers, and a ``dicke-lab`` caller who sets
-    an OpenBLAS thread variable; a plain ``dicke-lab`` process loads each
-    copy with one thread (see ``cli``)."""
+    solves and the dense work of a Krylov propagation (the inverse and the
+    eigendecomposition of m x m matrices, m ~ 100) and of a state (the eigh
+    of ``DensityMatrix.from_raw`` in each gate, ``min_eigenvalue``,
+    ``trace_distance``; D x D with D <= 401) are too small for a second
+    thread to pay: measured on 2 cores, scipy's expm of an 80 x 80 matrix
+    took 94 ms with two threads and 2.8 ms with one. The scope is for
+    processes whose copies run more than one thread: library callers, and
+    a ``dicke-lab`` caller who sets an OpenBLAS thread variable; a plain
+    ``dicke-lab`` process loads each copy with one thread (see ``cli``)."""
     previous = blas_thread_counts()
     set_blas_threads(dict.fromkeys(previous, 1))
     try:
@@ -580,15 +576,6 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
                                None, None)
 
 
-def _ascending_grid(grid, name: str) -> np.ndarray:
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if (grid.size == 0 or not np.isfinite(grid).all() or grid[0] < 0
-            or np.any(np.diff(grid) <= 0)):
-        raise ValueError(f"{name} must be non-empty, finite, strictly increasing "
-                         "and non-negative")
-    return grid
-
-
 @dataclass(frozen=True)
 class PropagationReport:
     """What one Krylov propagation did: the basis size, the entries stored
@@ -598,24 +585,6 @@ class PropagationReport:
     krylov_dim: int
     lu_nnz: int
     change: float
-
-
-def _grid_values(A: np.ndarray, beta: float, seen, t_grid: np.ndarray):
-    """beta exp(t A) e_1 at each t of the ascending grid, one column per
-    point, stepped along the grid (one expm per run of equal steps); no
-    extra result (None). ``seen`` is None: time evolution watches the
-    coefficients in the basis."""
-    from scipy.linalg import expm
-
-    y, cols, last = np.eye(A.shape[0], 1, dtype=np.complex128)[:, 0] * beta, [], math.nan
-    same = 8 * np.finfo(float).eps * t_grid[-1]
-    for step in np.diff(t_grid, prepend=0.0):
-        if not abs(step - last) <= same:
-            power, last = expm(step * A), step
-        y = power @ y
-        cols.append(y)
-    coeffs = np.stack(cols, axis=1)
-    return coeffs, None
 
 
 def _decaying_modes(A: np.ndarray, beta: float) -> tuple:
@@ -638,34 +607,26 @@ def _pole_transform(A: np.ndarray, beta: float, seen: np.ndarray, omega: np.ndar
     return w @ (1.0 / (-lam[:, None] - 1j * omega[None, :])), (lam, w)
 
 
-def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tolerance,
-               what: str):
-    """exp(t S) y0 by shift-invert Krylov with the shift ``h``.
+def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, observe: np.ndarray,
+               omega: np.ndarray, relative: float):
+    """The decaying poles of observe exp(t S) y0 by shift-invert Krylov with
+    the shift ``h``: ``((lambda, w), report)`` of :func:`_pole_transform`,
+    w being (p, k) for the (p, n) functionals ``observe``.
 
-    ``evaluate(A, beta, seen)`` maps the projected generator A, |y0| and
-    ``seen`` (the functionals ``observe`` on the basis, (p, m), or None)
-    to ``(values, extra)``: the values the stop rule watches and whatever
-    else the caller wants from the same check (:func:`_grid_values`,
-    :func:`_pole_transform`). ``observe`` is a (p, n) array of
-    functionals, or None to watch the coefficients in the basis (whose
-    changes are those of the state). The basis grows until the values
-    change by at most ``tolerance(values)`` from one check to the next, or
-    until it spans an invariant subspace; past KRYLOV_MAX_DIM vectors
-    NoConvergence names ``what``. Each caller holds one BLAS thread
-    around it. Returns ``(values, extra, V, report)`` of the last check:
-    values (p or m, K) and the basis V as m rows of length n (the states
-    are ``values.T @ V`` when ``observe`` is None).
+    The basis grows until the transform on the grid ``omega`` changes by
+    at most ``relative`` times its largest magnitude from one check to the
+    next, or until it spans an invariant subspace; past KRYLOV_MAX_DIM
+    vectors it raises NoConvergence. A zero start stays zero and has no
+    poles. The caller holds one BLAS thread around it.
     """
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
     import scipy.sparse.linalg as spla
 
     beta = float(np.linalg.norm(y0))
-    if h == 0.0 or beta == 0.0:
-        # the grid is [0], or the start is zero and stays so
-        values, extra = evaluate(np.zeros((1, 1)), 1.0,
-                                 None if observe is None else (observe @ y0)[:, None])
-        return values, extra, y0[None, :], PropagationReport(krylov_dim=0, lu_nnz=0,
-                                                             change=0.0)
+    if beta == 0.0:
+        return ((np.zeros(0, dtype=np.complex128),
+                 np.zeros((observe.shape[0], 0), dtype=np.complex128)),
+                PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0))
 
     n = y0.size
     lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc(),
@@ -674,15 +635,13 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
 
     V = np.empty((KRYLOV_MAX_DIM + 1, n), dtype=np.complex128)
     H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM), dtype=np.complex128)
-    seen = None if observe is None else np.empty((observe.shape[0], KRYLOV_MAX_DIM),
-                                                  dtype=np.complex128)
+    seen = np.empty((observe.shape[0], KRYLOV_MAX_DIM), dtype=np.complex128)
     V[0] = y0 / beta
-    values, previous, change, limit = None, None, math.inf, math.nan
+    F, change, limit = None, math.inf, math.nan
     check = KRYLOV_CHECK_EVERY
     for m in range(1, KRYLOV_MAX_DIM + 1):
         j = m - 1
-        if seen is not None:
-            seen[:, j] = observe @ V[j]
+        seen[:, j] = observe @ V[j]
         w = lu.solve(V[j])
         size = float(np.linalg.norm(w))
         for _ in range(2):  # classical Gram-Schmidt, repeated once
@@ -695,58 +654,26 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, evaluate, observe, tol
         if invariant or m == check or m == KRYLOV_MAX_DIM:
             check = m + max(KRYLOV_CHECK_EVERY, m // 8)
             A = (np.eye(m) - np.linalg.inv(H[:m, :m])) / h
-            previous = values
-            values, extra = evaluate(A, beta, None if seen is None else seen[:, :m])
-            limit = tolerance(values)
+            previous = F
+            F, poles = _pole_transform(A, beta, seen[:, :m], omega)
+            limit = relative * float(np.abs(F).max())
             if previous is not None:
-                diff = values.copy()
-                diff[:previous.shape[0]] -= previous
-                change = float(np.linalg.norm(diff, axis=0).max())
+                change = float(np.linalg.norm(F - previous, axis=0).max())
             if invariant or change <= limit:
                 break
         V[m] = w / H[m, j]
     else:
         raise NoConvergence(
-            f"{what} did not converge within {KRYLOV_MAX_DIM} Krylov vectors: "
-            f"last change {change:.3e} above {limit:.3e}"
+            f"spectrum propagation did not converge within {KRYLOV_MAX_DIM} Krylov "
+            f"vectors: last change {change:.3e} above {limit:.3e}"
         )
 
     report = PropagationReport(krylov_dim=m, lu_nnz=lu_nnz,
                                change=0.0 if previous is None else change)
-    logger.debug("%s: Krylov dimension %d, L+U nonzeros %d, last change %.3e "
-                 "(tolerance %.3e)", what, report.krylov_dim, report.lu_nnz,
-                 report.change, limit)
-    return values, extra, V[:m], report
-
-
-def time_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid):
-    """Propagate rho0 along t_grid.
-
-    Returns one DensityMatrix per grid point (the grid must be ascending
-    and non-negative; t=0 returns the initial state). The propagator is
-    the shift-invert Krylov one of :func:`_propagate`; the basis grows
-    until no state on the grid changes by more than EVOLVE_RTOL times
-    |rho0| (Frobenius) from one check to the next. States are
-    checked, not repaired: trace and Hermiticity drift stay visible to the
-    caller, which is why the stop rule is tight. The propagation runs on
-    one BLAS thread.
-    """
-    import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
-
-    t_grid = _ascending_grid(t_grid, "t_grid")
-    y0 = vectorize(rho0.matrix)
-    limit = EVOLVE_RTOL * float(np.linalg.norm(y0))
-    with _single_blas_thread():
-        coeffs, _, V, _ = _propagate(L.superoperator, y0, t_grid[-1] / KRYLOV_SHIFT_STEPS,
-                                     functools.partial(_grid_values, t_grid=t_grid), None,
-                                     lambda _: limit, "time evolution")
-        vecs = coeffs.T @ V
-    states = []
-    for y in vecs:
-        dm = DensityMatrix(unvectorize(y, L.dim), validate=False)
-        dm.validate(atol=1e-9)
-        states.append(dm)
-    return states
+    logger.debug("spectrum propagation: Krylov dimension %d, L+U nonzeros %d, last change "
+                 "%.3e (tolerance %.3e)", report.krylov_dim, report.lu_nnz, report.change,
+                 limit)
+    return poles, report
 
 
 def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:
@@ -781,7 +708,8 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shif
     start C(0) within the same share of max(|C(0)|, floor), or NoConvergence
     is raised: a dropped mode that held weight would bias every frequency,
     while a start below its round-off may sit on the stationary mode, which
-    no kept pole carries. The dense work runs on one BLAS thread."""
+    no kept pole carries. A zero start (A = 0) has no poles and a report of
+    Krylov dimension 0. The dense work runs on one BLAS thread."""
     import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
 
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -789,9 +717,7 @@ def two_time_correlator(L: Liouvillian, rho_ss: DensityMatrix, A, B, omega, shif
         start, observe, floor = _connected_start(L, rho_ss, A, B)
         c0 = complex((observe @ start)[0])
         relative = max(SPECTRUM_RTOL, floor / abs(c0) if abs(c0) > floor else 1.0)
-        _, (lam, w), _, report = _propagate(
-            L.superoperator, start, shift, functools.partial(_pole_transform, omega=omega),
-            observe, lambda F: relative * float(np.abs(F).max()), "spectrum propagation")
+        (lam, w), report = _propagate(L.superoperator, start, shift, observe, omega, relative)
     w = w[0]
     total = complex(w.sum())
     if not abs(total - c0) <= relative * max(abs(c0), floor):

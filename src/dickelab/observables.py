@@ -16,7 +16,6 @@ stays coherent while the spins squeeze.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -95,15 +94,12 @@ class SpinMoments:
 class HPFluctuationSolution:
     """Stationary bosonic fluctuation data around the mean spin.
 
-    ``bogoliubov_plus/minus`` are the (1 +- cos theta)/2 weights of the
-    integrated noise B and B^dag; ``relaxation_rate`` and
-    ``oscillation_frequency`` describe the B kernel, N cos(theta) (gamma/2
-    resp. Delta). Moments are dimensionless occupations of the mode a.
+    ``relaxation_rate`` and ``oscillation_frequency`` describe the kernel of
+    the integrated noise B, N cos(theta) (gamma/2 resp. Delta). Moments are
+    dimensionless occupations of the mode a.
     """
 
     angles: BlochAngles
-    bogoliubov_plus: float
-    bogoliubov_minus: float
     occupation: float
     anomalous_magnitude: float
     relaxation_rate: float | None = None
@@ -117,27 +113,13 @@ class HPFluctuationSolution:
 
 @dataclass(frozen=True)
 class FieldComposition:
-    """Mean and fluctuation structure of the field leaving the cavity.
+    """The field leaving the cavity: G, the dipole-to-detector coupling,
+    ``mean_field_out``, the mean outgoing amplitude, and the Bloch angles
+    of the dipole that scatters into it."""
 
-    chi is the cavity linear response, G the dipole-to-detector coupling.
-    The outgoing mean splits into a free (atom-less) part and the part
-    scattered off the collective dipole; the fluctuating part carries the
-    coefficients ``vacuum_coefficient`` on the input vacuum and
-    ``b_coefficient`` on the integrated noise B. ``vacuum_level`` is the
-    white-noise normalization (kappa) used by squeezing measures.
-    """
-
-    chi: complex
     G: complex
-    input_mean: complex
-    free_mean: complex
-    scattered_mean: complex
     mean_field_out: complex
-    vacuum_coefficient: complex
-    b_coefficient: complex
-    vacuum_level: float
     angles: BlochAngles
-    n_atoms: int
 
 
 @dataclass(frozen=True)
@@ -244,8 +226,6 @@ def hp_moments(a: BlochAngles, e: EffectiveParams | None = None) -> HPFluctuatio
         freq = e.N * c * e.Delta
     return HPFluctuationSolution(
         angles=a,
-        bogoliubov_plus=(1.0 + c) / 2.0,
-        bogoliubov_minus=(1.0 - c) / 2.0,
         occupation=occupation,
         anomalous_magnitude=anomalous,
         relaxation_rate=rate,
@@ -278,47 +258,18 @@ def g2_zero(rho: DensityMatrix, rep: SpinRep) -> float:
 
 
 def field_composition(p: CavityParams, jminus_mean: complex, a: BlochAngles) -> FieldComposition:
-    """Output-field decomposition for a one-sided cavity.
+    """Output field of a one-sided cavity.
 
     chi = kappa/(i delta_c - kappa/2) is the cavity response, G = -i g* chi
-    the dipole coupling to the outgoing channel. The mean splits into
-    -i Omega_L (1 + chi) plus G <J_->; the fluctuations carry (1 + chi) on
-    the input vacuum and G N cos(theta) on the integrated noise B.
+    the dipole coupling to the outgoing channel. The mean is the free
+    (atom-less) part -i Omega_L (1 + chi) plus the part G <J_-> scattered
+    off the collective dipole.
     """
     chi = p.kappa / (1j * p.delta_c - p.kappa / 2)
     G = -1j * np.conj(p.g) * chi
-    input_mean = -1j * p.Omega_L
-    free_mean = input_mean * (1 + chi)
-    scattered_mean = G * jminus_mean
-    return FieldComposition(
-        chi=complex(chi),
-        G=complex(G),
-        input_mean=complex(input_mean),
-        free_mean=complex(free_mean),
-        scattered_mean=complex(scattered_mean),
-        mean_field_out=complex(free_mean + scattered_mean),
-        vacuum_coefficient=complex(1 + chi),
-        b_coefficient=complex(G * p.N * a.cos_theta),
-        vacuum_level=p.kappa,
-        angles=a,
-        n_atoms=p.N,
-    )
-
-
-def field_squeezing_analytic(fc: FieldComposition) -> complex:
-    """The weight of the raising noise B^dag in the radiated field: exactly 0.
-
-    The dipole fluctuation transported to the output combines the mode
-    weights (cos t +- 1)/2 with the Bogoliubov weights (1 +- cos t)/2 so
-    that the raising-noise component cancels. Both fluctuation channels of
-    the output are then lowering-type, so its normally ordered flux and
-    anomalous correlator vanish and its squeezing parameter is one: what
-    leaves the cavity is vacuum plus a coherent amplitude for any
-    below-threshold drive.
-    """
-    c = fc.angles.cos_theta
-    per_mode = ((c + 1) * (1 - c) + (c - 1) * (1 + c)) / 4.0
-    return complex(fc.G * fc.n_atoms * cmath.exp(-2j * fc.angles.phi) * per_mode)
+    free_mean = -1j * p.Omega_L * (1 + chi)
+    return FieldComposition(G=complex(G), mean_field_out=complex(free_mean + G * jminus_mean),
+                            angles=a)
 
 
 def output_spectrum(

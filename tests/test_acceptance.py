@@ -22,17 +22,15 @@ from oracles import brute_force_steady_state, dense_spin_ops, dicke_hamiltonian
 
 from dickelab.cli import main as cli_main
 from dickelab.lindblad import (
-    DensityMatrix,
     expect,
     steady_state,
-    time_evolve,
     trace_distance,
     two_time_correlator,
+    vectorize,
 )
 from dickelab.models import build_dicke_model, resonant_steady_state, validate_elimination
 from dickelab.observables import (
     field_composition,
-    field_squeezing_analytic,
     hp_moments,
     hp_moments_numeric,
     output_spectrum,
@@ -249,15 +247,21 @@ def test_criterion_7_field_theory_identities():
                          abs(fc.mean_field_out - target) / max(1.0, abs(target)))
     assert worst_mean <= 1e-12
 
-    # (b) raising-noise coefficient of the output cancels exactly
-    p = CavityParams(g=0.4, kappa=2.0, delta_c=0.7, Omega_L=1.0, N=60)
-    worst_bdag = 0.0
-    for _ in range(50):
-        a = BlochAngles(float(rng.uniform(0, math.pi / 2 - 1e-6)),
-                        float(rng.uniform(-math.pi + 1e-9, math.pi)))
-        bdag = field_squeezing_analytic(field_composition(p, 0.3 - 0.1j, a))
-        worst_bdag = max(worst_bdag, abs(bdag))
-    assert worst_bdag == 0.0
+    # (b) the radiated light is coherent: the anomalous dipole fluctuation
+    # |<J_-^2> - <J_->^2| / |<J_->|^2 of the exact resonant state (the closed
+    # form's, with no difference of large numbers) falls strictly with N
+    # until it is 0, and at N = 10^3 it is below 1e-28 (1.7e-29 at drive
+    # 0.9, 0.0 at drive 0.5; 6.9e-3 at N = 10, drive 0.9)
+    worst_anom = 0.0
+    for ratio in (0.5, 0.9):
+        shares = []
+        for n in (10, 100, 1000, 10000):
+            mom = spin_moments(resonant_steady_state(eff(n, ratio))[0], SpinRep.for_atoms(n))
+            shares.append(abs(mom.anom_jm) / abs(mom.jm) ** 2)
+        for earlier, later in zip(shares, shares[1:]):
+            assert later < earlier or earlier == later == 0.0
+        worst_anom = max(worst_anom, shares[2])
+    assert worst_anom <= 1e-28
 
     # (c) bosonic moments reconstruct the closed-form squeezing
     worst_rec = 0.0
@@ -268,7 +272,7 @@ def test_criterion_7_field_theory_identities():
                         abs(sol.squeezing_reconstructed - math.cos(theta)) / math.cos(theta))
     assert worst_rec <= 1e-12
     report(7, "field identities", f"mean-output dev {worst_mean:.1e}, "
-                                  f"B-dagger coeff {worst_bdag:.1e}, "
+                                  f"anomalous dipole share at N=1000 {worst_anom:.1e}, "
                                   f"reconstruction dev {worst_rec:.1e}")
 
 
@@ -282,16 +286,15 @@ def test_criterion_8_engine_properties(tmp_path):
         eye = sp.eye_array(int(round(2 * j)) + 1, dtype=complex, format="csr")
         assert norm(j2 - j * (j + 1) * eye) <= 1e-12 * j * (j + 1)
 
-    # trace and Hermiticity preservation along evolution
-    e = eff(12, 0.6, 0.3)
-    model = build_dicke_model(e)
-    rho0 = DensityMatrix(np.eye(13, dtype=complex) / 13)
-    drift_tr, drift_h = 0.0, 0.0
-    for state in time_evolve(model.liouvillian, rho0, [0.5, 1.0, 2.0, 4.0]):
-        drift_tr = max(drift_tr, abs(state.matrix.trace() - 1.0))
-        drift_h = max(drift_h, float(np.abs(state.matrix - state.matrix.conj().T).max()))
-    assert drift_tr <= 1e-9
-    assert drift_h <= 1e-9
+    # trace and Hermiticity preservation, exact in the generator: the trace
+    # row vec(I)^H L vanishes, and L(X^dag) = L(X)^dag for a random X
+    L = build_dicke_model(eff(12, 0.6, 0.3)).liouvillian
+    drift_tr = float(np.abs(vectorize(np.eye(L.dim)).conj() @ L.superoperator).max())
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(L.dim, L.dim)) + 1j * rng.normal(size=(L.dim, L.dim))
+    drift_h = float(np.abs(L.apply(X.conj().T) - L.apply(X).conj().T).max())
+    assert drift_tr <= 1e-12 * L.scale
+    assert drift_h <= 1e-12 * L.scale * float(np.abs(X).max())
 
     # the sparse LU, the resonant closed form and the dense null space of
     # the independently built generator agree

@@ -538,8 +538,6 @@ _KERNEL_CALLS = {
         "base, report = lindblad.steady_state(L)\n"
         "lindblad.set_blas_threads({'numpy': 2, 'scipy': 2})\n",
         "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor, None)"),
-    "time_evolve": ("dickelab.lindblad", "_grid_values", "",
-                    "lindblad.time_evolve(L, rho, [0.5, 1.0])"),
     "two_time_correlator": (
         "dickelab.lindblad", "_pole_transform", "",
         "lindblad.two_time_correlator(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),

@@ -26,7 +26,6 @@ from dickelab.lindblad import (
     openblas_libraries,
     set_blas_threads,
     steady_state,
-    time_evolve,
     trace_distance,
     two_time_correlator,
     uniqueness_threshold,
@@ -245,35 +244,6 @@ def test_small_probe_ratio_of_unique_state_is_accepted():
     assert abs(jz + np.sqrt(1 - 0.85 ** 2)) < 1.0 / 200
 
 
-def test_time_evolve_frozen_generator():
-    L = build_liouvillian(np.zeros((3, 3)), [])
-    rho0 = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-    out = time_evolve(L, rho0, [0.5, 1.0, 7.0])
-    for state in out:
-        np.testing.assert_allclose(state.matrix, rho0.matrix, atol=1e-12)
-
-
-def test_time_evolve_single_atom_decay():
-    ops = dense_spin_ops(1)
-    gamma = 1.0
-    L = build_liouvillian(np.zeros((2, 2)), [(gamma, ops["jm"])])
-    rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-    times = [0.5, 1.0, 2.0]
-    for t, state in zip(times, time_evolve(L, rho0, times)):
-        assert state.matrix[1, 1].real == pytest.approx(np.exp(-gamma * t), abs=1e-8)
-        assert abs(state.matrix.trace() - 1) < 1e-9
-
-
-def test_time_evolve_reaches_steady_state():
-    L, _, e = dicke_liouvillian(20, 0.5)
-    dim = 21
-    rho0 = DensityMatrix(np.eye(dim, dtype=complex) / dim)
-    # slowest linearized rate is N cos(t) gamma / 2; integrate well past it
-    final = time_evolve(L, rho0, [4.0 / e.gamma])[-1]
-    rho_ss, _ = steady_state(L)
-    assert trace_distance(final, rho_ss) <= 1e-6
-
-
 def test_expect_basics():
     ops = build_spin_operators(SpinRep.for_atoms(10))
     ground = np.zeros((11, 11), dtype=complex)
@@ -402,6 +372,17 @@ def test_correlator_of_weak_drive_stops_at_round_off(caplog):
     assert len(dims) == 1 and int(dims[0]) <= 16
 
 
+def test_correlator_of_zero_operator_has_no_poles():
+    # A = 0 makes the connected start exactly zero, which stays zero: no
+    # factor, no basis and no pole
+    L, ops, _ = dicke_liouvillian(4, 0.5)
+    rho, _ = steady_state(L)
+    lam, w, report = two_time_correlator(L, rho, sp.csr_array((5, 5), dtype=complex),
+                                         ops["J_minus"], [0.0, 1.0], 0.1)
+    assert lam.size == 0 and w.size == 0
+    assert report.krylov_dim == 0 and report.lu_nnz == 0
+
+
 def test_density_matrix_repair_and_rejection():
     base = np.diag([0.7, 0.3 - 4e-9, -4e-9]).astype(complex)
     dm = DensityMatrix.from_raw(base)
@@ -460,13 +441,5 @@ def test_noconvergence_on_unreachable_tolerance():
 def test_grid_validation():
     L, ops, _ = dicke_liouvillian(4, 0.5)
     rho, _ = steady_state(L)
-    with pytest.raises(ValueError):
-        time_evolve(L, rho, [1.0, 0.5])  # not increasing
-    with pytest.raises(ValueError):
-        time_evolve(L, rho, [-1.0, 0.5])  # negative start
-    with pytest.raises(ValueError, match="non-empty"):
-        time_evolve(L, rho, [])
-    with pytest.raises(ValueError, match="finite"):
-        time_evolve(L, rho, [np.nan, 1.0])
     with pytest.raises(ValueError):
         two_time_correlator(L, rho, sp.eye_array(3, format="csr"), ops["J_minus"], [0.0], 0.1)

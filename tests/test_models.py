@@ -10,11 +10,13 @@ from oracles import high_precision_resonant_state
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
     DensityMatrix,
+    Liouvillian,
     build_liouvillian,
     expect,
+    residual_tolerance,
     steady_state,
-    time_evolve,
     trace_distance,
+    unvectorize,
 )
 from dickelab import models
 from dickelab.models import (
@@ -154,17 +156,23 @@ def test_dicke_dimension_cap():
 def test_decoupled_cavity_reaches_coherent_state():
     # g = 0 leaves the atomic sector frozen (every atomic state is then
     # stationary, which the solver rightly rejects as non-unique), so the
-    # decoupling statement is dynamical: from ground x vacuum the atoms
-    # stay put and the cavity relaxes to the driven-cavity amplitude
-    # i Omega_L / (i delta_c - kappa/2).
+    # decoupling statement is one of an invariant block: with the atoms in
+    # their ground state, L restricted to ground x Fock has one steady
+    # state, the driven-cavity coherent state of amplitude
+    # i Omega_L / (i delta_c - kappa/2), and it is stationary in the full L.
     p = CavityParams(g=0.0, kappa=2.0, delta_c=0.5, Omega_L=0.3, N=2)
     model = build_cavity_model(p, cutoff=8)
+    L = model.liouvillian
     with pytest.raises(NonUniqueSteadyState):
-        steady_state(model.liouvillian)
-    dim = model.liouvillian.dim
-    start = np.zeros((dim, dim), dtype=complex)
-    start[0, 0] = 1.0  # ground x vacuum
-    final = time_evolve(model.liouvillian, DensityMatrix(start), [50.0 / p.kappa])[-1]
+        steady_state(L)
+    block = np.arange(model.fock_rep.dim)  # spin index 0 (the ground state) x Fock
+    embed = (block[:, None] + L.dim * block[None, :]).flatten(order="F")
+    sub = Liouvillian(block.size, L.superoperator[embed][:, embed])
+    rho_block, _ = steady_state(sub)
+    full = np.zeros(L.dim ** 2, dtype=complex)
+    full[embed] = rho_block.matrix.flatten(order="F")
+    final = DensityMatrix(unvectorize(full, L.dim))
+    assert L.residual(final.matrix) <= residual_tolerance(L, None)
     amp = 1j * p.Omega_L / (1j * p.delta_c - p.kappa / 2)
     c = _lab_field(p, 8, 0.0)
     assert expect(final, c) == pytest.approx(amp, abs=1e-8)

@@ -22,7 +22,6 @@ from dickelab.models import (
 )
 from dickelab.observables import (
     field_composition,
-    field_squeezing_analytic,
     g2_zero,
     hp_moments,
     hp_moments_numeric,
@@ -176,7 +175,6 @@ def test_hp_moments_closed_forms():
     third = hp_moments(BlochAngles(math.pi / 3, 0.5))  # cos = 1/2
     assert third.occupation == pytest.approx(1 / 8, rel=1e-14)
     assert third.anomalous_magnitude == pytest.approx(3 / 8, rel=1e-14)
-    assert third.bogoliubov_plus + third.bogoliubov_minus == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hp_moments_kernel_fields():
@@ -216,11 +214,11 @@ def test_hp_bridge_numeric_n60():
 
 def test_field_composition_resonant_cavity():
     p = CavityParams(g=0.5, kappa=2.0, delta_c=0.0, Omega_L=1.5, N=8)
+    # chi = -2 on resonance: G = 2i g*, and with no dipole the mean is the
+    # free field -i Omega_L (1 + chi) = i Omega_L
     fc = field_composition(p, 0.0, BlochAngles(0.0, 0.0))
-    assert fc.chi == pytest.approx(-2.0, abs=1e-15)
-    assert fc.vacuum_coefficient == pytest.approx(-1.0, abs=1e-15)
-    assert fc.free_mean == pytest.approx(1j * p.Omega_L, abs=1e-15)
-    assert fc.vacuum_level == p.kappa
+    assert fc.G == pytest.approx(2j * np.conj(p.g), abs=1e-15)
+    assert fc.mean_field_out == pytest.approx(1j * p.Omega_L, abs=1e-15)
 
 
 def test_field_mean_equals_input_for_mean_field_dipole():
@@ -251,24 +249,19 @@ def test_field_mean_numeric_deviation_small():
     assert abs(fc.mean_field_out + 1j * p.Omega_L) / abs(p.Omega_L) <= 0.05
 
 
-def test_field_squeezing_cancellation():
-    rng = np.random.default_rng(8)
-    p = CavityParams(g=0.3, kappa=5.0, delta_c=1.0, Omega_L=0.7, N=40)
-    for _ in range(50):
-        a = BlochAngles(float(rng.uniform(0, math.pi / 2 - 1e-6)),
-                        float(rng.uniform(-math.pi + 1e-9, math.pi)))
-        fc = field_composition(p, 0.1 + 0.2j, a)
-        assert field_squeezing_analytic(fc) == 0.0
-
-
 def test_field_fluctuation_coefficients():
     p = CavityParams(g=0.4, kappa=3.0, delta_c=-0.6, Omega_L=1.0, N=25)
     a = BlochAngles(0.4, 0.3)
-    fc = field_composition(p, 0.0, a)
+    # a detuned cavity: the dipole reaches the output through G = -i g* chi,
+    # its fluctuations as well as its mean
     chi = p.kappa / (1j * p.delta_c - p.kappa / 2)
-    assert fc.vacuum_coefficient == pytest.approx(1 + chi, rel=1e-14)
-    assert fc.b_coefficient == pytest.approx(-1j * np.conj(p.g) * chi * 25 * math.cos(0.4),
-                                             rel=1e-14)
+    fc = field_composition(p, 0.0, a)
+    assert fc.G == pytest.approx(-1j * np.conj(p.g) * chi, rel=1e-14)
+    assert fc.mean_field_out == pytest.approx(-1j * p.Omega_L * (1 + chi), rel=1e-14)
+    jm = 0.3 - 0.2j
+    scattered = field_composition(p, jm, a).mean_field_out - fc.mean_field_out
+    assert scattered == pytest.approx(fc.G * jm, rel=1e-14)
+    assert fc.angles == a
 
 
 # ---------------------------------------------------------------- dipole moments

@@ -64,5 +64,7 @@ def test_bench_spectrum_writes_the_shared_header(harness, tmp_path):
     assert record["pythondontwritebytecode"] == os.environ.get("PYTHONDONTWRITEBYTECODE")
     (point,) = record["points"]
     assert point["max_change_over_peak"] == 0.0
+    # each side times the correlator that output_spectrum calls
+    assert all(point[side]["correlator_s"] > 0.0 for side in ("parent", "change"))
     # each child runs with the one-thread environment the script passes
     assert record["blas_threads"]["change"] == {"numpy": 1, "scipy": 1}
