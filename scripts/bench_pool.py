@@ -18,8 +18,7 @@ the header of ``harness.write``, the record holds the OpenBLAS thread
 count of each loaded copy in the calling process (``blas_threads_main``,
 read before any run) and the counts a worker of the checkout's sweep pool
 sees inside the uniqueness probe of one detuned LU point
-(``blas_threads_worker``; None where the checkout has no
-``lindblad._uniqueness_probe``).
+(``blas_threads_worker``).
 """
 
 from __future__ import annotations
@@ -61,14 +60,10 @@ def _cpu_seconds() -> float:
 
 def _lu_point_threads():
     """The OpenBLAS counts seen inside the uniqueness probe of one detuned
-    LU point, run serially in this process; None where the checkout has
-    no such probe."""
+    LU point, run serially in this process."""
     from dickelab import lindblad, sweep
 
-    probe = getattr(lindblad, "_uniqueness_probe", None)
-    if probe is None:
-        return None
-    seen = []
+    probe, seen = lindblad._uniqueness_probe, []
 
     def probing(*args):
         seen.append(harness.blas_threads())
@@ -86,16 +81,10 @@ def _lu_point_threads():
 
 def _child(case: str) -> dict:
     """One measurement in this interpreter (the package comes from PYTHONPATH)."""
-    from concurrent.futures import ProcessPoolExecutor
-
     from dickelab import sweep
 
     workers = os.cpu_count() or 1
-    # the pool a sweep of this checkout starts (a plain pool where the
-    # checkout has no factory of its own)
-    make_pool = getattr(sweep, "_worker_pool",
-                        lambda n: ProcessPoolExecutor(max_workers=n))
-    with make_pool(workers) as pool:
+    with sweep._worker_pool(workers) as pool:  # the pool a sweep of this checkout starts
         worker_blas = pool.submit(_lu_point_threads).result()
     record = {"blas_threads_main": harness.blas_threads(), "blas_threads_worker": worker_blas}
 

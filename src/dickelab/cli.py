@@ -4,8 +4,9 @@
                      [--no-timestamp] [--absolute-drive]
     dicke-lab reproduce-figures [--outdir dir] [--threads k] [--no-timestamp]
 
-Exit codes: 0 success, 2 bad configuration, 3 solver failure,
-4 above-threshold analytic request.
+Exit codes: 0 success, 2 bad configuration (an output that would overwrite
+the config file included), 3 solver failure, 4 above-threshold analytic
+request.
 
 OpenBLAS threads: each OpenBLAS copy (numpy's, and scipy's where a point
 loads it) reads ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
         cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
         if not cfg.out_path:
             raise ConfigError("no output path: set output.path in the config or --out")
+        if os.path.realpath(args.config) in map(os.path.realpath, cfg.written_paths):
+            raise ConfigError(f"an output path is the config file {args.config}")
 
         result = run_and_write(cfg)
         print(f"{cfg.mode}: wrote {cfg.out_path} ({len(result.rows)} rows)")

@@ -88,6 +88,7 @@ logger = logging.getLogger(__name__)
 
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
+STATE_ATOL = 1e-12  # the Hermiticity and trace tolerance of DensityMatrix.validate
 
 # GMRES of an extended steady state: the restart length (the basis holds
 # GMRES_RESTART + 1 vectors of D^2 entries), the restart cycles before a
@@ -219,15 +220,15 @@ class DensityMatrix:
         """Diagonal -k of the matrix: rho[i + k, i]."""
         return self.matrix.diagonal(-k)
 
-    def validate(self, atol=1e-12):
-        """Hermiticity and unit trace within ``atol``, no eigenvalue below
-        ``PSD_FLOOR``; ValueError otherwise."""
+    def validate(self):
+        """Hermiticity and unit trace within ``STATE_ATOL``, no eigenvalue
+        below ``PSD_FLOOR``; ValueError otherwise."""
         scale = max(1.0, float(np.abs(self.matrix).max()))
         herm_dev = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm_dev > atol * scale:
+        if herm_dev > STATE_ATOL * scale:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         trace_dev = abs(self.matrix.trace() - 1.0)
-        if trace_dev > atol:
+        if trace_dev > STATE_ATOL:
             raise ValueError(f"trace differs from 1 by {trace_dev:.3e}")
         min_eig = self.min_eigenvalue()
         if min_eig < PSD_FLOOR:

@@ -92,18 +92,12 @@ class SpinMoments:
 
 @dataclass(frozen=True)
 class HPFluctuationSolution:
-    """Stationary bosonic fluctuation data around the mean spin.
-
-    ``relaxation_rate`` and ``oscillation_frequency`` describe the kernel of
-    the integrated noise B, N cos(theta) (gamma/2 resp. Delta). Moments are
-    dimensionless occupations of the mode a.
-    """
+    """Stationary bosonic fluctuation data around the mean spin. Moments are
+    dimensionless occupations of the mode a."""
 
     angles: BlochAngles
     occupation: float
     anomalous_magnitude: float
-    relaxation_rate: float | None = None
-    oscillation_frequency: float | None = None
 
     @property
     def squeezing_reconstructed(self) -> float:
@@ -206,31 +200,26 @@ def spin_squeezing_analytic(e: EffectiveParams) -> float:
     return bloch_angles(e).cos_theta
 
 
-def hp_moments(a: BlochAngles, e: EffectiveParams | None = None) -> HPFluctuationSolution:
+def hp_moments(a: BlochAngles) -> HPFluctuationSolution:
     """Stationary fluctuation moments of the bosonic mode.
 
     |<a^2>| = (1 - cos^2 t)/(4 cos t),  <a^dag a> = (1 - cos t)^2/(4 cos t).
 
-    Kernel rate and frequency need the physical parameters; they are left
-    unset when ``e`` is not supplied. Diverges towards the critical point,
-    where the small-fluctuation expansion fails; guarded accordingly.
+    Diverges towards the critical point, where the small-fluctuation
+    expansion fails; guarded accordingly.
     """
     if a.sin_theta > CRITICAL_RATIO_GUARD:
         raise AboveThresholdError(a.sin_theta)
     c = a.cos_theta
-    occupation = (1.0 - c) ** 2 / (4.0 * c)
-    anomalous = (1.0 - c * c) / (4.0 * c)
-    rate = freq = None
-    if e is not None:
-        rate = e.N * c * e.gamma / 2.0
-        freq = e.N * c * e.Delta
-    return HPFluctuationSolution(
-        angles=a,
-        occupation=occupation,
-        anomalous_magnitude=anomalous,
-        relaxation_rate=rate,
-        oscillation_frequency=freq,
-    )
+    return HPFluctuationSolution(angles=a, occupation=(1.0 - c) ** 2 / (4.0 * c),
+                                 anomalous_magnitude=(1.0 - c * c) / (4.0 * c))
+
+
+def langevin_pole(e: EffectiveParams) -> complex:
+    """The linearized Heisenberg-Langevin kernel of the spin fluctuations as
+    one pole, -N cos(theta) (gamma/2 + i Delta): they relax at N cos(theta)
+    gamma/2 and turn at N cos(theta) Delta. AboveThresholdError past the guard."""
+    return -e.N * bloch_angles(e).cos_theta * complex(0.5 * e.gamma, e.Delta)
 
 
 def hp_moments_numeric(rho: DensityMatrix, rep: SpinRep) -> tuple[float, float]:

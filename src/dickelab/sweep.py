@@ -41,12 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    AboveThresholdError,
-    ConfigError,
-    DickeLabError,
-    SolverError,
-)
+from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError
 from .lindblad import SteadyStateOptions, steady_state
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
@@ -64,7 +59,6 @@ from .parameters import (
     EffectiveParams,
     bloch_angles,
     cavity_params_for_effective,
-    critical_drive,
     map_cavity_to_effective,
     mean_field_steady_state,
 )
@@ -103,6 +97,14 @@ def _read(block: dict, key: str, convert, where: str, default=None):
         raise ConfigError(f"{where}.{key}: bad value {value!r} ({exc})") from exc
 
 
+def _given(block: dict, where: str, fields) -> dict:
+    """The keys of ``block`` that are given (present and not null), each
+    converted and under its field name; ``fields`` holds (key, field,
+    conversion). An absent key leaves its field at its dataclass default."""
+    return {attr: value for key, attr, convert in fields
+            if (value := _read(block, key, convert, where)) is not None}
+
+
 def _list_of(convert):
     """Converter of one value or a list of values to a list."""
     def to_list(value):
@@ -132,6 +134,13 @@ def _as_flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
     return value
+
+
+def _as_units(value) -> bool:
+    """Drive units as ``drive_absolute``: "absolute" or "critical"."""
+    if value not in ("critical", "absolute"):
+        raise ValueError("drive units must be 'critical' or 'absolute'")
+    return value == "absolute"
 
 
 def _as_complex(value) -> complex:
@@ -263,8 +272,8 @@ class RunConfig:
 
         if level == "effective":
             block = _block(block, where, ("gamma", "delta", "N", "Delta_over_gamma"))
-            kwargs["gamma"] = _read(block, "gamma", _as_real, where, 1.0)
-            kwargs["delta"] = _read(block, "delta", _as_real, where, 0.0)
+            kwargs.update(_given(block, where, (("gamma", "gamma", _as_real),
+                                                ("delta", "delta", _as_real))))
             n_vals = _read(sweep, "N", _list_of(_as_int), "sweep")
             if n_vals is None:
                 n_vals = _read(block, "N", _list_of(_as_int), where)
@@ -273,8 +282,9 @@ class RunConfig:
             kwargs["n_values"] = n_vals
             d_vals = _read(sweep, "Delta_over_gamma", _list_of(_as_real), "sweep")
             if d_vals is None:
-                d_vals = _read(block, "Delta_over_gamma", _list_of(_as_real), where, [0.0])
-            kwargs["delta_over_gamma_values"] = d_vals
+                d_vals = _read(block, "Delta_over_gamma", _list_of(_as_real), where)
+            if d_vals is not None:
+                kwargs["delta_over_gamma_values"] = d_vals
         else:
             block = _block(block, where, ("g", "kappa", "delta_c", "Omega_L", "N", "delta"))
             try:
@@ -284,7 +294,7 @@ class RunConfig:
                     delta_c=_read(block, "delta_c", _as_real, where, 0.0),
                     Omega_L=_read(block, "Omega_L", _as_complex, where, 0.0),
                     N=_read(block, "N", _as_int, where, _REQUIRED),
-                    delta=_read(block, "delta", _as_real, where, 0.0),
+                    **_given(block, where, (("delta", "delta", _as_real),)),
                 )
             except ValueError as exc:
                 raise ConfigError(f"bad cavity parameter block: {exc}") from exc
@@ -298,11 +308,8 @@ class RunConfig:
             drive = _block(sweep["drive"], "sweep.drive", ("values", "units", "phase"))
             kwargs["drive_values"] = _read(drive, "values", _drive_list, "sweep.drive",
                                            _REQUIRED)
-            units = _read(drive, "units", str, "sweep.drive", "critical")
-            if units not in ("critical", "absolute"):
-                raise ConfigError("drive units must be 'critical' or 'absolute'")
-            kwargs["drive_absolute"] = units == "absolute"
-            kwargs["drive_phase"] = _read(drive, "phase", _as_real, "sweep.drive", 0.0)
+            kwargs.update(_given(drive, "sweep.drive", (("units", "drive_absolute", _as_units),
+                                                        ("phase", "drive_phase", _as_real))))
         elif level == "cavity":
             kwargs["drive_values"] = [None]  # use Omega_L as given
         else:
@@ -310,10 +317,7 @@ class RunConfig:
 
         for name, options in _OPTIONS.items():
             knobs = _block(raw.get(name), name, [key for key, _, _ in options])
-            for key, attr, convert in options:
-                value = _read(knobs, key, convert, name)
-                if value is not None:
-                    kwargs[attr] = value
+            kwargs.update(_given(knobs, name, options))
 
         return cls(**kwargs)
 
@@ -327,6 +331,13 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw, mode=mode)
+
+    @property
+    def written_paths(self) -> list:
+        """The files a run with an output path writes: the CSV, then its JSON
+        mirror (the CSV path with the extension .json) if ``json_mirror``."""
+        mirror = [os.path.splitext(self.out_path)[0] + ".json"] if self.json_mirror else []
+        return [self.out_path, *mirror]
 
 
 @dataclass
@@ -351,9 +362,7 @@ class SweepResult:
             "mode": self.mode,
             "meta": self.meta,
             "columns": self.columns,
-            "rows": [
-                {c: _json_cell(row.get(c)) for c in self.columns} for row in self.rows
-            ],
+            "rows": [{c: _json_cell(row.get(c)) for c in self.columns} for row in self.rows],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -397,11 +406,12 @@ class GridPoint:
     cavity: CavityParams | None = None
 
 
-def _drive(cfg: RunConfig, drive: float, e: EffectiveParams) -> complex:
-    """The configured drive value as the complex drive of parameters ``e``:
-    an absolute rate or a ratio to the critical drive, at the drive phase."""
-    scale = 1.0 if cfg.drive_absolute else critical_drive(e)
-    return float(drive) * scale * cmath.exp(1j * cfg.drive_phase)
+def _driven(cfg: RunConfig, drive: float, e: EffectiveParams) -> EffectiveParams:
+    """Parameters ``e`` at the configured drive value: an absolute rate or a
+    ratio to the critical drive, at the drive phase."""
+    if cfg.drive_absolute:
+        return replace(e, Omega=drive * cmath.exp(1j * cfg.drive_phase))
+    return e.with_drive_ratio(drive, cfg.drive_phase)
 
 
 def _grid_points(cfg: RunConfig) -> list:
@@ -417,13 +427,13 @@ def _grid_points(cfg: RunConfig) -> list:
                     for drive in cfg.drive_values:
                         if drive is None:
                             raise ConfigError("effective-level runs need drive values")
-                        points.append(GridPoint(cfg, replace(e0, Omega=_drive(cfg, drive, e0))))
+                        points.append(GridPoint(cfg, _driven(cfg, drive, e0)))
         else:
             for drive in cfg.drive_values:
                 p = cfg.cavity
                 e = map_cavity_to_effective(p)
                 if drive is not None:  # rescale Omega_L to hit the requested drive
-                    p = cavity_params_for_effective(replace(e, Omega=_drive(cfg, drive, e)),
+                    p = cavity_params_for_effective(_driven(cfg, drive, e),
                                                     p.kappa, g_phase=cmath.phase(p.g))
                     e = map_cavity_to_effective(p)
                 points.append(GridPoint(cfg, e, p))
@@ -434,10 +444,7 @@ def _grid_points(cfg: RunConfig) -> list:
 
 def _coordinate_cells(point: GridPoint) -> dict:
     e = point.effective
-    cells = {
-        "N": e.N,
-        "Delta_over_gamma": e.Delta / e.gamma,
-    }
+    cells = {"N": e.N, "Delta_over_gamma": e.Delta / e.gamma}
     if point.config.drive_absolute:
         cells["Omega_abs"] = abs(e.Omega)
     else:
@@ -537,7 +544,7 @@ def _moments_cells(point: GridPoint, rep, rho) -> list:
     except ValueError:
         hp = (None, None)
     row["hp_occupation_numeric"], row["hp_anomalous_numeric"] = hp
-    sol = _analytic_or_none(point.effective, lambda q: hp_moments(bloch_angles(q), q))
+    sol = _analytic_or_none(point.effective, lambda q: hp_moments(bloch_angles(q)))
     row["hp_occupation_analytic"] = None if sol is None else sol.occupation
     row["hp_anomalous_analytic"] = None if sol is None else sol.anomalous_magnitude
     return [row]
@@ -739,8 +746,7 @@ def run_and_write(cfg: RunConfig) -> SweepResult:
         try:
             result.write_csv(cfg.out_path)
             if cfg.json_mirror:
-                base, _ = os.path.splitext(cfg.out_path)
-                result.write_json(base + ".json")
+                result.write_json(cfg.written_paths[1])
         except OSError as exc:
             raise ConfigError(f"cannot write {cfg.out_path}: {exc}") from exc
     return result

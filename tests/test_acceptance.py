@@ -353,7 +353,7 @@ def test_criterion_9_hp_moment_bridge():
     model = build_dicke_model(e)
     rho, _ = steady_state(model.liouvillian)
     occ, anom = hp_moments_numeric(rho, model.rep)
-    sol = hp_moments(bloch_angles(e), e)
+    sol = hp_moments(bloch_angles(e))
     occ_dev = abs(occ / sol.occupation - 1.0)
     anom_dev = abs(anom / sol.anomalous_magnitude - 1.0)
     assert occ_dev <= 0.10

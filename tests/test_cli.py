@@ -154,6 +154,21 @@ def test_json_mirror(tmp_path):
     assert mirror["rows"][2]["jz_over_halfN_analytic"] is None
 
 
+@pytest.mark.parametrize("out, flags", [("c.csv", ["--json"]), ("sub/../c.json", [])],
+                         ids=["json-mirror", "csv"])
+def test_output_that_is_the_config_file_exits_before_any_solve(tmp_path, out, flags):
+    # the CSV or its JSON mirror resolving to the config file would replace
+    # the config; a rerun would then read the output as a config
+    (tmp_path / "sub").mkdir()
+    cfg = write_cfg(tmp_path / "c.json", {"mode": "g2",
+                                          "params": {"effective": {"gamma": 1.0, "N": 12}},
+                                          "sweep": {"drive": {"values": [0.5]}}})
+    before = (tmp_path / "c.json").read_bytes()
+    assert main(["g2", "--config", cfg, "--out", str(tmp_path / out), *flags]) == 2
+    assert (tmp_path / "c.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "sub"]
+
+
 def test_absolute_drive_flag(tmp_path):
     payload = {
         "mode": "mean-field",
@@ -402,26 +417,45 @@ def _fresh_interpreter(script: str, *args, **env) -> str:
     return proc.stdout
 
 
+# one delta = 0 config of each mode whose rows need no Liouvillian; the
+# spectrum point (N = 40, drive 0.5, as configs/spectrum_n40.json) is coherent
+_RESONANT_RUNS = {
+    mode: {"mode": mode, "params": {"effective": {"gamma": 1.0, "N": 30}},
+           "sweep": {"drive": {"values": [0.3, 0.8]}, "Delta_over_gamma": [0.0, 1.0]}}
+    for mode in ("sweep-squeezing", "sweep-jz", "moments", "g2", "mean-field")
+}
+_RESONANT_RUNS["spectrum"] = {
+    "mode": "spectrum", "params": {"effective": {"gamma": 1.0, "N": 40}},
+    "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0]},
+    "spectrum": {"n_tau": 32},
+}
+
+
 def test_resonant_run_loads_no_scipy(tmp_path):
     # the closed form needs numpy alone: importing the CLI and running a
-    # delta = 0 sweep leave no scipy module in sys.modules
-    payload = {
-        "mode": "sweep-squeezing",
-        "params": {"effective": {"gamma": 1.0, "N": 30}},
-        "sweep": {"drive": {"values": [0.3, 0.8]}, "Delta_over_gamma": [0.0, 1.0]},
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    # delta = 0 sweep of each such mode, one after the other in one
+    # process, leave no scipy module in sys.modules
+    cfgs = [write_cfg(tmp_path / f"{mode}.json", payload)
+            for mode, payload in _RESONANT_RUNS.items()]
     out = _fresh_interpreter(
-        "import sys\n"
+        "import json, sys\n"
         "import dickelab.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "code = dickelab.cli.main(['sweep-squeezing', '--config', sys.argv[1], '--out', sys.argv[2],\n"
-        "                          '--threads', '1'])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
-        cfg, tmp_path / "out.csv")
+        "for cfg in sys.argv[1:]:\n"
+        "    mode = json.load(open(cfg))['mode']\n"
+        "    code = dickelab.cli.main([mode, '--config', cfg, '--out', cfg[:-5] + '.csv',\n"
+        "                              '--threads', '1'])\n"
+        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        *cfgs)
     lines = out.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "0 []")
-    assert [r["solver_method"] for r in read_csv(tmp_path / "out.csv")] == ["closed-form"] * 4
+    assert lines[0] == "[]"
+    assert [line for line in lines if line[:1].isdigit()] == ["0 []"] * len(cfgs)
+    for mode in _RESONANT_RUNS:
+        rows = read_csv(tmp_path / f"{mode}.csv")
+        assert rows and all(r["error"] == "" for r in rows)
+        if MODES[mode].columns[-1] == "solver_method":
+            assert {r["solver_method"] for r in rows} == {"closed-form"}
+    assert {r["verdict"] for r in read_csv(tmp_path / "spectrum.csv")} == {"coherent"}
 
 
 # OpenBLAS starts with one thread per core up to this, so a count left at

@@ -13,7 +13,13 @@ from oracles import (
 )
 
 from dickelab.errors import AboveThresholdError
-from dickelab.lindblad import KRYLOV_MAX_DIM, DensityMatrix, expect, steady_state
+from dickelab.lindblad import (
+    KRYLOV_MAX_DIM,
+    DensityMatrix,
+    expect,
+    steady_state,
+    two_time_correlator,
+)
 from dickelab.models import (
     build_cavity_model,
     build_dicke_model,
@@ -25,6 +31,7 @@ from dickelab.observables import (
     g2_zero,
     hp_moments,
     hp_moments_numeric,
+    langevin_pole,
     output_spectrum,
     spin_moments,
     spin_squeezing_analytic,
@@ -37,6 +44,8 @@ from dickelab.parameters import (
     EffectiveParams,
     bloch_angles,
     cavity_params_for_effective,
+    critical_drive,
+    rotation_matrix,
 )
 
 
@@ -177,19 +186,31 @@ def test_hp_moments_closed_forms():
     assert third.anomalous_magnitude == pytest.approx(3 / 8, rel=1e-14)
 
 
-def test_hp_moments_kernel_fields():
-    e = eff(60, 0.5, delta_over_gamma=0.25)
-    sol = hp_moments(bloch_angles(e), e)
-    c = bloch_angles(e).cos_theta
-    assert sol.relaxation_rate == pytest.approx(60 * c * 0.5, rel=1e-12)
-    assert sol.oscillation_frequency == pytest.approx(60 * c * 0.25, rel=1e-12)
-    bare = hp_moments(bloch_angles(e))
-    assert bare.relaxation_rate is None
+@pytest.mark.parametrize("delta_over_gamma", [0.0, 0.5])
+def test_langevin_pole_is_the_dominant_pole_of_the_exact_generator(delta_over_gamma):
+    # the connected <dJ_x'(0) dJ_x'(tau)> of the exact closed-form state,
+    # x' the first transverse axis of the mean-spin frame, is one pole to
+    # within an O(gamma) offset: at N = 100, drive 0.5 the pole of largest
+    # weight holds 0.994 of sum |w| and sits 0.179 (1 + 2i Delta/gamma) gamma
+    # from -N cos(theta) (gamma/2 + i Delta)
+    e = eff(100, 0.5, delta_over_gamma)
+    model = build_dicke_model(e)
+    rho, _ = resonant_steady_state(e)
+    x = rotation_matrix(bloch_angles(e))[:, 0]
+    jx = x[0] * model.ops["J_x"] + x[1] * model.ops["J_y"] + x[2] * model.ops["J_z"]
+    omega = np.linspace(-40.0, 40.0, 401)
+    lam, w, _ = two_time_correlator(model.liouvillian, rho, jx, jx, omega,
+                                    0.5 / critical_drive(e))
+    k = int(np.argmax(abs(w)))
+    assert abs(w[k]) >= 0.98 * abs(w).sum()
+    assert abs(lam[k] - langevin_pole(e)) <= 0.25 * e.gamma * abs(1 + 2j * delta_over_gamma)
 
 
 def test_hp_moments_diverge_guard():
     with pytest.raises(AboveThresholdError):
         hp_moments(BlochAngles(math.asin(0.9999), 0.0))
+    with pytest.raises(AboveThresholdError):
+        langevin_pole(eff(10, 1.2))
 
 
 def test_squeezing_reconstruction_matches_cosine():
@@ -204,7 +225,7 @@ def test_hp_bridge_numeric_n60():
     e = eff(60, 0.5)
     model, rho = solved(e)
     occ, anom = hp_moments_numeric(rho, model.rep)
-    sol = hp_moments(bloch_angles(e), e)
+    sol = hp_moments(bloch_angles(e))
     assert occ == pytest.approx(sol.occupation, rel=0.10)
     assert anom == pytest.approx(sol.anomalous_magnitude, rel=0.10)
 
