@@ -38,6 +38,7 @@ def _child(n: int, ratio: float, drive: float) -> dict:
     import scipy.sparse.linalg as spla
 
     from dickelab.errors import DickeLabError
+    from dickelab.lindblad import blas_thread_counts
     from dickelab.models import validate_elimination
     from dickelab.parameters import EffectiveParams, cavity_params_for_effective
 
@@ -85,7 +86,7 @@ def _child(n: int, ratio: float, drive: float) -> dict:
         "gmres": krylov,
         "jz_over_half_n": float(report.full["Jz"]) / (n / 2) if report else None,
         "photons": float(report.full["photons"]) if report else None,
-        "blas_threads": harness.blas_threads(),
+        "blas_threads": blas_thread_counts(),
     }
 
 

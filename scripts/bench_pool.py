@@ -66,7 +66,7 @@ def _lu_point_threads():
     probe, seen = lindblad._uniqueness_probe, []
 
     def probing(*args):
-        seen.append(harness.blas_threads())
+        seen.append(lindblad.blas_thread_counts())
         return probe(*args)
 
     lindblad._uniqueness_probe = probing
@@ -81,12 +81,13 @@ def _lu_point_threads():
 
 def _child(case: str) -> dict:
     """One measurement in this interpreter (the package comes from PYTHONPATH)."""
-    from dickelab import sweep
+    from dickelab import lindblad, sweep
 
     workers = os.cpu_count() or 1
     with sweep._worker_pool(workers) as pool:  # the pool a sweep of this checkout starts
         worker_blas = pool.submit(_lu_point_threads).result()
-    record = {"blas_threads_main": harness.blas_threads(), "blas_threads_worker": worker_blas}
+    record = {"blas_threads_main": lindblad.blas_thread_counts(),
+              "blas_threads_worker": worker_blas}
 
     with tempfile.TemporaryDirectory() as outdir:
         if case == "reproduce_figures":

@@ -43,7 +43,7 @@ import harness
 sys.path.insert(0, os.path.join(harness.ROOT, "src"))
 
 from dickelab import EffectiveParams, resonant_steady_state, spin_moments  # noqa: E402
-from dickelab.lindblad import _single_blas_thread  # noqa: E402
+from dickelab.lindblad import _single_blas_thread, blas_thread_counts  # noqa: E402
 from dickelab.models import banded_tolerance  # noqa: E402
 from dickelab.operators import SpinRep  # noqa: E402
 
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     args = harness.Arguments(__doc__, "BENCH_resonant.json", repeats=5).parse_args(argv)
 
     with _single_blas_thread():
-        blas_pinned = harness.blas_threads()
+        blas_pinned = blas_thread_counts()
         cases = []
         for n in N_VALUES:
             for drive in DRIVES:
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     harness.write(
         args, "resonant closed form: state + O(D) gate + moments record per N, "
               "on one BLAS thread; CLI import; one N = 10^4 sweep-squeezing call",
-        blas_threads=harness.blas_threads(),
+        blas_threads=blas_thread_counts(),
         blas_threads_timed=blas_pinned,
         delta_over_gamma=DELTA_OVER_GAMMA,
         cases=cases,

@@ -13,15 +13,18 @@ resonant (delta = 0), so the steady state is the closed form.
 
 Each run is one fresh interpreter with PYTHONPATH set to the checkout's
 ``src`` and OPENBLAS_NUM_THREADS=1; the checkouts alternate which goes
-first. It calls ``observables.output_spectrum`` with its default grid
-(tau_max and n_tau) at kappa = 1000 gamma, and wraps
+first. It runs the point as a ``spectrum`` config (``RunConfig.from_dict``,
+the default grid of tau_max and n_tau, kappa = 1000 gamma, one thread, so
+the rows are computed in the child) through ``sweep.run``, reads the
+verdict and the incoherent spectrum from its rows, and wraps
 ``observables.two_time_correlator``, the regression correlator that
-``output_spectrum`` calls, to time that call and read its poles and
-``PropagationReport``. Per point the record holds, for each side, the
-Krylov dimension, the L + U entries of the shifted factor, the seconds of
-the correlator (``correlator_s``, the smallest over the repeats), the
-number of kept poles and the slowest kept rate; and the largest
-|F_change - F_parent| over the omega grid divided by the parent's peak.
+``observables.output_spectrum`` calls, to time that call and read its
+poles and ``PropagationReport``. Per point the record holds, for each
+side, the Krylov dimension, the L + U entries of the shifted factor, the
+seconds of the correlator (``correlator_s``, the smallest over the
+repeats), the number of kept poles and the slowest kept rate; and the
+largest |F_change - F_parent| over the omega grid divided by the parent's
+peak.
 ``start_round_off`` is eps D <J_+J_-> / var(J_-), the relative round-off
 of the correlator's start: the stop rule holds each spectrum only to
 max(1e-8, that share) of its peak, so two checkouts may differ by about as
@@ -48,18 +51,18 @@ KAPPA_OVER_GAMMA = 1000.0
 def _child(point) -> dict:
     """One output spectrum of the checkout on the path, with its regression
     correlator timed."""
-    from dickelab import observables
+    from dickelab import lindblad, observables, sweep
     from dickelab.models import resonant_steady_state
-    from dickelab.observables import field_composition, output_spectrum, spin_moments
     from dickelab.operators import SpinRep
-    from dickelab.parameters import EffectiveParams, bloch_angles, cavity_params_for_effective
+    from dickelab.parameters import EffectiveParams
 
     n, d_over_g, drive = point
+    cfg = sweep.RunConfig.from_dict({
+        "mode": "spectrum", "params": {"effective": {"gamma": 1.0}},
+        "sweep": {"N": [n], "Delta_over_gamma": [d_over_g], "drive": {"values": [drive]}},
+        "spectrum": {"kappa_embed_over_gamma": KAPPA_OVER_GAMMA}, "solver": {"threads": 1}})
     e = EffectiveParams(gamma=1.0, Delta=d_over_g, Omega=0.0, N=n).with_drive_ratio(drive)
-    rho, _ = resonant_steady_state(e)
-    moments = spin_moments(rho, SpinRep.for_atoms(n))
-    fc = field_composition(cavity_params_for_effective(e, kappa=KAPPA_OVER_GAMMA * e.gamma),
-                           moments.jm, bloch_angles(e))
+    moments = observables.spin_moments(resonant_steady_state(e)[0], SpinRep.for_atoms(n))
     correlator, calls = observables.two_time_correlator, []
 
     def timed(*args):
@@ -73,20 +76,20 @@ def _child(point) -> dict:
               "start_round_off": float(np.finfo(float).eps * (n + 1) * moments.jp_jm
                                        / moments.var_jm)}
     try:
-        spec = output_spectrum(e, fc, rho_ss=rho)
+        rows = sweep.run(cfg).rows
+        record["error"] = rows[0]["error"]
     except Exception as exc:  # noqa: BLE001 - a failing side is a result
         record["error"] = f"{type(exc).__name__}: {exc}"
-        spec = None
-    record["blas_threads"] = harness.blas_threads()
+    record["blas_threads"] = lindblad.blas_thread_counts()
     if calls:
         seconds, (lam, _, report) = calls[-1]
         record.update(correlator_s=seconds, krylov_dim=report.krylov_dim, lu_nnz=report.lu_nnz,
                       poles=int(lam.size),
                       slowest_rate=float(-lam.real.max()) if lam.size else None)
-    if spec is not None:
-        record["verdict"] = spec.verdict
-        record["spectrum"] = (None if spec.incoherent_spectrum is None
-                              else [float(x) for x in spec.incoherent_spectrum])
+    if not record["error"]:
+        record["verdict"] = rows[0]["verdict"]
+        record["spectrum"] = (None if record["verdict"] == "coherent"
+                              else [float(row["incoherent_spectrum"]) for row in rows])
     return record
 
 

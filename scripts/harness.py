@@ -1,6 +1,6 @@
 """What the bench scripts share: the command line, the fresh interpreter on
 a checkout and its wall and CPU time, the order of the checkouts in each
-repeat, the OpenBLAS thread reader and the record header.
+repeat and the record header.
 
 Every ``BENCH_*.json`` starts with the header of :func:`write`: ``what``,
 ``note``, ``nproc``, ``python``, ``numpy``, ``scipy``, ``repeats``,
@@ -17,10 +17,7 @@ older one included.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import glob
 import importlib.metadata
-import importlib.util
 import json
 import os
 import platform
@@ -121,25 +118,6 @@ def side_order(sides, repeat: int) -> list:
     on even repeats and reversed on odd ones, so neither checkout always
     runs first."""
     return list(sides) if repeat % 2 == 0 else list(reversed(sides))
-
-
-def blas_threads() -> dict:
-    """Thread count of each OpenBLAS copy bundled with numpy and scipy that
-    this process has loaded. A copy not yet loaded is left out rather than
-    loaded, so reading does not change the process it reads."""
-    counts = {}
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
-        for path in glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*.so")):
-            try:
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            except OSError:  # not loaded
-                continue
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts[package] = int(getter())
-    return counts
 
 
 def write(args, what: str, **fields):

@@ -5,8 +5,8 @@
     dicke-lab reproduce-figures [--outdir dir] [--threads k] [--no-timestamp]
 
 Exit codes: 0 success, 2 bad configuration (an output that would overwrite
-the config file included), 3 solver failure, 4 above-threshold analytic
-request.
+the config file included), 3 solver failure, 4 no grid point below the
+critical drive (every row of a spectrum or mean-field run would be empty).
 
 OpenBLAS threads: each OpenBLAS copy (numpy's, and scipy's where a point
 loads it) reads ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AboveThresholdError as exc:
-        print(f"above-threshold analytic request: {exc}", file=sys.stderr)
+        print(f"above threshold: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
     except (SolverError, DickeLabError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

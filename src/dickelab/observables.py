@@ -95,7 +95,6 @@ class HPFluctuationSolution:
     """Stationary bosonic fluctuation data around the mean spin. Moments are
     dimensionless occupations of the mode a."""
 
-    angles: BlochAngles
     occupation: float
     anomalous_magnitude: float
 
@@ -108,12 +107,10 @@ class HPFluctuationSolution:
 @dataclass(frozen=True)
 class FieldComposition:
     """The field leaving the cavity: G, the dipole-to-detector coupling,
-    ``mean_field_out``, the mean outgoing amplitude, and the Bloch angles
-    of the dipole that scatters into it."""
+    and ``mean_field_out``, the mean outgoing amplitude."""
 
     G: complex
     mean_field_out: complex
-    angles: BlochAngles
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def hp_moments(a: BlochAngles) -> HPFluctuationSolution:
     if a.sin_theta > CRITICAL_RATIO_GUARD:
         raise AboveThresholdError(a.sin_theta)
     c = a.cos_theta
-    return HPFluctuationSolution(angles=a, occupation=(1.0 - c) ** 2 / (4.0 * c),
+    return HPFluctuationSolution(occupation=(1.0 - c) ** 2 / (4.0 * c),
                                  anomalous_magnitude=(1.0 - c * c) / (4.0 * c))
 
 
@@ -246,7 +243,7 @@ def g2_zero(rho: DensityMatrix, rep: SpinRep) -> float:
     return mom.jp2_jm2 / mom.jp_jm**2
 
 
-def field_composition(p: CavityParams, jminus_mean: complex, a: BlochAngles) -> FieldComposition:
+def field_composition(p: CavityParams, jminus_mean: complex) -> FieldComposition:
     """Output field of a one-sided cavity.
 
     chi = kappa/(i delta_c - kappa/2) is the cavity response, G = -i g* chi
@@ -257,22 +254,16 @@ def field_composition(p: CavityParams, jminus_mean: complex, a: BlochAngles) -> 
     chi = p.kappa / (1j * p.delta_c - p.kappa / 2)
     G = -1j * np.conj(p.g) * chi
     free_mean = -1j * p.Omega_L * (1 + chi)
-    return FieldComposition(G=complex(G), mean_field_out=complex(free_mean + G * jminus_mean),
-                            angles=a)
+    return FieldComposition(G=complex(G), mean_field_out=complex(free_mean + G * jminus_mean))
 
 
-def output_spectrum(
-    e: EffectiveParams,
-    fc: FieldComposition,
-    tau_max: float | None = None,
-    n_tau: int = 512,
-    *,
-    rho_ss: DensityMatrix,
-) -> SpectrumResult:
-    """Spectrum of the radiated light at ``rho_ss``, the steady state of the
-    Dicke model of ``e``: a delta peak at the drive frequency of weight
-    |<E>|^2, and |G|^2 times the transform of the connected dipole
-    correlator <dJ_+(0) dJ_-(tau)>, of weight |G|^2 var(J_-). Vacuum-dipole
+def output_spectrum(e: EffectiveParams, p: CavityParams, tau_max: float | None, n_tau: int, *,
+                    rho_ss: DensityMatrix) -> SpectrumResult:
+    """Spectrum of the light leaving the cavity ``p`` at ``rho_ss``, the
+    steady state of the Dicke model of ``e``: a delta peak at the drive
+    frequency of weight |<E>|^2, and |G|^2 times the transform of the
+    connected dipole correlator <dJ_+(0) dJ_-(tau)>, of weight |G|^2
+    var(J_-), with G and <E> from :func:`field_composition`. Vacuum-dipole
     cross terms are dropped: at linear order the full normally ordered
     fluctuation flux vanishes, so the dipole term alone bounds the residual.
 
@@ -282,17 +273,18 @@ def output_spectrum(
     the spectrum is the sum of Lorentzians |G|^2 2 Re sum_k w_k /
     (-lambda_k - i omega) of ``lindblad.two_time_correlator``, on 2 n_tau + 1
     frequencies spanning [-pi/dtau, pi/dtau], dtau = tau_max/(n_tau - 1).
-    tau_max and n_tau set only that grid; tau_max defaults to ten slowest
-    linearized relaxation times, 10 / (N cos(t) gamma / 2). The Krylov
-    shift is the inverse of the model's collective scale,
-    1/(N |Delta + i gamma/2|) = 1/(2 Omega_c). The slowest kept rate, its
-    share of var(J_-), the grid step and the Krylov dimension are logged
-    at DEBUG.
+    tau_max and n_tau set only that grid; a tau_max of None is ten slowest
+    linearized relaxation times, 10 / (N cos(t) gamma / 2), and raises
+    AboveThresholdError past the guard. The Krylov shift is the inverse of
+    the model's collective scale, 1/(N |Delta + i gamma/2|) = 1/(2 Omega_c).
+    The slowest kept rate, its share of var(J_-), the grid step and the
+    Krylov dimension are logged at DEBUG.
     """
     rep = SpinRep.for_atoms(e.N)
     moments = spin_moments(rho_ss, rep)
+    fc = field_composition(p, moments.jm)
     if tau_max is None:
-        tau_max = 10.0 / (e.N * fc.angles.cos_theta * e.gamma / 2.0)
+        tau_max = 10.0 / (e.N * bloch_angles(e).cos_theta * e.gamma / 2.0)
     dtau = tau_max / (n_tau - 1)
     omega = np.linspace(-np.pi / dtau, np.pi / dtau, 2 * n_tau + 1)
     g2abs = abs(fc.G) ** 2

@@ -23,7 +23,8 @@ Elimination checks and cavity models always use the LU.
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
 quantities are split into _re/_im columns. Analytic cells above the
-critical drive stay empty. The wall-time column and the timestamp header
+critical drive stay empty, and so do the spectrum and mean-field cells of
+a point above it. The wall-time column and the timestamp header
 line are suppressed together by the no-timestamp flag, since both break
 byte-level reproducibility.
 """
@@ -45,7 +46,6 @@ from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError
 from .lindblad import SteadyStateOptions, steady_state
 from .models import build_dicke_model, resonant_steady_state, validate_elimination
 from .observables import (
-    field_composition,
     g2_zero,
     hp_moments,
     hp_moments_numeric,
@@ -346,7 +346,7 @@ class SweepResult:
     columns: list
     rows: list
     meta: dict
-    n_failures: int = 0
+    n_failures: int
 
     def write_csv(self, path: str):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -513,14 +513,12 @@ def _squeezing_cells(point: GridPoint, rep, rho) -> list:
 
 def _rows_mean_field(point: GridPoint) -> list:
     e = point.effective
-    half_n = e.N / 2
-    try:
-        jz, jm = mean_field_steady_state(e)
-        angles = bloch_angles(e)
-    except AboveThresholdError:
+    angles = _analytic_or_none(e, bloch_angles)
+    if angles is None:
         return [{}]
+    jz, jm = mean_field_steady_state(e)
     return [{
-        "jz_over_halfN_analytic": jz / half_n,
+        "jz_over_halfN_analytic": jz / (e.N / 2),
         "jminus_re": jm.real,
         "jminus_im": jm.imag,
         "theta": angles.theta,
@@ -556,12 +554,12 @@ def _g2_cells(point: GridPoint, rep, rho) -> list:
 
 def _spectrum_cells(point: GridPoint, rep, rho) -> list:
     e, p, cfg = point.effective, point.cavity, point.config
-    angles = bloch_angles(e)  # raises above threshold -> exit 4 at CLI level
+    if _analytic_or_none(e, bloch_angles) is None:  # above threshold: no spectrum
+        return [{}]
     if p is None:
         p = cavity_params_for_effective(e, cfg.kappa_embed_over_gamma * e.gamma)
-    fc = field_composition(p, spin_moments(rho, rep).jm, angles)
     tau_max = None if cfg.tau_max_gamma is None else cfg.tau_max_gamma / e.gamma
-    spec = output_spectrum(e, fc, tau_max=tau_max, n_tau=cfg.n_tau, rho_ss=rho)
+    spec = output_spectrum(e, p, tau_max, cfg.n_tau, rho_ss=rho)
     shared = {
         "coherent_weight": spec.coherent_weight,
         "incoherent_weight": spec.incoherent_weight,
@@ -668,10 +666,6 @@ def compute_point(point: GridPoint) -> list:
     try:
         rows = MODES[point.config.mode].rows(point)
         error = None
-    except AboveThresholdError:
-        # analytic-dependent modes cannot degrade gracefully; let the
-        # caller map this onto its own exit code
-        raise
     except (SolverError, DickeLabError, ValueError) as exc:
         rows = [{}]
         error = f"{type(exc).__name__}: {exc}"
@@ -690,9 +684,10 @@ def run(cfg: RunConfig) -> SweepResult:
     """Execute the configured sweep and return the tabular result.
 
     Raises AboveThresholdError when no row has a value in any mode column
-    and none carries an error (every point of an analytic-only mode lies
-    above the critical drive); per-point solver failures are recorded in
-    the failure marker column instead.
+    other than the solver columns and none carries an error: every point
+    lies above the critical drive, where the spectrum and mean-field rows
+    are empty. Per-point solver failures are recorded in the failure
+    marker column instead.
     """
     points = _grid_points(cfg)
     threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
@@ -722,9 +717,8 @@ def run(cfg: RunConfig) -> SweepResult:
     if cfg.timestamp:
         meta["generated"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    if n_failures == 0 and not any(
-        row.get(c) is not None for row in rows for c in mode_columns
-    ):
+    results = [c for c in mode_columns if c not in _SOLVER_COLUMNS]
+    if n_failures == 0 and not any(row.get(c) is not None for row in rows for c in results):
         raise AboveThresholdError(
             float("nan"),
             "no grid point lies below the critical drive; nothing to report",
@@ -752,8 +746,7 @@ def run_and_write(cfg: RunConfig) -> SweepResult:
     return result
 
 
-def reproduce_figures(outdir: str = ".", threads: int | None = None,
-                      timestamp: bool = True) -> dict:
+def reproduce_figures(outdir: str, threads: int | None, timestamp: bool) -> dict:
     """Emit fig2.csv (population inversion) and fig3.csv (spin squeezing):
     N = 50, dipole shifts 2 Delta/gamma in {0, 1, 2}, thirty drive points
     between 0.05 and 1.2 of the critical drive, numeric and analytic

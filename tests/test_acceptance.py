@@ -202,9 +202,9 @@ def test_criterion_6_coherent_light_finite_n():
         e = eff(n, 0.5)
         rho, _ = resonant_steady_state(e)
         mom = spin_moments(rho, SpinRep.for_atoms(n))
-        fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), mom.jm,
-                               bloch_angles(e))
-        spec = output_spectrum(e, fc, n_tau=256, rho_ss=rho)
+        p = cavity_params_for_effective(e, kappa=1000.0)
+        fc = field_composition(p, mom.jm)
+        spec = output_spectrum(e, p, None, 256, rho_ss=rho)
         # the incoherent weight is the exact |G|^2 var(J_-) of the closed form
         assert spec.incoherent_weight == abs(fc.G) ** 2 * mom.var_jm
         ratios.append(spec.coherence_ratio)
@@ -241,7 +241,7 @@ def test_criterion_7_field_theory_identities():
         )
         e = map_cavity_to_effective(p)
         jm = -e.Omega / (e.Delta + 0.5j * e.gamma)
-        fc = field_composition(p, jm, BlochAngles(0.0, 0.0))
+        fc = field_composition(p, jm)
         target = -1j * p.Omega_L
         worst_mean = max(worst_mean,
                          abs(fc.mean_field_out - target) / max(1.0, abs(target)))

@@ -708,6 +708,32 @@ def test_exit_code_above_threshold_spectrum(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 4
 
 
+def test_spectrum_point_above_threshold_is_an_empty_row(tmp_path):
+    # as in mean-field: a point above the critical drive writes one row
+    # with empty spectrum cells and no error; the run reports the rest
+    payload = {
+        "mode": "spectrum",
+        "params": {"effective": {"gamma": 1.0, "N": 10}},
+        "sweep": {"drive": {"values": [0.5, 1.2]}, "Delta_over_gamma": [0.0]},
+        "spectrum": {"n_tau": 32},
+    }
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+    rows = read_csv(out)
+    below = [r for r in rows if float(r["Omega_over_Omega_c"]) == 0.5]
+    above = [r for r in rows if float(r["Omega_over_Omega_c"]) == 1.2]
+    assert len(below) == 2 * 32 + 1 and len(above) == 1
+    for row in below:
+        assert row["error"] == "" and row["verdict"] in ("coherent", "resolved")
+        assert row["omega_over_gamma"] != "" and row["coherent_weight"] != ""
+    (row,) = above
+    spectrum_cells = ("omega_over_gamma", "incoherent_spectrum", "coherent_weight",
+                      "incoherent_weight", "coherence_ratio", "verdict")
+    assert all(row[c] == "" for c in spectrum_cells)
+    assert row["error"] == ""
+
+
 def test_spectrum_mode_rows(tmp_path):
     payload = {
         "mode": "spectrum",

@@ -237,7 +237,7 @@ def test_field_composition_resonant_cavity():
     p = CavityParams(g=0.5, kappa=2.0, delta_c=0.0, Omega_L=1.5, N=8)
     # chi = -2 on resonance: G = 2i g*, and with no dipole the mean is the
     # free field -i Omega_L (1 + chi) = i Omega_L
-    fc = field_composition(p, 0.0, BlochAngles(0.0, 0.0))
+    fc = field_composition(p, 0.0)
     assert fc.G == pytest.approx(2j * np.conj(p.g), abs=1e-15)
     assert fc.mean_field_out == pytest.approx(1j * p.Omega_L, abs=1e-15)
 
@@ -256,7 +256,7 @@ def test_field_mean_equals_input_for_mean_field_dipole():
 
         e = map_cavity_to_effective(p)
         jm = -e.Omega / (e.Delta + 0.5j * e.gamma)
-        fc = field_composition(p, jm, BlochAngles(0.0, 0.0))
+        fc = field_composition(p, jm)
         target = -1j * p.Omega_L
         assert abs(fc.mean_field_out - target) <= 1e-12 * max(1.0, abs(target))
 
@@ -266,23 +266,21 @@ def test_field_mean_numeric_deviation_small():
     model, rho = solved(e)
     p = cavity_params_for_effective(e, kappa=1000.0)
     jm = expect(rho, model.ops["J_minus"])
-    fc = field_composition(p, jm, bloch_angles(e))
+    fc = field_composition(p, jm)
     assert abs(fc.mean_field_out + 1j * p.Omega_L) / abs(p.Omega_L) <= 0.05
 
 
 def test_field_fluctuation_coefficients():
     p = CavityParams(g=0.4, kappa=3.0, delta_c=-0.6, Omega_L=1.0, N=25)
-    a = BlochAngles(0.4, 0.3)
     # a detuned cavity: the dipole reaches the output through G = -i g* chi,
     # its fluctuations as well as its mean
     chi = p.kappa / (1j * p.delta_c - p.kappa / 2)
-    fc = field_composition(p, 0.0, a)
+    fc = field_composition(p, 0.0)
     assert fc.G == pytest.approx(-1j * np.conj(p.g) * chi, rel=1e-14)
     assert fc.mean_field_out == pytest.approx(-1j * p.Omega_L * (1 + chi), rel=1e-14)
     jm = 0.3 - 0.2j
-    scattered = field_composition(p, jm, a).mean_field_out - fc.mean_field_out
+    scattered = field_composition(p, jm).mean_field_out - fc.mean_field_out
     assert scattered == pytest.approx(fc.G * jm, rel=1e-14)
-    assert fc.angles == a
 
 
 # ---------------------------------------------------------------- dipole moments
@@ -356,21 +354,20 @@ def _state_and_rep(e):
 # ---------------------------------------------------------------- spectrum
 
 
-def _spectrum_point(e, **kwargs):
+def _spectrum_point(e, n_tau):
     """The closed-form state of ``e``, its embedding at kappa = 1000 gamma
-    and its output spectrum."""
+    and its output spectrum on the default tau_max."""
     rho, _ = resonant_steady_state(e)
     mom = spin_moments(rho, SpinRep.for_atoms(e.N))
-    fc = field_composition(cavity_params_for_effective(e, kappa=1000.0), mom.jm, bloch_angles(e))
-    return rho, mom, fc, output_spectrum(e, fc, rho_ss=rho, **kwargs)
+    p = cavity_params_for_effective(e, kappa=1000.0)
+    return rho, mom, field_composition(p, mom.jm), output_spectrum(e, p, None, n_tau, rho_ss=rho)
 
 
 def test_spectrum_undriven_is_empty():
     e = EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=6)
     rho, _ = resonant_steady_state(e)
     p = cavity_params_for_effective(e, kappa=100.0)
-    fc = field_composition(p, 0.0, BlochAngles(0.0, 0.0))
-    spec = output_spectrum(e, fc, tau_max=2.0, n_tau=64, rho_ss=rho)
+    spec = output_spectrum(e, p, 2.0, 64, rho_ss=rho)
     assert spec.coherent_weight == 0.0  # no drive, no coherent peak
     assert spec.incoherent_weight == 0.0
     assert spec.verdict == "coherent" and spec.incoherent_spectrum is None
@@ -426,7 +423,7 @@ def test_spectrum_matches_direct_resolvents(n, ratio, delta_over_gamma, monkeypa
 
     monkeypatch.setattr(observables, "two_time_correlator", recording)
     e = eff(n, ratio, delta_over_gamma)
-    rho, mom, fc, spec = _spectrum_point(e)
+    rho, mom, fc, spec = _spectrum_point(e, 512)
     assert spec.verdict == "resolved"
     (lam, w, report), = calls
     assert report.krylov_dim <= KRYLOV_DIM_BOUND.get((n, ratio, delta_over_gamma),
@@ -458,7 +455,7 @@ def test_spectrum_below_round_off_reads_coherent():
     e = eff(100, 0.545)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, mom, _, spec = _spectrum_point(e)
+        _, mom, _, spec = _spectrum_point(e, 512)
     assert mom.var_jm <= np.finfo(float).eps * (e.N + 1) * mom.jp_jm
     assert spec.verdict == "coherent" and spec.incoherent_spectrum is None
     assert spec.omega.size == 2 * 512 + 1

@@ -1,16 +1,12 @@
-"""The bench harness under ``scripts/``: the order of the checkouts, the
-OpenBLAS thread reader and one end-to-end record of ``bench_spectrum``.
+"""The bench harness under ``scripts/``: the order of the checkouts and one
+end-to-end record of ``bench_spectrum``.
 The scripts are imported as they are, from their own directory."""
 
 import json
 import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
-
-from dickelab.lindblad import blas_thread_counts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -30,23 +26,6 @@ def test_side_order_flips_on_each_repeat(harness):
     sides = {"parent": "/a", "change": "/b"}
     assert [harness.side_order(sides, r) for r in range(4)] == [
         ["parent", "change"], ["change", "parent"]] * 2
-
-
-def test_blas_reader_names_only_loaded_copies(harness):
-    # a fresh interpreter loads numpy's copy with numpy and scipy's with
-    # scipy.linalg; reading must load neither
-    code = ("import harness\n"
-            "seen = [sorted(harness.blas_threads())]\n"
-            "import numpy\n"
-            "seen.append(sorted(harness.blas_threads()))\n"
-            "import scipy.linalg\n"
-            "seen.append(sorted(harness.blas_threads()))\n"
-            "print(seen)\n")
-    out = subprocess.run([sys.executable, "-c", code], cwd=SCRIPTS, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == str([[], ["numpy"], ["numpy", "scipy"]])
-    # in this process both copies are loaded, and the package agrees
-    assert harness.blas_threads() == blas_thread_counts()
 
 
 def test_bench_spectrum_writes_the_shared_header(harness, tmp_path):
