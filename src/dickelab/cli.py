@@ -31,7 +31,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 if not any(os.environ.get(name) for name in BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError  # noqa: E402
+from .errors import AboveThresholdError, ConfigError, DickeLabError  # noqa: E402
 from .sweep import MODES, RunConfig, reproduce_figures, run_and_write  # noqa: E402
 
 EXIT_OK = 0
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     except AboveThresholdError as exc:
         print(f"above threshold: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (SolverError, DickeLabError) as exc:
+    except DickeLabError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -29,6 +29,10 @@ class AboveThresholdError(DickeLabError):
             )
         super().__init__(message)
 
+    def __reduce__(self):
+        # the default rebuilds from args, which hold only the message
+        return type(self), (self.ratio, str(self))
+
 
 class SolverError(DickeLabError):
     """Base class for steady-state / propagation failures."""

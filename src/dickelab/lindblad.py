@@ -76,7 +76,6 @@ import importlib.util
 import logging
 import math
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -313,15 +312,14 @@ class SteadyStateOptions:
 
 @dataclass(frozen=True)
 class SteadyStateSolveReport:
-    """What a steady-state solve did. ``uniqueness_ratio`` is the probe's
-    (None without a probe); ``factor`` is the SuperLU factor of the
-    trace-row system that the LU route solved, for a caller that solves an
-    extended system with it (:func:`extended_steady_state`), and None on
-    every other route."""
+    """What a steady-state solve did: its route, the residual its gate
+    measured, the probe's ``uniqueness_ratio`` (None without a probe) and
+    ``factor``, the SuperLU factor of the trace-row system that the LU
+    route solved, for a caller that solves an extended system with it
+    (:func:`extended_steady_state`), and None on every other route."""
 
     method: str
     residual: float
-    wall_time: float
     uniqueness_ratio: float | None
     factor: object = field(repr=False, compare=False)
 
@@ -332,18 +330,17 @@ def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
     return tol if tol is not None else 1e-10 * max(L.scale, 1.0)
 
 
-def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
-                        tol: float | None, uniqueness_ratio: float | None, factor):
+def accept_steady_state(L: Liouvillian, raw, method: str, tol: float | None,
+                        uniqueness_ratio: float | None, factor):
     """The acceptance gate of every LU and GMRES candidate (the closed form
     has its O(D) gate, ``models.accept_banded_state``): the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
     PSD floor), and its residual must stay within
     :func:`residual_tolerance` or NoConvergence is raised. Returns
-    ``(DensityMatrix, SteadyStateSolveReport)``, timed from ``t0``."""
+    ``(DensityMatrix, SteadyStateSolveReport)``."""
     tol = residual_tolerance(L, tol)
     rho = DensityMatrix.from_raw(raw)
     residual = L.residual(rho.matrix)
-    wall = time.perf_counter() - t0
     if residual > tol:
         raise NoConvergence(
             f"steady-state residual {residual:.3e} above tolerance {tol:.3e} "
@@ -352,7 +349,6 @@ def accept_steady_state(L: Liouvillian, raw, method: str, t0: float,
     return rho, SteadyStateSolveReport(
         method=method,
         residual=residual,
-        wall_time=wall,
         uniqueness_ratio=uniqueness_ratio,
         factor=factor,
     )
@@ -379,15 +375,14 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     if opts is None:
         opts = SteadyStateOptions()
 
-    t0 = time.perf_counter()
     with _single_blas_thread():
         raw, uniq, lu = _solve_sparse_direct(L, opts)
         if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
             raise NonUniqueSteadyState(
                 f"second stationary direction at relative level {uniq:.2e}"
             )
-        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", t0,
-                                   opts.tol, uniq, lu)
+        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", opts.tol,
+                                   uniq, lu)
 
 
 def _square_system(L: Liouvillian):
@@ -514,7 +509,7 @@ def _single_blas_thread():
 
 
 def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
-                          base_rho: DensityMatrix, factor, opts: SteadyStateOptions | None):
+                          base_rho: DensityMatrix, factor, tol: float | None):
     """Stationary state of L from that of a smaller system ``base``, solved
     by :func:`steady_state` into ``base_rho`` with the report's ``factor``.
     Entry k of vec(base_rho) is entry ``embed[k]`` of L's vectorized space,
@@ -529,15 +524,12 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
     base's trace-row scale to L's, and divides every other entry by its
     diagonal. No factor of L is made and no uniqueness probe runs: the
     base solve's probe stands for it. The candidate passes
-    :func:`accept_steady_state`; a GMRES that does not converge raises
-    NoConvergence. The GMRES runs on one BLAS thread.
+    :func:`accept_steady_state` with the absolute residual bound ``tol``
+    (None: :func:`residual_tolerance`); a GMRES that does not converge
+    raises NoConvergence. The GMRES runs on one BLAS thread.
     """
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
 
-    if opts is None:
-        opts = SteadyStateOptions()
-
-    t0 = time.perf_counter()
     M, b, scale = _square_system(L)
     M = M.tocsr()  # GMRES only multiplies by it
     rest = np.ones(M.shape[0], dtype=bool)
@@ -573,19 +565,17 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
             f"GMRES did not reach {GMRES_RTOL:.0e} of the right-hand side within "
             f"{GMRES_MAX_RESTARTS} restarts of {GMRES_RESTART} ({iterations} iterations)"
         )
-    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", t0, opts.tol,
-                               None, None)
+    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", tol, None, None)
 
 
 @dataclass(frozen=True)
 class PropagationReport:
-    """What one Krylov propagation did: the basis size, the entries stored
-    for L + U of the shifted factor, and the last change seen by the stop
-    rule."""
+    """What one Krylov propagation did: the basis size and the entries
+    stored for L + U of the shifted factor. The last change seen by the
+    stop rule goes to the DEBUG log only."""
 
     krylov_dim: int
     lu_nnz: int
-    change: float
 
 
 def _decaying_modes(A: np.ndarray, beta: float) -> tuple:
@@ -627,7 +617,7 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, observe: np.ndarray,
     if beta == 0.0:
         return ((np.zeros(0, dtype=np.complex128),
                  np.zeros((observe.shape[0], 0), dtype=np.complex128)),
-                PropagationReport(krylov_dim=0, lu_nnz=0, change=0.0))
+                PropagationReport(krylov_dim=0, lu_nnz=0))
 
     n = y0.size
     lu = spla.splu((sp.identity(n, dtype=np.complex128, format="csc") - h * S).tocsc(),
@@ -669,12 +659,10 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, observe: np.ndarray,
             f"vectors: last change {change:.3e} above {limit:.3e}"
         )
 
-    report = PropagationReport(krylov_dim=m, lu_nnz=lu_nnz,
-                               change=0.0 if previous is None else change)
     logger.debug("spectrum propagation: Krylov dimension %d, L+U nonzeros %d, last change "
-                 "%.3e (tolerance %.3e)", report.krylov_dim, report.lu_nnz, report.change,
+                 "%.3e (tolerance %.3e)", m, lu_nnz, 0.0 if previous is None else change,
                  limit)
-    return poles, report
+    return poles, PropagationReport(krylov_dim=m, lu_nnz=lu_nnz)
 
 
 def _connected_start(L: Liouvillian, rho_ss: DensityMatrix, A, B) -> tuple:

@@ -40,17 +40,19 @@ by the dipole fluctuation conj(g)(J_- - <J_->) and stays near vacuum, with
 quanta of d; alpha = 0 is the lab frame.
 
 :func:`validate_elimination` compares the two models. The eliminated one
-comes from the closed form at delta = 0. The cavity model is factored once,
-at the Fock cutoff, and confirmed at cutoff + 5 by GMRES preconditioned
-with that factor (``lindblad.extended_steady_state``): the model at the
-cutoff is the block of the larger one with both Fock indices up to it.
+comes from the closed form at delta = 0. One builder,
+:func:`build_cavity_model`, makes the cavity model at both Fock cutoffs.
+The model at the cutoff is factored once, and ``CAVITY_PRODUCT_CAP``
+bounds it alone; the one at cutoff + 5 is confirmed by GMRES
+preconditioned with that factor (``lindblad.extended_steady_state``): the
+model at the cutoff is the block of the larger one with both Fock indices
+up to it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -84,9 +86,10 @@ from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
 # 6.8 s, 817 MB). The product space fills in much faster, most for near
 # square splits: 12 x 12 at D = 144 takes 51-55 s and 2.5 GB, 10 x 15 at
 # D = 150 more than a minute; 36 x 4 (N = 35 at Fock cutoff 3) takes
-# 4.3-4.8 s. The cavity cap bounds the model that validate_elimination
-# factors, at its Fock cutoff; the confirmation at cutoff + 5 is not
-# factored.
+# 4.3-4.8 s. The cavity cap bounds only the model that validate_elimination
+# factors, at its Fock cutoff (cavity_dimension, checked there); the
+# builder and the confirmation at cutoff + 5, which is not factored, take
+# any cutoff.
 DICKE_ATOM_CAP = 400
 CAVITY_PRODUCT_CAP = 144
 # an elimination passes when J_z of the two models agrees within this
@@ -264,8 +267,7 @@ def resonant_steady_state(e: EffectiveParams, tol: float | None = None):
     the ground state alone. Raises ValueError for delta != 0, where the
     form fails.
     """
-    t0 = time.perf_counter()
-    return accept_banded_state(e, ResonantState(e), "closed-form", t0, tol)
+    return accept_banded_state(e, ResonantState(e), "closed-form", tol)
 
 
 def _padded_amplitudes(n_atoms: int) -> np.ndarray:
@@ -330,8 +332,7 @@ def banded_tolerance(e: EffectiveParams, tol: float | None) -> float:
     return 1e-10 * max((1.0 - 1e-12) * float(rows.max()), 1.0)
 
 
-def accept_banded_state(e: EffectiveParams, rho, method: str, t0: float,
-                        tol: float | None):
+def accept_banded_state(e: EffectiveParams, rho, method: str, tol: float | None):
     """The O(D) acceptance gate of a Dicke-basis state ``rho`` (anything
     with ``dim`` and ``band(k)``, as :class:`ResonantState` and
     ``DensityMatrix``): the residual of L rho on diagonals 0-2 (Frobenius
@@ -343,8 +344,7 @@ def accept_banded_state(e: EffectiveParams, rho, method: str, t0: float,
         d<J_->/dt = (gamma - 2i Delta) <J_z J_-> - 2i Omega <J_z> + i delta <J_->,
 
     each within :func:`banded_tolerance`, or NoConvergence is raised.
-    Returns ``(rho, SteadyStateSolveReport)`` with the band residual,
-    timed from ``t0``."""
+    Returns ``(rho, SteadyStateSolveReport)`` with the band residual."""
     tol = banded_tolerance(e, tol)
     diag0, diag1, diag2 = _lindblad_bands(e, rho)
     residual = math.sqrt(float(np.vdot(diag0, diag0).real + 2.0 * np.vdot(diag1, diag1).real
@@ -355,13 +355,12 @@ def accept_banded_state(e: EffectiveParams, rho, method: str, t0: float,
         "d<J_->/dt": abs((e.gamma - 2j * e.Delta) * mom.jz_jm - 2j * e.Omega * mom.jz
                          + 1j * e.delta * mom.jm),
     }
-    wall = time.perf_counter() - t0
     for name, value in {"band residual": residual, **rates}.items():
         if value > tol:
             raise NoConvergence(
                 f"steady-state {name} {value:.3e} above tolerance {tol:.3e} (method {method})"
             )
-    return rho, SteadyStateSolveReport(method=method, residual=residual, wall_time=wall,
+    return rho, SteadyStateSolveReport(method=method, residual=residual,
                                        uniqueness_ratio=None, factor=None)
 
 
@@ -387,7 +386,8 @@ def default_fock_cutoff(p: CavityParams, var_jm: float) -> int:
 
 def cavity_dimension(p: CavityParams, cutoff: int) -> int:
     """Product dimension (N + 1)(cutoff + 1) of the atom+cavity model at a
-    Fock cutoff; DimensionCapError above ``CAVITY_PRODUCT_CAP``."""
+    Fock cutoff; DimensionCapError above ``CAVITY_PRODUCT_CAP``, the bound
+    of a model that is factored."""
     total = (p.N + 1) * (cutoff + 1)
     if total > CAVITY_PRODUCT_CAP:
         raise DimensionCapError(
@@ -400,20 +400,14 @@ def cavity_dimension(p: CavityParams, cutoff: int) -> int:
 def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> CavityModel:
     """Atom+cavity Liouvillian on the spin (slow) x Fock (fast) space, in
     the frame displaced by ``alpha``: the Fock space holds the quanta of
-    d = c - alpha, and alpha = 0 is the lab frame. DimensionCapError above
-    ``CAVITY_PRODUCT_CAP``, which bounds the models that are factored.
+    d = c - alpha, and alpha = 0 is the lab frame. It builds at any cutoff:
+    ``CAVITY_PRODUCT_CAP`` bounds only a model that is factored, and
+    :func:`validate_elimination` checks it there (:func:`cavity_dimension`);
+    ``operators.TENSOR_CAP`` still refuses a runaway product.
 
     ``ops`` holds what the Hamiltonian is built from: the lifted
     ``J_minus``, ``J_plus`` and ``J_z``, and ``d`` and ``d_dagger``.
     """
-    cavity_dimension(p, cutoff)
-    return _cavity_model(p, cutoff, alpha)
-
-
-def _cavity_model(p: CavityParams, cutoff: int, alpha: complex) -> CavityModel:
-    """:func:`build_cavity_model` without the cap: the model of the
-    Fock-cutoff confirmation, which is solved by GMRES and never
-    factored."""
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
 
     fock = FockRep(cutoff=cutoff)
@@ -455,16 +449,16 @@ def _atomic_observables(mom: SpinMoments) -> dict:
     return {"Jz": mom.jz, "Jminus": mom.jm, "JpJm": mom.jp_jm}
 
 
-def _eliminated_moments(p: CavityParams, solve_opts) -> SpinMoments:
+def _eliminated_moments(p: CavityParams, tol: float | None) -> SpinMoments:
     """The moments record of the eliminated Dicke model of ``p``: from the
     closed form at delta = 0, with its exact var(J_-), and from the LU of
-    the Dicke model otherwise."""
+    the Dicke model otherwise; ``tol`` bounds either gate."""
     e = map_cavity_to_effective(p)
     if e.delta == 0.0:
-        rho, _ = resonant_steady_state(e, solve_opts.tol if solve_opts else None)
+        rho, _ = resonant_steady_state(e, tol)
         return spin_moments(rho, SpinRep.for_atoms(e.N))
     dicke = build_dicke_model(e)
-    rho, _ = steady_state(dicke.liouvillian, solve_opts)
+    rho, _ = steady_state(dicke.liouvillian, SteadyStateOptions(tol=tol))
     return spin_moments(rho, dicke.rep)
 
 
@@ -502,7 +496,7 @@ def validate_elimination(
     cutoff: int | None = None,
     *,
     min_adiabaticity: float = 5.0,
-    solve_opts: SteadyStateOptions | None = None,
+    tol: float | None = None,
 ) -> EliminationReport:
     """Compare the full atom+cavity steady state against the eliminated
     Dicke model built from the mapped parameters.
@@ -518,13 +512,16 @@ def validate_elimination(
     ``cutoff`` (None: from :func:`default_fock_cutoff`) counts quanta of
     d = c - alpha. It is accepted when the deviations barely move as the
     cutoff grows by five; the larger cutoff's observables are reported.
-    The model at ``cutoff`` is solved by LU, with the uniqueness probe.
-    The one at cutoff + 5 holds it on the entries with both Fock indices
-    up to ``cutoff``, and is solved by GMRES preconditioned with that LU
+    :func:`build_cavity_model` makes both models. The model at ``cutoff``
+    is solved by LU, with the uniqueness probe. The one at cutoff + 5
+    holds it on the entries with both Fock indices up to ``cutoff``, and
+    is solved by GMRES preconditioned with that LU
     (``lindblad.extended_steady_state``), which passes the same gate but
-    runs no probe and makes no factor. ``CAVITY_PRODUCT_CAP`` bounds the
-    model at ``cutoff``, the one factored: above it DimensionCapError is
-    raised before any cavity solve. The GMRES basis of the model at
+    runs no probe and makes no factor. ``tol`` is the absolute residual
+    bound of every gate (None: each gate's default). ``CAVITY_PRODUCT_CAP``
+    bounds only the model at ``cutoff``, the one factored: above it
+    DimensionCapError is raised, after the eliminated model's moments and
+    before any cavity build or solve. The GMRES basis of the model at
     cutoff + 5, 81 vectors of D^2 entries, is bounded with it: 136 MB at
     cutoff 3 and N = 35, 329 MB at cutoff 1 and N = 71.
     """
@@ -535,7 +532,7 @@ def validate_elimination(
             "the eliminated model is not expected to be accurate",
             stacklevel=2,
         )
-    mom = _eliminated_moments(p, solve_opts)
+    mom = _eliminated_moments(p, tol)
     eff = _atomic_observables(mom)
     alpha = mean_field_amplitude(p, mom.jm)
     base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, mom.var_jm)
@@ -555,13 +552,14 @@ def validate_elimination(
         }
         return dev_abs, dev_rel
 
+    cavity_dimension(p, base_cutoff)
     base = build_cavity_model(p, base_cutoff, alpha)
-    rho_lo, report_lo = steady_state(base.liouvillian, solve_opts)
+    rho_lo, report_lo = steady_state(base.liouvillian, SteadyStateOptions(tol=tol))
     dev_lo, _ = deviations(_reduced_observables(base, rho_lo, alpha))
-    wide = _cavity_model(p, base_cutoff + 5, alpha)
+    wide = build_cavity_model(p, base_cutoff + 5, alpha)
     embed = _fock_embedding(base.spin_rep.dim, base.fock_rep.dim, wide.fock_rep.dim)
     rho_hi, _ = extended_steady_state(wide.liouvillian, embed, base.liouvillian, rho_lo,
-                                      report_lo.factor, solve_opts)
+                                      report_lo.factor, tol)
     full_hi = _reduced_observables(wide, rho_hi, alpha)
     dev_hi, dev_rel_hi = deviations(full_hi)
 

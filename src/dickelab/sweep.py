@@ -580,7 +580,7 @@ def _rows_elimination(point: GridPoint) -> list:
         point.cavity,
         cfg.fock_cutoff,
         min_adiabaticity=cfg.min_adiabaticity,
-        solve_opts=SteadyStateOptions(tol=cfg.solver_tol),
+        tol=cfg.solver_tol,
     )
     rows = []
     for name in ("Jz", "Jminus", "JpJm"):
@@ -666,7 +666,7 @@ def compute_point(point: GridPoint) -> list:
     try:
         rows = MODES[point.config.mode].rows(point)
         error = None
-    except (SolverError, DickeLabError, ValueError) as exc:
+    except (DickeLabError, ValueError) as exc:
         rows = [{}]
         error = f"{type(exc).__name__}: {exc}"
     wall = (time.perf_counter() - t0) / len(rows) if point.config.timestamp else None

@@ -4,6 +4,7 @@ A rename or a signature change there would only show when the benchmark
 runs with ``--trace 1``; this test shows it in the test suite. The module
 is imported as it is, and not modified."""
 
+import math
 import pathlib
 
 from dickelab import EffectiveParams, build_dicke_model, lindblad, spin_squeezing_numeric, sweep
@@ -62,3 +63,31 @@ def test_tracer_times_the_correlator_inside_the_spectrum(monkeypatch):
     parent = tracer.spans[tracer.spans[spans[0]]["parent"]]
     assert parent["name"] == "observables.output_spectrum"
     assert tracer.total("lindblad.two_time_correlator") > 0.0
+
+
+def test_tracer_times_both_cavity_builds_of_an_elimination(monkeypatch):
+    # validate_elimination builds the cavity model at the Fock cutoff and at
+    # cutoff + 5 through one builder, so the tracer sees both builds
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    n, kappa, ratio = 2, 1.0, 20.0
+    g = kappa / (ratio * math.sqrt(n))
+    omega = 0.5 * (n / 4) * (4 * g * g / kappa)
+    cfg = sweep.RunConfig.from_dict({
+        "mode": "validate-elimination",
+        "params": {"cavity": {"g": g, "kappa": kappa, "delta_c": 0.0,
+                              "Omega_L": [0.0, -omega * kappa / (2 * g)], "N": n}},
+    })
+    [point] = sweep._grid_points(cfg)
+    tracer = tracing.Tracer()
+    try:
+        tracing._install(tracer, [])
+        rows = sweep.compute_point(point)
+    finally:
+        tracer.restore()
+    assert {row["error"] for row in rows} == {None}
+    [elimination] = [index for index, span in enumerate(tracer.spans)
+                     if span["name"] == "models.validate_elimination"]
+    builds = tracer.children(elimination, "models.build_cavity_model")
+    assert len(builds) == 2

@@ -11,6 +11,7 @@ from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadySta
 from dickelab.lindblad import (
     DensityMatrix,
     Liouvillian,
+    SteadyStateOptions,
     build_liouvillian,
     expect,
     residual_tolerance,
@@ -190,13 +191,27 @@ def test_undriven_cavity_vacuum_ground():
     np.testing.assert_allclose(np.diag(rho.matrix).real, expected, atol=1e-10)
 
 
-def test_cavity_product_cap():
+def _no_cavity_work(monkeypatch):
+    """Make any cavity build or solve inside ``validate_elimination`` fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called past the cap")
+
+    monkeypatch.setattr(models, "build_cavity_model", refuse)
+    monkeypatch.setattr(models, "steady_state", refuse)
+
+
+def test_cavity_product_cap(monkeypatch):
+    # the cap bounds the model validate_elimination factors, and is checked
+    # before that model is built or solved
     p = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.0, N=100)
-    with pytest.raises(DimensionCapError):
-        build_cavity_model(p, cutoff=30)
+    _no_cavity_work(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(DimensionCapError):
+            validate_elimination(p, 30)
 
 
-def test_cavity_product_cap_boundary():
+def test_cavity_product_cap_boundary(monkeypatch):
     # (N + 1)(cutoff + 1) = 12 * 12 is the cap; 5 * 29 = 145 is one above it
     assert CAVITY_PRODUCT_CAP == 144
     at_cap = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.0, N=11)
@@ -205,8 +220,13 @@ def test_cavity_product_cap_boundary():
     above = CavityParams(g=0.1, kappa=1.0, delta_c=0.0, Omega_L=0.0, N=4)
     with pytest.raises(DimensionCapError, match="145 exceeds cap 144"):
         cavity_dimension(above, 28)
-    with pytest.raises(DimensionCapError):
-        build_cavity_model(above, 28)
+    # the builder takes any cutoff; only the factored model is capped
+    assert build_cavity_model(above, 28).liouvillian.dim == 145
+    _no_cavity_work(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(DimensionCapError, match="145 exceeds cap 144"):
+            validate_elimination(above, 28)
 
 
 def _eliminated_moments(p):
@@ -373,10 +393,10 @@ def test_elimination_warns_when_not_adiabatic():
         validate_elimination(p)
 
 
-def _lu_confirmation(L, embed, base, base_rho, factor, opts):
+def _lu_confirmation(L, embed, base, base_rho, factor, tol):
     """The cutoff + 5 confirmation by its own LU, in place of
     ``extended_steady_state``."""
-    return steady_state(L, opts)
+    return steady_state(L, SteadyStateOptions(tol=tol))
 
 
 def _verdict(p, cutoff):
@@ -563,7 +583,7 @@ _GATE_POINT = effective(40, 0.8, 1.0, 0.3)
 def test_banded_gate_rejects_perturbed_band(k):
     # one diagonal (and its mirror) of the exact state off by a part in 1e6
     exact = ResonantState(_GATE_POINT)
-    accept_banded_state(_GATE_POINT, exact, "closed-form", 0.0, None)
+    accept_banded_state(_GATE_POINT, exact, "closed-form", None)
     mat = exact.matrix.copy()
     idx = np.arange(exact.dim - k)
     mat[idx + k, idx] *= 1.0 + 1e-6
@@ -571,7 +591,7 @@ def test_banded_gate_rejects_perturbed_band(k):
         mat[idx, idx + k] *= 1.0 + 1e-6
     with pytest.raises(NoConvergence, match="above tolerance"):
         accept_banded_state(_GATE_POINT, DensityMatrix(mat, validate=False), "closed-form",
-                            0.0, None)
+                            None)
 
 
 @pytest.mark.parametrize("other", [effective(40, 0.8 * (1 + 1e-6), 1.0, 0.3),
@@ -579,7 +599,7 @@ def test_banded_gate_rejects_perturbed_band(k):
 def test_banded_gate_rejects_wrong_beta(other):
     # the exact state of another beta: a drive off by 1e-6, or another shift
     with pytest.raises(NoConvergence, match="above tolerance"):
-        accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form", 0.0, None)
+        accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form", None)
 
 
 def test_banded_gate_passes_the_lu_state():
@@ -587,7 +607,7 @@ def test_banded_gate_passes_the_lu_state():
     # a detuned drive passes it too
     e = EffectiveParams(1.0, 0.5, 0.0, 12, delta=0.3).with_drive_ratio(0.7)
     rho, _ = steady_state(build_dicke_model(e).liouvillian)
-    _, report = accept_banded_state(e, rho, "sparse-direct", 0.0, None)
+    _, report = accept_banded_state(e, rho, "sparse-direct", None)
     assert report.residual <= 1e-3 * banded_tolerance(e, None)
 
 

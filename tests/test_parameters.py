@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ def test_mean_field_above_threshold():
     e = EffectiveParams(gamma=1.0, Delta=0.0, Omega=0.0, N=10).with_drive_ratio(0.9995)
     with pytest.raises(AboveThresholdError):
         bloch_angles(e)
+
+
+@pytest.mark.parametrize("args", [(1.2,), (float("nan"), "msg")], ids=["default", "message"])
+def test_above_threshold_error_survives_pickling(args):
+    # a worker process sends its exceptions back pickled
+    exc = AboveThresholdError(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is AboveThresholdError
+    assert str(back) == str(exc)
+    assert back.ratio == exc.ratio or (math.isnan(back.ratio) and math.isnan(exc.ratio))
 
 
 def test_mean_field_requires_resonance():
