@@ -22,11 +22,15 @@ difference of the two is the package's own import share.
 ``PYTHONDONTWRITEBYTECODE`` (named in the record header; where it is set,
 the package's source is compiled at every start) and, as
 ``dickelab_cli_cached``, with a bytecode cache (``PYTHONPYCACHEPREFIX`` in
-a temporary directory, written by one warm-up run), so the difference is
-the compile share of every ``dicke-lab`` start-up. The sweep point is one
-``dicke-lab sweep-squeezing`` call at N = 10^4 in a fresh interpreter,
-timed the same way. After the header of ``harness.write``, the record
-holds the OpenBLAS thread count of each copy loaded in this process.
+a temporary directory, written by one warm-up run). Each repeat times the
+two as a pair, in alternating order, and ``compile_share_s`` holds the
+median and the quartiles of the paired differences (without the cache
+minus with it), the compile share of every ``dicke-lab`` start-up; the
+medians of two unpaired sets spread by more than that share. The sweep
+point is one ``dicke-lab sweep-squeezing`` call at N = 10^4 in a fresh
+interpreter, timed the same way. After the header of ``harness.write``,
+the record holds the OpenBLAS thread count of each copy loaded in this
+process.
 """
 
 from __future__ import annotations
@@ -95,12 +99,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as cache:
         cached = {"PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": ""}
         harness.timed(harness.ROOT, ["-c", "import dickelab.cli"], **cached)  # fills the cache
-        imports = {name: harness.summary([harness.timed(harness.ROOT, ["-c", code], **env)
-                                          for _ in range(args.repeats)])
-                   for name, code, env in (("numpy", "import numpy", numpy_env),
-                                           ("dickelab_cli", "import dickelab.cli", {}),
-                                           ("dickelab_cli_cached", "import dickelab.cli",
-                                            cached))}
+        runs = {"numpy": [], "dickelab_cli": [], "dickelab_cli_cached": []}
+        for repeat in range(args.repeats):
+            runs["numpy"].append(harness.timed(harness.ROOT, ["-c", "import numpy"], **numpy_env))
+            # the two CLI imports of a repeat form a pair, in alternating order
+            for name in harness.side_order(("dickelab_cli", "dickelab_cli_cached"), repeat):
+                runs[name].append(harness.timed(harness.ROOT, ["-c", "import dickelab.cli"],
+                                                **(cached if name.endswith("cached") else {})))
+    imports = {name: harness.summary(rs) for name, rs in runs.items()}
+    shares = [u["wall_s"] - c["wall_s"]
+              for u, c in zip(runs["dickelab_cli"], runs["dickelab_cli_cached"])]
+    compile_share = {"median": statistics.median(shares),
+                     "quartiles": harness.quartiles(shares), "pairs": shares}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "point.json")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -111,6 +121,8 @@ def main(argv=None) -> int:
     for name, rec in (*imports.items(), ("N = 10^4 sweep-squeezing call", point)):
         print(f"{name}: wall {rec['wall_s_median']:.3f} s, cpu {rec['cpu_s_median']:.3f} s")
     print(f"import dickelab.cli loaded scipy modules {loaded}, OpenBLAS threads {cli_blas}")
+    print(f"compile share: {compile_share['median'] * 1e3:.1f} ms "
+          f"[{compile_share['quartiles'][0] * 1e3:.1f}, {compile_share['quartiles'][1] * 1e3:.1f}]")
 
     harness.write(
         args, "resonant closed form: state + O(D) gate + moments record per N, "
@@ -119,7 +131,8 @@ def main(argv=None) -> int:
         blas_threads_timed=blas_pinned,
         delta_over_gamma=DELTA_OVER_GAMMA,
         cases=cases,
-        **{"import": {**imports, "scipy_modules_after_import": loaded,
+        **{"import": {**imports, "compile_share_s": compile_share,
+                      "scipy_modules_after_import": loaded,
                       "blas_threads_after_import": cli_blas}},
         sweep_point_n10000={"config": SWEEP_POINT, **point})
     return 0

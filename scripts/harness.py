@@ -77,23 +77,30 @@ def fresh(root: str, args: list, **env) -> subprocess.CompletedProcess:
 
 
 def timed(root: str, args: list, **env) -> dict:
-    """``wall_s`` and ``cpu_s`` of ``python args`` in a fresh interpreter
-    (as :func:`fresh`): wall time from start to exit, and user + system
-    CPU time of the process and of the children it reaped, pool workers
-    included (``os.wait4``). Output is discarded; a non-zero exit raises
-    with the process's standard error."""
+    """``wall_s``, ``cpu_s`` and ``exit_s`` of ``python args`` in a fresh
+    interpreter (as :func:`fresh`, with ``PYTHONUNBUFFERED=1`` added to the
+    child's environment so each line reaches the pipe when printed): wall
+    time from start to exit; user + system CPU time of the process and of
+    the children it reaped, pool workers included (``os.wait4``); and the
+    time from the child's last standard-output line (its start, if it
+    prints none) to its exit, the process's teardown. Output is discarded;
+    a non-zero exit raises with the process's standard error."""
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL,
-                                stderr=err, env=_env(root, env))
+        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err,
+                                env=_env(root, dict(env, PYTHONUNBUFFERED="1")))
+        last = t0
+        for _ in proc.stdout:
+            last = time.perf_counter()
+        proc.stdout.close()
         _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
+        end = time.perf_counter()
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
             err.seek(0)
             raise subprocess.CalledProcessError(proc.returncode, proc.args,
                                                 stderr=err.read().decode())
-    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime}
+    return {"wall_s": end - t0, "cpu_s": usage.ru_utime + usage.ru_stime, "exit_s": end - last}
 
 
 def run_child(script: str, root: str, *args, **env) -> dict:
@@ -105,12 +112,26 @@ def run_child(script: str, root: str, *args, **env) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list) -> list:
+    """The first and third quartiles of ``values`` (``statistics.quantiles``,
+    exclusive method); the one value twice for a single run."""
+    if len(values) < 2:
+        return [values[0]] * 2
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
 def summary(runs: list) -> dict:
-    """``wall_s_median`` and ``cpu_s_median`` over ``runs``, records of
-    :func:`timed`'s form, and the runs themselves."""
-    return {"wall_s_median": statistics.median(r["wall_s"] for r in runs),
-            "cpu_s_median": statistics.median(r["cpu_s"] for r in runs),
-            "runs": runs}
+    """The median and the quartiles of each of ``wall_s``, ``cpu_s`` and
+    ``exit_s`` that every record of ``runs`` (:func:`timed`'s form) holds,
+    as ``<name>_median`` and ``<name>_quartiles``, and the runs themselves."""
+    record = {}
+    for name in ("wall_s", "cpu_s", "exit_s"):
+        if all(name in r for r in runs):
+            values = [r[name] for r in runs]
+            record[f"{name}_median"] = statistics.median(values)
+            record[f"{name}_quartiles"] = quartiles(values)
+    return {**record, "runs": runs}
 
 
 def side_order(sides, repeat: int) -> list:

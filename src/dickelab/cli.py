@@ -17,11 +17,23 @@ caller's count stands. Pool workers inherit the setting. Every dense kernel
 already runs on one thread (``lindblad._single_blas_thread``), so the
 threads a copy starts at load only cost the process its start-up and exit.
 Importing any other module of the package leaves the environment alone.
+
+Exit: ``dicke-lab`` and ``python -m dickelab.cli`` enter through
+:func:`console`, which runs :func:`main` and then calls ``gc.freeze()``.
+The collections that interpreter teardown runs then skip the ~40k objects
+numpy and scipy leave at import, and the operating system reclaims that
+heap with the process: a call that loads scipy exits in ~20 ms instead of
+~110 ms. Every output file is closed before ``main`` returns, and the
+standard streams are flushed by teardown as before, so no output depends
+on the collections it skips. In-process callers of ``main(argv)``
+(tests, scripts, the benchmark's tracer) never freeze, so the collector
+still reclaims what each call leaves.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -129,5 +141,14 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
+def console() -> int:
+    """The process entry of ``dicke-lab`` and ``python -m dickelab.cli``:
+    :func:`main` on ``sys.argv``, then ``gc.freeze()`` (see the module
+    docstring); returns ``main``'s exit code."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -403,16 +403,21 @@ def test_reproduce_figures_checks_arguments_before_making_outdir(tmp_path):
     assert not outdir.exists()
 
 
-def _fresh_interpreter(script: str, *args, **env) -> str:
-    """Standard output of ``script`` run in a new interpreter on this
-    package, with ``env`` added to the environment (a None value removes
-    the variable)."""
+def _fresh(args, **env) -> subprocess.CompletedProcess:
+    """``python args`` run in a new interpreter on this package, with
+    ``env`` added to the environment (a None value removes the variable)."""
     src = str(pathlib.Path(sweep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
                **env)
     env = {name: value for name, value in env.items() if value is not None}
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _fresh_interpreter(script: str, *args, **env) -> str:
+    """Standard output of ``script`` run as :func:`_fresh` runs it, which
+    must exit 0."""
+    proc = _fresh(["-c", script, *args], **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -456,6 +461,58 @@ def test_resonant_run_loads_no_scipy(tmp_path):
         if MODES[mode].columns[-1] == "solver_method":
             assert {r["solver_method"] for r in rows} == {"closed-form"}
     assert {r["verdict"] for r in read_csv(tmp_path / "spectrum.csv")} == {"coherent"}
+
+
+@pytest.mark.parametrize("code", [0, 2])
+def test_console_freezes_the_heap_after_main_returns(monkeypatch, code):
+    # the process entry returns main's code, and freezes only once main has
+    # returned, so no collection of the run itself is skipped
+    from dickelab import cli
+
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.console() == code
+    assert calls == ["main", "freeze"]
+
+
+def test_console_script_is_the_process_entry():
+    # read as text: tomllib needs Python 3.11, and the package supports 3.10
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]")[1].split("\n[")[0]
+    assert re.findall(r"^dicke-lab\s*=\s*\"([^\"]+)\"", scripts, re.M) == ["dickelab.cli:console"]
+
+
+def test_module_entry_writes_complete_outputs(tmp_path):
+    # a fresh interpreter that exits through console() leaves the same CSV
+    # and JSON mirror bytes as an in-process main() call
+    cfg = write_cfg(tmp_path / "cfg.json", _RESONANT_RUNS["sweep-jz"])
+    flags = ["--threads", "1", "--no-timestamp", "--json"]
+    proc = _fresh(["-m", "dickelab.cli", "sweep-jz", "--config", cfg,
+                   "--out", tmp_path / "fresh.csv", *flags])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"sweep-jz: wrote {tmp_path / 'fresh.csv'} (4 rows)\n"
+    assert main(["sweep-jz", "--config", cfg, "--out", str(tmp_path / "main.csv"), *flags]) == 0
+    for suffix in (".csv", ".json"):
+        fresh = (tmp_path / ("fresh" + suffix)).read_bytes()
+        assert fresh == (tmp_path / ("main" + suffix)).read_bytes()
+    rows = read_csv(tmp_path / "fresh.csv")
+    assert len(rows) == 4 and all(r["error"] == "" for r in rows)
+    assert len(json.loads((tmp_path / "fresh.json").read_text())["rows"]) == 4
+
+
+def test_module_entry_bad_config_exits_2(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = _fresh(["-m", "dickelab.cli", "sweep-jz", "--config", tmp_path / "nope.json",
+                   "--out", out])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert not out.exists()
 
 
 # OpenBLAS starts with one thread per core up to this, so a count left at

@@ -47,3 +47,29 @@ def test_bench_spectrum_writes_the_shared_header(harness, tmp_path):
     assert all(point[side]["correlator_s"] > 0.0 for side in ("parent", "change"))
     # each child runs with the one-thread environment the script passes
     assert record["blas_threads"]["change"] == {"numpy": 1, "scipy": 1}
+
+
+def test_bench_process_writes_both_sides(harness, tmp_path, monkeypatch):
+    import bench_process
+
+    # one closed-form call and one that loads scipy, each tiny
+    monkeypatch.setattr(bench_process, "CALLS", {
+        "sweep_jz": {"mode": "sweep-jz", "params": {"effective": {"gamma": 1.0, "N": 4}},
+                     "sweep": {"drive": {"values": [0.5]}}},
+        "elimination": {"mode": "validate-elimination",
+                        "params": {"cavity": {"g": 0.05, "kappa": 1.0, "N": 2}},
+                        "sweep": {"drive": {"values": [0.3]}}},
+    })
+    out = tmp_path / "BENCH_process.json"
+    assert bench_process.main([str(ROOT), str(ROOT), "--repeats", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert list(record)[:len(HEADER)] == HEADER
+    assert record["repeats"] == 1
+    assert list(record["calls"]) == ["sweep_jz", "elimination"]
+    for call in record["calls"].values():
+        for side in ("parent", "change"):
+            (run,) = call[side]["runs"]
+            assert 0.0 < run["exit_s"] < run["wall_s"]
+            for name in ("wall_s", "cpu_s", "exit_s"):
+                assert call[side][f"{name}_median"] == run[name]
+                assert call[side][f"{name}_quartiles"] == [run[name]] * 2
