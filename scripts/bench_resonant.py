@@ -70,7 +70,7 @@ def _case(n: int, drive: float, repeats: int) -> dict:
         mom = spin_moments(rho, rep)
         times.append(time.perf_counter() - t0)
     return {"N": n, "drive": drive, "seconds_median": statistics.median(times),
-            "seconds": times, "residual_over_tolerance": report.residual / banded_tolerance(e, None),
+            "seconds": times, "residual_over_tolerance": report.residual / banded_tolerance(e),
             "var_jm": mom.var_jm}
 
 

@@ -29,9 +29,7 @@ _EXPORTS = {
         "SteadyStateOptions",
         "SteadyStateSolveReport",
         "build_liouvillian",
-        "expect",
         "steady_state",
-        "trace_distance",
     ),
     "models": (
         "CavityModel",

@@ -26,8 +26,9 @@ no factor of its own. Every candidate of either solver passes one gate,
 (The resonant Dicke model also has an exact steady state,
 ``models.resonant_steady_state``, which the sweeps use for delta = 0. It
 needs no Liouvillian, and passes the O(D) gate
-``models.accept_banded_state``, whose default tolerance is never looser
-than :func:`residual_tolerance`.)
+``models.accept_banded_state``, whose tolerance is never looser than
+:func:`residual_tolerance`.) Each gate derives its tolerance from the
+model; no caller sets one.
 
 scipy is imported inside the functions that build sparse objects or
 factor them, so importing this module, and every closed-form run, loads
@@ -144,10 +145,6 @@ class Liouvillian:
         """Infinity norm of the superoperator (max absolute row sum)."""
         return _inf_norm(self.superoperator)
 
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Action on a density-matrix-shaped operator."""
-        return unvectorize(self.superoperator @ vectorize(mat), self.dim)
-
     def residual(self, mat: np.ndarray) -> float:
         return float(np.linalg.norm(self.superoperator @ vectorize(mat)))
 
@@ -243,8 +240,8 @@ class DensityMatrix:
         """Build from a raw solver vector: hermitize, normalize the trace,
         and floor eigenvalues in (PSD_FLOOR, 0). Larger PSD violations are
         a solver failure, not rounding noise to be masked. The eigh runs
-        on one BLAS thread, as every dense decomposition of a state does
-        (:meth:`min_eigenvalue`, :func:`trace_distance`)."""
+        on one BLAS thread, as the eigvalsh of :meth:`min_eigenvalue`
+        does."""
         mat = np.asarray(mat, dtype=np.complex128)
         herm = 0.5 * (mat + mat.conj().T)
         tr = herm.trace()
@@ -269,38 +266,12 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def expect(rho, A) -> complex:
-    """trace(A rho). Real to machine precision for Hermitian A."""
-    import scipy.sparse as sp  # deferred: a closed-form run never loads it
-
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if not sp.issparse(A):
-        A = np.asarray(A)
-    if A.shape[0] != mat.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {A.shape[0]}, state {mat.shape[0]}")
-    if sp.issparse(A):
-        return complex(A.multiply(mat.T).sum())
-    return complex(np.einsum("ij,ji->", A, mat))
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the nuclear norm of the difference."""
-    a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    b = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-    diff = 0.5 * ((a - b) + (a - b).conj().T)
-    with _single_blas_thread():
-        return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
 @dataclass
 class SteadyStateOptions:
-    """Knobs for :func:`steady_state`.
+    """The one option of :func:`steady_state`: ``check_unique`` runs the
+    uniqueness probe. The residual bound is always
+    :func:`residual_tolerance`."""
 
-    ``tol`` is an absolute residual bound; None means the default of
-    :func:`residual_tolerance`. ``check_unique`` runs the uniqueness probe.
-    """
-
-    tol: float | None = None
     check_unique: bool = True
 
     def resolve_method(self, dim: int) -> str:
@@ -324,26 +295,26 @@ class SteadyStateSolveReport:
     factor: object = field(repr=False, compare=False)
 
 
-def residual_tolerance(L: Liouvillian, tol: float | None) -> float:
-    """``tol``, or by default 1e-10 times the superoperator scale (and at
-    least 1e-10)."""
-    return tol if tol is not None else 1e-10 * max(L.scale, 1.0)
+def residual_tolerance(L: Liouvillian) -> float:
+    """The absolute residual bound of the LU and GMRES gates: 1e-10 times
+    the superoperator scale, and at least 1e-10."""
+    return 1e-10 * max(L.scale, 1.0)
 
 
-def accept_steady_state(L: Liouvillian, raw, method: str, tol: float | None,
-                        uniqueness_ratio: float | None, factor):
+def accept_steady_state(L: Liouvillian, raw, method: str, uniqueness_ratio: float | None,
+                        factor):
     """The acceptance gate of every LU and GMRES candidate (the closed form
     has its O(D) gate, ``models.accept_banded_state``): the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
     PSD floor), and its residual must stay within
     :func:`residual_tolerance` or NoConvergence is raised. Returns
     ``(DensityMatrix, SteadyStateSolveReport)``."""
-    tol = residual_tolerance(L, tol)
+    bound = residual_tolerance(L)
     rho = DensityMatrix.from_raw(raw)
     residual = L.residual(rho.matrix)
-    if residual > tol:
+    if residual > bound:
         raise NoConvergence(
-            f"steady-state residual {residual:.3e} above tolerance {tol:.3e} "
+            f"steady-state residual {residual:.3e} above tolerance {bound:.3e} "
             f"(method {method})"
         )
     return rho, SteadyStateSolveReport(
@@ -381,8 +352,7 @@ def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
             raise NonUniqueSteadyState(
                 f"second stationary direction at relative level {uniq:.2e}"
             )
-        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", opts.tol,
-                                   uniq, lu)
+        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", uniq, lu)
 
 
 def _square_system(L: Liouvillian):
@@ -493,8 +463,8 @@ def _single_blas_thread():
     function that needs scipy's linear algebra imports it first. The LU
     solves and the dense work of a Krylov propagation (the inverse and the
     eigendecomposition of m x m matrices, m ~ 100) and of a state (the eigh
-    of ``DensityMatrix.from_raw`` in each gate, ``min_eigenvalue``,
-    ``trace_distance``; D x D with D <= 401) are too small for a second
+    of ``DensityMatrix.from_raw`` in each gate and ``min_eigenvalue``;
+    D x D with D <= 401) are too small for a second
     thread to pay: measured on 2 cores, scipy's expm of an 80 x 80 matrix
     took 94 ms with two threads and 2.8 ms with one. The scope is for
     processes whose copies run more than one thread: library callers, and
@@ -509,7 +479,7 @@ def _single_blas_thread():
 
 
 def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
-                          base_rho: DensityMatrix, factor, tol: float | None):
+                          base_rho: DensityMatrix, factor):
     """Stationary state of L from that of a smaller system ``base``, solved
     by :func:`steady_state` into ``base_rho`` with the report's ``factor``.
     Entry k of vec(base_rho) is entry ``embed[k]`` of L's vectorized space,
@@ -524,9 +494,8 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
     base's trace-row scale to L's, and divides every other entry by its
     diagonal. No factor of L is made and no uniqueness probe runs: the
     base solve's probe stands for it. The candidate passes
-    :func:`accept_steady_state` with the absolute residual bound ``tol``
-    (None: :func:`residual_tolerance`); a GMRES that does not converge
-    raises NoConvergence. The GMRES runs on one BLAS thread.
+    :func:`accept_steady_state`, within :func:`residual_tolerance` of L; a
+    GMRES that does not converge raises NoConvergence. The GMRES runs on one BLAS thread.
     """
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
 
@@ -565,7 +534,7 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
             f"GMRES did not reach {GMRES_RTOL:.0e} of the right-hand side within "
             f"{GMRES_MAX_RESTARTS} restarts of {GMRES_RESTART} ({iterations} iterations)"
         )
-    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", tol, None, None)
+    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", None, None)
 
 
 @dataclass(frozen=True)

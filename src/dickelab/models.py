@@ -20,12 +20,14 @@ held in O(D) by :class:`ResonantState`: no Liouvillian, no D x D matrix
 (until one is asked for) and no scipy. Its gate,
 :func:`accept_banded_state`, is O(D) too: the residual of L rho on
 diagonals 0-2, from diagonals 0-3 of rho, and the stationarity of <J_z>
-and <J_-> from their Heisenberg equations. Its default tolerance
+and <J_-> from their Heisenberg equations. Its tolerance
 (:func:`banded_tolerance`) is 1e-10 times the largest row sum of L over
 its diagonal rows: the infinity norm of L at Delta = 0 and a lower bound
 of it otherwise, so the gate is never looser than the LU's
 (``lindblad.residual_tolerance``). Without a Liouvillian no atom cap
 applies to it; ``DICKE_ATOM_CAP`` guards the Liouvillian.
+:func:`dicke_steady_state` is the one place that picks between the closed
+form (delta = 0) and the LU of the Dicke model (otherwise).
 
 The cavity model is solved in the frame displaced by the mean field,
 c = alpha + d (Mollow, Phys. Rev. A 12, 1919 (1975)). The displacement is
@@ -62,7 +64,6 @@ from .errors import DimensionCapError, NoConvergence
 from .lindblad import (
     DensityMatrix,
     Liouvillian,
-    SteadyStateOptions,
     SteadyStateSolveReport,
     build_liouvillian,
     extended_steady_state,
@@ -235,10 +236,11 @@ class ResonantState(DensityMatrix):
         return self._dense
 
 
-def resonant_steady_state(e: EffectiveParams, tol: float | None = None):
+def resonant_steady_state(e: EffectiveParams):
     """Exact steady state of the Dicke model of ``e`` at delta = 0, with a
     solve report. It is built in O(D), with no Liouvillian, and passes the
-    O(D) gate :func:`accept_banded_state`; it runs no uniqueness probe.
+    O(D) gate :func:`accept_banded_state` within :func:`banded_tolerance`;
+    it runs no uniqueness probe.
     No atom cap applies: the state and its gate are O(D).
 
     For a resonant drive the stationary state is
@@ -267,7 +269,16 @@ def resonant_steady_state(e: EffectiveParams, tol: float | None = None):
     the ground state alone. Raises ValueError for delta != 0, where the
     form fails.
     """
-    return accept_banded_state(e, ResonantState(e), "closed-form", tol)
+    return accept_banded_state(e, ResonantState(e), "closed-form")
+
+
+def dicke_steady_state(e: EffectiveParams):
+    """Steady state of the Dicke model of ``e``, with a solve report: the
+    closed form (:func:`resonant_steady_state`, O(D), no Liouvillian) at
+    delta = 0, and the sparse LU of :func:`build_dicke_model` otherwise."""
+    if e.delta == 0.0:
+        return resonant_steady_state(e)
+    return steady_state(build_dicke_model(e).liouvillian)
 
 
 def _padded_amplitudes(n_atoms: int) -> np.ndarray:
@@ -315,9 +326,9 @@ def _lindblad_bands(e: EffectiveParams, rho) -> list:
     return out
 
 
-def banded_tolerance(e: EffectiveParams, tol: float | None) -> float:
-    """``tol``, or by default 1e-10 times the largest absolute row sum of
-    the Liouvillian over its diagonal rows (r, r),
+def banded_tolerance(e: EffectiveParams) -> float:
+    """The tolerance of the O(D) gate: 1e-10 times the largest absolute row
+    sum of the Liouvillian over its diagonal rows (r, r),
     gamma (a_{r-1}^2 + a_r^2) + 2 |Omega| (a_{r-1} + a_r), and at least
     1e-10. At Delta = delta = 0 that is the superoperator's infinity norm
     L.scale (a_r a_c <= (a_r^2 + a_c^2)/2 puts the largest row on the
@@ -325,14 +336,12 @@ def banded_tolerance(e: EffectiveParams, tol: float | None) -> float:
     never looser than :func:`lindblad.residual_tolerance`. The row sum is
     taken 1e-12 below its computed value: the assembled norm adds the
     same terms in another order, and may round one ulp lower."""
-    if tol is not None:
-        return tol
     a = _padded_amplitudes(e.N)
     rows = e.gamma * (a[:-1] ** 2 + a[1:] ** 2) + 2.0 * abs(e.Omega) * (a[:-1] + a[1:])
     return 1e-10 * max((1.0 - 1e-12) * float(rows.max()), 1.0)
 
 
-def accept_banded_state(e: EffectiveParams, rho, method: str, tol: float | None):
+def accept_banded_state(e: EffectiveParams, rho, method: str):
     """The O(D) acceptance gate of a Dicke-basis state ``rho`` (anything
     with ``dim`` and ``band(k)``, as :class:`ResonantState` and
     ``DensityMatrix``): the residual of L rho on diagonals 0-2 (Frobenius
@@ -345,7 +354,7 @@ def accept_banded_state(e: EffectiveParams, rho, method: str, tol: float | None)
 
     each within :func:`banded_tolerance`, or NoConvergence is raised.
     Returns ``(rho, SteadyStateSolveReport)`` with the band residual."""
-    tol = banded_tolerance(e, tol)
+    bound = banded_tolerance(e)
     diag0, diag1, diag2 = _lindblad_bands(e, rho)
     residual = math.sqrt(float(np.vdot(diag0, diag0).real + 2.0 * np.vdot(diag1, diag1).real
                                + 2.0 * np.vdot(diag2, diag2).real))
@@ -356,9 +365,9 @@ def accept_banded_state(e: EffectiveParams, rho, method: str, tol: float | None)
                          + 1j * e.delta * mom.jm),
     }
     for name, value in {"band residual": residual, **rates}.items():
-        if value > tol:
+        if value > bound:
             raise NoConvergence(
-                f"steady-state {name} {value:.3e} above tolerance {tol:.3e} (method {method})"
+                f"steady-state {name} {value:.3e} above tolerance {bound:.3e} (method {method})"
             )
     return rho, SteadyStateSolveReport(method=method, residual=residual,
                                        uniqueness_ratio=None, factor=None)
@@ -449,17 +458,13 @@ def _atomic_observables(mom: SpinMoments) -> dict:
     return {"Jz": mom.jz, "Jminus": mom.jm, "JpJm": mom.jp_jm}
 
 
-def _eliminated_moments(p: CavityParams, tol: float | None) -> SpinMoments:
-    """The moments record of the eliminated Dicke model of ``p``: from the
-    closed form at delta = 0, with its exact var(J_-), and from the LU of
-    the Dicke model otherwise; ``tol`` bounds either gate."""
+def _eliminated_moments(p: CavityParams) -> SpinMoments:
+    """The moments record of the eliminated Dicke model of ``p``, from
+    :func:`dicke_steady_state`: at delta = 0 the closed form's, with its
+    exact var(J_-)."""
     e = map_cavity_to_effective(p)
-    if e.delta == 0.0:
-        rho, _ = resonant_steady_state(e, tol)
-        return spin_moments(rho, SpinRep.for_atoms(e.N))
-    dicke = build_dicke_model(e)
-    rho, _ = steady_state(dicke.liouvillian, SteadyStateOptions(tol=tol))
-    return spin_moments(rho, dicke.rep)
+    rho, _ = dicke_steady_state(e)
+    return spin_moments(rho, SpinRep.for_atoms(e.N))
 
 
 def _reduced_observables(model: CavityModel, rho: DensityMatrix, alpha) -> dict:
@@ -496,7 +501,6 @@ def validate_elimination(
     cutoff: int | None = None,
     *,
     min_adiabaticity: float = 5.0,
-    tol: float | None = None,
 ) -> EliminationReport:
     """Compare the full atom+cavity steady state against the eliminated
     Dicke model built from the mapped parameters.
@@ -506,20 +510,20 @@ def validate_elimination(
     value below ``min_adiabaticity`` only warns, since mapping the
     breakdown is itself useful.
 
-    The eliminated model comes from the closed form at delta = 0 and from
-    its LU otherwise. The cavity model is solved in the frame displaced by
-    the mean-field amplitude of the eliminated model's <J_->, and
-    ``cutoff`` (None: from :func:`default_fock_cutoff`) counts quanta of
-    d = c - alpha. It is accepted when the deviations barely move as the
+    The eliminated model's state comes from :func:`dicke_steady_state`:
+    the closed form at delta = 0 and the LU otherwise. The cavity model is
+    solved in the frame displaced by the mean-field amplitude of the
+    eliminated model's <J_->, and ``cutoff`` (None: from
+    :func:`default_fock_cutoff`) counts quanta of d = c - alpha. It is
+    accepted when the deviations barely move as the
     cutoff grows by five; the larger cutoff's observables are reported.
     :func:`build_cavity_model` makes both models. The model at ``cutoff``
     is solved by LU, with the uniqueness probe. The one at cutoff + 5
     holds it on the entries with both Fock indices up to ``cutoff``, and
     is solved by GMRES preconditioned with that LU
     (``lindblad.extended_steady_state``), which passes the same gate but
-    runs no probe and makes no factor. ``tol`` is the absolute residual
-    bound of every gate (None: each gate's default). ``CAVITY_PRODUCT_CAP``
-    bounds only the model at ``cutoff``, the one factored: above it
+    runs no probe and makes no factor. ``CAVITY_PRODUCT_CAP`` bounds only
+    the model at ``cutoff``, the one factored: above it
     DimensionCapError is raised, after the eliminated model's moments and
     before any cavity build or solve. The GMRES basis of the model at
     cutoff + 5, 81 vectors of D^2 entries, is bounded with it: 136 MB at
@@ -532,7 +536,7 @@ def validate_elimination(
             "the eliminated model is not expected to be accurate",
             stacklevel=2,
         )
-    mom = _eliminated_moments(p, tol)
+    mom = _eliminated_moments(p)
     eff = _atomic_observables(mom)
     alpha = mean_field_amplitude(p, mom.jm)
     base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, mom.var_jm)
@@ -554,12 +558,12 @@ def validate_elimination(
 
     cavity_dimension(p, base_cutoff)
     base = build_cavity_model(p, base_cutoff, alpha)
-    rho_lo, report_lo = steady_state(base.liouvillian, SteadyStateOptions(tol=tol))
+    rho_lo, report_lo = steady_state(base.liouvillian)
     dev_lo, _ = deviations(_reduced_observables(base, rho_lo, alpha))
     wide = build_cavity_model(p, base_cutoff + 5, alpha)
     embed = _fock_embedding(base.spin_rep.dim, base.fock_rep.dim, wide.fock_rep.dim)
     rho_hi, _ = extended_steady_state(wide.liouvillian, embed, base.liouvillian, rho_lo,
-                                      report_lo.factor, tol)
+                                      report_lo.factor)
     full_hi = _reduced_observables(wide, rho_hi, alpha)
     dev_hi, dev_rel_hi = deviations(full_hi)
 

@@ -98,11 +98,6 @@ class HPFluctuationSolution:
     occupation: float
     anomalous_magnitude: float
 
-    @property
-    def squeezing_reconstructed(self) -> float:
-        """1 + 2<a^dag a> - 2|<a^2>|, the bosonic route to the squeezing."""
-        return 1.0 + 2.0 * self.occupation - 2.0 * self.anomalous_magnitude
-
 
 @dataclass(frozen=True)
 class FieldComposition:

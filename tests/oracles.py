@@ -6,7 +6,36 @@ calls the code paths it is meant to verify.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import null_space
+
+
+def _matrix(rho):
+    """The array of a state: a ``DensityMatrix`` or any square array."""
+    return np.asarray(getattr(rho, "matrix", rho))
+
+
+def expect(rho, A):
+    """trace(A rho) for a dense or sparse operator A."""
+    mat = _matrix(rho)
+    if A.shape[0] != mat.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {A.shape[0]}, state {mat.shape[0]}")
+    A = A.toarray() if sp.issparse(A) else np.asarray(A)
+    return complex(np.einsum("ij,ji->", A, mat))
+
+
+def trace_distance(rho, sigma):
+    """Half the sum of the absolute eigenvalues of the Hermitian part of
+    the difference."""
+    diff = _matrix(rho) - _matrix(sigma)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+
+
+def superoperator_action(L, X):
+    """L's superoperator applied to the column-stacked X, reshaped back."""
+    D = X.shape[0]
+    return (L.superoperator @ np.asarray(X, dtype=complex).flatten(order="F")).reshape(
+        (D, D), order="F")
 
 
 def dense_spin_ops(n_atoms):

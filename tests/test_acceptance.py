@@ -18,16 +18,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm
 
-from oracles import brute_force_steady_state, dense_spin_ops, dicke_hamiltonian
+from oracles import (
+    brute_force_steady_state,
+    dense_spin_ops,
+    dicke_hamiltonian,
+    expect,
+    superoperator_action,
+    trace_distance,
+)
 
 from dickelab.cli import main as cli_main
-from dickelab.lindblad import (
-    expect,
-    steady_state,
-    trace_distance,
-    two_time_correlator,
-    vectorize,
-)
+from dickelab.lindblad import steady_state, two_time_correlator, vectorize
 from dickelab.models import build_dicke_model, resonant_steady_state, validate_elimination
 from dickelab.observables import (
     field_composition,
@@ -263,13 +264,14 @@ def test_criterion_7_field_theory_identities():
         worst_anom = max(worst_anom, shares[2])
     assert worst_anom <= 1e-28
 
-    # (c) bosonic moments reconstruct the closed-form squeezing
+    # (c) bosonic moments reconstruct the closed-form squeezing,
+    # 1 + 2<a^dag a> - 2|<a^2>| = cos(theta)
     worst_rec = 0.0
     for _ in range(50):
         theta = float(rng.uniform(0.0, math.asin(0.998)))
         sol = hp_moments(BlochAngles(theta, 0.0))
-        worst_rec = max(worst_rec,
-                        abs(sol.squeezing_reconstructed - math.cos(theta)) / math.cos(theta))
+        rec = 1.0 + 2.0 * sol.occupation - 2.0 * sol.anomalous_magnitude
+        worst_rec = max(worst_rec, abs(rec - math.cos(theta)) / math.cos(theta))
     assert worst_rec <= 1e-12
     report(7, "field identities", f"mean-output dev {worst_mean:.1e}, "
                                   f"anomalous dipole share at N=1000 {worst_anom:.1e}, "
@@ -292,7 +294,8 @@ def test_criterion_8_engine_properties(tmp_path):
     drift_tr = float(np.abs(vectorize(np.eye(L.dim)).conj() @ L.superoperator).max())
     rng = np.random.default_rng(8)
     X = rng.normal(size=(L.dim, L.dim)) + 1j * rng.normal(size=(L.dim, L.dim))
-    drift_h = float(np.abs(L.apply(X.conj().T) - L.apply(X).conj().T).max())
+    drift_h = float(np.abs(superoperator_action(L, X.conj().T)
+                           - superoperator_action(L, X).conj().T).max())
     assert drift_tr <= 1e-12 * L.scale
     assert drift_h <= 1e-12 * L.scale * float(np.abs(X).max())
 

@@ -91,3 +91,30 @@ def test_tracer_times_both_cavity_builds_of_an_elimination(monkeypatch):
                      if span["name"] == "models.validate_elimination"]
     builds = tracer.children(elimination, "models.build_cavity_model")
     assert len(builds) == 2
+
+
+def test_tracer_sees_the_lu_of_a_detuned_point(monkeypatch):
+    # a detuned point takes its state from models.dicke_steady_state, which
+    # builds the Dicke model and solves it at the names the tracer wraps in
+    # models; each call makes one span, with the route the tracer reads
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    cfg = sweep.RunConfig.from_dict({
+        "mode": "sweep-jz",
+        "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}},
+        "sweep": {"drive": {"values": [0.5]}},
+    })
+    [point] = sweep._grid_points(cfg)
+    tracer, solves = tracing.Tracer(), []
+    try:
+        tracing._install(tracer, solves)
+        [row] = sweep.compute_point(point)
+    finally:
+        tracer.restore()
+    assert row["solver_method"] == "sparse-direct"
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("models.build_dicke_model") == 1
+    [solve] = [span for span in tracer.spans if span["name"] == "lindblad.steady_state"]
+    assert solve["attrs"] == {"dim": 11, "route": "sparse-direct"}
+    assert len(solves) == 1

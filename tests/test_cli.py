@@ -328,12 +328,13 @@ def test_exit_code_config_error(tmp_path):
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
          "output": {"json_mirror": "no"}},
-        # a real key takes only a finite JSON number: NaN would disarm the
-        # residual gate, and float() would read "nan" and true
+        # a real key takes only a finite JSON number: NaN would pass every
+        # bound check (each comparison with it is false), and float() would
+        # read "nan" and true
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
-         "solver": {"tol": float("nan")}},
+         "spectrum": {"kappa_embed_over_gamma": float("nan")}},
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": "nan", "N": 6}},
          "sweep": {"drive": {"values": [0.5]}}},
@@ -346,11 +347,12 @@ def test_exit_code_config_error(tmp_path):
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": 1.0}},
          "sweep": {"N": [10**400], "drive": {"values": [0.5]}}},
-        # the residual tolerance and the worker count must be positive
+        # each gate derives its own tolerance, so solver.tol is an unknown
+        # key; the worker count must be positive
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
-         "solver": {"tol": 0}},
+         "solver": {"tol": 1e-8}},
         {"mode": "sweep-jz",
          "params": {"effective": {"gamma": 1.0, "N": 6}},
          "sweep": {"drive": {"values": [0.5]}},
@@ -376,10 +378,10 @@ def test_exit_code_config_error(tmp_path):
          "tau-max-nonpositive", "kappa-embed-nonpositive", "fock-cutoff-zero",
          "negative-drive", "unknown-key", "non-numeric-value", "non-integer-threads",
          "block-not-object", "solver-method-retired", "fractional-n", "fractional-threads",
-         "fractional-num", "string-timestamp", "string-json-mirror", "nan-tol",
-         "string-nan-gamma", "infinite-tau-max", "boolean-g", "huge-integer-n", "tol-zero",
-         "threads-zero", "gamma-negative", "n-zero", "empty-delta-list", "unknown-drive-units",
-         "drive-num-zero"],
+         "fractional-num", "string-timestamp", "string-json-mirror", "nan-real-key",
+         "string-nan-gamma", "infinite-tau-max", "boolean-g", "huge-integer-n",
+         "solver-tol-retired", "threads-zero", "gamma-negative", "n-zero", "empty-delta-list",
+         "unknown-drive-units", "drive-num-zero"],
 )
 def test_bad_config_rejected_before_solve(tmp_path, payload):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -628,7 +630,7 @@ _KERNEL_CALLS = {
         "scipy.sparse.linalg", "gmres",
         "base, report = lindblad.steady_state(L)\n"
         "lindblad.set_blas_threads({'numpy': 2, 'scipy': 2})\n",
-        "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor, None)"),
+        "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor)"),
     "two_time_correlator": (
         "dickelab.lindblad", "_pole_transform", "",
         "lindblad.two_time_correlator(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),
@@ -686,22 +688,23 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     cfg = RunConfig.from_dict(json.loads(blocks[0]))
     assert cfg.mode == "sweep-jz"
-    assert cfg.solver_tol is None and cfg.threads == 2
+    assert cfg.threads == 2
 
 
 def test_exit_code_solver_failure_partial_results(tmp_path):
+    # a detuned point needs the Dicke LU, which the atom cap refuses at
+    # N = 401 before any build: the row names the error, and the run exits 3
     payload = {
         "mode": "sweep-jz",
-        "params": {"effective": {"gamma": 1.0, "N": 6}},
+        "params": {"effective": {"gamma": 1.0, "N": 401, "delta": 0.1}},
         "sweep": {"drive": {"values": [0.3]}, "Delta_over_gamma": [0.0]},
-        "solver": {"tol": 1e-30},
     }
     cfg = write_cfg(tmp_path / "cfg.json", payload)
     out = tmp_path / "out.csv"
     assert main(["sweep-jz", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 3
     rows = read_csv(out)
     assert len(rows) == 1
-    assert "NoConvergence" in rows[0]["error"]
+    assert "DimensionCapError" in rows[0]["error"]
     assert rows[0]["jz_over_halfN_numeric"] == ""
 
 

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import high_precision_resonant_state
+from oracles import expect, high_precision_resonant_state, superoperator_action, trace_distance
 
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
     DensityMatrix,
     Liouvillian,
-    SteadyStateOptions,
     build_liouvillian,
-    expect,
     residual_tolerance,
     steady_state,
-    trace_distance,
     unvectorize,
 )
 from dickelab import models
@@ -173,7 +170,7 @@ def test_decoupled_cavity_reaches_coherent_state():
     full = np.zeros(L.dim ** 2, dtype=complex)
     full[embed] = rho_block.matrix.flatten(order="F")
     final = DensityMatrix(unvectorize(full, L.dim))
-    assert L.residual(final.matrix) <= residual_tolerance(L, None)
+    assert L.residual(final.matrix) <= residual_tolerance(L)
     amp = 1j * p.Omega_L / (1j * p.delta_c - p.kappa / 2)
     c = _lab_field(p, 8, 0.0)
     assert expect(final, c) == pytest.approx(amp, abs=1e-8)
@@ -393,10 +390,10 @@ def test_elimination_warns_when_not_adiabatic():
         validate_elimination(p)
 
 
-def _lu_confirmation(L, embed, base, base_rho, factor, tol):
+def _lu_confirmation(L, embed, base, base_rho, factor):
     """The cutoff + 5 confirmation by its own LU, in place of
     ``extended_steady_state``."""
-    return steady_state(L, SteadyStateOptions(tol=tol))
+    return steady_state(L)
 
 
 def _verdict(p, cutoff):
@@ -461,7 +458,7 @@ def test_eliminated_model_takes_the_closed_form(monkeypatch):
         raise AssertionError("the Dicke LU ran at delta = 0")
 
     monkeypatch.setattr(models, "build_dicke_model", refuse)
-    mom = models._eliminated_moments(p, None)
+    mom = models._eliminated_moments(p)
     assert mom == spin_moments(ResonantState(e), SpinRep.for_atoms(4))
     assert mom.var_jm == ResonantState(e).dipole_fluctuations()[0]
     assert abs(mom.jz - lu.jz) <= 1e-10
@@ -524,12 +521,6 @@ def test_resonant_closed_form_matches_high_precision_at_large_n():
 
 
 def test_resonant_closed_form_checks():
-    model = build_dicke_model(effective(6, 0.3))
-    # an undrivable tolerance fails like the numeric routes do
-    with pytest.raises(NoConvergence):
-        resonant_steady_state(model.effective, 1e-30)
-    _, report = resonant_steady_state(model.effective, 1e-6)
-    assert report.residual <= 1e-6
     # undriven: the collective ground state |j, -j>
     ground, _ = resonant_steady_state(build_dicke_model(effective(6, 0.0)).effective)
     assert ground.matrix[0, 0] == 1.0 and np.count_nonzero(ground.matrix) == 1
@@ -563,7 +554,7 @@ def test_band_liouvillian_matches_assembled():
     for n, e in ((1, effective(1, 0.6, 1.0, 0.3)), (7, effective(7, 0.6, 1.0, 0.3)),
                  (30, EffectiveParams(1.0, 0.5, 0.7 + 0.2j, 30, delta=0.4))):
         rho = DensityMatrix(ResonantState(effective(n, 0.9, 0.25)).matrix)
-        full = build_dicke_model(e).liouvillian.apply(rho.matrix)
+        full = superoperator_action(build_dicke_model(e).liouvillian, rho.matrix)
         scale = float(np.abs(full).max())
         for k, band in enumerate(_lindblad_bands(e, rho)):
             assert float(np.abs(band - full.diagonal(-k)).max(initial=0.0)) <= 1e-12 * scale
@@ -573,7 +564,7 @@ def test_banded_tolerance_no_looser_than_assembled():
     for n, d, ratio, phase in _CLOSED_FORM_GRID:
         e = effective(n, ratio, d, phase)
         dense = 1e-10 * max(build_dicke_model(e).liouvillian.scale, 1.0)
-        assert 0.25 * dense <= banded_tolerance(e, None) <= dense
+        assert 0.25 * dense <= banded_tolerance(e) <= dense
 
 
 _GATE_POINT = effective(40, 0.8, 1.0, 0.3)
@@ -583,15 +574,14 @@ _GATE_POINT = effective(40, 0.8, 1.0, 0.3)
 def test_banded_gate_rejects_perturbed_band(k):
     # one diagonal (and its mirror) of the exact state off by a part in 1e6
     exact = ResonantState(_GATE_POINT)
-    accept_banded_state(_GATE_POINT, exact, "closed-form", None)
+    accept_banded_state(_GATE_POINT, exact, "closed-form")
     mat = exact.matrix.copy()
     idx = np.arange(exact.dim - k)
     mat[idx + k, idx] *= 1.0 + 1e-6
     if k:
         mat[idx, idx + k] *= 1.0 + 1e-6
     with pytest.raises(NoConvergence, match="above tolerance"):
-        accept_banded_state(_GATE_POINT, DensityMatrix(mat, validate=False), "closed-form",
-                            None)
+        accept_banded_state(_GATE_POINT, DensityMatrix(mat, validate=False), "closed-form")
 
 
 @pytest.mark.parametrize("other", [effective(40, 0.8 * (1 + 1e-6), 1.0, 0.3),
@@ -599,7 +589,7 @@ def test_banded_gate_rejects_perturbed_band(k):
 def test_banded_gate_rejects_wrong_beta(other):
     # the exact state of another beta: a drive off by 1e-6, or another shift
     with pytest.raises(NoConvergence, match="above tolerance"):
-        accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form", None)
+        accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form")
 
 
 def test_banded_gate_passes_the_lu_state():
@@ -607,8 +597,8 @@ def test_banded_gate_passes_the_lu_state():
     # a detuned drive passes it too
     e = EffectiveParams(1.0, 0.5, 0.0, 12, delta=0.3).with_drive_ratio(0.7)
     rho, _ = steady_state(build_dicke_model(e).liouvillian)
-    _, report = accept_banded_state(e, rho, "sparse-direct", None)
-    assert report.residual <= 1e-3 * banded_tolerance(e, None)
+    _, report = accept_banded_state(e, rho, "sparse-direct")
+    assert report.residual <= 1e-3 * banded_tolerance(e)
 
 
 def test_resonant_dipole_fluctuations_match_high_precision():
@@ -652,7 +642,7 @@ def test_resonant_gate_residual_far_below_tolerance_at_large_n(ratio):
     # (4e-3 when the sum ran over log a_i alone)
     e = effective(10**5, ratio, 0.0)
     _, report = resonant_steady_state(e)
-    assert report.residual <= 1e-3 * banded_tolerance(e, None)
+    assert report.residual <= 1e-3 * banded_tolerance(e)
 
 
 def test_resonant_state_beyond_the_dicke_cap():
@@ -660,7 +650,7 @@ def test_resonant_state_beyond_the_dicke_cap():
     # the Liouvillian keeps DICKE_ATOM_CAP
     e = effective(20 * DICKE_ATOM_CAP, 0.9, 0.5)
     rho, report = resonant_steady_state(e)
-    assert report.residual <= banded_tolerance(e, None)
+    assert report.residual <= banded_tolerance(e)
     xi2 = spin_squeezing_numeric(rho, SpinRep.for_atoms(e.N))
     assert abs(xi2 - math.sqrt(1 - 0.9**2)) <= 1e-3
     with pytest.raises(DimensionCapError):

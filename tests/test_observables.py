@@ -9,6 +9,7 @@ from oracles import (
     brute_force_steady_state,
     dense_spin_ops,
     dicke_hamiltonian,
+    expect,
     scan_transverse_variance,
 )
 
@@ -16,7 +17,6 @@ from dickelab.errors import AboveThresholdError
 from dickelab.lindblad import (
     KRYLOV_MAX_DIM,
     DensityMatrix,
-    expect,
     steady_state,
     two_time_correlator,
 )
@@ -218,7 +218,9 @@ def test_squeezing_reconstruction_matches_cosine():
     for _ in range(50):
         theta = float(rng.uniform(0.0, math.asin(0.998)))
         sol = hp_moments(BlochAngles(theta, 0.0))
-        assert sol.squeezing_reconstructed == pytest.approx(math.cos(theta), rel=1e-12)
+        # 1 + 2<a^dag a> - 2|<a^2>|, the bosonic route to the squeezing
+        rec = 1.0 + 2.0 * sol.occupation - 2.0 * sol.anomalous_magnitude
+        assert rec == pytest.approx(math.cos(theta), rel=1e-12)
 
 
 def test_hp_bridge_numeric_n60():

@@ -1,5 +1,6 @@
-"""The bench harness under ``scripts/``: the order of the checkouts and one
-end-to-end record of ``bench_spectrum``.
+"""The scripts under ``scripts/``: the order of the checkouts, the
+end-to-end records of ``bench_spectrum`` and ``bench_process``, and the
+test-only names row of ``design_counts``.
 The scripts are imported as they are, from their own directory."""
 
 import json
@@ -73,3 +74,19 @@ def test_bench_process_writes_both_sides(harness, tmp_path, monkeypatch):
             for name in ("wall_s", "cpu_s", "exit_s"):
                 assert call[side][f"{name}_median"] == run[name]
                 assert call[side][f"{name}_quartiles"] == [run[name]] * 2
+
+
+def test_design_counts_names_what_only_the_tests_read(monkeypatch, capsys):
+    # mean_spin_vector is public and read only by the tests; every other
+    # public name has a reader in the package, scripts/ or benchmark/
+    import dickelab
+
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import design_counts
+
+    assert design_counts.main([str(ROOT)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == str(ROOT)
+    rows = {line[:18].strip(): line[18:].split() for line in lines}
+    assert rows["public names"] == [str(len(dickelab.__all__))]
+    assert rows["test-only names"] == ["1", "mean_spin_vector"]
