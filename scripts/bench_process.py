@@ -10,10 +10,11 @@ closed-form ``sweep-jz`` at N = 50, a resolved ``spectrum`` at N = 100
 (drive 0.9, Delta/gamma 0.5, ``n_tau`` 512, kappa = 1000 gamma) and a
 2-drive ``validate-elimination`` on the benchmark's N = 4 cavity. Each run
 is ``python -m dickelab.cli <mode> --config ... --threads 1`` in a fresh
-interpreter on the checkout's ``src``, timed by ``harness.timed``:
-``wall_s``, ``cpu_s`` and ``exit_s``, the time from the CLI's ``wrote``
-line to the end of the process (interpreter teardown). Each repeat runs
-every call once per checkout, the checkouts alternating which goes first.
+interpreter on the checkout's ``src``, measured by ``harness.timed``:
+``wall_s``, ``cpu_s``, ``peak_rss_mb`` and ``exit_s``, the time from the
+CLI's ``wrote`` line to the end of the process (interpreter teardown).
+Each repeat runs every call once per checkout, the checkouts alternating
+which goes first.
 The OpenBLAS thread variables are the caller's, as in the benchmark. After
 the header of ``harness.write``, the record holds per call its config and,
 per side, ``harness.summary`` of its runs (medians, quartiles, the runs).
@@ -68,7 +69,8 @@ def main(argv=None) -> int:
                         "--out", os.path.join(tmp, name + ".csv"), "--threads", "1"])
                     runs[name][side].append(rec)
                     print(f"{side} {name}: wall {rec['wall_s']:.3f} s, "
-                          f"cpu {rec['cpu_s']:.3f} s, exit {rec['exit_s'] * 1e3:.1f} ms",
+                          f"cpu {rec['cpu_s']:.3f} s, exit {rec['exit_s'] * 1e3:.1f} ms, "
+                          f"rss {rec['peak_rss_mb']:.1f} MB",
                           flush=True)
 
     harness.write(

@@ -1,6 +1,6 @@
 """What the bench scripts share: the command line, the fresh interpreter on
-a checkout and its wall and CPU time, the order of the checkouts in each
-repeat and the record header.
+a checkout with its wall time, CPU time and peak resident set, the order of
+the checkouts in each repeat and the record header.
 
 Every ``BENCH_*.json`` starts with the header of :func:`write`: ``what``,
 ``note``, ``nproc``, ``python``, ``numpy``, ``scipy``, ``repeats``,
@@ -77,14 +77,17 @@ def fresh(root: str, args: list, **env) -> subprocess.CompletedProcess:
 
 
 def timed(root: str, args: list, **env) -> dict:
-    """``wall_s``, ``cpu_s`` and ``exit_s`` of ``python args`` in a fresh
-    interpreter (as :func:`fresh`, with ``PYTHONUNBUFFERED=1`` added to the
-    child's environment so each line reaches the pipe when printed): wall
-    time from start to exit; user + system CPU time of the process and of
-    the children it reaped, pool workers included (``os.wait4``); and the
-    time from the child's last standard-output line (its start, if it
-    prints none) to its exit, the process's teardown. Output is discarded;
-    a non-zero exit raises with the process's standard error."""
+    """``wall_s``, ``cpu_s``, ``exit_s`` and ``peak_rss_mb`` of ``python
+    args`` in a fresh interpreter (as :func:`fresh`, with
+    ``PYTHONUNBUFFERED=1`` added to the child's environment so each line
+    reaches the pipe when printed): wall time from start to exit; user +
+    system CPU time of the process and of the children it reaped, pool
+    workers included (``os.wait4``); the time from the child's last
+    standard-output line (its start, if it prints none) to its exit, the
+    process's teardown; and the peak resident set in MB, ``ru_maxrss /
+    1024`` as ``benchmark/run.py`` reads it (the largest of the process and
+    the children it reaped). Output is discarded; a non-zero exit raises
+    with the process's standard error."""
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err,
@@ -100,7 +103,8 @@ def timed(root: str, args: list, **env) -> dict:
             err.seek(0)
             raise subprocess.CalledProcessError(proc.returncode, proc.args,
                                                 stderr=err.read().decode())
-    return {"wall_s": end - t0, "cpu_s": usage.ru_utime + usage.ru_stime, "exit_s": end - last}
+    return {"wall_s": end - t0, "cpu_s": usage.ru_utime + usage.ru_stime, "exit_s": end - last,
+            "peak_rss_mb": usage.ru_maxrss / 1024}
 
 
 def run_child(script: str, root: str, *args, **env) -> dict:
@@ -122,11 +126,12 @@ def quartiles(values: list) -> list:
 
 
 def summary(runs: list) -> dict:
-    """The median and the quartiles of each of ``wall_s``, ``cpu_s`` and
-    ``exit_s`` that every record of ``runs`` (:func:`timed`'s form) holds,
-    as ``<name>_median`` and ``<name>_quartiles``, and the runs themselves."""
+    """The median and the quartiles of each of ``wall_s``, ``cpu_s``,
+    ``exit_s`` and ``peak_rss_mb`` that every record of ``runs``
+    (:func:`timed`'s form) holds, as ``<name>_median`` and
+    ``<name>_quartiles``, and the runs themselves."""
     record = {}
-    for name in ("wall_s", "cpu_s", "exit_s"):
+    for name in ("wall_s", "cpu_s", "exit_s", "peak_rss_mb"):
         if all(name in r for r in runs):
             values = [r[name] for r in runs]
             record[f"{name}_median"] = statistics.median(values)

@@ -78,11 +78,19 @@ class FockRep:
 
 
 def _banded(dim: int, diagonals, offsets) -> sp.csr_array:
-    """Complex CSR matrix from its diagonals, built in O(dim)."""
+    """Complex CSR matrix from its full-length diagonals, built in O(dim):
+    the entries, order and int32 indices of ``scipy.sparse.diags_array``
+    in CSR, with no zero stored, but without its DIA constructor, which
+    calls ``np.unique`` and so loads ``numpy.ma`` (see the ``cli`` module
+    docstring)."""
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
 
-    return sp.diags_array(diagonals, offsets=offsets, shape=(dim, dim),
-                          format="csr", dtype=np.complex128)
+    rows = [np.arange(max(0, -k), min(dim, dim - k), dtype=np.int32) for k in offsets]
+    cols = np.concatenate([r + k for r, k in zip(rows, offsets)])
+    rows = np.concatenate(rows)
+    vals = np.concatenate(diagonals).astype(np.complex128)
+    keep = vals != 0
+    return sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim)).tocsr()
 
 
 def ladder_amplitudes(rep: SpinRep) -> np.ndarray:

@@ -467,8 +467,9 @@ def test_resonant_run_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("code", [0, 2])
 def test_console_freezes_the_heap_after_main_returns(monkeypatch, code):
-    # the process entry returns main's code, and freezes only once main has
-    # returned, so no collection of the run itself is skipped
+    # the process entry binds numpy's unused submodules before main, returns
+    # main's code, and freezes only once main has returned, so no
+    # collection of the run itself is skipped
     from dickelab import cli
 
     calls = []
@@ -478,9 +479,68 @@ def test_console_freezes_the_heap_after_main_returns(monkeypatch, code):
         return code
 
     monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli, "_bind_numpy_lazily", lambda: calls.append("bind"))
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     assert cli.console() == code
-    assert calls == ["main", "freeze"]
+    assert calls == ["bind", "main", "freeze"]
+
+
+# modules that numpy.f2py, numpy.testing, numpy.ma and numpy.polynomial
+# would load if scipy's array-API shim ran them
+_UNUSED_NUMPY_MODULES = ["numpy.f2py.crackfortran", "numpy.testing._private.utils",
+                         "numpy.ma.core", "numpy.polynomial.polynomial",
+                         "charset_normalizer", "unittest"]
+
+
+def test_console_loads_scipy_without_numpy_submodules_no_mode_reads(tmp_path):
+    # a detuned point loads scipy for its LU; through the process entry,
+    # scipy's `from numpy import *` gets lazy modules whose code has not
+    # run, and each of them still works on its first use
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "mode": "sweep-squeezing", "params": {"effective": {"gamma": 1.0, "N": 10, "delta": 0.3}},
+        "sweep": {"drive": {"values": [0.5]}, "Delta_over_gamma": [0.0]}})
+    out = _fresh_interpreter(
+        "import json, os, sys\n"
+        "import dickelab.cli\n"
+        "cfg, out, unused = sys.argv[1:]\n"
+        "sys.argv = ['dicke-lab', 'sweep-squeezing', '--config', cfg, '--out', out,\n"
+        "            '--threads', '1']\n"
+        "code = dickelab.cli.console()\n"
+        "print(json.dumps([code, 'scipy.sparse.linalg' in sys.modules,\n"
+        "                  [m for m in json.loads(unused) if m in sys.modules]]))\n"
+        "import numpy\n"
+        "numpy.testing.assert_allclose(1.0, 1.0)\n"
+        "print(json.dumps([float(numpy.ma.masked_array([1.0, 2.0]).sum()),\n"
+        "                  float(numpy.polynomial.Polynomial([1, 2])(1.0)),\n"
+        "                  os.path.isdir(numpy.f2py.get_include())]))\n",
+        cfg, tmp_path / "out.csv", json.dumps(_UNUSED_NUMPY_MODULES))
+    status, used = out.splitlines()[-2:]
+    assert json.loads(status) == [0, True, []]
+    assert json.loads(used) == [3.0, 3.0, True]
+    rows = read_csv(tmp_path / "out.csv")
+    assert [r["error"] for r in rows] == [""] and rows[0]["solver_method"] == "sparse-direct"
+
+
+def test_library_import_and_main_bind_nothing_lazily(tmp_path):
+    # only the process entry binds lazy modules: importing the package or
+    # the CLI, and an in-process main() call that loads scipy, leave numpy
+    # as numpy binds it
+    cfg = write_cfg(tmp_path / "cfg.json", DETUNED)
+    out = _fresh_interpreter(
+        "import importlib.util, sys\n"
+        "def lazy():\n"
+        "    return sorted(name for name, m in list(sys.modules.items())\n"
+        "                  if type(m) is importlib.util._LazyModule)\n"
+        "import dickelab\n"
+        "print(lazy())\n"
+        "import dickelab.cli\n"
+        "print(lazy())\n"
+        "print(dickelab.cli.main(['sweep-jz', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "                         '--threads', '1']), 'scipy.sparse.linalg' in sys.modules)\n"
+        "print(lazy())\n",
+        cfg, tmp_path / "out.csv")
+    assert out.splitlines() == ["[]", "[]", f"sweep-jz: wrote {tmp_path / 'out.csv'} (2 rows)",
+                                "0 True", "[]"]
 
 
 def test_console_script_is_the_process_entry():

@@ -85,6 +85,30 @@ def test_sparse_dense_agreement(j):
     np.testing.assert_allclose(ops["J_minus"].toarray(), dense, atol=1e-14)
 
 
+@pytest.mark.parametrize("j", [0.5, 2, 2.5, 40])
+def test_operators_store_what_diags_array_stores(j):
+    # the O(dim) build stores the entries scipy's diags_array gives in CSR,
+    # in its order and index type, with no zero stored (J_z's m = 0 at
+    # integer j), so every product of the operators keeps its bytes
+    rep = SpinRep(j=j)
+    ops = build_spin_operators(rep)
+    m = rep.m_values
+    amp = np.sqrt(j * (j + 1) - m[1:] * (m[1:] - 1))
+    reference = {
+        "J_minus": ([amp], [1]), "J_plus": ([amp], [-1]),
+        "J_x": ([0.5 * amp, 0.5 * amp], [1, -1]),
+        "J_y": ([0.5j * amp, -0.5j * amp], [1, -1]), "J_z": ([m], [0]),
+    }
+    for key, (diagonals, offsets) in reference.items():
+        want = sp.diags_array(diagonals, offsets=offsets, shape=(rep.dim,) * 2,
+                              format="csr", dtype=np.complex128)
+        got = ops[key]
+        assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+        assert got.has_canonical_format and got.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (key, name)
+
+
 def test_fock_minimal_cutoff():
     ops = build_fock_operators(FockRep(cutoff=1))
     np.testing.assert_allclose(ops["c"].toarray(), [[0, 1], [0, 0]])

@@ -1,6 +1,6 @@
 """The scripts under ``scripts/``: the order of the checkouts, the
-end-to-end records of ``bench_spectrum`` and ``bench_process``, and the
-test-only names row of ``design_counts``.
+end-to-end records of ``bench_spectrum`` and ``bench_process``, the layer
+record of ``bench_lu``, and the test-only names row of ``design_counts``.
 The scripts are imported as they are, from their own directory."""
 
 import json
@@ -71,9 +71,31 @@ def test_bench_process_writes_both_sides(harness, tmp_path, monkeypatch):
         for side in ("parent", "change"):
             (run,) = call[side]["runs"]
             assert 0.0 < run["exit_s"] < run["wall_s"]
-            for name in ("wall_s", "cpu_s", "exit_s"):
+            assert run["peak_rss_mb"] > 10.0  # an interpreter that loaded numpy
+            for name in ("wall_s", "cpu_s", "exit_s", "peak_rss_mb"):
                 assert call[side][f"{name}_median"] == run[name]
                 assert call[side][f"{name}_quartiles"] == [run[name]] * 2
+
+
+def test_bench_lu_times_each_stage_of_the_library_route(harness, tmp_path):
+    import bench_lu
+
+    out = tmp_path / "BENCH_lu.json"
+    assert bench_lu.main(["--ns", "10", "--repeats", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert list(record)[:len(HEADER)] == HEADER
+    assert record["repeats"] == 1
+    # the child runs one OpenBLAS thread in each copy it loads
+    assert record["child_env"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert record["blas_threads"] == {"numpy": 1, "scipy": 1}
+    (run,) = record["ns"]["10"]["runs"]
+    assert all(run[stage] > 0.0 for stage in bench_lu.STAGES)
+    assert run["total_s"] == pytest.approx(sum(run[stage] for stage in bench_lu.STAGES))
+    assert run["unknowns"] == 121 and run["lu_nnz"] >= run["superop_nnz"] > 0
+    assert run["peak_rss_mb"] > 10.0
+    # the stages are the library's route: steady_state gives the same bytes
+    assert run["matches_steady_state"]
+    assert record["ns"]["10"]["factor_s_median"] == run["factor_s"]
 
 
 def test_design_counts_names_what_only_the_tests_read(monkeypatch, capsys):
