@@ -68,14 +68,14 @@ def _child(n: int) -> dict:
     t4 = time.perf_counter()
     if uniq <= lindblad.uniqueness_threshold(L.dim ** 2):
         raise NonUniqueSteadyState(f"uniqueness ratio {uniq:.2e}")
-    rho, report = lindblad.accept_steady_state(L, lindblad.unvectorize(x, L.dim),
-                                               "sparse-direct", uniq, lu)
+    rho, _ = lindblad.accept_steady_state(L, lindblad.unvectorize(x, L.dim),
+                                          "sparse-direct", uniq)
     t5 = time.perf_counter()
     stamps = [t0, t1, t2, t3, t4, t5]
     times = {stage: end - start for stage, start, end in zip(STAGES, stamps, stamps[1:])}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     lu_nnz = int(lu.nnz)
-    del lu, report
+    del lu
     library, _ = lindblad.steady_state(L)
     return {
         **times,

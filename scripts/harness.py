@@ -86,8 +86,12 @@ def timed(root: str, args: list, **env) -> dict:
     standard-output line (its start, if it prints none) to its exit, the
     process's teardown; and the peak resident set in MB, ``ru_maxrss /
     1024`` as ``benchmark/run.py`` reads it (the largest of the process and
-    the children it reaped). Output is discarded; a non-zero exit raises
-    with the process's standard error."""
+    the children it reaped). That peak is a floor, not the child's own: on
+    Linux a spawned child's ``ru_maxrss`` starts from the peak its parent
+    had reached when it was spawned (a ``python -S -c pass`` child reads
+    ~14 MB, and ~114 MB once this process has touched 100 MB, even after
+    it freed them), so it reads the larger of the two. Output is
+    discarded; a non-zero exit raises with the process's standard error."""
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err,

@@ -13,16 +13,16 @@ superoperator with its first row (the equation for rho_00) replaced by the
 scaled trace row, then one refinement sweep. Trace preservation makes the
 diagonal-entry rows sum to zero, so the replaced row carries no
 information, and M is nonsingular exactly when the steady state is unique.
-The same factor gives the uniqueness probe by inverse iteration, and is
-handed back in the solve report. The Dicke Liouvillian is narrow-banded,
-so fill-in stays small. The model caps (``models.DICKE_ATOM_CAP``,
-``models.CAVITY_PRODUCT_CAP``) are the only size limit of an LU. A larger
-system that holds a solved one on some of its entries (the atom+cavity
-model at a higher Fock cutoff) is solved by :func:`extended_steady_state`:
-restarted GMRES on its trace-row system, preconditioned by the smaller
-system's factor on the shared entries and by the diagonal elsewhere, with
-no factor of its own. Every candidate of either solver passes one gate,
-:func:`accept_steady_state`.
+The same factor gives the uniqueness probe by inverse iteration; it never
+leaves this module. The Dicke Liouvillian is narrow-banded, so fill-in
+stays small. The model caps (``models.DICKE_ATOM_CAP``,
+``models.CAVITY_PRODUCT_CAP``) are the only size limit of an LU. A system
+whose block is itself a Liouvillian (the atom+cavity model holds the one
+at a lower Fock cutoff) is solved by :func:`nested_steady_state`: the
+block by LU, with the probe, and the whole by restarted GMRES on its
+trace-row system, preconditioned by the block's factor on the block's
+entries and by the diagonal elsewhere, with no factor of its own. Every
+candidate of either solver passes one gate, :func:`accept_steady_state`.
 (The resonant Dicke model also has an exact steady state,
 ``models.resonant_steady_state``, which the sweeps use for delta = 0. It
 needs no Liouvillian, and passes the O(D) gate
@@ -78,7 +78,7 @@ import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,7 @@ logger = logging.getLogger(__name__)
 PSD_FLOOR = -1e-8
 STATE_ATOL = 1e-12  # the Hermiticity and trace tolerance of DensityMatrix.validate
 
-# GMRES of an extended steady state: the restart length (the basis holds
+# GMRES of a nested steady state: the restart length (the basis holds
 # GMRES_RESTART + 1 vectors of D^2 entries), the restart cycles before a
 # NoConvergence, and the residual target relative to the right-hand side
 GMRES_RESTART = 80
@@ -284,15 +284,11 @@ class SteadyStateOptions:
 @dataclass(frozen=True)
 class SteadyStateSolveReport:
     """What a steady-state solve did: its route, the residual its gate
-    measured, the probe's ``uniqueness_ratio`` (None without a probe) and
-    ``factor``, the SuperLU factor of the trace-row system that the LU
-    route solved, for a caller that solves an extended system with it
-    (:func:`extended_steady_state`), and None on every other route."""
+    measured and the probe's ``uniqueness_ratio`` (None without a probe)."""
 
     method: str
     residual: float
     uniqueness_ratio: float | None
-    factor: object = field(repr=False, compare=False)
 
 
 def residual_tolerance(L: Liouvillian) -> float:
@@ -301,8 +297,7 @@ def residual_tolerance(L: Liouvillian) -> float:
     return 1e-10 * max(L.scale, 1.0)
 
 
-def accept_steady_state(L: Liouvillian, raw, method: str, uniqueness_ratio: float | None,
-                        factor):
+def accept_steady_state(L: Liouvillian, raw, method: str, uniqueness_ratio: float | None):
     """The acceptance gate of every LU and GMRES candidate (the closed form
     has its O(D) gate, ``models.accept_banded_state``): the D x D
     ``raw`` passes through ``DensityMatrix.from_raw`` (Hermiticity, trace,
@@ -317,12 +312,7 @@ def accept_steady_state(L: Liouvillian, raw, method: str, uniqueness_ratio: floa
             f"steady-state residual {residual:.3e} above tolerance {bound:.3e} "
             f"(method {method})"
         )
-    return rho, SteadyStateSolveReport(
-        method=method,
-        residual=residual,
-        uniqueness_ratio=uniqueness_ratio,
-        factor=factor,
-    )
+    return rho, SteadyStateSolveReport(method, residual, uniqueness_ratio)
 
 
 def _trace_row(dim: int) -> sp.csr_array:
@@ -334,25 +324,26 @@ def _trace_row(dim: int) -> sp.csr_array:
 
 
 def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
-    """Stationary density matrix of L, with a solve report.
-
-    Returns ``(DensityMatrix, SteadyStateSolveReport)``; the report holds
-    the LU factor. Raises NonUniqueSteadyState when the uniqueness probe
-    finds a second near-stationary direction, NoConvergence when the
-    residual target cannot be met.
-    """
+    """Stationary density matrix of L, with a solve report:
+    ``(DensityMatrix, SteadyStateSolveReport)``. Raises NonUniqueSteadyState
+    when the uniqueness probe finds a second near-stationary direction,
+    NoConvergence when the residual target cannot be met."""
     import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
 
-    if opts is None:
-        opts = SteadyStateOptions()
-
     with _single_blas_thread():
-        raw, uniq, lu = _solve_sparse_direct(L, opts)
-        if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
-            raise NonUniqueSteadyState(
-                f"second stationary direction at relative level {uniq:.2e}"
-            )
-        return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", uniq, lu)
+        solved, _ = _factored_steady_state(L, opts or SteadyStateOptions())
+    return solved
+
+
+def _factored_steady_state(L: Liouvillian, opts: SteadyStateOptions):
+    """:func:`steady_state` inside the caller's BLAS scope, with the
+    SuperLU of L's trace-row system: ``((rho, report), factor)``."""
+    raw, uniq, lu = _solve_sparse_direct(L, opts)
+    if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
+        raise NonUniqueSteadyState(
+            f"second stationary direction at relative level {uniq:.2e}"
+        )
+    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", uniq), lu
 
 
 def _square_system(L: Liouvillian):
@@ -478,44 +469,28 @@ def _single_blas_thread():
         set_blas_threads(previous)
 
 
-def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
-                          base_rho: DensityMatrix, factor):
-    """Stationary state of L from that of a smaller system ``base``, solved
-    by :func:`steady_state` into ``base_rho`` with the report's ``factor``.
-    Entry k of vec(base_rho) is entry ``embed[k]`` of L's vectorized space,
-    and ``embed[0] = 0``, so the two trace rows meet. L restricted to the
-    embedded entries is ``base``, so the base factor nearly inverts that
-    block; a poor embedding only slows the GMRES, and the gate still holds.
+def nested_steady_state(L: Liouvillian, embed: np.ndarray):
+    """Stationary states of L and of its block on the ascending entries
+    ``embed`` (rows and columns of the superoperator; ``embed[0] = 0``, so
+    the trace rows meet), itself a Liouvillian, as the atom+cavity model at
+    a lower Fock cutoff is: ``((block_rho, block_report), (rho, report))``.
 
-    Restarted GMRES (GMRES_RESTART vectors, up to GMRES_MAX_RESTARTS
-    cycles) solves L's trace-row system to GMRES_RTOL of its right-hand
-    side, from base_rho padded with zeros. Its left preconditioner applies
-    the base factor on the embedded entries, with row 0 rescaled from the
-    base's trace-row scale to L's, and divides every other entry by its
-    diagonal. No factor of L is made and no uniqueness probe runs: the
-    base solve's probe stands for it. The candidate passes
-    :func:`accept_steady_state`, within :func:`residual_tolerance` of L; a
-    GMRES that does not converge raises NoConvergence. The GMRES runs on one BLAS thread.
+    The block is solved as :func:`steady_state` solves it: one LU, with
+    the uniqueness probe. L is then solved by restarted GMRES
+    (GMRES_RESTART vectors, up to GMRES_MAX_RESTARTS cycles) on its
+    trace-row system, to GMRES_RTOL of its right-hand side, from the
+    block's state padded with zeros. Its left preconditioner applies the
+    block's factor on the embedded entries, with row 0 rescaled from the
+    block's trace-row scale to L's, and divides every other entry by its
+    diagonal. No factor of L is made and no probe runs on it: the block's
+    probe stands for it. Both candidates pass :func:`accept_steady_state`,
+    each within its own :func:`residual_tolerance`; a GMRES that does not
+    converge raises NoConvergence. Everything runs on one BLAS thread.
     """
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
 
-    M, b, scale = _square_system(L)
-    M = M.tocsr()  # GMRES only multiplies by it
-    rest = np.ones(M.shape[0], dtype=bool)
-    rest[embed] = False
-    inverse_diagonal = np.zeros(M.shape[0], dtype=np.complex128)
-    inverse_diagonal[rest] = 1.0 / M.diagonal()[rest]
-    rescale = max(base.scale, 1e-300) / scale
-
-    def precondition(r):
-        z = r * inverse_diagonal
-        block = r[embed]
-        block[0] *= rescale
-        z[embed] = factor.solve(block)
-        return z
-
-    x0 = np.zeros(M.shape[0], dtype=np.complex128)
-    x0[embed] = vectorize(base_rho.matrix)
+    block = Liouvillian(dim=math.isqrt(embed.size),
+                        superoperator=L.superoperator[embed][:, embed])
     iterations = 0
 
     def count(_):
@@ -523,18 +498,36 @@ def extended_steady_state(L: Liouvillian, embed: np.ndarray, base: Liouvillian,
         iterations += 1
 
     with _single_blas_thread():
+        inner, factor = _factored_steady_state(block, SteadyStateOptions())
+        M, b, scale = _square_system(L)
+        M = M.tocsr()  # GMRES only multiplies by it
+        rest = np.ones(M.shape[0], dtype=bool)
+        rest[embed] = False
+        inverse_diagonal = np.zeros(M.shape[0], dtype=np.complex128)
+        inverse_diagonal[rest] = 1.0 / M.diagonal()[rest]
+        rescale = max(block.scale, 1e-300) / scale
+
+        def precondition(r):
+            z = r * inverse_diagonal
+            part = r[embed]
+            part[0] *= rescale
+            z[embed] = factor.solve(part)
+            return z
+
+        x0 = np.zeros(M.shape[0], dtype=np.complex128)
+        x0[embed] = vectorize(inner[0].matrix)
         x, info = spla.gmres(M, b, x0=x0, rtol=GMRES_RTOL, restart=GMRES_RESTART,
                              maxiter=GMRES_MAX_RESTARTS,
                              M=spla.LinearOperator(M.shape, precondition, dtype=np.complex128),
                              callback=count, callback_type="pr_norm")
-    logger.debug("extended steady state: %d unknowns, %d GMRES iterations, info %d",
+    logger.debug("nested steady state: %d unknowns, %d GMRES iterations, info %d",
                  M.shape[0], iterations, info)
     if info != 0:
         raise NoConvergence(
             f"GMRES did not reach {GMRES_RTOL:.0e} of the right-hand side within "
             f"{GMRES_MAX_RESTARTS} restarts of {GMRES_RESTART} ({iterations} iterations)"
         )
-    return accept_steady_state(L, unvectorize(x, L.dim), "gmres", None, None)
+    return inner, accept_steady_state(L, unvectorize(x, L.dim), "gmres", None)
 
 
 @dataclass(frozen=True)

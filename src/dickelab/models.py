@@ -42,13 +42,13 @@ by the dipole fluctuation conj(g)(J_- - <J_->) and stays near vacuum, with
 quanta of d; alpha = 0 is the lab frame.
 
 :func:`validate_elimination` compares the two models. The eliminated one
-comes from the closed form at delta = 0. One builder,
-:func:`build_cavity_model`, makes the cavity model at both Fock cutoffs.
-The model at the cutoff is factored once, and ``CAVITY_PRODUCT_CAP``
-bounds it alone; the one at cutoff + 5 is confirmed by GMRES
-preconditioned with that factor (``lindblad.extended_steady_state``): the
-model at the cutoff is the block of the larger one with both Fock indices
-up to it.
+comes from the closed form at delta = 0. The cavity model is built once
+per drive, at cutoff + 5; the model at the cutoff is its block with both
+Fock indices up to the cutoff (:func:`_fock_embedding`), entry for entry
+the one :func:`build_cavity_model` makes there.
+``lindblad.nested_steady_state`` factors that block, and confirms the
+whole by GMRES preconditioned with the factor. ``CAVITY_PRODUCT_CAP``
+bounds the factored block alone.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .lindblad import (
     Liouvillian,
     SteadyStateSolveReport,
     build_liouvillian,
-    extended_steady_state,
+    nested_steady_state,
     steady_state,
 )
 from .observables import SpinMoments, spin_moments
@@ -87,10 +87,10 @@ from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
 # 6.8 s, 817 MB). The product space fills in much faster, most for near
 # square splits: 12 x 12 at D = 144 takes 51-55 s and 2.5 GB, 10 x 15 at
 # D = 150 more than a minute; 36 x 4 (N = 35 at Fock cutoff 3) takes
-# 4.3-4.8 s. The cavity cap bounds only the model that validate_elimination
+# 4.3-4.8 s. The cavity cap bounds only the block that validate_elimination
 # factors, at its Fock cutoff (cavity_dimension, checked there); the
-# builder and the confirmation at cutoff + 5, which is not factored, take
-# any cutoff.
+# builder and the model at cutoff + 5, which is not factored, take any
+# cutoff.
 DICKE_ATOM_CAP = 400
 CAVITY_PRODUCT_CAP = 144
 # an elimination passes when J_z of the two models agrees within this
@@ -305,13 +305,13 @@ def _lindblad_bands(e: EffectiveParams, rho) -> list:
     bands = [rho.band(k) for k in range(4)]
 
     def entries(k: int, cols: np.ndarray) -> np.ndarray:
-        # rho[cols + k, cols], zero outside the matrix
-        if k < 0:
-            return np.conj(entries(-k, cols + k))
+        # rho[cols + k, cols], zero outside the matrix; for k < 0 the
+        # conjugate of rho[cols, cols + k] (no recursion: no reference cycle)
+        lower = cols + min(k, 0)
         out = np.zeros(cols.size, dtype=np.complex128)
-        inside = (cols >= 0) & (cols < dim - k)
-        out[inside] = bands[k][cols[inside]]
-        return out
+        inside = (lower >= 0) & (lower < dim - abs(k))
+        out[inside] = bands[abs(k)][lower[inside]]
+        return out if k >= 0 else np.conj(out)
 
     omega, gamma, out = e.Omega, e.gamma, []
     for k in range(3):
@@ -369,8 +369,7 @@ def accept_banded_state(e: EffectiveParams, rho, method: str):
             raise NoConvergence(
                 f"steady-state {name} {value:.3e} above tolerance {bound:.3e} (method {method})"
             )
-    return rho, SteadyStateSolveReport(method=method, residual=residual,
-                                       uniqueness_ratio=None, factor=None)
+    return rho, SteadyStateSolveReport(method=method, residual=residual, uniqueness_ratio=None)
 
 
 def mean_field_amplitude(p: CavityParams, jminus: complex) -> complex:
@@ -410,9 +409,12 @@ def build_cavity_model(p: CavityParams, cutoff: int, alpha: complex = 0.0) -> Ca
     """Atom+cavity Liouvillian on the spin (slow) x Fock (fast) space, in
     the frame displaced by ``alpha``: the Fock space holds the quanta of
     d = c - alpha, and alpha = 0 is the lab frame. It builds at any cutoff:
-    ``CAVITY_PRODUCT_CAP`` bounds only a model that is factored, and
+    ``CAVITY_PRODUCT_CAP`` bounds only a block that is factored, and
     :func:`validate_elimination` checks it there (:func:`cavity_dimension`);
-    ``operators.TENSOR_CAP`` still refuses a runaway product.
+    ``operators.TENSOR_CAP`` still refuses a runaway product. The model at
+    a cutoff is the block of the model at any higher one on the entries of
+    :func:`_fock_embedding`, with the same stored entries in the same
+    order.
 
     ``ops`` holds what the Hamiltonian is built from: the lifted
     ``J_minus``, ``J_plus`` and ``J_z``, and ``d`` and ``d_dagger``.
@@ -467,18 +469,20 @@ def _eliminated_moments(p: CavityParams) -> SpinMoments:
     return spin_moments(rho, SpinRep.for_atoms(e.N))
 
 
-def _reduced_observables(model: CavityModel, rho: DensityMatrix, alpha) -> dict:
-    """<J_z>, <J_->, <J_+J_->, <c> and <c^dag c> of a state of ``model``,
-    the atom+cavity model displaced by ``alpha``. The spin moments come
-    from the state reduced over the Fock index. The state reduced over the
-    spins gives <d> (band 1) and <d^dag d> (band 0); then <c> = alpha + <d>
-    and <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>."""
-    ds, df = model.spin_rep.dim, model.fock_rep.dim
+def _reduced_observables(spin_rep: SpinRep, rho: DensityMatrix, alpha) -> dict:
+    """<J_z>, <J_->, <J_+J_->, <c> and <c^dag c> of a state of the
+    atom+cavity model displaced by ``alpha``, at any Fock cutoff (the
+    state's dimension over the spin's). The spin moments come from the
+    state reduced over the Fock index. The state reduced over the spins
+    gives <d> (band 1) and <d^dag d> (band 0); then <c> = alpha + <d> and
+    <c^dag c> = |alpha|^2 + 2 Re(conj(alpha) <d>) + <d^dag d>."""
+    ds = spin_rep.dim
+    df = rho.dim // ds
     blocks = rho.matrix.reshape(ds, df, ds, df)
     spin = DensityMatrix(np.einsum("ikjk->ij", blocks), validate=False)
     fock, n = np.einsum("kikj->ij", blocks), np.arange(df)
     d_mean = complex(np.sqrt(n[1:]) @ fock.diagonal(-1))
-    obs = _atomic_observables(spin_moments(spin, model.spin_rep))
+    obs = _atomic_observables(spin_moments(spin, spin_rep))
     obs["c"] = alpha + d_mean
     obs["photons"] = (abs(alpha) ** 2 + 2.0 * (np.conj(alpha) * d_mean).real
                       + float(n @ fock.diagonal().real))
@@ -487,9 +491,9 @@ def _reduced_observables(model: CavityModel, rho: DensityMatrix, alpha) -> dict:
 
 def _fock_embedding(spin_dim: int, fock_dim: int, wide_fock_dim: int) -> np.ndarray:
     """Entry k of the vectorized spin x Fock space with ``fock_dim`` Fock
-    levels as an entry of the one with ``wide_fock_dim``: both Fock indices
-    stay, so the smaller space is the block of the larger one with both
-    Fock indices below ``fock_dim``."""
+    levels as an entry of the one with ``wide_fock_dim``, ascending: both
+    Fock indices stay, so the smaller space is the block of the larger one
+    with both Fock indices below ``fock_dim``."""
     index = np.arange(spin_dim * fock_dim)
     wide = (index // fock_dim) * wide_fock_dim + index % fock_dim
     # column stacking: entry (i, j) of a D x D matrix is i + j D
@@ -515,19 +519,19 @@ def validate_elimination(
     solved in the frame displaced by the mean-field amplitude of the
     eliminated model's <J_->, and ``cutoff`` (None: from
     :func:`default_fock_cutoff`) counts quanta of d = c - alpha. It is
-    accepted when the deviations barely move as the
-    cutoff grows by five; the larger cutoff's observables are reported.
-    :func:`build_cavity_model` makes both models. The model at ``cutoff``
-    is solved by LU, with the uniqueness probe. The one at cutoff + 5
-    holds it on the entries with both Fock indices up to ``cutoff``, and
-    is solved by GMRES preconditioned with that LU
-    (``lindblad.extended_steady_state``), which passes the same gate but
-    runs no probe and makes no factor. ``CAVITY_PRODUCT_CAP`` bounds only
-    the model at ``cutoff``, the one factored: above it
-    DimensionCapError is raised, after the eliminated model's moments and
-    before any cavity build or solve. The GMRES basis of the model at
-    cutoff + 5, 81 vectors of D^2 entries, is bounded with it: 136 MB at
-    cutoff 3 and N = 35, 329 MB at cutoff 1 and N = 71.
+    accepted when the deviations barely move as the cutoff grows by five;
+    the larger cutoff's observables are reported.
+    :func:`build_cavity_model` makes one model, at cutoff + 5. Its block
+    at ``cutoff`` (:func:`_fock_embedding`) is the model at ``cutoff``, so
+    ``lindblad.nested_steady_state`` solves that block by LU, with the
+    uniqueness probe, and the whole by GMRES preconditioned with the
+    block's factor; the GMRES state passes the same gate but runs no probe
+    and makes no factor. ``CAVITY_PRODUCT_CAP`` bounds only the block at
+    ``cutoff``, the one factored: above it DimensionCapError is raised,
+    after the eliminated model's moments and before any cavity build or
+    solve. The GMRES basis of the model at cutoff + 5, 81 vectors of D^2
+    entries, is bounded with it: 136 MB at cutoff 3 and N = 35, 329 MB at
+    cutoff 1 and N = 71.
     """
     ratio = p.adiabaticity_ratio
     if ratio < min_adiabaticity:
@@ -557,14 +561,11 @@ def validate_elimination(
         return dev_abs, dev_rel
 
     cavity_dimension(p, base_cutoff)
-    base = build_cavity_model(p, base_cutoff, alpha)
-    rho_lo, report_lo = steady_state(base.liouvillian)
-    dev_lo, _ = deviations(_reduced_observables(base, rho_lo, alpha))
-    wide = build_cavity_model(p, base_cutoff + 5, alpha)
-    embed = _fock_embedding(base.spin_rep.dim, base.fock_rep.dim, wide.fock_rep.dim)
-    rho_hi, _ = extended_steady_state(wide.liouvillian, embed, base.liouvillian, rho_lo,
-                                      report_lo.factor)
-    full_hi = _reduced_observables(wide, rho_hi, alpha)
+    model = build_cavity_model(p, base_cutoff + 5, alpha)
+    embed = _fock_embedding(model.spin_rep.dim, base_cutoff + 1, model.fock_rep.dim)
+    (rho_lo, _), (rho_hi, _) = nested_steady_state(model.liouvillian, embed)
+    dev_lo, _ = deviations(_reduced_observables(model.spin_rep, rho_lo, alpha))
+    full_hi = _reduced_observables(model.spin_rep, rho_hi, alpha)
     dev_hi, dev_rel_hi = deviations(full_hi)
 
     # changes far below the pass scale never count as non-convergence

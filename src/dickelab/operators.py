@@ -9,8 +9,8 @@ Conventions used throughout the package:
   i.e. ``tensor(A_spin, B_fock)`` is the Kronecker product kron(A, B).
 
 Every operator is a complex ``scipy.sparse.csr_array``. J_+- and c, c^dag
-have one off-diagonal, J_x and J_y two and J_z only the main one, so each
-is built from its diagonals in O(D). ``scipy.sparse`` is imported inside
+have one off-diagonal and J_z only the main one, so each is built from its
+diagonals in O(D). ``scipy.sparse`` is imported inside
 the functions that build them, so importing this module (and the
 closed-form resonant path, which needs only the ladder amplitudes) loads
 no scipy module.
@@ -100,7 +100,9 @@ def ladder_amplitudes(rep: SpinRep) -> np.ndarray:
 
 
 def build_spin_operators(rep: SpinRep) -> dict[str, sp.csr_array]:
-    """Collective-spin matrices J_-, J_+, J_x, J_y, J_z on the Dicke basis.
+    """Collective-spin matrices J_-, J_+ and J_z on the Dicke basis, the
+    ones both models are built from (J_x = (J_+ + J_-)/2 and
+    J_y = (J_+ - J_-)/2i follow from them).
 
     Lowering matrix elements <j,m-1| J_- |j,m> = sqrt(j(j+1) - m(m-1))
     (:func:`ladder_amplitudes`), J_+ is the exact adjoint, J_z is diagonal
@@ -112,8 +114,6 @@ def build_spin_operators(rep: SpinRep) -> dict[str, sp.csr_array]:
     return {
         "J_minus": _banded(dim, [amp], [1]),
         "J_plus": _banded(dim, [amp], [-1]),
-        "J_x": _banded(dim, [0.5 * amp, 0.5 * amp], [1, -1]),
-        "J_y": _banded(dim, [0.5j * amp, -0.5j * amp], [1, -1]),
         "J_z": _banded(dim, [m], [0]),
     }
 

@@ -38,6 +38,13 @@ def superoperator_action(L, X):
         (D, D), order="F")
 
 
+def spin_xy(ops):
+    """(J_x, J_y) from the J_+ and J_- of ``ops``:
+    J_x = (J_+ + J_-)/2 and J_y = (J_+ - J_-)/2i."""
+    jp, jm = ops["J_plus"], ops["J_minus"]
+    return 0.5 * (jp + jm), -0.5j * (jp - jm)
+
+
 def dense_spin_ops(n_atoms):
     """Collective spin matrices built from the ladder formula, dense."""
     j = n_atoms / 2

@@ -23,6 +23,7 @@ from oracles import (
     dense_spin_ops,
     dicke_hamiltonian,
     expect,
+    spin_xy,
     superoperator_action,
     trace_distance,
 )
@@ -284,7 +285,8 @@ def test_criterion_8_engine_properties(tmp_path):
         ops = build_spin_operators(SpinRep(j=j))
         jp, jm, jz = ops["J_plus"], ops["J_minus"], ops["J_z"]
         assert norm((jp @ jm - jm @ jp) - 2 * jz) <= 1e-12 * 2 * norm(jz)
-        j2 = ops["J_x"] @ ops["J_x"] + ops["J_y"] @ ops["J_y"] + jz @ jz
+        jx, jy = spin_xy(ops)
+        j2 = jx @ jx + jy @ jy + jz @ jz
         eye = sp.eye_array(int(round(2 * j)) + 1, dtype=complex, format="csr")
         assert norm(j2 - j * (j + 1) * eye) <= 1e-12 * j * (j + 1)
 

@@ -65,9 +65,10 @@ def test_tracer_times_the_correlator_inside_the_spectrum(monkeypatch):
     assert tracer.total("lindblad.two_time_correlator") > 0.0
 
 
-def test_tracer_times_both_cavity_builds_of_an_elimination(monkeypatch):
-    # validate_elimination builds the cavity model at the Fock cutoff and at
-    # cutoff + 5 through one builder, so the tracer sees both builds
+def test_tracer_times_the_one_cavity_build_of_an_elimination(monkeypatch):
+    # validate_elimination builds the cavity model once, at cutoff + 5, and
+    # factors its block at the Fock cutoff inside lindblad, so the tracer
+    # sees one build and no cavity solve at the names it wraps
     monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
     import tracing
 
@@ -90,7 +91,8 @@ def test_tracer_times_both_cavity_builds_of_an_elimination(monkeypatch):
     [elimination] = [index for index, span in enumerate(tracer.spans)
                      if span["name"] == "models.validate_elimination"]
     builds = tracer.children(elimination, "models.build_cavity_model")
-    assert len(builds) == 2
+    assert len(builds) == 1
+    assert tracer.children(elimination, "lindblad.steady_state") == []
 
 
 def test_tracer_sees_the_lu_of_a_detuned_point(monkeypatch):

@@ -680,17 +680,17 @@ def test_package_import_loads_no_numpy_and_leaves_the_environment():
 
 
 # kernel -> (module, name of the function it wraps, set-up, call) of
-# test_kernels_import_scipy_before_their_blas_scope. extended_steady_state
-# needs the factor of a base solve, which loads scipy before it; it extends
-# L by itself, so every entry is embedded.
+# test_kernels_import_scipy_before_their_blas_scope. nested_steady_state is
+# watched at scipy's gmres, so scipy is loaded before it, with a count of
+# its own; it takes all of L as its block, so every entry is embedded.
 _KERNEL_CALLS = {
     "steady_state": ("dickelab.lindblad", "_uniqueness_probe", "",
                      "lindblad.steady_state(L)"),
-    "extended_steady_state": (
+    "nested_steady_state": (
         "scipy.sparse.linalg", "gmres",
-        "base, report = lindblad.steady_state(L)\n"
+        "import scipy.sparse.linalg\n"
         "lindblad.set_blas_threads({'numpy': 2, 'scipy': 2})\n",
-        "lindblad.extended_steady_state(L, np.arange(L.dim ** 2), L, base, report.factor)"),
+        "lindblad.nested_steady_state(L, np.arange(L.dim ** 2))"),
     "two_time_correlator": (
         "dickelab.lindblad", "_pole_transform", "",
         "lindblad.two_time_correlator(L, rho, ops['J_plus'], ops['J_minus'], [0.0, 1.0], 0.1)"),
@@ -730,7 +730,7 @@ def test_kernels_import_scipy_before_their_blas_scope(kernel):
     seen, before, after = json.loads(record)
     assert json.loads(loaded) == ["numpy"]  # the model and the closed form load no BLAS of scipy
     assert seen and all(counts == {"numpy": 1, "scipy": 1} for counts in seen)
-    assert ("scipy" in before) == (kernel == "extended_steady_state")
+    assert ("scipy" in before) == (kernel == "nested_steady_state")
     assert before["numpy"] == 2
     assert after == {"scipy": _scipy_load_count(), **before}
 

@@ -438,12 +438,12 @@ def test_noconvergence_on_unreachable_tolerance():
     # its residual is far above the bound the gate derives from L
     L, _, _ = dicke_liouvillian(6, 0.4)
     rho, _ = steady_state(L)
-    accept_steady_state(L, rho.matrix, "sparse-direct", None, None)
+    accept_steady_state(L, rho.matrix, "sparse-direct", None)
     perturbed = rho.matrix.copy()
     perturbed[0, 0] -= 1e-6
     perturbed[1, 1] += 1e-6
     with pytest.raises(NoConvergence, match="above tolerance"):
-        accept_steady_state(L, perturbed, "sparse-direct", None, None)
+        accept_steady_state(L, perturbed, "sparse-direct", None)
 
 
 def test_grid_validation():

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 import warnings
 
@@ -5,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from oracles import expect, high_precision_resonant_state, superoperator_action, trace_distance
+from oracles import (
+    expect,
+    high_precision_resonant_state,
+    spin_xy,
+    superoperator_action,
+    trace_distance,
+)
 
 from dickelab.errors import DimensionCapError, NoConvergence, NonUniqueSteadyState
 from dickelab.lindblad import (
@@ -21,6 +29,7 @@ from dickelab.models import (
     CAVITY_PRODUCT_CAP,
     DICKE_ATOM_CAP,
     ResonantState,
+    _fock_embedding,
     _lindblad_bands,
     _reduced_observables,
     accept_banded_state,
@@ -110,11 +119,8 @@ def test_total_spin_conserved():
     model = build_dicke_model(effective(12, 0.7, 0.4))
     rho, _ = steady_state(model.liouvillian)
     j = 6.0
-    j2 = (
-        model.ops["J_x"] @ model.ops["J_x"]
-        + model.ops["J_y"] @ model.ops["J_y"]
-        + model.ops["J_z"] @ model.ops["J_z"]
-    )
+    jx, jy = spin_xy(model.ops)
+    j2 = jx @ jx + jy @ jy + model.ops["J_z"] @ model.ops["J_z"]
     assert expect(rho, j2).real == pytest.approx(j * (j + 1), rel=1e-10)
 
 
@@ -194,7 +200,7 @@ def _no_cavity_work(monkeypatch):
         raise AssertionError("called past the cap")
 
     monkeypatch.setattr(models, "build_cavity_model", refuse)
-    monkeypatch.setattr(models, "steady_state", refuse)
+    monkeypatch.setattr(models, "nested_steady_state", refuse)
 
 
 def test_cavity_product_cap(monkeypatch):
@@ -343,7 +349,7 @@ def test_cavity_observables_match_lifted_operators():
     alpha = mean_field_amplitude(p, _eliminated_moments(p)["Jminus"])
     model = build_cavity_model(p, 8, alpha)
     ref = _cavity_moments(model, alpha)
-    got = _reduced_observables(model, steady_state(model.liouvillian)[0], alpha)
+    got = _reduced_observables(model.spin_rep, steady_state(model.liouvillian)[0], alpha)
     assert set(got) == set(ref)
     for key in ref:
         assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
@@ -390,10 +396,12 @@ def test_elimination_warns_when_not_adiabatic():
         validate_elimination(p)
 
 
-def _lu_confirmation(L, embed, base, base_rho, factor):
-    """The cutoff + 5 confirmation by its own LU, in place of
-    ``extended_steady_state``."""
-    return steady_state(L)
+def _lu_confirmation(L, embed):
+    """Both cavity solves by LU, the block's and the whole's, in place of
+    ``nested_steady_state``."""
+    block = Liouvillian(dim=math.isqrt(embed.size),
+                        superoperator=L.superoperator[embed][:, embed])
+    return steady_state(block), steady_state(L)
 
 
 def _verdict(p, cutoff):
@@ -425,13 +433,48 @@ def test_gmres_confirmation_matches_the_lu(case, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         verdict, report = _verdict(p, cutoff)
-        monkeypatch.setattr(models, "extended_steady_state", _lu_confirmation)
+        monkeypatch.setattr(models, "nested_steady_state", _lu_confirmation)
         lu_verdict, lu_report = _verdict(p, cutoff)
     assert verdict == lu_verdict
     if report is not None:
         assert report.fock_cutoff == lu_report.fock_cutoff
         for key, ref in lu_report.full.items():
             assert abs(report.full[key] - ref) <= 1e-12 * max(abs(ref), 1e-2), key
+
+
+# (N, cutoff, delta, delta_c, g, Omega_L, alpha): each detuning, a complex
+# coupling and drive, and a displaced frame, at N 1-8 and cutoffs 1-6
+_BLOCK_GRID = list(itertools.product(
+    (1, 4, 8), (1, 3, 6), (0.0, 0.3), (0.0, -0.4), (0.2, 0.3 * np.exp(0.4j)),
+    (0.5 - 0.2j,), (0.0, 0.1 + 0.05j)))
+
+
+def test_fock_block_of_the_wider_model_is_the_model_at_the_cutoff():
+    # the preconditioner's premise holds by construction: the block at K of
+    # the model at K + 5 stores the same entries, in the same order, as the
+    # model built at K
+    for n, cutoff, delta, delta_c, g, omega_l, alpha in _BLOCK_GRID:
+        p = CavityParams(g=g, kappa=1.3, delta_c=delta_c, Omega_L=omega_l, N=n, delta=delta)
+        want = build_cavity_model(p, cutoff, alpha).liouvillian.superoperator
+        wide = build_cavity_model(p, cutoff + 5, alpha).liouvillian.superoperator
+        embed = _fock_embedding(n + 1, cutoff + 1, cutoff + 6)
+        got = wide[embed][:, embed]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_elimination_builds_one_cavity_model_per_drive(monkeypatch):
+    # one build, at cutoff + 5, whose block is the factored model
+    cutoffs = []
+
+    def counting(p, cutoff, alpha=0.0):
+        cutoffs.append(cutoff)
+        return build_cavity_model(p, cutoff, alpha)
+
+    monkeypatch.setattr(models, "build_cavity_model", counting)
+    drives = (0.3, 0.6, 0.9)
+    reports = [validate_elimination(elimination_cavity(2, 20.0, drive)) for drive in drives]
+    assert cutoffs == [report.fock_cutoff for report in reports]
 
 
 def test_elimination_over_the_old_cap_passes():
@@ -590,6 +633,22 @@ def test_banded_gate_rejects_wrong_beta(other):
     # the exact state of another beta: a drive off by 1e-6, or another shift
     with pytest.raises(NoConvergence, match="above tolerance"):
         accept_banded_state(_GATE_POINT, ResonantState(other), "closed-form")
+
+
+def test_banded_gate_leaves_no_reference_cycle():
+    # the O(D) gate frees what it makes when it returns: with the collector
+    # off, a closed-form solve leaves nothing for it to find
+    e = effective(20, 0.5, 1.0)
+    resonant_steady_state(e)  # first-call costs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        resonant_steady_state(e)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_banded_gate_passes_the_lu_state():

@@ -11,6 +11,7 @@ from oracles import (
     dicke_hamiltonian,
     expect,
     scan_transverse_variance,
+    spin_xy,
 )
 
 from dickelab.errors import AboveThresholdError
@@ -113,7 +114,7 @@ def test_spin_moments_match_operator_products(make_state):
                     "coherence_ratio": abs(ref_jm) ** 2 / ref_jp_jm}
     for name, ref in fluctuations.items():
         assert abs(getattr(mom, name) - ref) <= 1e-12 * ref_jp_jm, name
-    axes = [ops["J_x"], ops["J_y"], jz]
+    axes = [*spin_xy(ops), jz]
     means = np.array([expect(rho, a) for a in axes])
     assert np.abs(mom.mean_spin - means).max() <= 1e-12 * np.abs(means).max()
     second = np.array([[expect(rho, a @ b) for b in axes] for a in axes])
@@ -197,7 +198,8 @@ def test_langevin_pole_is_the_dominant_pole_of_the_exact_generator(delta_over_ga
     model = build_dicke_model(e)
     rho, _ = resonant_steady_state(e)
     x = rotation_matrix(bloch_angles(e))[:, 0]
-    jx = x[0] * model.ops["J_x"] + x[1] * model.ops["J_y"] + x[2] * model.ops["J_z"]
+    jx, jy = spin_xy(model.ops)
+    jx = x[0] * jx + x[1] * jy + x[2] * model.ops["J_z"]
     omega = np.linspace(-40.0, 40.0, 401)
     lam, w, _ = two_time_correlator(model.liouvillian, rho, jx, jx, omega,
                                     0.5 / critical_drive(e))
