@@ -8,9 +8,10 @@ The point is Delta/gamma 0.5, delta 0.3 gamma and drive 0.9 of the
 critical drive; delta != 0, so no closed form applies and every solve
 factors the (N+1)^2 x (N+1)^2 trace-row system. Each N runs in one fresh
 interpreter with PYTHONPATH set to this checkout's ``src`` and
-OPENBLAS_NUM_THREADS=1, and each repeat runs every N once. The child calls
-the route's own functions one after the other, as ``steady_state`` does,
-and times each from outside (the package holds no timer):
+OPENBLAS_NUM_THREADS=1, and each repeat runs every N once. The child runs
+the stages of ``lindblad._lu_steady_state``, the one LU step behind
+``steady_state``, one after the other with the route's own functions, and
+times each from outside (the package holds no timer):
 
 - ``build_assemble_s``: ``models.build_dicke_model`` (spin operators and
   Liouvillian) and ``lindblad._square_system``;

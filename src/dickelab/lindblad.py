@@ -8,21 +8,23 @@ Fortran order, so vec(A X B) = (B^T kron A) vec(X). Under that convention
                                     - 1/2 I kron C_k^dag C_k
                                     - 1/2 (C_k^dag C_k)^T kron I ) ] vec(rho)
 
-Steady states come from one sparse LU of the square system M, the
+Every factored steady state comes from one LU step, :func:`_lu_steady_state`:
+one sparse LU of the square system M (:func:`_square_system`), the
 superoperator with its first row (the equation for rho_00) replaced by the
-scaled trace row, then one refinement sweep. Trace preservation makes the
-diagonal-entry rows sum to zero, so the replaced row carries no
-information, and M is nonsingular exactly when the steady state is unique.
-The same factor gives the uniqueness probe by inverse iteration; it never
-leaves this module. The Dicke Liouvillian is narrow-banded, so fill-in
-stays small. The model caps (``models.DICKE_ATOM_CAP``,
-``models.CAVITY_PRODUCT_CAP``) are the only size limit of an LU. A system
-whose block is itself a Liouvillian (the atom+cavity model holds the one
-at a lower Fock cutoff) is solved by :func:`nested_steady_state`: the
-block by LU, with the probe, and the whole by restarted GMRES on its
-trace-row system, preconditioned by the block's factor on the block's
-entries and by the diagonal elsewhere, with no factor of its own. Every
-candidate of either solver passes one gate, :func:`accept_steady_state`.
+scaled trace row, one refinement sweep, and beside them the uniqueness
+probe, inverse iteration with the same factor (:func:`_uniqueness_probe`).
+Trace preservation makes the diagonal-entry rows sum to zero, so the
+replaced row carries no information, and M is nonsingular exactly when the
+steady state is unique. The factor never leaves this module. The Dicke
+Liouvillian is narrow-banded, so fill-in stays small; the model caps
+(``models.DICKE_ATOM_CAP``, ``models.CAVITY_PRODUCT_CAP``) are the only size
+limit of an LU. :func:`steady_state` is that step. A system whose block is
+itself a Liouvillian (the atom+cavity model holds the one at a lower Fock
+cutoff) is solved by :func:`nested_steady_state`: the block by the same
+step, and the whole by restarted GMRES on its trace-row system,
+preconditioned by the block's factor on the block's entries and by the
+diagonal elsewhere, with no factor of its own. Every candidate of either
+solver passes one gate, :func:`accept_steady_state`.
 (The resonant Dicke model also has an exact steady state,
 ``models.resonant_steady_state``, which the sweeps use for delta = 0. It
 needs no Liouvillian, and passes the O(D) gate
@@ -143,14 +145,10 @@ class Liouvillian:
     @property
     def scale(self) -> float:
         """Infinity norm of the superoperator (max absolute row sum)."""
-        return _inf_norm(self.superoperator)
+        return float(abs(self.superoperator).sum(axis=1).max())
 
     def residual(self, mat: np.ndarray) -> float:
         return float(np.linalg.norm(self.superoperator @ vectorize(mat)))
-
-
-def _inf_norm(s: sp.csr_array) -> float:
-    return float(abs(s).sum(axis=1).max())
 
 
 def _square_operator(x) -> sp.csr_array:
@@ -315,35 +313,41 @@ def accept_steady_state(L: Liouvillian, raw, method: str, uniqueness_ratio: floa
     return rho, SteadyStateSolveReport(method, residual, uniqueness_ratio)
 
 
-def _trace_row(dim: int) -> sp.csr_array:
-    import scipy.sparse as sp  # deferred: a closed-form run never loads it
-
-    cols = np.arange(dim) * (dim + 1)
-    data = np.ones(dim, dtype=np.complex128)
-    return sp.csr_array((data, (np.zeros(dim, dtype=int), cols)), shape=(1, dim * dim))
-
-
 def steady_state(L: Liouvillian, opts: SteadyStateOptions | None = None):
     """Stationary density matrix of L, with a solve report:
     ``(DensityMatrix, SteadyStateSolveReport)``. Raises NonUniqueSteadyState
     when the uniqueness probe finds a second near-stationary direction,
-    NoConvergence when the residual target cannot be met."""
+    NoConvergence when the residual target cannot be met. It is
+    :func:`_lu_steady_state` on one BLAS thread."""
     import scipy.sparse.linalg  # noqa: F401 (loads scipy's OpenBLAS before the scope)
 
     with _single_blas_thread():
-        solved, _ = _factored_steady_state(L, opts or SteadyStateOptions())
+        solved, _ = _lu_steady_state(L, (opts or SteadyStateOptions()).check_unique)
     return solved
 
 
-def _factored_steady_state(L: Liouvillian, opts: SteadyStateOptions):
-    """:func:`steady_state` inside the caller's BLAS scope, with the
-    SuperLU of L's trace-row system: ``((rho, report), factor)``."""
-    raw, uniq, lu = _solve_sparse_direct(L, opts)
-    if opts.check_unique and uniq <= uniqueness_threshold(L.dim ** 2):
-        raise NonUniqueSteadyState(
-            f"second stationary direction at relative level {uniq:.2e}"
-        )
-    return accept_steady_state(L, unvectorize(raw, L.dim), "sparse-direct", uniq), lu
+def _lu_steady_state(L: Liouvillian, check_unique: bool):
+    """The one LU step, in the caller's BLAS scope: ``((rho, report), factor)``.
+    A singular factor, or with ``check_unique`` a probe ratio at or below
+    :func:`uniqueness_threshold`, raises NonUniqueSteadyState."""
+    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
+
+    M, b, scale = _square_system(L)
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:  # exactly singular factor
+        raise NonUniqueSteadyState(f"trace-row system is singular ({exc})") from exc
+    x = lu.solve(b)
+    x = x + lu.solve(b - M @ x)  # one refinement sweep
+
+    uniq = None
+    if check_unique:
+        uniq = _uniqueness_probe(lu, M.shape[0], scale)
+        if uniq <= uniqueness_threshold(L.dim ** 2):
+            raise NonUniqueSteadyState(
+                f"second stationary direction at relative level {uniq:.2e}"
+            )
+    return accept_steady_state(L, unvectorize(x, L.dim), "sparse-direct", uniq), lu
 
 
 def _square_system(L: Liouvillian):
@@ -351,30 +355,14 @@ def _square_system(L: Liouvillian):
     scale, and the matching right-hand side scale * e_0."""
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
 
-    scale = max(L.scale, 1e-300)
-    M = sp.vstack([_trace_row(L.dim) * scale, L.superoperator[1:]], format="csc")
+    dim, scale = L.dim, max(L.scale, 1e-300)
+    trace_row = sp.csr_array((np.full(dim, scale, dtype=np.complex128),
+                              (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+                             shape=(1, dim * dim))
+    M = sp.vstack([trace_row, L.superoperator[1:]], format="csc")
     b = np.zeros(M.shape[0], dtype=np.complex128)
     b[0] = scale
     return M, b, scale
-
-
-def _solve_sparse_direct(L: Liouvillian, opts: SteadyStateOptions):
-    import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
-
-    M, b, scale = _square_system(L)
-    try:
-        lu = spla.splu(M)
-    except RuntimeError as exc:  # exactly singular factor
-        raise NonUniqueSteadyState(
-            f"trace-row system is singular ({exc})"
-        ) from exc
-    x = lu.solve(b)
-    x = x + lu.solve(b - M @ x)  # one refinement sweep
-
-    uniq = None
-    if opts.check_unique:
-        uniq = _uniqueness_probe(lu, M.shape[0], scale)
-    return x, uniq, lu
 
 
 def _uniqueness_probe(lu, n: int, scale: float) -> float:
@@ -475,9 +463,9 @@ def nested_steady_state(L: Liouvillian, embed: np.ndarray):
     the trace rows meet), itself a Liouvillian, as the atom+cavity model at
     a lower Fock cutoff is: ``((block_rho, block_report), (rho, report))``.
 
-    The block is solved as :func:`steady_state` solves it: one LU, with
-    the uniqueness probe. L is then solved by restarted GMRES
-    (GMRES_RESTART vectors, up to GMRES_MAX_RESTARTS cycles) on its
+    The block is solved by :func:`_lu_steady_state`, with the uniqueness
+    probe, as :func:`steady_state` solves it. L is then solved by restarted
+    GMRES (GMRES_RESTART vectors, up to GMRES_MAX_RESTARTS cycles) on its
     trace-row system, to GMRES_RTOL of its right-hand side, from the
     block's state padded with zeros. Its left preconditioner applies the
     block's factor on the embedded entries, with row 0 rescaled from the
@@ -498,7 +486,7 @@ def nested_steady_state(L: Liouvillian, embed: np.ndarray):
         iterations += 1
 
     with _single_blas_thread():
-        inner, factor = _factored_steady_state(block, SteadyStateOptions())
+        inner, factor = _lu_steady_state(block, True)
         M, b, scale = _square_system(L)
         M = M.tocsr()  # GMRES only multiplies by it
         rest = np.ones(M.shape[0], dtype=bool)

@@ -24,8 +24,9 @@ and <J_-> from their Heisenberg equations. Its tolerance
 (:func:`banded_tolerance`) is 1e-10 times the largest row sum of L over
 its diagonal rows: the infinity norm of L at Delta = 0 and a lower bound
 of it otherwise, so the gate is never looser than the LU's
-(``lindblad.residual_tolerance``). Without a Liouvillian no atom cap
-applies to it; ``DICKE_ATOM_CAP`` guards the Liouvillian.
+(``lindblad.residual_tolerance``). Its memory, not an LU, bounds it:
+``RESONANT_ATOM_CAP`` (10^7 atoms) is checked before any O(N) array is
+made, while ``DICKE_ATOM_CAP`` (400) guards the Liouvillian.
 :func:`dicke_steady_state` is the one place that picks between the closed
 form (delta = 0) and the LU of the Dicke model (otherwise).
 
@@ -46,8 +47,9 @@ comes from the closed form at delta = 0. The cavity model is built once
 per drive, at cutoff + 5; the model at the cutoff is its block with both
 Fock indices up to the cutoff (:func:`_fock_embedding`), entry for entry
 the one :func:`build_cavity_model` makes there.
-``lindblad.nested_steady_state`` factors that block, and confirms the
-whole by GMRES preconditioned with the factor. ``CAVITY_PRODUCT_CAP``
+``lindblad.nested_steady_state`` solves that block by the one LU step of
+``lindblad`` (the factor and the uniqueness probe), and confirms the whole
+by GMRES preconditioned with the factor. ``CAVITY_PRODUCT_CAP``
 bounds the factored block alone.
 """
 
@@ -80,19 +82,22 @@ from .operators import (
 )
 from .parameters import CavityParams, EffectiveParams, map_cavity_to_effective
 
-# Desk-scale dimension caps, the only size limits of a factored Liouvillian
-# (the closed-form resonant state has none): the largest sizes whose
-# sparse LU fits a desk budget (under a minute and 3 GB on two
-# cores). The Dicke chain stays banded up to a few hundred atoms (D = 401:
-# 6.8 s, 817 MB). The product space fills in much faster, most for near
-# square splits: 12 x 12 at D = 144 takes 51-55 s and 2.5 GB, 10 x 15 at
-# D = 150 more than a minute; 36 x 4 (N = 35 at Fock cutoff 3) takes
-# 4.3-4.8 s. The cavity cap bounds only the block that validate_elimination
-# factors, at its Fock cutoff (cavity_dimension, checked there); the
-# builder and the model at cutoff + 5, which is not factored, take any
-# cutoff.
+# Desk-scale dimension caps: the largest sizes that fit a desk budget
+# (under a minute and 3 GB on two cores). The first two bound the sparse LU
+# of a factored Liouvillian. The Dicke chain stays banded up to a few
+# hundred atoms (D = 401: 6.8 s, 817 MB). The product space fills in much
+# faster, most for near square splits: 12 x 12 at D = 144 takes 51-55 s and
+# 2.5 GB, 10 x 15 at D = 150 more than a minute; 36 x 4 (N = 35 at Fock
+# cutoff 3) takes 4.3-4.8 s. The cavity cap bounds only the block that
+# validate_elimination factors, at its Fock cutoff (cavity_dimension,
+# checked there); the builder and the model at cutoff + 5, which is not
+# factored, take any cutoff. The closed-form resonant state holds O(N)
+# arrays, about 240 B per atom: one sweep-squeezing CLI point at the cap,
+# N = 10^7, took 12-14 s and a peak RSS of 2.3 GB on two cores.
+# ResonantState checks its cap before it makes any of them.
 DICKE_ATOM_CAP = 400
 CAVITY_PRODUCT_CAP = 144
+RESONANT_ATOM_CAP = 10**7
 # an elimination passes when J_z of the two models agrees within this
 # fraction of N/2
 JZ_PASS_FRACTION = 0.05
@@ -167,6 +172,9 @@ class ResonantState(DensityMatrix):
     def __init__(self, e: EffectiveParams):
         if e.delta != 0.0:
             raise ValueError(f"the closed-form steady state needs delta = 0, got {e.delta}")
+        if e.N > RESONANT_ATOM_CAP:
+            raise DimensionCapError(
+                f"N = {e.N} exceeds the closed-form cap {RESONANT_ATOM_CAP}")
         self.beta = complex(-e.Omega / (e.Delta + 0.5j * e.gamma))
         self.amp = ladder_amplitudes(SpinRep.for_atoms(e.N))
         self._bands, self._dense = {}, None
@@ -240,8 +248,9 @@ def resonant_steady_state(e: EffectiveParams):
     """Exact steady state of the Dicke model of ``e`` at delta = 0, with a
     solve report. It is built in O(D), with no Liouvillian, and passes the
     O(D) gate :func:`accept_banded_state` within :func:`banded_tolerance`;
-    it runs no uniqueness probe.
-    No atom cap applies: the state and its gate are O(D).
+    it runs no uniqueness probe. Its O(D) arrays make the only limit:
+    above ``RESONANT_ATOM_CAP`` atoms DimensionCapError is raised before
+    any of them is made.
 
     For a resonant drive the stationary state is
 
@@ -546,19 +555,12 @@ def validate_elimination(
     base_cutoff = cutoff if cutoff is not None else default_fock_cutoff(p, mom.var_jm)
 
     halfN = p.N / 2
+    scales = {"Jz": halfN, "Jminus": max(abs(eff["Jminus"]), 1e-12),
+              "JpJm": max(abs(eff["JpJm"]), 1e-12)}
 
     def deviations(full):
-        dev_abs = {
-            "Jz": abs(full["Jz"] - eff["Jz"]),
-            "Jminus": abs(full["Jminus"] - eff["Jminus"]),
-            "JpJm": abs(full["JpJm"] - eff["JpJm"]),
-        }
-        dev_rel = {
-            "Jz": dev_abs["Jz"] / halfN,
-            "Jminus": dev_abs["Jminus"] / max(abs(eff["Jminus"]), 1e-12),
-            "JpJm": dev_abs["JpJm"] / max(abs(eff["JpJm"]), 1e-12),
-        }
-        return dev_abs, dev_rel
+        dev_abs = {k: abs(full[k] - eff[k]) for k in scales}
+        return dev_abs, {k: dev_abs[k] / scale for k, scale in scales.items()}
 
     cavity_dimension(p, base_cutoff)
     model = build_cavity_model(p, base_cutoff + 5, alpha)

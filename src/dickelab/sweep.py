@@ -243,6 +243,9 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value <= bound:
                 raise ConfigError(f"{name} must exceed {bound}, got {value}")
+        if self.out_path and self.json_mirror and self.written_paths[1] == self.out_path:
+            raise ConfigError(f"the JSON mirror of output path {self.out_path} is the "
+                              "output path itself; give the CSV another extension")
 
     @classmethod
     def from_dict(cls, raw: dict, mode: str | None = None) -> "RunConfig":
@@ -746,7 +749,7 @@ def reproduce_figures(outdir: str, threads: int | None, timestamp: bool) -> dict
     N = 50, dipole shifts 2 Delta/gamma in {0, 1, 2}, thirty drive points
     between 0.05 and 1.2 of the critical drive, numeric and analytic
     columns plus their residual. The arguments are checked before the
-    directory is made."""
+    directory is made; one that cannot be made is a ConfigError."""
     common = dict(
         level="effective",
         gamma=1.0,
@@ -758,7 +761,10 @@ def reproduce_figures(outdir: str, threads: int | None, timestamp: bool) -> dict
     )
     configs = [RunConfig(mode=mode, out_path=os.path.join(outdir, fname), **common)
                for mode, fname in (("sweep-jz", "fig2.csv"), ("sweep-squeezing", "fig3.csv"))]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir}: {exc}") from exc
     for cfg in configs:
         result = run_and_write(cfg)
         if result.n_failures:

@@ -169,6 +169,26 @@ def test_output_that_is_the_config_file_exits_before_any_solve(tmp_path, out, fl
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "sub"]
 
 
+def test_json_mirror_that_is_the_csv_exits_before_any_write(tmp_path, capsys):
+    # the mirror of out.json is out.json: write_json would replace the CSV
+    cfg = write_cfg(tmp_path / "cfg.json", BASE_MF)
+    assert main(["mean-field", "--config", cfg, "--out", str(tmp_path / "out.json"),
+                 "--json"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    # library callers of run_and_write get the same check from the config
+    with pytest.raises(ConfigError, match="JSON mirror"):
+        RunConfig.from_dict({**BASE_MF, "output": {"path": "out.json", "json_mirror": True}})
+
+
+def test_reproduce_figures_outdir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["reproduce-figures", "--outdir", str(taken)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 def test_absolute_drive_flag(tmp_path):
     payload = {
         "mode": "mean-field",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oracles import (
     brute_force_steady_state,
@@ -21,7 +22,8 @@ from dickelab.lindblad import (
     SPECTRUM_RTOL,
     DensityMatrix,
     SteadyStateOptions,
-    _solve_sparse_direct,
+    _square_system,
+    _uniqueness_probe,
     accept_steady_state,
     blas_thread_counts,
     build_liouvillian,
@@ -230,8 +232,11 @@ def test_uniqueness_probe_flags_decoupled_cavity():
     model = build_cavity_model(CavityParams(g=0.0, kappa=2.0, delta_c=0.5, Omega_L=0.3, N=2),
                                cutoff=8)
     L = model.liouvillian
-    _, uniq, _ = _solve_sparse_direct(L, SteadyStateOptions())
+    M, _, scale = _square_system(L)
+    uniq = _uniqueness_probe(spla.splu(M), M.shape[0], scale)
     assert uniq < uniqueness_threshold(L.dim ** 2)
+    with pytest.raises(NonUniqueSteadyState):
+        steady_state(L)
 
 
 def test_small_probe_ratio_of_unique_state_is_accepted():

@@ -704,9 +704,28 @@ def test_resonant_gate_residual_far_below_tolerance_at_large_n(ratio):
     assert report.residual <= 1e-3 * banded_tolerance(e)
 
 
+def test_resonant_cap_refuses_before_any_o_n_array(monkeypatch):
+    # N = cap + 1 must never be built: the cap is checked before
+    # ladder_amplitudes makes the first O(N) array, and a sweep point ends
+    # as an explained error row
+    from dickelab.sweep import RunConfig, _grid_points, compute_point
+
+    def refuse(rep):
+        raise AssertionError(f"an O(N) array was made at N = {rep.n_atoms}")
+
+    monkeypatch.setattr(models, "ladder_amplitudes", refuse)
+    e = effective(models.RESONANT_ATOM_CAP + 1, 0.9, 0.5)
+    with pytest.raises(DimensionCapError, match="closed-form cap"):
+        resonant_steady_state(e)
+    cfg = RunConfig(mode="sweep-squeezing", level="effective", n_values=[e.N],
+                    drive_values=[0.9], delta_over_gamma_values=[0.5], threads=1)
+    [row] = compute_point(_grid_points(cfg)[0])
+    assert row["error"].startswith("DimensionCapError") and "xi2_numeric" not in row
+
+
 def test_resonant_state_beyond_the_dicke_cap():
-    # the closed form and its gate are O(D): no cap applies to them, while
-    # the Liouvillian keeps DICKE_ATOM_CAP
+    # the closed form and its gate are O(D): only RESONANT_ATOM_CAP bounds
+    # them, while the Liouvillian keeps DICKE_ATOM_CAP
     e = effective(20 * DICKE_ATOM_CAP, 0.9, 0.5)
     rho, report = resonant_steady_state(e)
     assert report.residual <= banded_tolerance(e)
