@@ -6,8 +6,9 @@ ROOT defaults to the checkout holding this script. For each checkout it
 prints the line count of every module in ``src/dickelab`` and their total,
 the line total of ``scripts/*.py``, the number of settable values
 (the parameters with a default of every function, and every method
-(dataclass ``__init__`` included), defined in the package, as
-``inspect.signature`` reports them), the number of public package
+(a record's ``__init__``, or the ``__new__`` of a ``NamedTuple``,
+included), defined in the package, as ``inspect.signature`` reports
+them), the number of public package
 names (``len(dickelab.__all__)``; ``-`` without one) and the test-only
 names. The package is imported in a fresh interpreter with PYTHONPATH set
 to the checkout's ``src``, so two checkouts never share a module cache.

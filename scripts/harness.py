@@ -31,6 +31,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the variables OpenBLAS reads for its thread count when it loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+# ``python -S -c _SPAWN FD ARGV...``, the process between this one and a
+# timed child: it spawns ARGV, reaps it, and writes to the pipe FD the
+# child's exit code, the monotonic times just before the spawn and just
+# after the reaping, and the child's CPU time and ru_maxrss (KiB)
+_SPAWN = """
+import os, sys, time
+fd = int(sys.argv[1])
+os.set_inheritable(fd, False)
+start = time.clock_gettime(time.CLOCK_MONOTONIC)
+_, status, usage = os.wait4(os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ), 0)
+end = time.clock_gettime(time.CLOCK_MONOTONIC)
+os.write(fd, f"{os.waitstatus_to_exitcode(status)} {start!r} {end!r} "
+             f"{usage.ru_utime + usage.ru_stime!r} {usage.ru_maxrss}".encode())
+"""
+
 
 class Arguments(argparse.ArgumentParser):
     """The shared command line: the two checkouts ``sides`` (the second
@@ -80,35 +95,43 @@ def timed(root: str, args: list, **env) -> dict:
     """``wall_s``, ``cpu_s``, ``exit_s`` and ``peak_rss_mb`` of ``python
     args`` in a fresh interpreter (as :func:`fresh`, with
     ``PYTHONUNBUFFERED=1`` added to the child's environment so each line
-    reaches the pipe when printed): wall time from start to exit; user +
+    reaches the pipe when printed): wall time from spawn to exit; user +
     system CPU time of the process and of the children it reaped, pool
     workers included (``os.wait4``); the time from the child's last
-    standard-output line (its start, if it prints none) to its exit, the
+    standard-output line (its spawn, if it prints none) to its exit, the
     process's teardown; and the peak resident set in MB, ``ru_maxrss /
-    1024`` as ``benchmark/run.py`` reads it (the largest of the process and
-    the children it reaped). That peak is a floor, not the child's own: on
-    Linux a spawned child's ``ru_maxrss`` starts from the peak its parent
-    had reached when it was spawned (a ``python -S -c pass`` child reads
-    ~14 MB, and ~114 MB once this process has touched 100 MB, even after
-    it freed them), so it reads the larger of the two. Output is
+    1024`` (the largest of the process and the children it reaped).
+
+    The child is spawned and reaped by a small ``python -S`` process of its
+    own (``_SPAWN``), so that peak is the child's: on Linux a spawned
+    child's ``ru_maxrss`` starts from the peak its parent had reached when
+    it was spawned, and this process may have touched far more than the
+    ~10 MB of that helper (``benchmark/run.py`` spawns its children
+    directly, so its ``peak_rss_mb`` is the larger of the two). Output is
     discarded; a non-zero exit raises with the process's standard error."""
-    with tempfile.TemporaryFile() as err:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=err,
-                                env=_env(root, dict(env, PYTHONUNBUFFERED="1")))
-        last = t0
-        for _ in proc.stdout:
-            last = time.perf_counter()
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as report, tempfile.TemporaryFile() as err:
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-S", "-c", _SPAWN, str(write_end), sys.executable, *args],
+                stdout=subprocess.PIPE, stderr=err, pass_fds=(write_end,),
+                env=_env(root, dict(env, PYTHONUNBUFFERED="1")))
+        finally:
+            os.close(write_end)
+        last = None
+        for _ in proc.stdout:  # until the helper, which outlives the child, exits
+            last = time.clock_gettime(time.CLOCK_MONOTONIC)
         proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
-        end = time.perf_counter()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
+        proc.wait()
+        fields = report.read().split()
+        if proc.returncode or len(fields) != 5 or int(fields[0]):
             err.seek(0)
-            raise subprocess.CalledProcessError(proc.returncode, proc.args,
+            raise subprocess.CalledProcessError(int(fields[0]) if fields else proc.returncode,
+                                                [sys.executable, *args],
                                                 stderr=err.read().decode())
-    return {"wall_s": end - t0, "cpu_s": usage.ru_utime + usage.ru_stime, "exit_s": end - last,
-            "peak_rss_mb": usage.ru_maxrss / 1024}
+    start, end, cpu, maxrss = map(float, fields[1:])
+    return {"wall_s": end - start, "cpu_s": cpu, "exit_s": end - (start if last is None else last),
+            "peak_rss_mb": maxrss / 1024}
 
 
 def run_child(script: str, root: str, *args, **env) -> dict:

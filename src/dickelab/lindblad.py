@@ -34,7 +34,10 @@ model; no caller sets one.
 
 scipy is imported inside the functions that build sparse objects or
 factor them, so importing this module, and every closed-form run, loads
-no scipy module. Every function here that runs dense or factored work
+no scipy module. So are ``logging``, by the two functions that write a
+DEBUG line (:func:`nested_steady_state` and :func:`_propagate`, both past
+scipy's import), and ``glob``, by the search for the OpenBLAS copies
+(:func:`_openblas_paths`). Every function here that runs dense or factored work
 holds one thread in each loaded OpenBLAS copy for its own duration and
 then restores the counts it found (:func:`_single_blas_thread`). scipy's
 copy is loaded only with scipy's linear algebra, so a function that needs
@@ -74,19 +77,15 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import glob
 import importlib.util
-import logging
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoConvergence, NonUniqueSteadyState, SolverError
-
-logger = logging.getLogger(__name__)
 
 # eigenvalues of a solver candidate in (PSD_FLOOR, 0) are rounding noise
 PSD_FLOOR = -1e-8
@@ -135,8 +134,7 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-@dataclass(frozen=True)
-class Liouvillian:
+class Liouvillian(NamedTuple):
     """Sparse D^2 x D^2 generator of a D-dimensional system."""
 
     dim: int
@@ -264,8 +262,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass
-class SteadyStateOptions:
+class SteadyStateOptions(NamedTuple):
     """The one option of :func:`steady_state`: ``check_unique`` runs the
     uniqueness probe. The residual bound is always
     :func:`residual_tolerance`."""
@@ -279,8 +276,7 @@ class SteadyStateOptions:
         return "sparse-direct"
 
 
-@dataclass(frozen=True)
-class SteadyStateSolveReport:
+class SteadyStateSolveReport(NamedTuple):
     """What a steady-state solve did: its route, the residual its gate
     measured and the probe's ``uniqueness_ratio`` (None without a probe)."""
 
@@ -394,6 +390,8 @@ _LOADED = {}
 def _openblas_paths(package: str) -> tuple:
     """The OpenBLAS copies bundled with ``package``, located without
     importing it."""
+    import glob  # deferred: a closed-form run never holds the BLAS threads
+
     spec = importlib.util.find_spec(package)
     if spec is None or not spec.submodule_search_locations:
         return ()
@@ -475,6 +473,7 @@ def nested_steady_state(L: Liouvillian, embed: np.ndarray):
     each within its own :func:`residual_tolerance`; a GMRES that does not
     converge raises NoConvergence. Everything runs on one BLAS thread.
     """
+    import logging  # deferred, as scipy: a closed-form run never logs
     import scipy.sparse.linalg as spla  # deferred: a closed-form run never loads it
 
     block = Liouvillian(dim=math.isqrt(embed.size),
@@ -508,8 +507,9 @@ def nested_steady_state(L: Liouvillian, embed: np.ndarray):
                              maxiter=GMRES_MAX_RESTARTS,
                              M=spla.LinearOperator(M.shape, precondition, dtype=np.complex128),
                              callback=count, callback_type="pr_norm")
-    logger.debug("nested steady state: %d unknowns, %d GMRES iterations, info %d",
-                 M.shape[0], iterations, info)
+    logging.getLogger(__name__).debug(
+        "nested steady state: %d unknowns, %d GMRES iterations, info %d",
+        M.shape[0], iterations, info)
     if info != 0:
         raise NoConvergence(
             f"GMRES did not reach {GMRES_RTOL:.0e} of the right-hand side within "
@@ -518,8 +518,7 @@ def nested_steady_state(L: Liouvillian, embed: np.ndarray):
     return inner, accept_steady_state(L, unvectorize(x, L.dim), "gmres", None)
 
 
-@dataclass(frozen=True)
-class PropagationReport:
+class PropagationReport(NamedTuple):
     """What one Krylov propagation did: the basis size and the entries
     stored for L + U of the shifted factor. The last change seen by the
     stop rule goes to the DEBUG log only."""
@@ -560,6 +559,7 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, observe: np.ndarray,
     vectors it raises NoConvergence. A zero start stays zero and has no
     poles. The caller holds one BLAS thread around it.
     """
+    import logging  # deferred, as scipy: a closed-form run never logs
     import scipy.sparse as sp  # deferred: a closed-form run never loads it
     import scipy.sparse.linalg as spla
 
@@ -609,9 +609,9 @@ def _propagate(S: sp.csr_array, y0: np.ndarray, h: float, observe: np.ndarray,
             f"vectors: last change {change:.3e} above {limit:.3e}"
         )
 
-    logger.debug("spectrum propagation: Krylov dimension %d, L+U nonzeros %d, last change "
-                 "%.3e (tolerance %.3e)", m, lu_nnz, 0.0 if previous is None else change,
-                 limit)
+    logging.getLogger(__name__).debug(
+        "spectrum propagation: Krylov dimension %d, L+U nonzeros %d, last change %.3e "
+        "(tolerance %.3e)", m, lu_nnz, 0.0 if previous is None else change, limit)
     return poles, PropagationReport(krylov_dim=m, lu_nnz=lu_nnz)
 
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,16 +103,14 @@ RESONANT_ATOM_CAP = 10**7
 JZ_PASS_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class DickeModel:
+class DickeModel(NamedTuple):
     effective: EffectiveParams
     rep: SpinRep
     ops: dict
     liouvillian: Liouvillian
 
 
-@dataclass(frozen=True)
-class CavityModel:
+class CavityModel(NamedTuple):
     cavity: CavityParams
     spin_rep: SpinRep
     fock_rep: FockRep
@@ -120,8 +118,7 @@ class CavityModel:
     liouvillian: Liouvillian
 
 
-@dataclass(frozen=True)
-class EliminationReport:
+class EliminationReport(NamedTuple):
     """Full-model vs eliminated-model steady-state comparison.
 
     ``full`` and ``effective`` hold <J_z>, <J_->, <J_+J_-> per model

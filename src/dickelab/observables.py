@@ -16,9 +16,8 @@ stays coherent while the spins squeeze.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +40,8 @@ from .parameters import (
     rotation_matrix,
 )
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class SpinMoments:
+class SpinMoments(NamedTuple):
     """Low moments of the collective spin in one state: <J_z>, <J_z^2>,
     <J_->, <J_z J_->, <J_+J_->, <J_-^2> and <J_+^2 J_-^2>, and the dipole
     fluctuations var(J_-) = <J_+J_-> - |<J_->|^2 (``var_jm``) and
@@ -90,8 +86,7 @@ class SpinMoments:
         return sym + 0.5j * np.array([[0.0, jz, -jy], [-jz, 0.0, jx], [jy, -jx, 0.0]])
 
 
-@dataclass(frozen=True)
-class HPFluctuationSolution:
+class HPFluctuationSolution(NamedTuple):
     """Stationary bosonic fluctuation data around the mean spin. Moments are
     dimensionless occupations of the mode a."""
 
@@ -99,8 +94,7 @@ class HPFluctuationSolution:
     anomalous_magnitude: float
 
 
-@dataclass(frozen=True)
-class FieldComposition:
+class FieldComposition(NamedTuple):
     """The field leaving the cavity: G, the dipole-to-detector coupling,
     and ``mean_field_out``, the mean outgoing amplitude."""
 
@@ -108,8 +102,7 @@ class FieldComposition:
     mean_field_out: complex
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Output-light spectrum split into its delta-peak and broadband parts;
     a ``coherent`` verdict leaves ``incoherent_spectrum`` None."""
 
@@ -286,6 +279,8 @@ def output_spectrum(e: EffectiveParams, p: CavityParams, tau_max: float | None, 
 
     spectrum, verdict = None, "coherent"
     if moments.var_jm > np.finfo(float).eps * rep.dim * moments.jp_jm:
+        import logging  # deferred, as scipy: a closed-form run never logs
+
         from .models import build_dicke_model  # deferred: models imports this module
 
         model = build_dicke_model(e)
@@ -294,9 +289,10 @@ def output_spectrum(e: EffectiveParams, p: CavityParams, tau_max: float | None, 
                                              0.5 / critical_drive(e))
         if lam.size:
             k = int(np.argmax(lam.real))
-            logger.debug("spectrum: slowest kept rate %.4g (%.3g of var(J_-)), grid step "
-                         "%.4g, Krylov dimension %d", -lam[k].real,
-                         abs(w[k]) / moments.var_jm, omega[1] - omega[0], report.krylov_dim)
+            logging.getLogger(__name__).debug(
+                "spectrum: slowest kept rate %.4g (%.3g of var(J_-)), grid step %.4g, Krylov "
+                "dimension %d", -lam[k].real, abs(w[k]) / moments.var_jm,
+                omega[1] - omega[0], report.krylov_dim)
         transform = (w / (-lam - 1j * omega[:, None])).sum(axis=1)
         spectrum, verdict = 2.0 * g2abs * transform.real, "resolved"
 

@@ -18,30 +18,29 @@ no scipy module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionCapError
+from .records import Record
 
 # Guard for runaway Kronecker products.
 TENSOR_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class SpinRep:
+class SpinRep(Record):
     """SU(2) representation of a collective spin j = N/2.
 
     ``m_values`` runs m = -j ... +j so that index 0 is the collective
     ground state.
     """
 
-    j: float
+    __slots__ = ("j",)
 
-    def __post_init__(self):
-        two_j = 2 * self.j
+    def __init__(self, j: float):
+        two_j = 2 * j
         if two_j < 0 or abs(two_j - round(two_j)) > 1e-12:
-            raise ValueError(f"j must be a non-negative half-integer, got {self.j}")
+            raise ValueError(f"j must be a non-negative half-integer, got {j}")
+        super().__init__(j)
 
     @property
     def dim(self) -> int:
@@ -62,15 +61,15 @@ class SpinRep:
         return cls(j=n / 2)
 
 
-@dataclass(frozen=True)
-class FockRep:
+class FockRep(Record):
     """Truncated bosonic mode with photon numbers 0 ... cutoff."""
 
-    cutoff: int
+    __slots__ = ("cutoff",)
 
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"Fock cutoff must be >= 1, got {self.cutoff}")
+    def __init__(self, cutoff: int):
+        if cutoff < 1:
+            raise ValueError(f"Fock cutoff must be >= 1, got {cutoff}")
+        super().__init__(cutoff)
 
     @property
     def dim(self) -> int:

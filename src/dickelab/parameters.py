@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AboveThresholdError
+from .records import Record
 
 # Analytic branches refuse drives this close to the critical point: the
 # linearized fluctuation moments diverge like 1/cos(theta) there.
 CRITICAL_RATIO_GUARD = 0.999
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Record):
     """Atom-cavity inputs: coupling g, damping kappa, laser-cavity detuning
     delta_c = w_L - w_c, laser-atom detuning delta = w_L - w_a, drive
     amplitude Omega_L, atom count N.
@@ -30,18 +28,15 @@ class CavityParams:
     The three optical frequencies enter only through the two detunings.
     """
 
-    g: complex
-    kappa: float
-    delta_c: float
-    Omega_L: complex
-    N: int
-    delta: float = 0.0
+    __slots__ = ("g", "kappa", "delta_c", "Omega_L", "N", "delta")
 
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.N < 1:
-            raise ValueError(f"need at least one atom, got N={self.N}")
+    def __init__(self, g: complex, kappa: float, delta_c: float, Omega_L: complex, N: int,
+                 delta: float = 0.0):
+        if kappa <= 0:
+            raise ValueError(f"kappa must be positive, got {kappa}")
+        if N < 1:
+            raise ValueError(f"need at least one atom, got N={N}")
+        super().__init__(g, kappa, delta_c, Omega_L, N, delta)
 
     @property
     def adiabaticity_ratio(self) -> float:
@@ -51,8 +46,7 @@ class CavityParams:
         return self.kappa / (math.sqrt(self.N) * abs(self.g))
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(Record):
     """Collective emission rate gamma, dipole-dipole shift Delta, effective
     Rabi drive Omega, atom count N, and the laser-atom detuning delta.
 
@@ -60,17 +54,14 @@ class EffectiveParams:
     analytics assume a resonant drive delta = 0.
     """
 
-    gamma: float
-    Delta: float
-    Omega: complex
-    N: int
-    delta: float = 0.0
+    __slots__ = ("gamma", "Delta", "Omega", "N", "delta")
 
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.N < 1:
-            raise ValueError(f"need at least one atom, got N={self.N}")
+    def __init__(self, gamma: float, Delta: float, Omega: complex, N: int, delta: float = 0.0):
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        if N < 1:
+            raise ValueError(f"need at least one atom, got N={N}")
+        super().__init__(gamma, Delta, Omega, N, delta)
 
     @property
     def drive_ratio(self) -> float:
@@ -82,19 +73,18 @@ class EffectiveParams:
         return EffectiveParams(self.gamma, self.Delta, omega, self.N, self.delta)
 
 
-@dataclass(frozen=True)
-class BlochAngles:
+class BlochAngles(Record):
     """Spherical orientation of the mean spin vector, theta in [0, pi/2),
     phi in (-pi, pi]."""
 
-    theta: float
-    phi: float
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta < math.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2), got {self.theta}")
-        if not (-math.pi < self.phi <= math.pi + 1e-12):
-            raise ValueError(f"phi must lie in (-pi, pi], got {self.phi}")
+    def __init__(self, theta: float, phi: float):
+        if not (0.0 <= theta < math.pi / 2):
+            raise ValueError(f"theta must lie in [0, pi/2), got {theta}")
+        if not (-math.pi < phi <= math.pi + 1e-12):
+            raise ValueError(f"phi must lie in (-pi, pi], got {phi}")
+        super().__init__(theta, phi)
 
     @property
     def cos_theta(self) -> float:

@@ -38,7 +38,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def _read(block: dict, key: str, convert, where: str, default=None):
 def _given(block: dict, where: str, fields) -> dict:
     """The keys of ``block`` that are given (present and not null), each
     converted and under its field name; ``fields`` holds (key, field,
-    conversion). An absent key leaves its field at its dataclass default."""
+    conversion). An absent key leaves its field at its default."""
     return {attr: value for key, attr, convert in fields
             if (value := _read(block, key, convert, where)) is not None}
 
@@ -179,35 +179,47 @@ _OPTIONS = {
 }
 
 
-@dataclass
 class RunConfig:
     """Resolved run request: mode, parameter level, grids, solver and
     output options. ``drive_values`` are ratios to the critical drive
-    unless ``drive_absolute`` is set."""
+    unless ``drive_absolute`` is set; the three grids are sequences.
 
-    mode: str
-    level: str
-    gamma: float = 1.0
-    delta: float = 0.0
-    cavity: CavityParams | None = None
-    drive_values: list = field(default_factory=lambda: [None])
-    drive_absolute: bool = False
-    drive_phase: float = 0.0
-    n_values: list = field(default_factory=list)
-    delta_over_gamma_values: list = field(default_factory=lambda: [0.0])
-    threads: int | None = None
-    out_path: str | None = None
-    json_mirror: bool = False
-    timestamp: bool = True
-    # spectrum knobs
-    tau_max_gamma: float | None = None
-    n_tau: int = 512
-    kappa_embed_over_gamma: float = 1000.0
-    # elimination knobs
-    fock_cutoff: int | None = None
-    min_adiabaticity: float = 5.0
+    The constructor checks the fields, and so does :meth:`replace`, which
+    gives a copy with some of them changed. A field may also be assigned,
+    unchecked (the benchmark's traced replay sets ``threads`` and
+    ``out_path`` that way)."""
 
-    def __post_init__(self):
+    def __init__(self, mode: str, level: str, gamma: float = 1.0, delta: float = 0.0,
+                 cavity: CavityParams | None = None, drive_values=(None,),
+                 drive_absolute: bool = False, drive_phase: float = 0.0, n_values=(),
+                 delta_over_gamma_values=(0.0,), threads: int | None = None,
+                 out_path: str | None = None, json_mirror: bool = False,
+                 timestamp: bool = True,
+                 # spectrum knobs
+                 tau_max_gamma: float | None = None, n_tau: int = 512,
+                 kappa_embed_over_gamma: float = 1000.0,
+                 # elimination knobs
+                 fock_cutoff: int | None = None, min_adiabaticity: float = 5.0):
+        self.mode = mode
+        self.level = level
+        self.gamma = gamma
+        self.delta = delta
+        self.cavity = cavity
+        self.drive_values = drive_values
+        self.drive_absolute = drive_absolute
+        self.drive_phase = drive_phase
+        self.n_values = n_values
+        self.delta_over_gamma_values = delta_over_gamma_values
+        self.threads = threads
+        self.out_path = out_path
+        self.json_mirror = json_mirror
+        self.timestamp = timestamp
+        self.tau_max_gamma = tau_max_gamma
+        self.n_tau = n_tau
+        self.kappa_embed_over_gamma = kappa_embed_over_gamma
+        self.fock_cutoff = fock_cutoff
+        self.min_adiabaticity = min_adiabaticity
+
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
         if self.level not in ("effective", "cavity"):
@@ -246,6 +258,19 @@ class RunConfig:
         if self.out_path and self.json_mirror and self.written_paths[1] == self.out_path:
             raise ConfigError(f"the JSON mirror of output path {self.out_path} is the "
                               "output path itself; give the CSV another extension")
+
+    def replace(self, **changes) -> "RunConfig":
+        """A copy with the fields ``changes`` names set, checked again."""
+        return RunConfig(**{**vars(self), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"RunConfig({fields})"
 
     @classmethod
     def from_dict(cls, raw: dict, mode: str | None = None) -> "RunConfig":
@@ -344,8 +369,7 @@ class RunConfig:
         return [self.out_path, *mirror]
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     mode: str
     columns: list
     rows: list
@@ -353,13 +377,24 @@ class SweepResult:
     n_failures: int
 
     def write_csv(self, path: str):
+        """The rows as CSV. Each distinct cell, by type and value, is
+        formatted once: most columns hold one value per grid point."""
+        texts = {}
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if "generated" in self.meta:
                 fh.write(f"# generated {self.meta['generated']}\r\n")
             writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(self.columns)
             for row in self.rows:
-                writer.writerow([_format_cell(row.get(c)) for c in self.columns])
+                cells = []
+                for column in self.columns:
+                    value = row.get(column)
+                    key = (type(value), value)
+                    text = texts.get(key)
+                    if text is None:
+                        text = texts[key] = _format_cell(value)
+                    cells.append(text)
+                writer.writerow(cells)
 
     def write_json(self, path: str):
         payload = {
@@ -400,8 +435,7 @@ def _json_cell(value):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """One grid point: the run settings and the resolved parameters.
     ``cavity`` is set for cavity-level runs only."""
 
@@ -414,7 +448,8 @@ def _driven(cfg: RunConfig, drive: float, e: EffectiveParams) -> EffectiveParams
     """Parameters ``e`` at the configured drive value: an absolute rate or a
     ratio to the critical drive, at the drive phase."""
     if cfg.drive_absolute:
-        return replace(e, Omega=drive * cmath.exp(1j * cfg.drive_phase))
+        return EffectiveParams(e.gamma, e.Delta, drive * cmath.exp(1j * cfg.drive_phase), e.N,
+                               e.delta)
     return e.with_drive_ratio(drive, cfg.drive_phase)
 
 
@@ -607,8 +642,7 @@ def _rows_elimination(point: GridPoint) -> list:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     """A sweep mode: the columns it writes between the grid coordinates and
     the wall-time/error pair, and the function giving the rows of one grid
     point. ``resonant`` marks modes whose every row needs the delta = 0

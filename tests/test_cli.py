@@ -154,6 +154,29 @@ def test_json_mirror(tmp_path):
     assert mirror["rows"][2]["jz_over_halfN_analytic"] is None
 
 
+def test_csv_formats_each_cell_as_format_cell_does(tmp_path):
+    # write_csv formats each distinct (type, value) once: equal values of
+    # other types (True and 1, 1 and np.int64(1), 0.0 and -0.0) and NaNs
+    # must still read as _format_cell reads each of them
+    import numpy as np
+
+    cells = [None, True, 1, np.int64(1), False, 0, -0.0, 0.0, np.float64(-0.0), float("nan"),
+             np.float64("nan"), math.inf, -math.inf, np.float64(0.1), 0.1, "0.1", "", "a,b",
+             np.float32(0.1), 2**70]
+    columns = ["a", "b", "c"]
+    rows = [{"a": cells[i % len(cells)], "b": cells[(3 * i) % len(cells)], "c": cells[-1 - i % 7]}
+            for i in range(3 * len(cells))]
+    result = sweep.SweepResult("sweep-jz", columns, rows, {}, 0)
+    result.write_csv(str(tmp_path / "out.csv"))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([sweep._format_cell(row[c]) for c in columns])
+    assert (tmp_path / "out.csv").read_bytes() == want.getvalue().encode()
+    assert "true" in want.getvalue() and "-0.0" not in want.getvalue()
+
+
 @pytest.mark.parametrize("out, flags", [("c.csv", ["--json"]), ("sub/../c.json", [])],
                          ids=["json-mirror", "csv"])
 def test_output_that_is_the_config_file_exits_before_any_solve(tmp_path, out, flags):
@@ -483,6 +506,26 @@ def test_resonant_run_loads_no_scipy(tmp_path):
         if MODES[mode].columns[-1] == "solver_method":
             assert {r["solver_method"] for r in rows} == {"closed-form"}
     assert {r["verdict"] for r in read_csv(tmp_path / "spectrum.csv")} == {"coherent"}
+
+
+def test_closed_form_console_call_loads_no_module_it_does_not_run(tmp_path):
+    # through the process entry, a closed-form call builds no dataclass,
+    # never logs, never looks for an OpenBLAS copy and needs no scipy: it
+    # loads none of the four modules that would serve those
+    cfg = write_cfg(tmp_path / "cfg.json", _RESONANT_RUNS["sweep-jz"])
+    out = _fresh_interpreter(
+        "import json, sys\n"
+        "unused = ['dataclasses', 'logging', 'glob', 'scipy']\n"
+        "before = {m for m in unused if m in sys.modules}\n"
+        "import dickelab.cli\n"
+        "sys.argv = ['dicke-lab', 'sweep-jz', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+        "            '--threads', '1']\n"
+        "code = dickelab.cli.console()\n"
+        "print(json.dumps([code, [m for m in unused if m in sys.modules and m not in before]]))\n",
+        cfg, tmp_path / "out.csv")
+    assert json.loads(out.splitlines()[-1]) == [0, []]
+    rows = read_csv(tmp_path / "out.csv")
+    assert {r["solver_method"] for r in rows} == {"closed-form"}
 
 
 @pytest.mark.parametrize("code", [0, 2])

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -475,6 +477,18 @@ def test_elimination_builds_one_cavity_model_per_drive(monkeypatch):
     drives = (0.3, 0.6, 0.9)
     reports = [validate_elimination(elimination_cavity(2, 20.0, drive)) for drive in drives]
     assert cutoffs == [report.fock_cutoff for report in reports]
+
+
+def test_nested_solve_logs_its_gmres_at_debug(caplog):
+    # the logging module is imported where the line is written, on the
+    # cavity route, and the line still reaches the package's logger
+    with caplog.at_level(logging.DEBUG, logger="dickelab.lindblad"):
+        report = validate_elimination(elimination_cavity(2, 20.0, 0.6))
+    assert report.passed
+    lines = [r.getMessage() for r in caplog.records if r.name == "dickelab.lindblad"]
+    assert len(lines) == 1
+    assert re.fullmatch(r"nested steady state: \d+ unknowns, \d+ GMRES iterations, info 0",
+                        lines[0])
 
 
 def test_elimination_over_the_old_cap_passes():

@@ -1,11 +1,14 @@
-"""The scripts under ``scripts/``: the order of the checkouts, the
-end-to-end records of ``bench_spectrum`` and ``bench_process``, the layer
-record of ``bench_lu``, and the test-only names row of ``design_counts``.
+"""The scripts under ``scripts/``: the order of the checkouts, the child's
+own peak in ``harness.timed``, the end-to-end records of
+``bench_spectrum`` and ``bench_process``, the layer record of
+``bench_lu``, and the test-only names row of ``design_counts``.
 The scripts are imported as they are, from their own directory."""
 
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,7 +69,9 @@ def test_bench_process_writes_both_sides(harness, tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     assert list(record)[:len(HEADER)] == HEADER
     assert record["repeats"] == 1
-    assert list(record["calls"]) == ["sweep_jz", "elimination"]
+    # the import-only row leads the calls
+    assert list(record["calls"]) == ["import_cli", "sweep_jz", "elimination"]
+    assert record["calls"]["import_cli"]["config"] == bench_process.IMPORT_COMMAND
     for call in record["calls"].values():
         for side in ("parent", "change"):
             (run,) = call[side]["runs"]
@@ -75,6 +80,28 @@ def test_bench_process_writes_both_sides(harness, tmp_path, monkeypatch):
             for name in ("wall_s", "cpu_s", "exit_s", "peak_rss_mb"):
                 assert call[side][f"{name}_median"] == run[name]
                 assert call[side][f"{name}_quartiles"] == [run[name]] * 2
+
+
+def test_timed_child_reads_its_own_peak(harness):
+    # the parent's peak does not floor the child's: with 100 MB touched
+    # here, a bare interpreter spawned directly reads above 100 MB, and one
+    # timed through the harness reads its own ~10 MB
+    ballast = b"\x01" * (100 << 20)
+    try:
+        direct = subprocess.Popen([sys.executable, "-S", "-c", "pass"])
+        floored = os.wait4(direct.pid, 0)[2].ru_maxrss / 1024
+        rec = harness.timed(harness.ROOT, ["-S", "-c", "pass"])
+    finally:
+        del ballast
+    assert floored > 100.0
+    assert 0.0 < rec["peak_rss_mb"] < 20.0
+    assert 0.0 < rec["cpu_s"] and rec["exit_s"] == rec["wall_s"] > 0.0  # it prints nothing
+
+
+def test_timed_child_that_fails_raises_with_its_stderr(harness):
+    with pytest.raises(subprocess.CalledProcessError) as info:
+        harness.timed(harness.ROOT, ["-c", "import sys; sys.exit('boom')"])
+    assert info.value.returncode == 1 and "boom" in info.value.stderr
 
 
 def test_bench_lu_times_each_stage_of_the_library_route(harness, tmp_path):
